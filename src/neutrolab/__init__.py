@@ -115,7 +115,6 @@ from .engine import (
     emit,
     run_claim,
     run_closure_prop,
-    run_closure_prop_sampled,
     run_remark_hunt,
     run_suite,
 )
@@ -150,7 +149,7 @@ __all__ = [
     "load_soft", "load_soft_file", "load_structure", "load_structure_file",
     "soft_to_dict",
     "Claim", "Report", "claim_matches", "emit", "run_claim",
-    "run_closure_prop", "run_closure_prop_sampled", "run_remark_hunt",
+    "run_closure_prop", "run_remark_hunt",
     "run_suite",
     "claim_by_id", "registry",
 ]

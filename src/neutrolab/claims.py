@@ -63,11 +63,9 @@ from .structures import (
     sym_group,
 )
 from .subsets import (
-    Verdict,
     classify_lagrange,
     closure,
     enumerate_subs,
-    is_ideal,
     is_subgroupoid,
     is_subring,
 )
@@ -330,28 +328,6 @@ def mixed_sub_pool():
     return tuple(pool)
 
 
-def _memo_parts(part_check):
-    """Partwise collection predicate with a shared per-part verdict memo."""
-    memo = {}
-
-    def verdict(universe, value):
-        parts = universe.resolve_parts(value)
-        if any(not p for p in parts):
-            return Verdict(False, flags=("empty-part",), note="empty part")
-        for i, (comp, labels) in enumerate(zip(universe.components, parts)):
-            key = (i, labels)
-            v = memo.get(key)
-            if v is None:
-                memo[key] = v = part_check(comp.structure, labels)
-            if not v.ok:
-                return Verdict(False,
-                               witness=(i, comp.name) + tuple(v.witness or ()),
-                               flags=v.flags, note="part %d: %s" % (i, v.note))
-        return Verdict(True)
-
-    return verdict
-
-
 # ---------------------------------------------------------------------------
 # pinned-gap decorators for the hunts
 
@@ -441,26 +417,10 @@ def _prop_runner(universe_fn, population_fn, predicate, ops=None, spot=None):
             kwargs["ops"] = ops
         if spot is not None:
             kwargs["spot"] = spot
-        pred = predicate() if callable(predicate) and getattr(
-            predicate, "_factory", False) else predicate
-        return run_closure_prop(universe_fn(), population_fn(), pred, rng,
+        return run_closure_prop(universe_fn(), population_fn(), predicate, rng,
                                 **kwargs)
 
     return runner
-
-
-def _ideal_checker_factory():
-    return _memo_parts(is_ideal)
-
-
-_ideal_checker_factory._factory = True
-
-
-def _sub_checker_factory():
-    return _memo_parts(is_subgroupoid)
-
-
-_sub_checker_factory._factory = True
 
 
 def _hunt_runner(universe_fn, op_name, predicate, pinned_fn, pin_check=None):
@@ -1083,7 +1043,7 @@ def _build():
                       "under 8a+4b (mod 12)"),
         _prop("prop-2.3.2", utri,
               _prop_runner(tri_groupoid, tri_ideal_pool,
-                           _ideal_checker_factory, spot=6200),
+                           "loose-n-ideal", spot=6200),
               generator="pooled-supersets+randomized-spot",
               note="third-component ideals are exactly the supersets of the "
                    "3x3 residue grid"),
@@ -1194,7 +1154,7 @@ def _build():
 
         _prop("prop-6.1.1", umix,
               _prop_runner(mixed_universe, mixed_sub_pool,
-                           _sub_checker_factory, spot=6200),
+                           "loose-n-sub", spot=6200),
               generator="pooled-parts+randomized-spot"),
         _remark("remark-6.1.1", umix,
                 _hunt_runner(mixed_universe, "restricted-union",

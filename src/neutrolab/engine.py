@@ -176,31 +176,6 @@ def run_closure_prop(universe, population, predicate, rng, ops=INTERSECTION_OPS,
     return STATUS_HOLDS, None, trials
 
 
-def run_closure_prop_sampled(universe, sampler, predicate, rng,
-                             count=DEFAULT_BUDGET, ops=INTERSECTION_OPS):
-    """Randomized closure check: `sampler(rng)` yields assignment values."""
-    trials = 0
-    for i in range(count):
-        trials += 1
-        a, b = sampler(rng), sampler(rng)
-        if i % 7 == 0:
-            f = SoftSet(universe, {"p1": a, "p2": sampler(rng)})
-            k = SoftSet(universe, {"p1": b})
-            res = OPS[ops[i % len(ops)]](f, k)
-            values = [res.value(p) for p in res.params]
-        else:
-            values = [value_intersect(a, b)]
-        for value in values:
-            state, v = _assignment_state(universe, value, predicate)
-            if state == "fail":
-                return (STATUS_COUNTEREXAMPLE,
-                        _fail_witness(universe, "sampled-intersection", v,
-                                      lhs=_value_plain(universe, a),
-                                      rhs=_value_plain(universe, b)),
-                        trials)
-    return STATUS_HOLDS, None, trials
-
-
 def _soft_spot_sweep(universe, population, predicate, ops, rng, pairs, state_of):
     if not population:
         return 0, None
@@ -374,11 +349,9 @@ def run_suite(registry, filter_pat=None, seed=0):
     if not selected:
         raise ValueError("filter %r matches no registered claim" % filter_pat)
     reports, ok = [], True
-    by_id = {}
     for claim in selected:
         report = run_claim(claim, seed=seed)
         reports.append(report)
-        by_id[claim.id] = claim
         if report.status != claim.expected:
             ok = False
     return reports, ok

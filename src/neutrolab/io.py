@@ -83,10 +83,6 @@ def load_soft_file(path, universe=None):
         return load_soft(json.load(fh), universe=universe)
 
 
-def universe_spec(spec_file_obj):
-    return spec_file_obj.get("universe")
-
-
 def _dump_value(universe, value):
     if isinstance(universe, NCollection):
         return [sorted(p) for p in value]

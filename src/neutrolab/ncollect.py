@@ -10,21 +10,8 @@ tag advertises.  Subset checks work part-by-part.
 
 from dataclasses import dataclass
 
-from .structures import (
-    FiniteMagma,
-    FiniteRing,
-    label_is_neutro,
-    verify_kind,
-)
-from .subsets import (
-    Verdict,
-    is_ideal,
-    is_pseudo_subring,
-    is_ring_ideal,
-    is_strong_subgroupoid,
-    is_subgroupoid,
-    is_subring,
-)
+from .structures import FiniteRing, label_is_neutro, verify_kind
+from .subsets import Verdict, ideal_verdict, order_verdict, sub_verdict
 
 MAGMA_TAGS = ("group", "semigroup", "groupoid", "loop")
 ALL_TAGS = MAGMA_TAGS + ("ring",)
@@ -102,13 +89,7 @@ class NCollection:
 
 def _part_verdict(comp, labels, strong):
     s = comp.structure
-    if isinstance(s, FiniteRing):
-        v = is_pseudo_subring(s, labels) if strong else is_subring(s, labels)
-        return v
-    if strong:
-        v = is_strong_subgroupoid(s, labels)
-    else:
-        v = is_subgroupoid(s, labels)
+    v = sub_verdict(s, labels, strong, strong)
     if v.ok and comp.alg == "loop":
         pool = sorted(labels, key=s.idx)
         has_e = any(
@@ -120,32 +101,20 @@ def _part_verdict(comp, labels, strong):
     return v
 
 
-def is_n_sub(ncol, parts, strong=False, require_neutro=True):
-    """Part-by-part substructure check; strong demands purely indeterminate
-    parts, plain only that some part carries I (unless require_neutro=False)."""
+def _nonempty_parts(ncol, parts):
     parts = ncol.resolve_parts(parts)
     if any(not p for p in parts):
         raise ValueError("empty part: use the deficit check for partial subs")
-    for i, (comp, labels) in enumerate(zip(ncol.components, parts)):
-        v = _part_verdict(comp, labels, strong)
-        if not v.ok:
-            return Verdict(False, witness=(i, comp.name) + tuple(v.witness or ()),
-                           flags=v.flags, note="part %d: %s" % (i, v.note))
-    if require_neutro and not strong:
-        if not any(any(label_is_neutro(x) for x in p) for p in parts):
-            return Verdict(False, flags=("no-indeterminate",),
-                           note="no part carries an indeterminate member")
-    return Verdict(True)
+    return parts
 
 
-def is_n_ideal(ncol, parts, require_neutro=True):
-    """Every part a two-sided ideal of its component."""
-    parts = ncol.resolve_parts(parts)
-    if any(not p for p in parts):
-        raise ValueError("empty part: use the deficit check for partial subs")
+def _partwise(ncol, parts, check, require_neutro, flags=()):
+    """Run `check(component, part)` on every nonempty part; the first failing
+    part decides, and require_neutro asks for an indeterminate member."""
     for i, (comp, labels) in enumerate(zip(ncol.components, parts)):
-        s = comp.structure
-        v = is_ring_ideal(s, labels) if isinstance(s, FiniteRing) else is_ideal(s, labels)
+        if not labels:
+            continue
+        v = check(comp, labels)
         if not v.ok:
             return Verdict(False, witness=(i, comp.name) + tuple(v.witness or ()),
                            flags=v.flags, note="part %d: %s" % (i, v.note))
@@ -153,7 +122,22 @@ def is_n_ideal(ncol, parts, require_neutro=True):
         if not any(any(label_is_neutro(x) for x in p) for p in parts):
             return Verdict(False, flags=("no-indeterminate",),
                            note="no part carries an indeterminate member")
-    return Verdict(True)
+    return Verdict(True, flags=flags)
+
+
+def is_n_sub(ncol, parts, strong=False, require_neutro=True):
+    """Part-by-part substructure check; strong demands purely indeterminate
+    parts, plain only that some part carries I (unless require_neutro=False)."""
+    return _partwise(ncol, _nonempty_parts(ncol, parts),
+                     lambda comp, labels: _part_verdict(comp, labels, strong),
+                     require_neutro and not strong)
+
+
+def is_n_ideal(ncol, parts, require_neutro=True):
+    """Every part a two-sided ideal of its component."""
+    return _partwise(ncol, _nonempty_parts(ncol, parts),
+                     lambda comp, labels: ideal_verdict(comp.structure, labels),
+                     require_neutro)
 
 
 def is_deficit_sub(ncol, parts, require_neutro=True):
@@ -163,18 +147,9 @@ def is_deficit_sub(ncol, parts, require_neutro=True):
     if not 1 < t < len(parts):
         return Verdict(False, witness=(t, len(parts)),
                        note="needs strictly between 1 and N nonempty parts")
-    for i, (comp, labels) in enumerate(zip(ncol.components, parts)):
-        if not labels:
-            continue
-        v = _part_verdict(comp, labels, strong=False)
-        if not v.ok:
-            return Verdict(False, witness=(i, comp.name) + tuple(v.witness or ()),
-                           flags=v.flags, note="part %d: %s" % (i, v.note))
-    if require_neutro:
-        if not any(any(label_is_neutro(x) for x in p) for p in parts):
-            return Verdict(False, flags=("no-indeterminate",),
-                           note="no part carries an indeterminate member")
-    return Verdict(True, flags=("deficit-%d-of-%d" % (t, len(parts)),))
+    return _partwise(ncol, parts,
+                     lambda comp, labels: _part_verdict(comp, labels, False),
+                     require_neutro, ("deficit-%d-of-%d" % (t, len(parts)),))
 
 
 def classify_mixed(ncol):
@@ -200,9 +175,4 @@ def lagrange_mixed(ncol, parts, require_neutro=True):
     v = is_n_sub(ncol, parts, require_neutro=require_neutro)
     if not v.ok:
         raise ValueError("not a sub-collection: %s" % (v.note,))
-    k = sum(len(frozenset(p)) for p in parts)
-    total = ncol.order()
-    if total % k == 0:
-        return Verdict(True)
-    return Verdict(False, witness=(k, total),
-                   note="order %d does not divide %d" % (k, total))
+    return order_verdict(sum(len(frozenset(p)) for p in parts), ncol.order())

@@ -9,22 +9,22 @@ shared parameters); the literal flag switches to the written-down version,
 which coincides with the extended union.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .groupring import GroupRing
 from .ncollect import NCollection, is_n_ideal, is_n_sub
 from .structures import FiniteMagma, FiniteRing, label_is_neutro
 from .subsets import (
+    LAGRANGE,
+    LAGRANGE_FREE,
+    WEAKLY_LAGRANGE,
     Verdict,
     check_predicate,
+    ideal_in_parent,
     is_lagrange_sub,
-    is_subgroupoid,
+    lagrange_class,
 )
 from . import symbolic as sym
-
-LAGRANGE = "Lagrange"
-WEAKLY_LAGRANGE = "WeaklyLagrange"
-LAGRANGE_FREE = "LagrangeFree"
 
 
 @dataclass
@@ -75,11 +75,7 @@ def value_union(value_a, value_b):
     members = []
     for v in (value_a, value_b):
         members.extend(v.members if isinstance(v, sym.SymUnion) else (v,))
-    out = []
-    for m in members:
-        if m not in out:
-            out.append(m)
-    return sym.SymUnion(tuple(out))
+    return sym.SymUnion(tuple(dict.fromkeys(members)))
 
 
 def value_intersect(value_a, value_b):
@@ -115,68 +111,52 @@ def _check_same_universe(f, k):
         raise ValueError("soft sets live over different universes")
 
 
-def restricted_intersection(f, k):
+def _restricted(f, k, merge):
     _check_same_universe(f, k)
     shared = sorted(set(f.params) & set(k.params))
     if not shared:
         raise ValueError("restricted operations need a shared parameter")
-    return SoftSet(f.universe, {p: value_intersect(f.value(p), k.value(p))
-                                for p in shared})
+    return SoftSet(f.universe, {p: merge(f.value(p), k.value(p)) for p in shared})
+
+
+def _extended(f, k, merge):
+    _check_same_universe(f, k)
+    out = {**k.assign, **f.assign}
+    for p in sorted(set(f.params) & set(k.params)):
+        out[p] = merge(f.value(p), k.value(p))
+    return SoftSet(f.universe, out)
+
+
+def _crossed(f, k, merge, sep):
+    _check_same_universe(f, k)
+    return SoftSet(f.universe, {"%s%s%s" % (a, sep, b): merge(f.value(a), k.value(b))
+                                for a in f.params for b in k.params})
+
+
+def restricted_intersection(f, k):
+    return _restricted(f, k, value_intersect)
 
 
 def extended_intersection(f, k):
-    _check_same_universe(f, k)
-    out = {}
-    for p in sorted(set(f.params) | set(k.params)):
-        if p in f.assign and p in k.assign:
-            out[p] = value_intersect(f.value(p), k.value(p))
-        elif p in f.assign:
-            out[p] = f.value(p)
-        else:
-            out[p] = k.value(p)
-    return SoftSet(f.universe, out)
+    return _extended(f, k, value_intersect)
 
 
 def extended_union(f, k):
-    _check_same_universe(f, k)
-    out = {}
-    for p in sorted(set(f.params) | set(k.params)):
-        if p in f.assign and p in k.assign:
-            out[p] = value_union(f.value(p), k.value(p))
-        elif p in f.assign:
-            out[p] = f.value(p)
-        else:
-            out[p] = k.value(p)
-    return SoftSet(f.universe, out)
+    return _extended(f, k, value_union)
 
 
 def restricted_union(f, k, literal=False):
     """Merge on the shared parameters (the usage in the worked cases); with
     literal=True keep every parameter, which makes it the extended union."""
-    if literal:
-        return extended_union(f, k)
-    _check_same_universe(f, k)
-    shared = sorted(set(f.params) & set(k.params))
-    if not shared:
-        raise ValueError("restricted operations need a shared parameter")
-    return SoftSet(f.universe, {p: value_union(f.value(p), k.value(p))
-                                for p in shared})
+    return (_extended if literal else _restricted)(f, k, value_union)
 
 
 def and_op(f, k):
-    _check_same_universe(f, k)
-    return SoftSet(f.universe, {
-        "%s&%s" % (a, b): value_intersect(f.value(a), k.value(b))
-        for a in f.params for b in k.params
-    })
+    return _crossed(f, k, value_intersect, "&")
 
 
 def or_op(f, k):
-    _check_same_universe(f, k)
-    return SoftSet(f.universe, {
-        "%s|%s" % (a, b): value_union(f.value(a), k.value(b))
-        for a in f.params for b in k.params
-    })
+    return _crossed(f, k, value_union, "|")
 
 
 def same_param_intersection(f, k):
@@ -242,18 +222,18 @@ def _value_verdict(universe, value, predicate):
     return check_predicate(universe, value, predicate)
 
 
+def _report(params, verdict_of):
+    failures = tuple((p, v) for p in params for v in (verdict_of(p),) if not v.ok)
+    if failures:
+        return SoftReport(False, failures, note="%d of %d assignments fail"
+                                                % (len(failures), len(params)))
+    return SoftReport(True)
+
+
 def soft_is(soft, predicate):
     """Whether every assignment satisfies the named per-value predicate."""
-    failures = []
-    for p in soft.params:
-        v = _value_verdict(soft.universe, soft.value(p), predicate)
-        if not v.ok:
-            failures.append((p, v))
-    if failures:
-        return SoftReport(False, tuple(failures),
-                          note="%d of %d assignments fail"
-                               % (len(failures), len(soft.params)))
-    return SoftReport(True)
+    return _report(soft.params,
+                   lambda p: _value_verdict(soft.universe, soft.value(p), predicate))
 
 
 def value_has_neutro(value):
@@ -275,7 +255,7 @@ def soft_neutro_params(soft):
 
 def soft_lagrange_class(soft):
     """Lagrange / WeaklyLagrange / LagrangeFree over the assignments."""
-    flags = []
+    divides = []
     for p in soft.params:
         value = soft.value(p)
         if not isinstance(value, frozenset):
@@ -284,12 +264,8 @@ def soft_lagrange_class(soft):
             v = is_lagrange_sub(soft.universe, value)
         except ValueError:
             raise ValueError("assignment %r is not a strict subgroupoid" % (p,))
-        flags.append(v.ok)
-    if all(flags):
-        return LAGRANGE
-    if not any(flags):
-        return LAGRANGE_FREE
-    return WEAKLY_LAGRANGE
+        divides.append(v.ok)
+    return lagrange_class(divides)
 
 
 def is_absolute(soft):
@@ -306,83 +282,35 @@ def is_absolute(soft):
     return all(soft.value(p) == full for p in soft.params)
 
 
+def _nested_report(h, f, verdict_of):
+    """Parameters of H nest in those of F; then verdict_of(H(b), F(b)) for
+    every parameter b of H."""
+    _check_same_universe(h, f)
+    extra = sorted(set(h.params) - set(f.params))
+    if extra:
+        return SoftReport(False, ((extra[0], Verdict(False, note="parameter not in parent")),),
+                          note="parameters are not a subset")
+    return _report(h.params, lambda b: verdict_of(h.value(b), f.value(b)))
+
+
 def soft_sub_of(h, f, predicate="loose-subgroupoid"):
     """(H, B) inside (F, A): parameters nest, assignments nest, and each H(b)
     is itself a substructure (closure is inherited by the parent)."""
-    _check_same_universe(h, f)
-    failures = []
-    if not set(h.params) <= set(f.params):
-        extra = sorted(set(h.params) - set(f.params))
-        return SoftReport(False, ((extra[0], Verdict(False, note="parameter not in parent")),),
-                          note="parameters are not a subset")
-    for b in h.params:
-        if not value_contains(h.value(b), f.value(b)):
-            failures.append((b, Verdict(False, note="assignment not inside parent")))
-            continue
-        v = _value_verdict(h.universe, h.value(b), predicate)
-        if not v.ok:
-            failures.append((b, v))
-    if failures:
-        return SoftReport(False, tuple(failures),
-                          note="%d of %d assignments fail" % (len(failures), len(h.params)))
-    return SoftReport(True)
-
-
-def _ideal_within(universe, part, parent):
-    """Absorption of `part` against `parent` members only, inside `universe`."""
-    if isinstance(universe, FiniteRing):
-        pool = sorted(part, key=universe.idx)
-        for p in pool:
-            for q in pool:
-                s = universe.add(p, q)
-                if s not in part:
-                    return Verdict(False, witness=(p, q, "add", s),
-                                   note="not additively closed")
-        for p in pool:
-            for s in sorted(parent, key=universe.idx):
-                for side, z in (("right", universe.mul(p, s)), ("left", universe.mul(s, p))):
-                    if z not in part:
-                        return Verdict(False, witness=(p, s, side, z),
-                                       note="not %s-absorbing in parent" % side)
-        return Verdict(True)
-    if isinstance(universe, FiniteMagma):
-        v = is_subgroupoid(universe, part)
-        if not v.ok:
-            return v
-        for p in sorted(part, key=universe.idx):
-            for s in sorted(parent, key=universe.idx):
-                for side, z in (("right", universe.op(p, s)), ("left", universe.op(s, p))):
-                    if z not in part:
-                        return Verdict(False, witness=(p, s, side, z),
-                                       note="not %s-absorbing in parent" % side)
-        return Verdict(True)
-    raise ValueError("ideal-of needs a finite magma or ring universe")
+    return _nested_report(h, f, lambda hv, fv: (
+        _value_verdict(h.universe, hv, predicate) if value_contains(hv, fv)
+        else Verdict(False, note="assignment not inside parent")))
 
 
 def soft_ideal_of(h, f):
     """(H, B) an ideal of (F, A): nested parameters and assignments, each
     H(b) absorbing products with members of F(b)."""
-    _check_same_universe(h, f)
-    if not set(h.params) <= set(f.params):
-        extra = sorted(set(h.params) - set(f.params))
-        return SoftReport(False, ((extra[0], Verdict(False, note="parameter not in parent")),),
-                          note="parameters are not a subset")
-    failures = []
-    for b in h.params:
-        hv, fv = h.value(b), f.value(b)
-        if isinstance(hv, (sym.NamedRing, sym.SymGroupRing)):
-            v = (sym.sym_gr_ideal_of(hv, fv) if isinstance(hv, sym.SymGroupRing)
-                 else sym.sym_ideal_of(hv, fv))
-            if not v.ok:
-                failures.append((b, v))
-            continue
+    def verdict(hv, fv):
+        if isinstance(hv, sym.SymGroupRing):
+            return sym.sym_gr_ideal_of(hv, fv)
+        if isinstance(hv, sym.NamedRing):
+            return sym.sym_ideal_of(hv, fv)
         if not value_contains(hv, fv):
-            failures.append((b, Verdict(False, note="assignment not inside parent")))
-            continue
-        v = _ideal_within(h.universe, hv, fv)
-        if not v.ok:
-            failures.append((b, v))
-    if failures:
-        return SoftReport(False, tuple(failures),
-                          note="%d of %d assignments fail" % (len(failures), len(h.params)))
-    return SoftReport(True)
+            return Verdict(False, note="assignment not inside parent")
+        return ideal_in_parent(h.universe, hv, fv)
+
+    return _nested_report(h, f, verdict)

@@ -13,7 +13,6 @@ from .scalars import (
     ns_elements,
     ns_format,
     ns_mul,
-    ns_parse,
     ns_scale,
 )
 
@@ -209,33 +208,18 @@ def param_groupoid(n, t, u):
     )
 
 
-def _cyclic_label(i, neutro):
-    if neutro:
-        return "I" if i == 0 else ("gI" if i == 1 else "g^%dI" % i)
-    return "1" if i == 0 else ("g" if i == 1 else "g^%d" % i)
-
-
 def cyclic_neutro_group(m, semigroup=False):
     """Cyclic group of order m doubled by I: {g^i} and {g^i I}, I absorbing.
 
     The table is the same either way; `semigroup` only records how the
     structure is meant to be used (as a multiplicative semigroup).
     """
-    labels = [_cyclic_label(i, False) for i in range(m)] + [
-        _cyclic_label(i, True) for i in range(m)
-    ]
-    table = []
-    for s in (0, 1):
-        for i in range(m):
-            row = []
-            for st in (0, 1):
-                for j in range(m):
-                    k = (i + j) % m
-                    row.append(k + m if (s or st) else k)
-            table.append(row)
+    labels = ["1" if i == 0 else "g" if i == 1 else "g^%d" % i for i in range(m)]
+    double = neutro_double(FiniteMagma(labels, [[(i + j) % m for j in range(m)]
+                                                for i in range(m)]))
     return FiniteMagma(
-        labels,
-        table,
+        ["I" if lab == "1I" else lab for lab in double.elements],
+        double.table,
         name="cyclic%s(%d)+I" % ("-semigroup" if semigroup else "", m),
         meta={"kind": "cyclic_neutro_group", "m": m, "semigroup": bool(semigroup)},
     )
@@ -457,11 +441,6 @@ def verify_kind(magma):
     return rep
 
 
-def ns_label_value(label, n):
-    """Parse a carrier label back into an (a, b) pair mod n."""
-    return ns_parse(label, n)
-
-
 __all__ = [
     "FiniteMagma",
     "FiniteRing",
@@ -475,7 +454,6 @@ __all__ = [
     "mult_magma",
     "neutro_double",
     "neutro_ring",
-    "ns_label_value",
     "param_groupoid",
     "sym_group",
     "verify_kind",

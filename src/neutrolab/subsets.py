@@ -1,5 +1,15 @@
 """Subset predicates over finite magmas, rings, and formal-sum rings.
 
+Every carrier is read through one algebra view (`_view`): the binary
+operations a subset must be closed under, the unary maps, the absorption
+product with its generators, the indeterminacy and zero tests, and the
+label formatter used in witnesses.  Finite carriers are viewed by element
+index through their tables; formal sums by value through GroupRing
+arithmetic.  The closed-gap, absorption-gap, strict/pure, Lagrange and
+closure routines are written once over that view, and one table
+(`PREDICATES`) maps every predicate name to its carrier, kind, strict and
+pure settings.
+
 Every predicate returns a Verdict carrying a replayable witness on failure.
 Enumeration offers two independent strategies (bitmask scan and closure
 completion) so results can be cross-checked.
@@ -36,75 +46,247 @@ class Verdict:
         return self.ok
 
 
-def _resolve(universe, labels):
-    idxs = sorted({universe.idx(x) for x in labels})
-    return idxs
+# ---------------------------------------------------------------------------
+# the algebra view
+
+
+class _OpTable:
+    """An operation table computed on demand: table[x][y] == op(x, y)."""
+
+    def __init__(self, op):
+        self.op = op
+
+    def __getitem__(self, x):
+        return _OpRow(self.op, x)
+
+
+class _OpRow:
+    __slots__ = ("op", "x")
+
+    def __init__(self, op, x):
+        self.op, self.x = op, x
+
+    def __getitem__(self, y):
+        return self.op(self.x, y)
+
+
+class _View:
+    """A carrier read as named operations over its members: element indices
+    through the tables of a finite carrier, formal sums through GroupRing
+    arithmetic.  `binary` and `unary` are (name, table) pairs a subset must
+    be closed under (the name is None for a magma), `spread` the tables a
+    closure grows by, `absorb` the absorption product and its transpose, and
+    `notes` the wording of a missing indeterminate and of an impure member."""
+
+    def __init__(self, u):
+        self.size = len(u)
+        if isinstance(u, GroupRing):
+            mul = _OpTable(u.mul)
+            self.binary, self.unary, self.spread = (("sub", _OpTable(u.sub)), ("mul", mul)), (), None
+            self.absorb = (mul, _OpTable(lambda a, b: u.mul(b, a)))
+            self.gens = [((i, 1),) for i in range(len(u.basis))]
+            self.neutro, self.label, self.zero = u.has_neutro_support, u.format, u.zero
+            self.impure = lambda a: bool(a) and not u.is_pure_neutro(a)
+            self.members = lambda subset: sorted(set(subset))
+            self.notes = ("closed but has no indeterminate-supported member",
+                          "nonzero member has a plain basis term")
+            return
+        if isinstance(u, FiniteRing):
+            mul_t = [list(col) for col in zip(*u.mul_table)]
+            self.binary = (("add", u.add_table), ("mul", u.mul_table))
+            self.unary = (("neg", u.neg_map),)
+            self.spread, self.absorb = (u.add_table, u.mul_table, mul_t), (u.mul_table, mul_t)
+        else:
+            self.binary, self.unary = ((None, u.table),), ()
+            self.spread = self.absorb = (u.table, [list(col) for col in zip(*u.table)])
+        neutro = [label_is_neutro(x) for x in u.elements]
+        impure = [not (i or label_is_zero(x)) for x, i in zip(u.elements, neutro)]
+        self.gens, self.zero = range(self.size), None
+        self.neutro, self.impure, self.label = neutro.__getitem__, impure.__getitem__, u.elements.__getitem__
+        # the gap search walks a set built from the sorted indices; its order
+        # decides which witness is reported
+        self.members = lambda labels: set(sorted({u.idx(x) for x in labels}))
+        self.notes = ("closed but has no indeterminate member",
+                      "member is neither indeterminate nor zero")
+
+
+def _view(universe):
+    """The algebra view of a carrier, built once per carrier object."""
+    view = getattr(universe, "_algebra_view", None)
+    if view is None:
+        if not isinstance(universe, (GroupRing, FiniteMagma, FiniteRing)):
+            raise ValueError("unsupported universe type %r" % type(universe).__name__)
+        view = universe._algebra_view = _View(universe)
+    return view
 
 
 # ---------------------------------------------------------------------------
-# magma predicates
+# the kernel
 
 
-def _magma_closure_gap(magma, idx_set):
-    for x in idx_set:
-        row = magma.table[x]
-        for y in idx_set:
-            z = row[y]
-            if z not in idx_set:
-                return (magma.elements[x], magma.elements[y], magma.elements[z])
+def _closed_gap(order, pool, binary, unary=()):
+    """The first gap walking `order` for x, then y, then the operations:
+    (x, y, op, z) with z = x op y outside `pool`, (x, None, op, z) for a
+    unary map, (x, y, z) for an unnamed magma op.  None when `pool` is
+    closed."""
+    for x in order:
+        for name, table in unary:
+            z = table[x]
+            if z not in pool:
+                return x, None, name, z
+        gap, span = None, order
+        for name, table in binary:
+            # a later operation only scans the members before the gap found
+            # so far, so the first gap in (y, op) order wins and no product
+            # is computed twice
+            row = table[x]
+            for y in span:
+                z = row[y]
+                if z not in pool:
+                    gap = (x, y, z) if name is None else (x, y, name, z)
+                    span = list(span)
+                    span = span[:span.index(y)]
+                    break
+        if gap is not None:
+            return gap
     return None
 
 
-def is_subgroupoid(magma, labels, strict=False):
-    """Nonempty subset closed under the operation; strict additionally
-    requires at least one indeterminate member."""
-    idxs = _resolve(magma, labels)
-    if not idxs:
+def _absorb_gap(view, xs, pool, ys):
+    """First (x, y, side, z) with z = x*y ("right") or y*x ("left") outside
+    `pool`; None when every such product stays inside."""
+    right, left = view.absorb
+    for x in xs:
+        row, col = right[x], left[x]
+        for y in ys:
+            z = row[y]
+            if z not in pool:
+                return x, y, "right", z
+            z = col[y]
+            if z not in pool:
+                return x, y, "left", z
+    return None
+
+
+def _labelled(view, gap):
+    """A gap with every member replaced by its label."""
+    return tuple([m if m is None or isinstance(m, str) else view.label(m) for m in gap])
+
+
+def _absorb_verdict(view, gap, flags=(), where=""):
+    if gap is None:
+        return Verdict(True, flags=flags)
+    return Verdict(False, witness=_labelled(view, gap), flags=flags,
+                   note="not %s-absorbing%s" % (gap[2], where))
+
+
+def _close(view, seed, cap):
+    """Smallest superset of `seed` closed under the view's products."""
+    current = set(seed)
+    frontier = list(current)
+    while frontier:
+        fresh = []
+        for x in frontier:
+            rows = [table[x] for table in view.spread]
+            for y in list(current):
+                for row in rows:
+                    z = row[y]
+                    if z not in current:
+                        current.add(z)
+                        fresh.append(z)
+                        if len(current) > cap:
+                            raise ResourceCap("closure exceeds cap %d" % cap)
+        frontier = fresh
+    return current
+
+
+def sub_verdict(universe, labels, strict=False, pure=False):
+    """Nonempty subset closed under the carrier's operations; strict requires
+    an indeterminate member, pure (implying strict) that every member is
+    indeterminate or zero."""
+    view = _view(universe)
+    order = view.members(labels)
+    if not order:
         return Verdict(False, flags=("empty",), note="empty subset")
-    gap = _magma_closure_gap(magma, set(idxs))
+    pool = order if isinstance(order, set) else set(order)
+    gap = _closed_gap(order, pool, view.binary, view.unary)
     if gap is not None:
-        return Verdict(False, witness=gap, note="not closed")
-    flags = ()
-    if len(idxs) == len(magma):
-        flags = ("improper",)
-    if strict and not any(label_is_neutro(magma.elements[i]) for i in idxs):
-        return Verdict(False, flags=flags + ("no-indeterminate",),
-                       note="closed but has no indeterminate member")
+        return Verdict(False, witness=_labelled(view, gap),
+                       note="not closed" if len(gap) == 3 else "not closed under %s" % gap[2])
+    flags = ("improper",) if len(pool) == view.size else ()
+    if len(pool) == 1 and view.zero in pool:
+        flags += ("trivial",)
+    if (strict or pure) and not any(map(view.neutro, order)):
+        return Verdict(False, flags=flags + ("no-indeterminate",), note=view.notes[0])
+    for x in sorted(pool) if pure else ():
+        if view.impure(x):
+            return Verdict(False, witness=(view.label(x),), flags=flags, note=view.notes[1])
     return Verdict(True, flags=flags)
+
+
+def ideal_verdict(universe, labels, strict=False, pure=False):
+    """Substructure absorbing every generator of the carrier from both sides."""
+    base = sub_verdict(universe, labels, strict, pure)
+    if not base.ok:
+        return Verdict(False, witness=base.witness,
+                       flags=base.flags + ("not-substructure",), note=base.note)
+    view = _view(universe)
+    pool = set(view.members(labels))
+    return _absorb_verdict(view, _absorb_gap(view, sorted(pool), pool, view.gens), base.flags)
+
+
+def ideal_in_parent(universe, part, parent):
+    """Absorption of `part` against the members of `parent` only; a ring part
+    must be additively closed, a magma part closed."""
+    if not isinstance(universe, (FiniteMagma, FiniteRing)):
+        raise ValueError("ideal-of needs a finite magma or ring universe")
+    view = _view(universe)
+    order = sorted(view.members(part))
+    pool = set(order)
+    if isinstance(universe, FiniteRing):
+        gap = _closed_gap(order, pool, view.binary[:1])
+        if gap is not None:
+            return Verdict(False, witness=_labelled(view, gap), note="not additively closed")
+    else:
+        v = sub_verdict(universe, part)
+        if not v.ok:
+            return v
+    gap = _absorb_gap(view, order, pool, sorted(view.members(parent)))
+    return _absorb_verdict(view, gap, where=" in parent")
+
+
+def order_verdict(k, total, flags=()):
+    """Whether a substructure's order k divides the carrier's order."""
+    if total % k == 0:
+        return Verdict(True, flags=flags)
+    return Verdict(False, witness=(k, total), flags=flags,
+                   note="order %d does not divide %d" % (k, total))
+
+
+def lagrange_class(divides):
+    """Lagrange when every order divides, LagrangeFree when none does."""
+    if not any(divides):
+        return LAGRANGE_FREE
+    return LAGRANGE if all(divides) else WEAKLY_LAGRANGE
+
+
+# ---------------------------------------------------------------------------
+# public predicates
+
+
+def is_subgroupoid(magma, labels, strict=False):
+    """Nonempty subset closed under the operation; strict also needs an indeterminate member."""
+    return sub_verdict(magma, labels, strict)
 
 
 def is_strong_subgroupoid(magma, labels):
     """Strict subgroupoid whose members are all indeterminate (zero exempt)."""
-    v = is_subgroupoid(magma, labels, strict=True)
-    if not v.ok:
-        return v
-    for x in labels:
-        if not label_is_neutro(x) and not label_is_zero(x):
-            return Verdict(False, witness=(x,), flags=v.flags,
-                           note="member is neither indeterminate nor zero")
-    return Verdict(True, flags=v.flags)
+    return sub_verdict(magma, labels, True, True)
 
 
 def is_ideal(magma, labels, strict=False):
     """Subgroupoid absorbing the whole carrier from both sides."""
-    v = is_subgroupoid(magma, labels, strict=strict)
-    if not v.ok:
-        return Verdict(False, witness=v.witness,
-                       flags=v.flags + ("not-substructure",), note=v.note)
-    idx_set = set(_resolve(magma, labels))
-    for p in sorted(idx_set):
-        for s in range(len(magma)):
-            z = magma.table[p][s]
-            if z not in idx_set:
-                return Verdict(False, witness=(magma.elements[p], magma.elements[s],
-                                               "right", magma.elements[z]),
-                               flags=v.flags, note="not right-absorbing")
-            z = magma.table[s][p]
-            if z not in idx_set:
-                return Verdict(False, witness=(magma.elements[p], magma.elements[s],
-                                               "left", magma.elements[z]),
-                               flags=v.flags, note="not left-absorbing")
-    return Verdict(True, flags=v.flags)
+    return ideal_verdict(magma, labels, strict)
 
 
 def is_lagrange_sub(magma, labels):
@@ -112,207 +294,64 @@ def is_lagrange_sub(magma, labels):
     v = is_subgroupoid(magma, labels, strict=True)
     if not v.ok:
         raise ValueError("not a strict subgroupoid: %s" % (v.note,))
-    k = len(set(_resolve(magma, labels)))
-    if len(magma) % k == 0:
-        return Verdict(True, flags=v.flags)
-    return Verdict(False, witness=(k, len(magma)), flags=v.flags,
-                   note="order %d does not divide %d" % (k, len(magma)))
+    return order_verdict(len(set(labels)), len(magma), v.flags)
 
 
 def closure(magma, labels, cap=None):
-    """Smallest closed superset, as a frozenset of labels."""
-    cap = cap if cap is not None else len(magma)
-    current = set(_resolve(magma, labels))
-    frontier = list(current)
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for y in list(current):
-                for z in (magma.table[x][y], magma.table[y][x]):
-                    if z not in current:
-                        current.add(z)
-                        fresh.append(z)
-                        if len(current) > cap:
-                            raise ResourceCap("closure exceeds cap %d" % cap)
-        frontier = fresh
-    return frozenset(magma.elements[i] for i in current)
-
-
-# ---------------------------------------------------------------------------
-# ring predicates
-
-
-def _ring_gap(ring, idx_set):
-    add, mul = ring.add_table, ring.mul_table
-    for x in idx_set:
-        if ring.neg_map[x] not in idx_set:
-            return (ring.elements[x], None, "neg", ring.elements[ring.neg_map[x]])
-        for y in idx_set:
-            z = add[x][y]
-            if z not in idx_set:
-                return (ring.elements[x], ring.elements[y], "add", ring.elements[z])
-            z = mul[x][y]
-            if z not in idx_set:
-                return (ring.elements[x], ring.elements[y], "mul", ring.elements[z])
-    return None
+    """Smallest closed superset, as a frozenset of labels: closed under the
+    operation of a magma, under addition and multiplication of a ring."""
+    view = _view(magma)
+    if view.spread is None:
+        raise ValueError("closure needs a finite magma or ring")
+    current = _close(view, view.members(labels), len(magma) if cap is None else cap)
+    return frozenset(map(view.label, current))
 
 
 def is_subring(ring, labels, strict=False):
-    """Nonempty subset closed under addition, negation, and multiplication;
-    strict additionally requires an indeterminate member."""
-    idxs = _resolve(ring, labels)
-    if not idxs:
-        return Verdict(False, flags=("empty",), note="empty subset")
-    gap = _ring_gap(ring, set(idxs))
-    if gap is not None:
-        return Verdict(False, witness=gap, note="not closed under %s" % gap[2])
-    flags = ()
-    if len(idxs) == len(ring):
-        flags = ("improper",)
-    if strict and not any(label_is_neutro(ring.elements[i]) for i in idxs):
-        return Verdict(False, flags=flags + ("no-indeterminate",),
-                       note="closed but has no indeterminate member")
-    return Verdict(True, flags=flags)
+    """Nonempty subset closed under +, - and x; strict also needs an indeterminate member."""
+    return sub_verdict(ring, labels, strict)
 
 
 def is_pseudo_subring(ring, labels):
     """Subring whose nonzero members are all indeterminate."""
-    v = is_subring(ring, labels, strict=True)
-    if not v.ok:
-        return v
-    for x in labels:
-        if not label_is_neutro(x) and not label_is_zero(x):
-            return Verdict(False, witness=(x,), flags=v.flags,
-                           note="member is neither indeterminate nor zero")
-    return Verdict(True, flags=v.flags)
+    return sub_verdict(ring, labels, True, True)
 
 
 def is_ring_ideal(ring, labels, strict=False, pseudo=False):
     """Additive subgroup absorbing ring multiplication from both sides."""
-    base = is_pseudo_subring(ring, labels) if pseudo else is_subring(ring, labels, strict=strict)
-    if not base.ok:
-        return Verdict(False, witness=base.witness,
-                       flags=base.flags + ("not-substructure",), note=base.note)
-    idx_set = set(_resolve(ring, labels))
-    for p in sorted(idx_set):
-        for s in range(len(ring)):
-            z = ring.mul_table[p][s]
-            if z not in idx_set:
-                return Verdict(False, witness=(ring.elements[p], ring.elements[s],
-                                               "right", ring.elements[z]),
-                               flags=base.flags, note="not right-absorbing")
-            z = ring.mul_table[s][p]
-            if z not in idx_set:
-                return Verdict(False, witness=(ring.elements[p], ring.elements[s],
-                                               "left", ring.elements[z]),
-                               flags=base.flags, note="not left-absorbing")
-    return Verdict(True, flags=base.flags)
-
-
-# ---------------------------------------------------------------------------
-# formal-sum predicates (carriers are sets of GroupRing elements)
+    return ideal_verdict(ring, labels, strict, pseudo)
 
 
 def gr_is_subring(gr, subset, strict=False):
-    """Nonempty set of formal sums closed under subtraction and product;
-    strict requires a member supported on an indeterminate basis element."""
-    items = sorted(set(subset))
-    if not items:
-        return Verdict(False, flags=("empty",), note="empty subset")
-    pool = set(items)
-    for a in items:
-        for b in items:
-            s = gr.sub(a, b)
-            if s not in pool:
-                return Verdict(False, witness=(gr.format(a), gr.format(b), "sub", gr.format(s)),
-                               note="not closed under sub")
-            p = gr.mul(a, b)
-            if p not in pool:
-                return Verdict(False, witness=(gr.format(a), gr.format(b), "mul", gr.format(p)),
-                               note="not closed under mul")
-    flags = ()
-    if len(pool) == len(gr):
-        flags = ("improper",)
-    if pool == {gr.zero}:
-        flags = flags + ("trivial",)
-    if strict and not any(gr.has_neutro_support(a) for a in items):
-        return Verdict(False, flags=flags + ("no-indeterminate",),
-                       note="closed but has no indeterminate-supported member")
-    return Verdict(True, flags=flags)
+    """Formal sums closed under - and x; strict also needs an indeterminate-supported member."""
+    return sub_verdict(gr, subset, strict)
 
 
 def gr_is_pseudo_subring(gr, subset):
-    """Subring whose nonzero members are supported only on indeterminate
-    basis elements."""
-    v = gr_is_subring(gr, subset, strict=True)
-    if not v.ok:
-        return v
-    for a in sorted(set(subset)):
-        if a and not gr.is_pure_neutro(a):
-            return Verdict(False, witness=(gr.format(a),), flags=v.flags,
-                           note="nonzero member has a plain basis term")
-    return Verdict(True, flags=v.flags)
+    """Subring whose nonzero members are supported on indeterminate basis elements only."""
+    return sub_verdict(gr, subset, True, True)
 
 
 def gr_is_ideal(gr, subset, strict=False, pseudo=False):
-    base = gr_is_pseudo_subring(gr, subset) if pseudo else gr_is_subring(gr, subset, strict=strict)
-    if not base.ok:
-        return Verdict(False, witness=base.witness,
-                       flags=base.flags + ("not-substructure",), note=base.note)
-    pool = set(subset)
-    monomials = [((i, 1),) for i in range(len(gr.basis))]
-    for a in sorted(pool):
-        for m in monomials:
-            for side, p in (("right", gr.mul(a, m)), ("left", gr.mul(m, a))):
-                if p not in pool:
-                    return Verdict(False,
-                                   witness=(gr.format(a), gr.format(m), side, gr.format(p)),
-                                   flags=base.flags, note="not %s-absorbing" % side)
-    return Verdict(True, flags=base.flags)
+    """Subring absorbing every basis monomial from both sides."""
+    return ideal_verdict(gr, subset, strict, pseudo)
 
 
-def _unital_subrings_of_zr(r):
-    """Subrings dZ_r that contain their own multiplicative identity."""
-    out = []
+def _grids(gr, pool):
+    """Each (d, basis labels) whose coefficient grid equals `pool`: the
+    subring dZ_r holds its own identity, the basis subset is closed."""
+    basis, r = gr.basis, gr.r
+    ops = _view(basis).binary
     for d in range(1, r + 1):
-        if r % d:
+        coeffs = frozenset(range(0, r, d))
+        if r % d or not any(all(e * x % r == x for x in coeffs) for e in coeffs):
             continue
-        members = frozenset(range(0, r, d))
-        for e in sorted(members):
-            if all((e * x) % r == x for x in members):
-                out.append((d, members))
-                break
-    return out
-
-
-def gr_subneutro_decompositions(gr, subset):
-    """All (coefficient subring, closed basis subset) grids equal to `subset`."""
-    pool = frozenset(subset)
-    found = []
-    basis = gr.basis
-    n = len(basis)
-    for d, coeffs in _unital_subrings_of_zr(gr.r):
-        nonzero = sorted(coeffs - {0})
-        for mask in range(1, 1 << n):
-            idxs = [i for i in range(n) if mask >> i & 1]
-            if _magma_closure_gap(basis, set(idxs)) is not None:
-                continue
-            if len(coeffs) ** len(idxs) != len(pool):
-                continue
-            if _grid_equals(gr, pool, nonzero, idxs):
-                found.append((d, tuple(basis.elements[i] for i in idxs)))
-    return found
-
-
-def _grid_equals(gr, pool, nonzero_coeffs, idxs):
-    allowed = set(nonzero_coeffs) | {0}
-    keep = set(idxs)
-    for x in pool:
-        for i, c in x:
-            if i not in keep or c not in allowed:
-                return False
-    count = (len(nonzero_coeffs) + 1) ** len(idxs)
-    return count == len(pool)
+        for mask in range(1, 1 << len(basis)):
+            idxs = [i for i in range(len(basis)) if mask >> i & 1]
+            if (len(coeffs) ** len(idxs) == len(pool)
+                    and _closed_gap(idxs, set(idxs), ops) is None
+                    and all(i in idxs and c in coeffs for x in pool for i, c in x)):
+                yield d, tuple(basis.elements[i] for i in idxs)
 
 
 def gr_is_subneutro(gr, subset, strict=True):
@@ -320,29 +359,74 @@ def gr_is_subneutro(gr, subset, strict=True):
     subring of Z_r and H a closed basis subset (indeterminate member required
     when strict)."""
     pool = frozenset(subset)
-    if not pool:
-        return Verdict(False, flags=("empty",), note="empty subset")
     if pool == {gr.zero}:
         return Verdict(True, flags=("trivial",), note="zero subring")
     base = gr_is_subring(gr, pool, strict=False)
     if not base.ok:
         return base
-    decomps = gr_subneutro_decompositions(gr, pool)
-    if not decomps:
+    grid = next(_grids(gr, pool), None)
+    if grid is None:
         return Verdict(False, flags=base.flags,
                        note="no coefficient-grid decomposition")
-    if strict and not any(a and gr.has_neutro_support(a) for a in pool):
+    if strict and not any(map(gr.has_neutro_support, pool)):
         return Verdict(False, flags=base.flags + ("no-indeterminate",),
                        note="grid but has no indeterminate-supported member")
-    d, labels = decomps[0]
-    return Verdict(True, witness=(d, labels), flags=base.flags)
+    return Verdict(True, witness=grid, flags=base.flags)
+
+
+# name -> (carrier, kind, strict, pure)
+PREDICATES = {
+    "subgroupoid": (FiniteMagma, "sub", True, False),
+    "loose-subgroupoid": (FiniteMagma, "sub", False, False),
+    "strong": (FiniteMagma, "sub", True, True),
+    "ideal": (FiniteMagma, "ideal", True, False),
+    "loose-ideal": (FiniteMagma, "ideal", False, False),
+    "lagrange": (FiniteMagma, "lagrange", True, False),
+    "subring": (FiniteRing, "sub", True, False),
+    "loose-subring": (FiniteRing, "sub", False, False),
+    "pseudo": (FiniteRing, "sub", True, True),
+    "ring-ideal": (FiniteRing, "ideal", True, False),
+    "loose-ring-ideal": (FiniteRing, "ideal", False, False),
+    "pseudo-ideal": (FiniteRing, "ideal", True, True),
+    "gr-subring": (GroupRing, "sub", True, False),
+    "loose-gr-subring": (GroupRing, "sub", False, False),
+    "gr-pseudo": (GroupRing, "sub", True, True),
+    "gr-ideal": (GroupRing, "ideal", True, False),
+    "gr-pseudo-ideal": (GroupRing, "ideal", True, True),
+    "gr-subneutro": (GroupRing, "subneutro", True, False),
+    "loose-gr-subneutro": (GroupRing, "subneutro", False, False),
+}
+
+_FAMILIES = ((GroupRing, "formal-sum"), (FiniteRing, "ring"), (FiniteMagma, "magma"))
+
+
+def _predicate_row(universe, predicate):
+    row = PREDICATES.get(predicate)
+    if row is None or not isinstance(universe, row[0]):
+        family = next((name for c, name in _FAMILIES if isinstance(universe, c)), None)
+        if family is None:
+            raise ValueError("unsupported universe type %r" % type(universe).__name__)
+        raise ValueError("unknown %s predicate %r" % (family, predicate))
+    return row
+
+
+def check_predicate(universe, labels, predicate):
+    """Run a named predicate against a labelled subset."""
+    carrier, kind, strict, pure = _predicate_row(universe, predicate)
+    if carrier is GroupRing:
+        labels = [universe.parse(s) if isinstance(s, str) else s for s in labels]
+    if kind == "lagrange":
+        return is_lagrange_sub(universe, labels)
+    if kind == "subneutro":
+        return gr_is_subneutro(universe, labels, strict)
+    return (ideal_verdict if kind == "ideal" else sub_verdict)(universe, labels, strict, pure)
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 
 
-def _scan_closed_masks(table, n):
+def _scan_closed_sets(table, n):
     if n > SCAN_LIMIT:
         raise ResourceCap("scan strategy handles carriers up to %d" % SCAN_LIMIT)
     flat = [table[x][y] for x in range(n) for y in range(n)]
@@ -359,7 +443,7 @@ def _scan_closed_masks(table, n):
             if not ok:
                 break
         if ok:
-            closed.append(mask)
+            closed.append(frozenset(members))
     return closed
 
 
@@ -368,12 +452,7 @@ def _generate_closed_sets(close_fn, n):
         raise ResourceCap("generate strategy handles carriers up to %d"
                           % GENERATE_CARRIER_LIMIT)
     seen = set()
-    frontier = []
-    for x in range(n):
-        c = close_fn(frozenset([x]))
-        if c not in seen:
-            seen.add(c)
-            frontier.append(c)
+    frontier = [frozenset()]
     while frontier:
         nxt = []
         for s in frontier:
@@ -391,95 +470,6 @@ def _generate_closed_sets(close_fn, n):
     return seen
 
 
-def _magma_close_indices(magma):
-    table = magma.table
-
-    def close(seed):
-        current = set(seed)
-        frontier = list(current)
-        while frontier:
-            fresh = []
-            for x in frontier:
-                for y in list(current):
-                    for z in (table[x][y], table[y][x]):
-                        if z not in current:
-                            current.add(z)
-                            fresh.append(z)
-            frontier = fresh
-        return frozenset(current)
-
-    return close
-
-
-def _ring_close_indices(ring):
-    add, mul = ring.add_table, ring.mul_table
-
-    def close(seed):
-        current = set(seed)
-        frontier = list(current)
-        while frontier:
-            fresh = []
-            for x in frontier:
-                for y in list(current):
-                    for z in (add[x][y], mul[x][y], mul[y][x]):
-                        if z not in current:
-                            current.add(z)
-                            fresh.append(z)
-            frontier = fresh
-        return frozenset(current)
-
-    return close
-
-
-_MAGMA_PREDICATES = {
-    "subgroupoid": lambda u, labels: is_subgroupoid(u, labels, strict=True),
-    "loose-subgroupoid": lambda u, labels: is_subgroupoid(u, labels, strict=False),
-    "strong": is_strong_subgroupoid,
-    "ideal": lambda u, labels: is_ideal(u, labels, strict=True),
-    "loose-ideal": lambda u, labels: is_ideal(u, labels, strict=False),
-    "lagrange": None,  # handled separately
-}
-
-_RING_PREDICATES = {
-    "subring": lambda u, labels: is_subring(u, labels, strict=True),
-    "loose-subring": lambda u, labels: is_subring(u, labels, strict=False),
-    "pseudo": is_pseudo_subring,
-    "ring-ideal": lambda u, labels: is_ring_ideal(u, labels, strict=True),
-    "loose-ring-ideal": lambda u, labels: is_ring_ideal(u, labels, strict=False),
-    "pseudo-ideal": lambda u, labels: is_ring_ideal(u, labels, pseudo=True),
-}
-
-_GR_PREDICATES = {
-    "gr-subring": lambda u, subset: gr_is_subring(u, subset, strict=True),
-    "loose-gr-subring": lambda u, subset: gr_is_subring(u, subset, strict=False),
-    "gr-pseudo": gr_is_pseudo_subring,
-    "gr-ideal": lambda u, subset: gr_is_ideal(u, subset, strict=True),
-    "gr-pseudo-ideal": lambda u, subset: gr_is_ideal(u, subset, pseudo=True),
-    "gr-subneutro": gr_is_subneutro,
-    "loose-gr-subneutro": lambda u, subset: gr_is_subneutro(u, subset, strict=False),
-}
-
-
-def check_predicate(universe, labels, predicate):
-    """Run a named predicate against a labelled subset."""
-    if isinstance(universe, GroupRing):
-        if predicate not in _GR_PREDICATES:
-            raise ValueError("unknown formal-sum predicate %r" % predicate)
-        subset = [universe.parse(s) if isinstance(s, str) else s for s in labels]
-        return _GR_PREDICATES[predicate](universe, subset)
-    if isinstance(universe, FiniteRing):
-        if predicate not in _RING_PREDICATES:
-            raise ValueError("unknown ring predicate %r" % predicate)
-        return _RING_PREDICATES[predicate](universe, labels)
-    if isinstance(universe, FiniteMagma):
-        if predicate == "lagrange":
-            return is_lagrange_sub(universe, labels)
-        if predicate not in _MAGMA_PREDICATES or _MAGMA_PREDICATES[predicate] is None:
-            raise ValueError("unknown magma predicate %r" % predicate)
-        return _MAGMA_PREDICATES[predicate](universe, labels)
-    raise ValueError("unsupported universe type %r" % type(universe).__name__)
-
-
 def enumerate_subs(universe, predicate="subgroupoid", strategy="auto"):
     """All subsets satisfying a named predicate, sorted by (size, indices).
 
@@ -490,35 +480,24 @@ def enumerate_subs(universe, predicate="subgroupoid", strategy="auto"):
     n = len(universe)
     if strategy == "auto":
         strategy = "scan" if n <= SCAN_LIMIT else "generate"
-    if isinstance(universe, FiniteRing):
-        if strategy == "scan":
-            # a ring subset must be closed under both tables: scan add-closed
-            # masks, then filter
-            masks = _scan_closed_masks(universe.add_table, n)
-            candidates = [frozenset(i for i in range(n) if m >> i & 1) for m in masks]
-        else:
-            candidates = sorted(_generate_closed_sets(_ring_close_indices(universe), n))
-    elif isinstance(universe, FiniteMagma):
-        if strategy == "scan":
-            masks = _scan_closed_masks(universe.table, n)
-            candidates = [frozenset(i for i in range(n) if m >> i & 1) for m in masks]
-        else:
-            candidates = sorted(_generate_closed_sets(_magma_close_indices(universe), n))
-    else:
+    if not isinstance(universe, (FiniteMagma, FiniteRing)):
         raise ValueError("unsupported universe type %r" % type(universe).__name__)
+    view = _view(universe)
+    if strategy == "scan":
+        # a ring subset must be closed under both tables: scan the masks
+        # closed under the first, then filter
+        candidates = _scan_closed_sets(view.binary[0][1], n)
+    else:
+        candidates = _generate_closed_sets(lambda seed: frozenset(_close(view, seed, n)), n)
 
+    _predicate_row(universe, predicate)
     out = []
     for idx_set in candidates:
-        if not idx_set:
-            continue
         labels = frozenset(universe.elements[i] for i in idx_set)
-        if predicate == "lagrange":
-            try:
-                v = is_lagrange_sub(universe, labels)
-            except ValueError:
-                continue
-        else:
+        try:
             v = check_predicate(universe, labels, predicate)
+        except ValueError:   # a lagrange candidate that is not a strict subgroupoid
+            continue
         if v.ok:
             out.append(labels)
     out.sort(key=lambda s: (len(s), tuple(sorted(universe.idx(x) for x in s))))
@@ -534,17 +513,9 @@ class LagrangeReport:
 
 def classify_lagrange(magma):
     """Partition the proper strict subgroupoids by order divisibility."""
-    subs = enumerate_subs(magma, predicate="subgroupoid")
     total = len(magma)
-    dividing, non_dividing = [], []
-    for s in subs:
-        if len(s) == total:
-            continue
-        (dividing if total % len(s) == 0 else non_dividing).append(s)
-    if not dividing and not non_dividing:
-        return LagrangeReport(LAGRANGE_FREE)
-    if not non_dividing:
-        return LagrangeReport(LAGRANGE, dividing, non_dividing)
-    if not dividing:
-        return LagrangeReport(LAGRANGE_FREE, dividing, non_dividing)
-    return LagrangeReport(WEAKLY_LAGRANGE, dividing, non_dividing)
+    proper = [s for s in enumerate_subs(magma, "subgroupoid") if len(s) != total]
+    divides = [total % len(s) == 0 for s in proper]
+    return LagrangeReport(lagrange_class(divides),
+                          [s for s, d in zip(proper, divides) if d],
+                          [s for s, d in zip(proper, divides) if not d])

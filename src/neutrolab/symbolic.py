@@ -3,14 +3,15 @@ Q, R, C, optionally extended by I), formal-sum rings over a finite basis with
 such coefficients, and unions of either kind.
 
 Containment, intersection, and ideal tests are decided from the names; union
-carriers are substructures exactly when the union collapses into one member,
-and otherwise a cross-sum escape witness is produced (for additive groups A
-and B, any a in A\\B plus b in B\\A lands outside both).
+carriers are substructures exactly when one member contains every other, and
+otherwise a cross-sum escape witness is produced (for additive groups A and
+B, any a in A\\B plus b in B\\A lands outside both).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 
-from .subsets import Verdict, _magma_closure_gap
+from .subsets import Verdict, _absorb_gap, _view, is_subgroupoid
 
 _RANK = {"Z": 0, "Q": 1, "R": 2, "C": 3}
 
@@ -86,18 +87,25 @@ def _gcd(a, b):
     return a
 
 
-def rep_outside(a, b):
-    """A canonical member of `a` that is not a member of `b`."""
+def _outside(a, b):
+    """A canonical member of `a` that is not a member of `b`, as its text and
+    its (part, number) value: part "1" or "I", number rational (an int or
+    Fraction), or "R" / "C" for an irrational real / a non-real number."""
     if sym_contains(a, b):
         raise ValueError("%s lies inside %s" % (a.name, b.name))
     if a.neutro and not b.neutro:
         mul = a.mult if a.base == "Z" else 1
-        return "%dI" % mul if mul != 1 else "I"
+        return ("%dI" % mul if mul != 1 else "I"), ("I", mul)
     if a.base == "Z" and b.base == "Z":
-        return str(a.mult)
+        return str(a.mult), ("1", a.mult)
     if b.base == "Z":
-        return {"Q": "1/2", "R": "1/2", "C": "1/2"}[a.base]
-    return {"R": "sqrt(2)", "C": "sqrt(-1)"}[a.base]
+        return "1/2", ("1", Fraction(1, 2))
+    return {"R": "sqrt(2)", "C": "sqrt(-1)"}[a.base], ("1", a.base)
+
+
+def rep_outside(a, b):
+    """A canonical member of `a` that is not a member of `b`."""
+    return _outside(a, b)[0]
 
 
 def sym_subring_of(inner, outer):
@@ -176,10 +184,9 @@ def sym_gr_subring_of(inner, outer):
         lab = sorted(inner.subset - outer.subset, key=inner.basis.idx)[0]
         return Verdict(False, witness=(_coeff_monomial(inner.coeff, lab),),
                        note="basis term escapes")
-    idxs = {inner.basis.idx(x) for x in inner.subset}
-    gap = _magma_closure_gap(inner.basis, idxs)
-    if gap is not None:
-        return Verdict(False, witness=gap, note="basis subset not closed")
+    v = is_subgroupoid(inner.basis, inner.subset)
+    if not v.ok:
+        return Verdict(False, witness=v.witness, note="basis subset not closed")
     return Verdict(True)
 
 
@@ -191,16 +198,15 @@ def sym_gr_ideal_of(inner, outer):
     if outer.coeff.base != "Z" and inner.coeff.core_name != outer.coeff.core_name:
         return Verdict(False, witness=(rep_outside(outer.coeff, inner.coeff), "absorb"),
                        note="coefficient multiples leave the inner span")
-    pool = {inner.basis.idx(x) for x in inner.subset}
-    for g in sorted(outer.basis.idx(x) for x in outer.subset):
-        for h in sorted(pool):
-            for z in (inner.basis.table[g][h], inner.basis.table[h][g]):
-                if z not in pool:
-                    return Verdict(False,
-                                   witness=(inner.basis.elements[g],
-                                            inner.basis.elements[h],
-                                            inner.basis.elements[z]),
-                                   note="basis subset not absorbing")
+    basis = inner.basis
+    pool = {basis.idx(x) for x in inner.subset}
+    # both products g*h and h*g of an outer g with an inner h stay inside
+    gap = _absorb_gap(_view(basis), sorted(basis.idx(x) for x in outer.subset),
+                      pool, sorted(pool))
+    if gap is not None:
+        g, h, _, z = gap
+        return Verdict(False, witness=(basis.elements[g], basis.elements[h], basis.elements[z]),
+                       note="basis subset not absorbing")
     return Verdict(True)
 
 
@@ -220,43 +226,66 @@ class SymUnion:
         return self.name
 
 
-def _pairwise_collapse(members, contains):
-    top = members[0]
-    for m in members[1:]:
-        if contains(top, m):
-            top = m
-        elif not contains(m, top):
-            return None, (m, top)
-    for m in members:
-        if not contains(m, top):
-            return None, (m, top)
-    return top, None
-
-
 def sym_union_substructure(union):
     """A union of named carriers is a substructure exactly when one member
-    swallows the rest; otherwise a cross sum escapes every member."""
+    contains every other.  Otherwise a cross sum of two members escapes both;
+    the note says it escapes every member only when the other members were
+    checked too, since three subgroups can cover a group (Scorza 1926)."""
     members = union.members
     if not members:
         return Verdict(False, flags=("empty",), note="empty union")
-    first = members[0]
-    if isinstance(first, SymGroupRing):
-        contains = sym_gr_contains
-    else:
-        contains = sym_contains
-    top, clash = _pairwise_collapse(list(members), contains)
-    if top is not None:
-        return Verdict(True, witness=(top.name,), note="collapses to one member")
-    a, b = clash
-    ra, rb = _member_rep(a, b), _member_rep(b, a)
-    return Verdict(False, witness=(ra, rb, "add", "%s+%s" % (ra, rb)),
-                   note="cross sum lies outside every member")
+    contains = sym_gr_contains if isinstance(members[0], SymGroupRing) else sym_contains
+    for top in members:
+        if all(contains(m, top) for m in members):
+            return Verdict(True, witness=(top.name,), note="collapses to one member")
+    landed = None
+    for i, b in enumerate(members):
+        for a in members[i + 1:]:
+            if contains(a, b) or contains(b, a):
+                continue
+            (ra, va), (rb, vb) = _member_rep(a, b), _member_rep(b, a)
+            witness = (ra, rb, "add", "%s+%s" % (ra, rb))
+            total = {k: _plus(va.get(k, 0), vb.get(k, 0)) for k in va.keys() | vb.keys()}
+            if not any(_holds(m, total) for m in members):
+                return Verdict(False, witness=witness, note="cross sum lies outside every member")
+            landed = landed or witness
+    return Verdict(False, witness=landed,
+                   note="no member contains every other; the cross sum lands in a third member")
 
 
 def _member_rep(a, b):
+    """A member of `a` outside `b`: its text and its value, a map from
+    (basis label or None, part) to a number."""
     if isinstance(a, SymGroupRing):
         extra = sorted(a.subset - b.subset, key=a.basis.idx)
         if extra:
-            return _coeff_monomial(a.coeff, extra[0])
-        return rep_outside(a.coeff, b.coeff)
-    return rep_outside(a, b)
+            c = a.coeff.mult if a.coeff.base == "Z" else 1
+            return _coeff_monomial(a.coeff, extra[0]), {(extra[0], "1"): c}
+        text, (part, c) = _outside(a.coeff, b.coeff)
+        return text, {(min(a.subset, key=a.basis.idx), part): c}
+    text, (part, c) = _outside(a, b)
+    return text, {(None, part): c}
+
+
+def _plus(x, y):
+    if isinstance(x, str) or isinstance(y, str):
+        # an irrational summand keeps the sum irrational: the reps never cancel
+        return max((x, y), key=lambda v: _RANK[v] if isinstance(v, str) else -1)
+    return x + y
+
+
+def _holds(member, value):
+    """Whether the element `value` (as built by _member_rep) lies in `member`."""
+    ring, subset = ((member.coeff, member.subset) if isinstance(member, SymGroupRing)
+                    else (member, None))
+    for (label, part), c in value.items():
+        if c == 0:
+            continue
+        if (subset is not None and label not in subset) or (part == "I" and not ring.neutro):
+            return False
+        if isinstance(c, str):
+            if _RANK[ring.base] < _RANK[c]:
+                return False
+        elif ring.base == "Z" and (c.denominator != 1 or c.numerator % ring.mult):
+            return False
+    return True

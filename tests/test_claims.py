@@ -1,5 +1,8 @@
 """The registered claim suite: every row reports its registered status."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from neutrolab.claims import registry
@@ -15,6 +18,8 @@ from neutrolab.engine import (
     run_claim,
     run_suite,
 )
+
+GOLDEN = Path(__file__).parent / "data" / "verify_seed0.json"
 
 CONTRADICTING_ROWS = {
     "example-2.3.1", "example-2.3.3", "example-3.1.7",
@@ -109,3 +114,17 @@ def test_rerun_is_deterministic(reg, reports):
         before = reports[cid]
         assert (again.status, again.witness, again.trials) == \
                (before.status, before.witness, before.trials)
+
+
+def test_seed0_rows_match_the_recorded_output(reports):
+    """The seed-0 `verify --format json` rows, minus timings, are pinned byte
+    for byte: statuses, witnesses, notes, flags and trial counts."""
+    rows = []
+    for r in reports.values():
+        row = r.to_dict()
+        del row["elapsed_ms"]
+        rows.append(row)
+    text = json.dumps(rows, indent=2) + "\n"
+    recorded = GOLDEN.read_text()
+    assert json.loads(text) == json.loads(recorded)
+    assert text == recorded

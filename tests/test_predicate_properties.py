@@ -1,0 +1,181 @@
+"""Every named predicate against a brute-force check written here, on random
+Cayley tables, subsets of ring(Z4+I) and subsets of Z2<cyclic(2)+I>; every
+failing verdict's witness must replay."""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from neutrolab.groupring import GroupRing
+from neutrolab.structures import FiniteMagma, cyclic_neutro_group, neutro_ring
+from neutrolab.subsets import PREDICATES, check_predicate
+
+LABELS = ["0", "I", "1", "2I", "2"]
+RING = neutro_ring(4)
+GR = GroupRing(2, cyclic_neutro_group(2))
+GR_ELEMENTS = list(GR.elements())
+
+
+def names(carrier):
+    return sorted(n for n, row in PREDICATES.items() if row[0] is carrier)
+
+
+def neutro(label):
+    return "I" in label
+
+
+def fixpoint(subset, products):
+    current = set(subset)
+    while True:
+        grown = current | {f(x, y) for x in current for y in current for f in products}
+        if grown == current:
+            return current
+        current = grown
+
+
+def expected(name, subset, carrier, products, absorb, is_neutro, is_pure):
+    """Brute-force answer for a named predicate: True, False, or ValueError."""
+    loose = name.startswith("loose-")
+    pure = name in ("strong", "pseudo", "pseudo-ideal", "gr-pseudo", "gr-pseudo-ideal")
+    closed = bool(subset) and all(f(x, y) in subset for x in subset for y in subset
+                                  for f in products)
+    has_neutro = any(is_neutro(x) for x in subset)
+    sub = closed and (loose or has_neutro) and (not pure or all(map(is_pure, subset)))
+    if name == "lagrange":
+        if not sub:
+            return ValueError
+        return len(carrier) % len(subset) == 0
+    if name.endswith("subneutro"):
+        return subneutro(subset, closed, loose)
+    if "ideal" in name:
+        return sub and all(absorb(x, g) in subset and absorb(g, x) in subset
+                           for x in subset for g in carrier)
+    return sub
+
+
+def subneutro(subset, closed, loose):
+    """A coefficient grid C^H: C a unital subring of Z2, H a closed basis subset."""
+    if subset == {GR.zero}:
+        return True
+    if not closed:
+        return False
+    basis = GR.basis
+    grids = []
+    for coeffs in ((0, 1), (0,)):
+        for k in range(1, len(basis) + 1):
+            for h in itertools.combinations(range(len(basis)), k):
+                if all(basis.table[i][j] in h for i in h for j in h):
+                    grids.append({tuple((i, c) for i, c in zip(h, cs) if c)
+                                  for cs in itertools.product(coeffs, repeat=k)})
+    if subset not in grids:
+        return False
+    return loose or any(GR.has_neutro_support(a) for a in subset)
+
+
+def replay(subset, witness, products, parse=lambda x: x):
+    """A gap witness (x, y, z) or (x, y, op, z) names a product that leaves
+    the subset; other witnesses are a single member or an order pair."""
+    if witness is None or len(witness) < 3:
+        return
+    if len(witness) == 3:
+        x, y, z = witness
+        op = "op"
+    else:
+        x, y, op, z = witness
+    if op == "neg":
+        assert products["neg"](parse(x)) == parse(z)
+    elif op in ("right", "left"):
+        a, b = (x, y) if op == "right" else (y, x)
+        assert products["absorb"](parse(a), parse(b)) == parse(z)
+    else:
+        assert products[op](parse(x), parse(y)) == parse(z)
+    assert parse(z) not in {parse(m) for m in subset}
+
+
+def check_all(universe, labels, carrier_type, carrier, products, is_neutro, is_pure,
+              parse=lambda x: x):
+    closure_ops = [f for op, f in products.items() if op in ("op", "add", "mul", "sub")]
+    subset = set(map(parse, labels))
+    for name in names(carrier_type):
+        want = expected(name, subset, carrier, closure_ops, products["absorb"],
+                        is_neutro, is_pure)
+        if want is ValueError:
+            with pytest.raises(ValueError):
+                check_predicate(universe, labels, name)
+            continue
+        v = check_predicate(universe, labels, name)
+        assert v.ok == want, (name, sorted(labels))
+        if not v.ok:
+            replay(labels, v.witness, products, parse)
+
+
+def pure_labels(labels):
+    return [x for x in labels if neutro(x) or x == "0"]
+
+
+@st.composite
+def magma_and_subset(draw):
+    """A random table, biased so that a chosen core absorbs from the right or
+    from both sides; the subset is the core, a random set, or a closure."""
+    n = draw(st.integers(1, 5))
+    labels = LABELS[:n]
+    palette = draw(st.sampled_from([labels, pure_labels(labels)]))
+    core = sorted(labels.index(x) for x in draw(st.sets(st.sampled_from(palette), min_size=1)))
+    sides = draw(st.sampled_from(["none", "right", "both"]))
+    table = [[draw(st.sampled_from(core if (sides != "none" and i in core)
+                                   or (sides == "both" and j in core) else range(n)))
+              for j in range(n)] for i in range(n)]
+    magma = FiniteMagma(labels, table)
+    subset = draw(st.one_of(st.just({labels[i] for i in core}),
+                            st.sets(st.sampled_from(palette))))
+    if draw(st.booleans()):
+        subset = fixpoint(subset, [magma.op])
+    return magma, subset
+
+
+@settings(max_examples=150, deadline=None)
+@given(magma_and_subset())
+def test_magma_predicates_match_brute_force(case):
+    magma, subset = case
+    check_all(magma, frozenset(subset), FiniteMagma, magma.elements,
+              {"op": magma.op, "absorb": magma.op},
+              neutro, lambda x: neutro(x) or x == "0")
+
+
+@st.composite
+def ring_subset(draw):
+    palette = draw(st.sampled_from([RING.elements, pure_labels(RING.elements)]))
+    subset = draw(st.sets(st.sampled_from(palette), max_size=8))
+    if draw(st.booleans()):
+        subset = fixpoint(subset, [RING.add, RING.mul])
+    return subset
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring_subset())
+def test_ring_predicates_match_brute_force(subset):
+    check_all(RING, frozenset(subset), type(RING), RING.elements,
+              {"add": RING.add, "mul": RING.mul, "neg": RING.neg, "absorb": RING.mul},
+              neutro, lambda x: neutro(x) or x == "0")
+
+
+@st.composite
+def sum_subset(draw):
+    palette = draw(st.sampled_from([GR_ELEMENTS, [a for a in GR_ELEMENTS
+                                                  if not a or GR.is_pure_neutro(a)]]))
+    subset = draw(st.sets(st.sampled_from(palette), max_size=6))
+    if draw(st.booleans()):
+        subset = fixpoint(subset | {GR.zero}, [GR.sub, GR.mul])
+    return subset
+
+
+@settings(max_examples=150, deadline=None)
+@given(sum_subset())
+def test_formal_sum_predicates_match_brute_force(subset):
+    labels = [GR.format(a) for a in subset]
+    check_all(GR, labels, GroupRing, GR_ELEMENTS,
+              {"sub": GR.sub, "mul": GR.mul, "absorb": GR.mul},
+              GR.has_neutro_support, lambda a: not a or GR.is_pure_neutro(a),
+              parse=GR.parse)

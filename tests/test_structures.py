@@ -140,3 +140,22 @@ def test_label_predicates():
     assert label_is_neutro("2I") and label_is_neutro("1+3I") and label_is_neutro("I")
     assert not label_is_neutro("2") and not label_is_neutro("0")
     assert label_is_zero("0") and not label_is_zero("2I")
+
+
+def test_cyclic_neutro_group_labels_and_table():
+    g2 = cyclic_neutro_group(2)
+    assert g2.elements == ["1", "g", "I", "gI"]
+    assert g2.table == [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 2, 3], [3, 2, 3, 2]]
+    g4 = cyclic_neutro_group(4)
+    assert g4.elements == ["1", "g", "g^2", "g^3", "I", "gI", "g^2I", "g^3I"]
+    assert g4.table == [
+        [0, 1, 2, 3, 4, 5, 6, 7], [1, 2, 3, 0, 5, 6, 7, 4],
+        [2, 3, 0, 1, 6, 7, 4, 5], [3, 0, 1, 2, 7, 4, 5, 6],
+        [4, 5, 6, 7, 4, 5, 6, 7], [5, 6, 7, 4, 5, 6, 7, 4],
+        [6, 7, 4, 5, 6, 7, 4, 5], [7, 4, 5, 6, 7, 4, 5, 6],
+    ]
+    assert g4.name == "cyclic(4)+I"
+    assert g4.meta == {"kind": "cyclic_neutro_group", "m": 4, "semigroup": False}
+    s3 = cyclic_neutro_group(3, semigroup=True)
+    assert s3.name == "cyclic-semigroup(3)+I"
+    assert s3.meta == {"kind": "cyclic_neutro_group", "m": 3, "semigroup": True}

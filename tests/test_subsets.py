@@ -114,6 +114,26 @@ def test_closure():
         closure(param_groupoid(10, 3, 2), {"1"}, cap=3)
 
 
+def _ring_fixpoint(ring, seed):
+    current = set(seed)
+    while True:
+        grown = current | {f(x, y) for x in current for y in current
+                           for f in (ring.add, ring.mul)}
+        if grown == current:
+            return frozenset(current)
+        current = grown
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_ring_closure_matches_brute_force_fixpoint(n):
+    r = neutro_ring(n)
+    seeds = [{x} for x in r.elements] + [{"2", "I"}, {"1", "2I"}, {"3I", "2+I"}]
+    for seed in seeds:
+        c = closure(r, seed)
+        assert c == _ring_fixpoint(r, seed), seed
+        assert is_subring(r, c).ok
+
+
 def test_subring_verdicts():
     r = neutro_ring(4)
     assert is_subring(r, {"0", "2", "2I", "2+2I"}, strict=True).ok
@@ -134,6 +154,8 @@ def test_check_predicate_dispatch_and_errors():
         check_predicate(neutro_ring(4), {"0"}, "subgroupoid")
     with pytest.raises(ValueError):
         check_predicate("not a universe", {"0"}, "subgroupoid")
+    with pytest.raises(ValueError):
+        enumerate_subs(neutro_ring(3), "lagrange")
 
 
 def test_every_strong_sub_is_strict():

@@ -1,5 +1,7 @@
 """Named infinite carriers (nZ, Q, R, C, their I-extensions) and their unions."""
 
+import itertools
+
 import pytest
 
 from neutrolab.structures import cyclic_neutro_group
@@ -27,6 +29,7 @@ ZI = NamedRing("Z", 1, True)
 Z2 = NamedRing("Z", 2)
 Z3 = NamedRing("Z", 3)
 Z4 = NamedRing("Z", 4)
+Z5 = NamedRing("Z", 5)
 Z2I = NamedRing("Z", 2, True)
 
 
@@ -142,6 +145,24 @@ def test_union_collapse_vs_cross_sum():
     assert not v.ok
     assert v.witness == ("3", "2", "add", "3+2")
     assert sym_union_substructure(SymUnion(())).flags == ("empty",)
+
+
+def test_union_verdict_does_not_depend_on_member_order():
+    verdicts = {(v.ok, v.witness) for v in
+                (sym_union_substructure(SymUnion(order))
+                 for order in itertools.permutations((Z2, Z3, Z)))}
+    assert verdicts == {(True, ("Z",))}
+    for order in itertools.permutations((Z2, Z3, Z4)):
+        assert not sym_union_substructure(SymUnion(order)).ok
+
+
+def test_three_member_escape_lies_in_no_member():
+    v = sym_union_substructure(SymUnion((Z2, Z3, Z5)))
+    assert not v.ok and v.note == "cross sum lies outside every member"
+    a, b, op, total = v.witness
+    assert op == "add" and total == "%s+%s" % (a, b)
+    escape = int(a) + int(b)
+    assert all(escape % m for m in (2, 3, 5))
 
 
 def test_union_of_spans():
