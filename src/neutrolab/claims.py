@@ -332,44 +332,21 @@ def mixed_sub_pool():
 # pinned-gap decorators for the hunts
 
 
-def _pin_op_gap(x, y):
+def _pin_gap(op, x, y, component=None):
+    """A hunt's pinned-pair check: x and y lie in the value (or in its part
+    `component`) but x op y does not, recomputed through the carrier's public
+    operation `op` ("op" or "add"); formal sums are named by their text."""
     def check(universe, value):
-        z = universe.op(x, y)
-        if x in value and y in value and z not in value:
-            return {"pinned-pair": [x, y], "escapes": z}
-        return None
-
-    return check
-
-
-def _pin_add_gap(x, y):
-    def check(universe, value):
-        z = universe.add(x, y)
-        if x in value and y in value and z not in value:
-            return {"pinned-pair": [x, y], "escapes": z}
-        return None
-
-    return check
-
-
-def _pin_gr_add_gap(xs, ys):
-    def check(universe, value):
-        x, y = universe.parse(xs), universe.parse(ys)
-        z = universe.add(x, y)
-        if x in value and y in value and z not in value:
-            return {"pinned-pair": [xs, ys], "escapes": universe.format(z)}
-        return None
-
-    return check
-
-
-def _pin_part_gap(comp_index, x, y):
-    def check(universe, value):
-        s = universe.components[comp_index].structure
-        part = value[comp_index]
-        z = s.op(x, y)
-        if x in part and y in part and z not in part:
-            return {"component": s.name, "pinned-pair": [x, y], "escapes": z}
+        out = {}
+        if component is not None:
+            universe, value = universe.components[component].structure, value[component]
+            out["component"] = universe.name
+        sums = isinstance(universe, GroupRing)
+        a, b = (universe.parse(x), universe.parse(y)) if sums else (x, y)
+        z = getattr(universe, op)(a, b)
+        if a in value and b in value and z not in value:
+            out["pinned-pair"], out["escapes"] = [x, y], universe.format(z) if sums else z
+            return out
         return None
 
     return check
@@ -978,15 +955,15 @@ def _build():
 
         _remark("remark-2.1.1", u1032,
                 _hunt_runner(g1032, "extended-union", "loose-subgroupoid",
-                             _pin_1032, _pin_op_gap("5I", "3")),
+                             _pin_1032, _pin_gap("op", "5I", "3")),
                 note="3*(5I)+2*3 escapes the union"),
         _remark("remark-2.1.2", u1032,
                 _hunt_runner(g1032, "restricted-union", "loose-subgroupoid",
-                             _pin_1032, _pin_op_gap("5I", "3")),
+                             _pin_1032, _pin_gap("op", "5I", "3")),
                 note="same escape under the shared-parameter union"),
         _remark("remark-2.1.3", u1032,
                 _hunt_runner(g1032, "or", "loose-subgroupoid",
-                             _pin_1032, _pin_op_gap("5I", "3")),
+                             _pin_1032, _pin_gap("op", "5I", "3")),
                 note="same escape under OR"),
 
         _example("example-2.1.1", u1032, _run_example_2_1_1,
@@ -1021,7 +998,7 @@ def _build():
 
         _remark("remark-2.1.8", u421,
                 _hunt_runner(g421, "extended-union", "strong",
-                             _pin_strong_421, _pin_op_gap("I", "2+2I")),
+                             _pin_strong_421, _pin_gap("op", "I", "2+2I")),
                 note="the recorded items assert closure for the strong "
                      "unions; the computed counterexample supports the "
                      "negated reading used by the sibling union remarks"),
@@ -1034,7 +1011,8 @@ def _build():
         _example("example-2.2.3", ubig, _run_example_2_2_3),
         _remark("remark-2.2.6", ubig,
                 _hunt_runner(bi_groupoid, "extended-union", "strong-n-sub",
-                             _pin_bi_strong, _pin_part_gap(0, "2I", "5I")),
+                             _pin_bi_strong,
+                             _pin_gap("op", "2I", "5I", component=0)),
                 note="2*(2I)+3*(5I) = 9I escapes the first part"),
 
         _example("example-2.3.1", utri, _run_example_2_3_1,
@@ -1069,20 +1047,20 @@ def _build():
 
         _remark("remark-3.1.1", ur12,
                 _hunt_runner(ring_12, "extended-union", "loose-subring",
-                             _pin_ring12, _pin_add_gap("2", "3")),
+                             _pin_ring12, _pin_gap("add", "2", "3")),
                 note="2 + 3 = 5 escapes the union of the even and the "
                      "multiples-of-three grids"),
         _remark("remark-3.1.2", ur12,
                 _hunt_runner(ring_12, "restricted-union", "loose-subring",
-                             _pin_ring12, _pin_add_gap("2", "3")),
+                             _pin_ring12, _pin_gap("add", "2", "3")),
                 note="same escape under the shared-parameter union"),
         _remark("remark-3.1.3", ur12,
                 _hunt_runner(ring_12, "or", "loose-subring",
-                             _pin_ring12, _pin_add_gap("2", "3")),
+                             _pin_ring12, _pin_gap("add", "2", "3")),
                 note="same escape under OR"),
         _remark("remark-3.1.4", ur12,
                 _hunt_runner(ring_12, "extended-union", "loose-ring-ideal",
-                             _pin_ring12_ideals, _pin_add_gap("6", "4")),
+                             _pin_ring12_ideals, _pin_gap("add", "6", "4")),
                 note="6 + 4 = 10 escapes the union of the <6> and <4> "
                      "ideal grids"),
 
@@ -1112,16 +1090,16 @@ def _build():
         _remark("remark-4.1.1-i1", ugr4,
                 _hunt_runner(gr_z2_c4, "restricted-union",
                              "loose-gr-subneutro", _pin_gr_c4,
-                             _pin_gr_add_gap("1", "g^2I")),
+                             _pin_gap("add", "1", "g^2I")),
                 note="1 + g^2I escapes the union of two basis spans"),
         _remark("remark-4.1.1-i2", ugr4,
                 _hunt_runner(gr_z2_c4, "extended-union",
                              "loose-gr-subneutro", _pin_gr_c4,
-                             _pin_gr_add_gap("1", "g^2I")),
+                             _pin_gap("add", "1", "g^2I")),
                 note="same escape under the extended union"),
         _remark("remark-4.1.1-i3", ugr4,
                 _hunt_runner(gr_z2_c4, "or", "loose-gr-subneutro",
-                             _pin_gr_c4, _pin_gr_add_gap("1", "g^2I")),
+                             _pin_gr_c4, _pin_gap("add", "1", "g^2I")),
                 note="same escape under OR"),
 
         _example("example-4.1.1", usymq, _run_example_4_1_1,
@@ -1149,7 +1127,7 @@ def _build():
         _remark("remark-5.1.1", ugr3,
                 _hunt_runner(gr_z2_c3s, "restricted-union",
                              "loose-gr-subneutro", _pin_gr_c3s,
-                             _pin_gr_add_gap("1", "gI")),
+                             _pin_gap("add", "1", "gI")),
                 note="1 + gI escapes the union of two basis spans"),
 
         _prop("prop-6.1.1", umix,
@@ -1159,7 +1137,7 @@ def _build():
         _remark("remark-6.1.1", umix,
                 _hunt_runner(mixed_universe, "restricted-union",
                              "loose-n-sub", _pin_mixed,
-                             _pin_part_gap(0, "2", "I")),
+                             _pin_gap("op", "2", "I", component=0)),
                 note="2*I = 2I escapes the first part of the union row"),
 
         _example("example-6.1.1", umix, _run_example_6_1_1,

@@ -106,10 +106,7 @@ def run_claim(claim, seed=0):
 
 def _assignment_state(universe, value, predicate):
     """('ok'|'skip'|'fail', Verdict) for one assignment value."""
-    try:
-        v = _value_verdict(universe, value, predicate)
-    except ValueError as exc:
-        return "skip", Verdict(False, note=str(exc))
+    v = _value_verdict(universe, value, predicate)
     if not v.ok and any(f in v.flags for f in DEGENERATE_FLAGS):
         return "skip", v
     return ("ok" if v.ok else "fail"), v

@@ -8,7 +8,7 @@ Multiplication is convolution through the basis table.
 import itertools
 import re
 
-from .structures import FiniteMagma, ResourceCap, label_is_neutro
+from .structures import FiniteMagma, label_is_neutro
 
 
 class GroupRing:
@@ -118,59 +118,10 @@ class GroupRing:
                 parts.append("%d%s" % (c, label))
         return "+".join(parts)
 
-    def generated_ideal(self, gens, max_size=4096, max_rounds=64):
-        """Two-sided ideal generated by `gens`: worklist fixpoint, then an
-        independent recheck of the result."""
-        current = {self.zero}
-        current.update(gens)
-        current.update(self.neg(g) for g in gens)
-        monomials = [((i, 1),) for i in range(len(self.basis))]
-        for _ in range(max_rounds):
-            # close additively
-            while True:
-                fresh = set()
-                items = sorted(current)
-                for a in items:
-                    for b in items:
-                        s = self.add(a, b)
-                        if s not in current:
-                            fresh.add(s)
-                    if len(current) + len(fresh) > max_size:
-                        raise ResourceCap("generated ideal exceeds %d elements" % max_size)
-                if not fresh:
-                    break
-                current |= fresh
-            # absorb monomial multiples (scalar multiples follow additively)
-            fresh = set()
-            for s in sorted(current):
-                for m in monomials:
-                    for p in (self.mul(m, s), self.mul(s, m)):
-                        if p not in current:
-                            fresh.add(p)
-            if not fresh:
-                break
-            current |= fresh
-            if len(current) > max_size:
-                raise ResourceCap("generated ideal exceeds %d elements" % max_size)
-        else:
-            raise ResourceCap("generated ideal did not stabilize in %d rounds" % max_rounds)
-
-        result = frozenset(current)
-        self._recheck_ideal(result)
-        return result
-
-    def _recheck_ideal(self, subset):
-        for a in subset:
-            if self.neg(a) not in subset:
-                raise RuntimeError("ideal recheck failed: missing negation")
-            for b in subset:
-                if self.add(a, b) not in subset:
-                    raise RuntimeError("ideal recheck failed: not additively closed")
-        for a in subset:
-            for i in range(len(self.basis)):
-                m = ((i, 1),)
-                if self.mul(m, a) not in subset or self.mul(a, m) not in subset:
-                    raise RuntimeError("ideal recheck failed: not absorbing")
+    def generated_ideal(self, gens):
+        """Two-sided ideal generated by `gens` (see subsets.generated_ideal)."""
+        from .subsets import generated_ideal
+        return generated_ideal(self, gens)
 
 
 def group_ring(r, basis, name=""):

@@ -60,19 +60,8 @@ class FiniteMagma:
         except KeyError:
             raise ValueError("unknown element %r in %s" % (label, self.name))
 
-    def op_i(self, i, j):
-        return self.table[i][j]
-
     def op(self, x, y):
         return self.elements[self.table[self.idx(x)][self.idx(y)]]
-
-    def subset_indices(self, labels):
-        return frozenset(self.idx(x) for x in labels)
-
-    def neutro_indices(self):
-        return frozenset(
-            i for i, lab in enumerate(self.elements) if label_is_neutro(lab)
-        )
 
 
 class FiniteRing:
@@ -129,14 +118,6 @@ class FiniteRing:
 
     def sub(self, x, y):
         return self.add(x, self.neg(y))
-
-    def subset_indices(self, labels):
-        return frozenset(self.idx(x) for x in labels)
-
-    def neutro_indices(self):
-        return frozenset(
-            i for i, lab in enumerate(self.elements) if label_is_neutro(lab)
-        )
 
     def _find_add_identity(self):
         n = len(self.elements)

@@ -33,6 +33,7 @@ LAGRANGE_FREE = "LagrangeFree"
 SCAN_LIMIT = 16
 GENERATE_CARRIER_LIMIT = 64
 GENERATE_COUNT_LIMIT = 4096
+IDEAL_CAP = 4096
 
 
 @dataclass
@@ -180,16 +181,22 @@ def _absorb_verdict(view, gap, flags=(), where=""):
                    note="not %s-absorbing%s" % (gap[2], where))
 
 
-def _close(view, seed, cap):
-    """Smallest superset of `seed` closed under the view's products."""
+def _close(view, seed, cap, spread=None, absorb=()):
+    """Smallest superset of `seed` closed under the tables of `spread` (the
+    view's by default) and absorbing every member of `absorb` from both
+    sides."""
+    spread = view.spread if spread is None else spread
     current = set(seed)
     frontier = list(current)
     while frontier:
         fresh = []
         for x in frontier:
-            rows = [table[x] for table in view.spread]
-            for y in list(current):
-                for row in rows:
+            members = list(current)
+            rows = [(table[x], members) for table in spread]
+            if absorb:
+                rows += [(table[x], absorb) for table in view.absorb]
+            for row, ys in rows:
+                for y in ys:
                     z = row[y]
                     if z not in current:
                         current.add(z)
@@ -198,6 +205,28 @@ def _close(view, seed, cap):
                             raise ResourceCap("closure exceeds cap %d" % cap)
         frontier = fresh
     return current
+
+
+def _additive_ideal_verdict(view, order, pool, gens, where=""):
+    """`pool` closed under the view's first operation (+ of a ring, - of
+    formal sums) and absorbing every member of `gens` from both sides."""
+    gap = _closed_gap(order, pool, view.binary[:1])
+    if gap is not None:
+        return Verdict(False, witness=_labelled(view, gap), note="not additively closed")
+    return _absorb_verdict(view, _absorb_gap(view, order, pool, gens), where=where)
+
+
+def generated_ideal(gr, gens):
+    """Two-sided ideal of a formal-sum ring generated by `gens`: {0} and
+    `gens` closed under + while absorbing the basis monomials (a nonempty
+    finite set closed under + is a subgroup), then rechecked by the gap
+    searches."""
+    view = _view(gr)
+    pool = _close(view, [gr.zero, *gens], IDEAL_CAP, (_OpTable(gr.add),), view.gens)
+    v = _additive_ideal_verdict(view, sorted(pool), pool, view.gens)
+    if not v.ok:
+        raise RuntimeError("generated ideal failed its recheck: %s at %r" % (v.note, v.witness))
+    return frozenset(pool)
 
 
 def sub_verdict(universe, labels, strict=False, pure=False):
@@ -236,23 +265,21 @@ def ideal_verdict(universe, labels, strict=False, pure=False):
 
 
 def ideal_in_parent(universe, part, parent):
-    """Absorption of `part` against the members of `parent` only; a ring part
-    must be additively closed, a magma part closed."""
+    """Absorption of `part` against the members of `parent` only; a part must
+    be nonempty, a ring part additively closed, a magma part closed."""
     if not isinstance(universe, (FiniteMagma, FiniteRing)):
         raise ValueError("ideal-of needs a finite magma or ring universe")
     view = _view(universe)
     order = sorted(view.members(part))
-    pool = set(order)
+    if not order:
+        return Verdict(False, flags=("empty",), note="empty subset")
+    pool, parent_order = set(order), sorted(view.members(parent))
     if isinstance(universe, FiniteRing):
-        gap = _closed_gap(order, pool, view.binary[:1])
-        if gap is not None:
-            return Verdict(False, witness=_labelled(view, gap), note="not additively closed")
-    else:
-        v = sub_verdict(universe, part)
-        if not v.ok:
-            return v
-    gap = _absorb_gap(view, order, pool, sorted(view.members(parent)))
-    return _absorb_verdict(view, gap, where=" in parent")
+        return _additive_ideal_verdict(view, order, pool, parent_order, " in parent")
+    v = sub_verdict(universe, part)
+    if not v.ok:
+        return v
+    return _absorb_verdict(view, _absorb_gap(view, order, pool, parent_order), where=" in parent")
 
 
 def order_verdict(k, total, flags=()):

@@ -1,6 +1,9 @@
 """The registered claim suite: every row reports its registered status."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -128,3 +131,18 @@ def test_seed0_rows_match_the_recorded_output(reports):
     recorded = GOLDEN.read_text()
     assert json.loads(text) == json.loads(recorded)
     assert text == recorded
+
+
+def test_seed0_rows_do_not_depend_on_the_hash_seed():
+    """A fresh `verify` process under PYTHONHASHSEED=1 prints the recorded
+    rows: no witness, note or count may follow set or dict iteration order."""
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONHASHSEED="1", PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-m", "neutrolab.cli", "verify", "--seed", "0", "--format", "json"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    rows = json.loads(out)
+    for row in rows:
+        del row["elapsed_ms"]
+    assert json.dumps(rows, indent=2) + "\n" == GOLDEN.read_text()

@@ -94,6 +94,12 @@ def test_run_closure_prop_rejects_bad_population():
                          random.Random(0))
 
 
+def test_run_closure_prop_rejects_an_unknown_predicate():
+    g = param_groupoid(4, 2, 1)
+    with pytest.raises(ValueError, match="loose-subgroupoidd"):
+        run_closure_prop(g, SUBS, "loose-subgroupoidd", random.Random(0))
+
+
 def test_hunt_finds_replayable_counterexample():
     g = param_groupoid(4, 2, 1)
     pop = [frozenset({"0", "2I"}), frozenset({"0", "1", "3"})]

@@ -9,11 +9,11 @@ laws on seeded random triples.
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neutrolab.groupring import GroupRing, group_ring
-from neutrolab.structures import cyclic_neutro_group, sym_group
+from neutrolab.structures import ResourceCap, cyclic_neutro_group, sym_group
 
 
 def gr256():
@@ -86,6 +86,41 @@ def test_generated_ideals():
     assert frozenset(gr.generated_ideal([vw])) == frozenset({gr.zero, vw})
     full = gr.generated_ideal([gr.monomial("1")])
     assert len(full) == 256
+
+
+# the last basis does not commute, so a one-sided ideal would differ
+IDEAL_RINGS = [GroupRing(2, cyclic_neutro_group(2)), GroupRing(3, cyclic_neutro_group(2)),
+               GroupRing(2, cyclic_neutro_group(3, semigroup=True)), GroupRing(2, sym_group(3))]
+IDEAL_ELEMENTS = [list(gr.elements()) for gr in IDEAL_RINGS]
+
+
+def brute_ideal(gr, everything, gens):
+    """Fixpoint of {0} and `gens` under +, negation and multiplication by
+    every element on both sides."""
+    ideal = {gr.zero, *gens}
+    while True:
+        grown = set(ideal)
+        grown.update(gr.neg(a) for a in ideal)
+        grown.update(gr.add(a, b) for a in ideal for b in ideal)
+        grown.update(p for a in ideal for e in everything
+                     for p in (gr.mul(e, a), gr.mul(a, e)))
+        if grown == ideal:
+            return frozenset(ideal)
+        ideal = grown
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, len(IDEAL_RINGS) - 1), st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=2))
+def test_generated_ideal_matches_brute_force(which, picks):
+    gr, everything = IDEAL_RINGS[which], IDEAL_ELEMENTS[which]
+    gens = [everything[k % len(everything)] for k in picks]
+    assert gr.generated_ideal(gens) == brute_ideal(gr, everything, gens)
+
+
+def test_generated_ideal_over_the_cap_names_it():
+    gr = GroupRing(6, cyclic_neutro_group(4))
+    with pytest.raises(ResourceCap, match="4096"):
+        gr.generated_ideal([gr.monomial("1")])
 
 
 def test_parse_format_oracles():

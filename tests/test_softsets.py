@@ -23,7 +23,7 @@ from neutrolab.softsets import (
     value_intersect,
     value_union,
 )
-from neutrolab.structures import param_groupoid
+from neutrolab.structures import neutro_ring, param_groupoid
 
 P4 = frozenset({"0", "2", "2I", "2+2I"})
 P3 = frozenset({"0", "2I", "2+2I"})
@@ -151,6 +151,15 @@ def test_soft_ideal_of_absorbs_against_parent():
     assert soft_ideal_of(h, f).ok
     rep = soft_ideal_of(SoftSet(g, {"a1": {"0"}}), f)
     assert not rep.ok and "absorbing" in rep.failures[0][1].note
+
+
+def test_soft_ideal_of_rejects_an_empty_part():
+    for u in (param_groupoid(4, 2, 1), neutro_ring(4)):
+        full = SoftSet(u, {"a": frozenset(u.elements)})
+        rep = soft_ideal_of(SoftSet(u, {"a": set()}), full)
+        assert not rep.ok
+        v = rep.failures[0][1]
+        assert (v.flags, v.note) == (("empty",), "empty subset")
 
 
 def test_value_algebra():
