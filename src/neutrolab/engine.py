@@ -14,7 +14,14 @@ import time
 from dataclasses import dataclass
 
 from .io import _dump_value, json_plain, load_soft, soft_to_dict
-from .softsets import OPS, SoftSet, _value_verdict, value_intersect, value_is_empty
+from .softsets import (
+    OPS,
+    SoftSet,
+    _value_verdict,
+    check_predicate_name,
+    value_intersect,
+    value_is_empty,
+)
 from .structures import ResourceCap
 from .subsets import Verdict
 
@@ -261,7 +268,12 @@ def run_remark_hunt(universe, op_name, predicate, rng, pinned=None,
 
     pin_check(universe, value) may decorate the pinned phase's witness with
     an independently recomputed gap (a specific escaping element); it never
-    decides the status by itself — the predicate must genuinely fail."""
+    decides the status by itself — the predicate must genuinely fail.
+
+    A misspelled predicate name raises ValueError up front: inside the hunt
+    a ValueError from the predicate counts as a violation (a `lagrange`
+    value that is not a strict subgroupoid)."""
+    check_predicate_name(universe, predicate)
     counter = [0]
 
     def finish(witness):

@@ -19,6 +19,7 @@ from .subsets import (
     LAGRANGE_FREE,
     WEAKLY_LAGRANGE,
     Verdict,
+    _predicate_row,
     check_predicate,
     ideal_in_parent,
     is_lagrange_sub,
@@ -196,6 +197,23 @@ class SoftReport:
 
     def __bool__(self):
         return self.ok
+
+
+# collection predicate names; each is also taken with a "loose-" prefix
+N_PREDICATES = ("n-sub", "strong-n-sub", "n-ideal")
+
+
+def check_predicate_name(universe, predicate):
+    """Raise ValueError when a named predicate does not exist for the
+    universe's carrier family; a callable, or a symbolic universe whose
+    values decide their own check, passes."""
+    if callable(predicate):
+        return
+    if isinstance(universe, NCollection):
+        if predicate.removeprefix("loose-") not in N_PREDICATES:
+            raise ValueError("unknown collection predicate %r" % predicate)
+    elif isinstance(universe, (FiniteMagma, FiniteRing, GroupRing)):
+        _predicate_row(universe, predicate)
 
 
 def _value_verdict(universe, value, predicate):

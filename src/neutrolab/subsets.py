@@ -11,6 +11,9 @@ closure routines are written once over that view, and one table
 pure settings.
 
 Every predicate returns a Verdict carrying a replayable witness on failure.
+A set of formal sums is accepted from an additive generating set
+(`_generators`); whenever that check does not accept, the walk over every
+pair of members runs and its first gap is the witness.
 Enumeration offers two independent strategies (bitmask scan and closure
 completion) so results can be cross-checked.
 """
@@ -76,7 +79,8 @@ class _View:
     through the tables of a finite carrier, formal sums through GroupRing
     arithmetic.  `binary` and `unary` are (name, table) pairs a subset must
     be closed under (the name is None for a magma), `spread` the tables a
-    closure grows by, `absorb` the absorption product and its transpose, and
+    closure grows by, `absorb` the absorption product and its transpose,
+    `add` the addition of formal sums (None for a finite carrier), and
     `notes` the wording of a missing indeterminate and of an impure member."""
 
     def __init__(self, u):
@@ -86,7 +90,7 @@ class _View:
             self.binary, self.unary, self.spread = (("sub", _OpTable(u.sub)), ("mul", mul)), (), None
             self.absorb = (mul, _OpTable(lambda a, b: u.mul(b, a)))
             self.gens = [((i, 1),) for i in range(len(u.basis))]
-            self.neutro, self.label, self.zero = u.has_neutro_support, u.format, u.zero
+            self.neutro, self.label, self.zero, self.add = u.has_neutro_support, u.format, u.zero, u.add
             self.impure = lambda a: bool(a) and not u.is_pure_neutro(a)
             self.members = lambda subset: sorted(set(subset))
             self.notes = ("closed but has no indeterminate-supported member",
@@ -102,7 +106,7 @@ class _View:
             self.spread = self.absorb = (u.table, [list(col) for col in zip(*u.table)])
         neutro = [label_is_neutro(x) for x in u.elements]
         impure = [not (i or label_is_zero(x)) for x, i in zip(u.elements, neutro)]
-        self.gens, self.zero = range(self.size), None
+        self.gens, self.zero, self.add = range(self.size), None, None
         self.neutro, self.impure, self.label = neutro.__getitem__, impure.__getitem__, u.elements.__getitem__
         # the gap search walks a set built from the sorted indices; its order
         # decides which witness is reported
@@ -181,10 +185,10 @@ def _absorb_verdict(view, gap, flags=(), where=""):
                    note="not %s-absorbing%s" % (gap[2], where))
 
 
-def _close(view, seed, cap, spread=None, absorb=()):
+def _close(view, seed, cap, spread=None, absorb=(), setting="cap"):
     """Smallest superset of `seed` closed under the tables of `spread` (the
     view's by default) and absorbing every member of `absorb` from both
-    sides."""
+    sides; more than `cap` members raises ResourceCap naming `setting`."""
     spread = view.spread if spread is None else spread
     current = set(seed)
     frontier = list(current)
@@ -202,18 +206,55 @@ def _close(view, seed, cap, spread=None, absorb=()):
                         current.add(z)
                         fresh.append(z)
                         if len(current) > cap:
-                            raise ResourceCap("closure exceeds cap %d" % cap)
+                            raise ResourceCap("closure reached %d members, over %s = %d"
+                                              % (len(current), setting, cap))
         frontier = fresh
     return current
+
+
+def _generators(view, order, pool):
+    """An additive generating set of formal sums `pool`, or None when `pool`
+    is not an additive subgroup or the carrier is finite (a finite ring's
+    distributivity is only sampled above 58 elements).  Walking `order`, a
+    member outside the span is kept and the span grows by its cosets; the
+    walk gives up as soon as the span leaves `pool`.  Convolution is
+    bilinear, so a product or absorption check over the generators decides
+    it for every member."""
+    add = view.add
+    if add is None or view.zero not in pool:
+        return None
+    span, gens = {view.zero}, []
+    for x in order:
+        if x in span:
+            continue
+        gens.append(x)
+        base, step = list(span), x
+        while step not in span:
+            for h in base:
+                z = add(h, step)
+                if z not in pool:
+                    return None
+                span.add(z)
+            step = add(step, x)
+    return gens
+
+
+def _absorbing_gap(view, order, pool, ys, span):
+    """The first absorption gap walking `order`, or None without the walk
+    when the additive generators `span` of `pool` absorb every `ys`."""
+    if span is not None and _absorb_gap(view, span, pool, ys) is None:
+        return None
+    return _absorb_gap(view, order, pool, ys)
 
 
 def _additive_ideal_verdict(view, order, pool, gens, where=""):
     """`pool` closed under the view's first operation (+ of a ring, - of
     formal sums) and absorbing every member of `gens` from both sides."""
-    gap = _closed_gap(order, pool, view.binary[:1])
+    span = _generators(view, order, pool)
+    gap = _closed_gap(order, pool, view.binary[:1]) if span is None else None
     if gap is not None:
         return Verdict(False, witness=_labelled(view, gap), note="not additively closed")
-    return _absorb_verdict(view, _absorb_gap(view, order, pool, gens), where=where)
+    return _absorb_verdict(view, _absorbing_gap(view, order, pool, gens, span), where=where)
 
 
 def generated_ideal(gr, gens):
@@ -222,7 +263,8 @@ def generated_ideal(gr, gens):
     finite set closed under + is a subgroup), then rechecked by the gap
     searches."""
     view = _view(gr)
-    pool = _close(view, [gr.zero, *gens], IDEAL_CAP, (_OpTable(gr.add),), view.gens)
+    pool = _close(view, [gr.zero, *gens], IDEAL_CAP, (_OpTable(gr.add),), view.gens,
+                  "subsets.IDEAL_CAP")
     v = _additive_ideal_verdict(view, sorted(pool), pool, view.gens)
     if not v.ok:
         raise RuntimeError("generated ideal failed its recheck: %s at %r" % (v.note, v.witness))
@@ -238,7 +280,12 @@ def sub_verdict(universe, labels, strict=False, pure=False):
     if not order:
         return Verdict(False, flags=("empty",), note="empty subset")
     pool = order if isinstance(order, set) else set(order)
-    gap = _closed_gap(order, pool, view.binary, view.unary)
+    span = _generators(view, order, pool)
+    # an additive subgroup is closed under x when its generators' products are
+    if span is not None and _closed_gap(span, pool, view.binary[1:]) is None:
+        gap = None
+    else:
+        gap = _closed_gap(order, pool, view.binary, view.unary)
     if gap is not None:
         return Verdict(False, witness=_labelled(view, gap),
                        note="not closed" if len(gap) == 3 else "not closed under %s" % gap[2])
@@ -261,7 +308,9 @@ def ideal_verdict(universe, labels, strict=False, pure=False):
                        flags=base.flags + ("not-substructure",), note=base.note)
     view = _view(universe)
     pool = set(view.members(labels))
-    return _absorb_verdict(view, _absorb_gap(view, sorted(pool), pool, view.gens), base.flags)
+    order = sorted(pool)
+    gap = _absorbing_gap(view, order, pool, view.gens, _generators(view, order, pool))
+    return _absorb_verdict(view, gap, base.flags)
 
 
 def ideal_in_parent(universe, part, parent):
@@ -453,9 +502,10 @@ def check_predicate(universe, labels, predicate):
 # enumeration
 
 
-def _scan_closed_sets(table, n):
+def _scan_closed_sets(table, n, name):
     if n > SCAN_LIMIT:
-        raise ResourceCap("scan strategy handles carriers up to %d" % SCAN_LIMIT)
+        raise ResourceCap("%s has %d elements, over subsets.SCAN_LIMIT = %d"
+                          % (name, n, SCAN_LIMIT))
     flat = [table[x][y] for x in range(n) for y in range(n)]
     closed = []
     for mask in range(1, 1 << n):
@@ -474,10 +524,10 @@ def _scan_closed_sets(table, n):
     return closed
 
 
-def _generate_closed_sets(close_fn, n):
+def _generate_closed_sets(close_fn, n, name):
     if n > GENERATE_CARRIER_LIMIT:
-        raise ResourceCap("generate strategy handles carriers up to %d"
-                          % GENERATE_CARRIER_LIMIT)
+        raise ResourceCap("%s has %d elements, over subsets.GENERATE_CARRIER_LIMIT = %d"
+                          % (name, n, GENERATE_CARRIER_LIMIT))
     seen = set()
     frontier = [frozenset()]
     while frontier:
@@ -491,8 +541,9 @@ def _generate_closed_sets(close_fn, n):
                     seen.add(c)
                     nxt.append(c)
                     if len(seen) > GENERATE_COUNT_LIMIT:
-                        raise ResourceCap("more than %d closed sets"
-                                          % GENERATE_COUNT_LIMIT)
+                        raise ResourceCap("enumerating %s reached %d closed sets, over "
+                                          "subsets.GENERATE_COUNT_LIMIT = %d"
+                                          % (name, len(seen), GENERATE_COUNT_LIMIT))
         frontier = nxt
     return seen
 
@@ -513,9 +564,10 @@ def enumerate_subs(universe, predicate="subgroupoid", strategy="auto"):
     if strategy == "scan":
         # a ring subset must be closed under both tables: scan the masks
         # closed under the first, then filter
-        candidates = _scan_closed_sets(view.binary[0][1], n)
+        candidates = _scan_closed_sets(view.binary[0][1], n, universe.name)
     else:
-        candidates = _generate_closed_sets(lambda seed: frozenset(_close(view, seed, n)), n)
+        candidates = _generate_closed_sets(lambda seed: frozenset(_close(view, seed, n)), n,
+                                           universe.name)
 
     _predicate_row(universe, predicate)
     out = []

@@ -2,13 +2,14 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from neutrolab.claims import registry
+from neutrolab.claims import _span, registry
 from neutrolab.engine import (
     KIND_CLASSIFICATION,
     KIND_EXAMPLE,
@@ -19,8 +20,12 @@ from neutrolab.engine import (
     STATUS_HOLDS,
     STATUS_VERIFIED,
     run_claim,
+    run_closure_prop,
     run_suite,
 )
+from neutrolab.groupring import GroupRing
+from neutrolab.structures import cyclic_neutro_group
+from neutrolab.subsets import enumerate_subs
 
 GOLDEN = Path(__file__).parent / "data" / "verify_seed0.json"
 
@@ -88,6 +93,34 @@ def test_props_hold_without_violations(reg, reports):
             assert r.status == STATUS_HOLDS, c.id
             # a holding proposition may carry bookkeeping, never a violation
             assert r.witness is None or "reason" not in r.witness, c.id
+
+
+class CountingGroupRing(GroupRing):
+    """Counts additions and products; the algebra view binds the instance's
+    methods, so every call the predicates make is counted."""
+
+    def __init__(self, r, basis):
+        super().__init__(r, basis)
+        self.calls = 0
+
+    def add(self, x, y):
+        self.calls += 1
+        return super().add(x, y)
+
+    def mul(self, x, y):
+        self.calls += 1
+        return super().mul(x, y)
+
+
+def test_prop_4_1_1_decides_spans_from_their_generators():
+    """prop-4.1.1's sweep of Z2<C4+I> basis spans stays within 2000
+    additions and products (the pair walk over every member made 142536)."""
+    gr = CountingGroupRing(2, cyclic_neutro_group(4))
+    population = [_span(gr, s) for s in enumerate_subs(gr.basis, "subgroupoid")]
+    status, witness, trials = run_closure_prop(gr, population, "loose-gr-subneutro",
+                                               random.Random("0:prop-4.1.1"))
+    assert (status, witness, trials) == (STATUS_HOLDS, None, 813)
+    assert gr.calls <= 2000
 
 
 def test_example_rows_run_under_a_second(reg, reports):

@@ -20,7 +20,8 @@ from neutrolab.engine import (
     run_remark_hunt,
     run_suite,
 )
-from neutrolab.structures import ResourceCap, param_groupoid
+from neutrolab.ncollect import Component, NCollection
+from neutrolab.structures import ResourceCap, mult_magma, param_groupoid
 
 SUBS = [frozenset({"0"}), frozenset({"0", "2I"}), frozenset({"0", "2+2I"}),
         frozenset({"0", "2", "2I", "2+2I"})]
@@ -111,6 +112,19 @@ def test_hunt_finds_replayable_counterexample():
     assert witness["op"] == "extended-union"
     assert "lhs" in witness and "rhs" in witness
     assert trials >= 1
+
+
+def test_hunt_rejects_an_unknown_predicate():
+    g = param_groupoid(4, 2, 1)
+    pop = [frozenset({"0", "2I"}), frozenset({"0", "1", "3"})]
+    with pytest.raises(ValueError, match="loose-subgroupoidd"):
+        run_remark_hunt(g, "extended-union", "loose-subgroupoidd", random.Random(0),
+                        population=pop, budget=100)
+    pair = NCollection([Component(mult_magma(3), "semigroup", True),
+                        Component(mult_magma(4), "semigroup", True)])
+    with pytest.raises(ValueError, match="loose-n-subb"):
+        run_remark_hunt(pair, "extended-union", "loose-n-subb", random.Random(0),
+                        population=[(frozenset({"0"}), frozenset({"0"}))], budget=100)
 
 
 def test_hunt_exhaustive_holds():

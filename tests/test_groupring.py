@@ -123,6 +123,13 @@ def test_generated_ideal_over_the_cap_names_it():
         gr.generated_ideal([gr.monomial("1")])
 
 
+def test_generated_ideal_cap_names_its_setting():
+    gr = GroupRing(6, cyclic_neutro_group(4))
+    with pytest.raises(ResourceCap, match=r"closure reached 4097 members, "
+                                          r"over subsets\.IDEAL_CAP = 4096"):
+        gr.generated_ideal([gr.monomial("1")])
+
+
 def test_parse_format_oracles():
     gr = gr256()
     assert gr.format(gr.zero) == "0"

@@ -1,7 +1,10 @@
 """Every named predicate against a brute-force check written here, on random
-Cayley tables, subsets of ring(Z4+I) and subsets of Z2<cyclic(2)+I>; every
-failing verdict's witness must replay."""
+Cayley tables, subsets of ring(Z4+I) and subsets of Z2<cyclic(2)+I>, and the
+formal-sum predicates on additive spans, generated subrings, right ideals and
+ideals of five formal-sum rings; every failing verdict's witness must
+replay."""
 
+import functools
 import itertools
 
 import pytest
@@ -9,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neutrolab.groupring import GroupRing
-from neutrolab.structures import FiniteMagma, cyclic_neutro_group, neutro_ring
+from neutrolab.structures import (
+    FiniteMagma,
+    cyclic_neutro_group,
+    neutro_double,
+    neutro_ring,
+    sym_group,
+)
 from neutrolab.subsets import PREDICATES, check_predicate
 
 LABELS = ["0", "I", "1", "2I", "2"]
@@ -35,7 +44,7 @@ def fixpoint(subset, products):
         current = grown
 
 
-def expected(name, subset, carrier, products, absorb, is_neutro, is_pure):
+def expected(name, subset, carrier, products, absorb, is_neutro, is_pure, universe=None):
     """Brute-force answer for a named predicate: True, False, or ValueError."""
     loose = name.startswith("loose-")
     pure = name in ("strong", "pseudo", "pseudo-ideal", "gr-pseudo", "gr-pseudo-ideal")
@@ -48,22 +57,32 @@ def expected(name, subset, carrier, products, absorb, is_neutro, is_pure):
             return ValueError
         return len(carrier) % len(subset) == 0
     if name.endswith("subneutro"):
-        return subneutro(subset, closed, loose)
+        return subneutro(universe, subset, closed, loose)
     if "ideal" in name:
         return sub and all(absorb(x, g) in subset and absorb(g, x) in subset
                            for x in subset for g in carrier)
     return sub
 
 
-def subneutro(subset, closed, loose):
-    """A coefficient grid C^H: C a unital subring of Z2, H a closed basis subset."""
-    if subset == {GR.zero}:
+def unital_subrings(r):
+    """Subsets of Z_r closed under - and x that hold an identity of their own."""
+    for k in range(1, r + 1):
+        for coeffs in itertools.combinations(range(r), k):
+            if (all((a - b) % r in coeffs and a * b % r in coeffs
+                    for a in coeffs for b in coeffs)
+                    and any(all(e * x % r == x for x in coeffs) for e in coeffs)):
+                yield coeffs
+
+
+def subneutro(gr, subset, closed, loose):
+    """A coefficient grid C^H: C a unital subring of Z_r, H a closed basis subset."""
+    if subset == {gr.zero}:
         return True
     if not closed:
         return False
-    basis = GR.basis
+    basis = gr.basis
     grids = []
-    for coeffs in ((0, 1), (0,)):
+    for coeffs in unital_subrings(gr.r):
         for k in range(1, len(basis) + 1):
             for h in itertools.combinations(range(len(basis)), k):
                 if all(basis.table[i][j] in h for i in h for j in h):
@@ -71,7 +90,7 @@ def subneutro(subset, closed, loose):
                                   for cs in itertools.product(coeffs, repeat=k)})
     if subset not in grids:
         return False
-    return loose or any(GR.has_neutro_support(a) for a in subset)
+    return loose or any(gr.has_neutro_support(a) for a in subset)
 
 
 def replay(subset, witness, products, parse=lambda x: x):
@@ -100,7 +119,7 @@ def check_all(universe, labels, carrier_type, carrier, products, is_neutro, is_p
     subset = set(map(parse, labels))
     for name in names(carrier_type):
         want = expected(name, subset, carrier, closure_ops, products["absorb"],
-                        is_neutro, is_pure)
+                        is_neutro, is_pure, universe)
         if want is ValueError:
             with pytest.raises(ValueError):
                 check_predicate(universe, labels, name)
@@ -179,3 +198,73 @@ def test_formal_sum_predicates_match_brute_force(subset):
               {"sub": GR.sub, "mul": GR.mul, "absorb": GR.mul},
               GR.has_neutro_support, lambda a: not a or GR.is_pure_neutro(a),
               parse=GR.parse)
+
+
+# formal-sum rings whose spans and generated ideals reach the generator
+# path: r prime and composite (additive orders 2 and 4 in Z4), with and
+# without indeterminates, commutative and not; the last, over the doubled
+# left-zero semigroup x*y = x, has one-sided ideals with indeterminate
+# members, so the strict ideal predicates reach their absorption check
+SUM_RINGS = [GR, GroupRing(3, cyclic_neutro_group(2)),
+             GroupRing(4, FiniteMagma(["1", "g"], [[0, 1], [1, 0]])),
+             GroupRing(2, sym_group(3)),
+             GroupRing(2, neutro_double(FiniteMagma(["a", "b"], [[0, 0], [1, 1]])))]
+
+
+@functools.lru_cache(maxsize=None)
+def sum_ops(gr):
+    """Cached +, - and x of a formal-sum ring, its elements, and a parser of
+    its formatted witnesses."""
+    elements = list(gr.elements())
+    by_label = {gr.format(a): a for a in elements}
+    assert len(by_label) == len(elements)
+    ops = {name: functools.lru_cache(maxsize=None)(getattr(gr, name))
+           for name in ("add", "sub", "mul")}
+    return ops, elements, by_label.__getitem__
+
+
+def right_ideal(gr, ops, picks):
+    """The subring generated by `picks` and closed under multiplication by
+    every basis monomial on the right (one-sided when gr is not commutative)."""
+    monomials = [((i, 1),) for i in range(len(gr.basis))]
+    current = {gr.zero, *picks}
+    while True:
+        grown = fixpoint(current, [ops["sub"], ops["mul"]])
+        grown |= {ops["mul"](a, m) for a in grown for m in monomials}
+        if grown == current:
+            return current
+        current = grown
+
+
+@st.composite
+def generated_sums(draw):
+    """An additive span of 1-3 random elements, the subring they generate,
+    the right ideal they generate, or the ideal that 1-2 of them generate."""
+    gr = draw(st.sampled_from(SUM_RINGS))
+    ops, elements, _ = sum_ops(gr)
+    picks = draw(st.lists(st.sampled_from(elements), min_size=1, max_size=3))
+    kind = draw(st.sampled_from(["span", "subring", "right-ideal", "ideal"]))
+    if kind == "ideal":
+        return gr, set(gr.generated_ideal(picks[:2]))
+    if kind == "right-ideal":
+        return gr, right_ideal(gr, ops, picks)
+    subset = fixpoint({gr.zero, *picks}, [ops["add"]])
+    if kind == "subring":
+        subset = fixpoint(subset, [ops["sub"], ops["mul"]])
+    return gr, subset
+
+
+@settings(max_examples=200, deadline=None)
+@given(generated_sums())
+def test_formal_sum_predicates_on_generated_sets_match_brute_force(case):
+    gr, subset = case
+    ops, elements, parse = sum_ops(gr)
+    labels = sorted(map(gr.format, subset))
+    products = {"sub": ops["sub"], "mul": ops["mul"], "absorb": ops["mul"]}
+    for name in names(GroupRing):
+        want = expected(name, subset, elements, [ops["sub"], ops["mul"]], ops["mul"],
+                        gr.has_neutro_support, lambda a: not a or gr.is_pure_neutro(a), gr)
+        v = check_predicate(gr, sorted(subset), name)
+        assert v.ok == want, (name, gr.name, labels)
+        if not v.ok:
+            replay(labels, v.witness, products, parse)

@@ -2,7 +2,13 @@
 
 import pytest
 
-from neutrolab.structures import ResourceCap, neutro_ring, param_groupoid, sym_group
+from neutrolab.structures import (
+    ResourceCap,
+    mult_magma,
+    neutro_ring,
+    param_groupoid,
+    sym_group,
+)
 from neutrolab.subsets import (
     WEAKLY_LAGRANGE,
     check_predicate,
@@ -110,8 +116,26 @@ def test_closure():
     assert closure(g, {"1"}) == frozenset({"1", "3"})
     assert closure(g, {"0"}) == frozenset({"0"})
     assert is_subgroupoid(g, closure(g, {"1", "I"})).ok
-    with pytest.raises(ResourceCap):
+    with pytest.raises(ResourceCap, match=r"closure reached 4 members, over cap = 3"):
         closure(param_groupoid(10, 3, 2), {"1"}, cap=3)
+
+
+def test_scan_cap_names_it():
+    with pytest.raises(ResourceCap, match=r"groupoid\(10;3,2\) has 100 elements, "
+                                          r"over subsets\.SCAN_LIMIT = 16"):
+        enumerate_subs(param_groupoid(10, 3, 2), strategy="scan")
+
+
+def test_generate_carrier_cap_names_it():
+    with pytest.raises(ResourceCap, match=r"groupoid\(10;3,2\) has 100 elements, "
+                                          r"over subsets\.GENERATE_CARRIER_LIMIT = 64"):
+        enumerate_subs(param_groupoid(10, 3, 2))
+
+
+def test_generate_count_cap_names_it():
+    with pytest.raises(ResourceCap, match=r"reached 4097 closed sets, "
+                                          r"over subsets\.GENERATE_COUNT_LIMIT = 4096"):
+        enumerate_subs(mult_magma(6))
 
 
 def _ring_fixpoint(ring, seed):
