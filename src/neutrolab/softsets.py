@@ -222,18 +222,17 @@ def _value_verdict(universe, value, predicate):
     if callable(predicate):
         return predicate(universe, value)
     if isinstance(universe, NCollection):
+        check_predicate_name(universe, predicate)
         loose = predicate.startswith("loose-")
         core = predicate[6:] if loose else predicate
-        try:
-            if core == "n-sub":
-                return is_n_sub(universe, value, require_neutro=not loose)
-            if core == "strong-n-sub":
-                return is_n_sub(universe, value, strong=True)
-            if core == "n-ideal":
-                return is_n_ideal(universe, value, require_neutro=not loose)
-        except ValueError:
+        # a wrong part count raises here, an unknown label in the part checks
+        if not all(universe.resolve_parts(value)):
             return Verdict(False, flags=("empty-part",), note="empty part")
-        raise ValueError("unknown collection predicate %r" % predicate)
+        if core == "n-sub":
+            return is_n_sub(universe, value, require_neutro=not loose)
+        if core == "strong-n-sub":
+            return is_n_sub(universe, value, strong=True)
+        return is_n_ideal(universe, value, require_neutro=not loose)
     if isinstance(value, (sym.NamedRing, sym.SymGroupRing, sym.SymUnion)):
         union = value if isinstance(value, sym.SymUnion) else sym.SymUnion((value,))
         return sym.sym_union_substructure(union)

@@ -185,13 +185,17 @@ def _absorb_verdict(view, gap, flags=(), where=""):
                    note="not %s-absorbing%s" % (gap[2], where))
 
 
-def _close(view, seed, cap, spread=None, absorb=(), setting="cap"):
-    """Smallest superset of `seed` closed under the tables of `spread` (the
-    view's by default) and absorbing every member of `absorb` from both
-    sides; more than `cap` members raises ResourceCap naming `setting`."""
+def _close(view, seed, cap, spread=None, absorb=(), setting="cap", base=()):
+    """Smallest superset of `seed` and of the closed set `base` closed under
+    the tables of `spread` (the view's by default) and absorbing every member
+    of `absorb` from both sides; more than `cap` members raises ResourceCap
+    naming `setting`.  Products inside `base` stay inside it, so only members
+    outside it are multiplied out, and the walk stops once the set holds the
+    whole carrier."""
     spread = view.spread if spread is None else spread
-    current = set(seed)
-    frontier = list(current)
+    current = set(base)
+    frontier = [x for x in set(seed) if x not in current]
+    current.update(frontier)
     while frontier:
         fresh = []
         for x in frontier:
@@ -208,6 +212,8 @@ def _close(view, seed, cap, spread=None, absorb=(), setting="cap"):
                         if len(current) > cap:
                             raise ResourceCap("closure reached %d members, over %s = %d"
                                               % (len(current), setting, cap))
+                        if len(current) == view.size:
+                            return current
         frontier = fresh
     return current
 
@@ -503,28 +509,41 @@ def check_predicate(universe, labels, predicate):
 
 
 def _scan_closed_sets(table, n, name):
+    """Every nonempty mask closed under `table`.  A mask splits into its low
+    byte and its high bits (one byte while n <= 16); lo[x][b] is the mask of
+    x*y over the members y in low byte b, hi[x][h] over those in high bits h,
+    so the products of x with a mask's members are one OR of two lookups."""
     if n > SCAN_LIMIT:
         raise ResourceCap("%s has %d elements, over subsets.SCAN_LIMIT = %d"
                           % (name, n, SCAN_LIMIT))
-    flat = [table[x][y] for x in range(n) for y in range(n)]
+
+    def images(x, shift, width):
+        t = [0] * (1 << width)
+        for b in range(1, len(t)):
+            low = b & -b
+            t[b] = t[b ^ low] | 1 << table[x][shift + low.bit_length() - 1]
+        return t
+
+    lo = [images(x, 0, min(n, 8)) for x in range(n)]
+    hi = [images(x, 8, max(n - 8, 0)) for x in range(n)]
     closed = []
     for mask in range(1, 1 << n):
-        members = [x for x in range(n) if mask >> x & 1]
-        ok = True
-        for x in members:
-            row = x * n
-            for y in members:
-                if not mask >> flat[row + y] & 1:
-                    ok = False
-                    break
-            if not ok:
+        b, h, out = mask & 255, mask >> 8, ~mask
+        rest = mask
+        while rest:
+            low = rest & -rest
+            x = low.bit_length() - 1
+            if (lo[x][b] | hi[x][h]) & out:
                 break
-        if ok:
-            closed.append(frozenset(members))
+            rest ^= low
+        else:
+            closed.append(frozenset(x for x in range(n) if mask >> x & 1))
     return closed
 
 
-def _generate_closed_sets(close_fn, n, name):
+def _generate_closed_sets(view, n, name):
+    """Every nonempty closed set, breadth first: each closed set is extended
+    by one element at a time and closed again from itself as the base."""
     if n > GENERATE_CARRIER_LIMIT:
         raise ResourceCap("%s has %d elements, over subsets.GENERATE_CARRIER_LIMIT = %d"
                           % (name, n, GENERATE_CARRIER_LIMIT))
@@ -536,7 +555,7 @@ def _generate_closed_sets(close_fn, n, name):
             for x in range(n):
                 if x in s:
                     continue
-                c = close_fn(s | {x})
+                c = frozenset(_close(view, (x,), n, base=s))
                 if c not in seen:
                     seen.add(c)
                     nxt.append(c)
@@ -560,16 +579,14 @@ def enumerate_subs(universe, predicate="subgroupoid", strategy="auto"):
         strategy = "scan" if n <= SCAN_LIMIT else "generate"
     if not isinstance(universe, (FiniteMagma, FiniteRing)):
         raise ValueError("unsupported universe type %r" % type(universe).__name__)
+    _predicate_row(universe, predicate)
     view = _view(universe)
     if strategy == "scan":
         # a ring subset must be closed under both tables: scan the masks
         # closed under the first, then filter
         candidates = _scan_closed_sets(view.binary[0][1], n, universe.name)
     else:
-        candidates = _generate_closed_sets(lambda seed: frozenset(_close(view, seed, n)), n,
-                                           universe.name)
-
-    _predicate_row(universe, predicate)
+        candidates = _generate_closed_sets(view, n, universe.name)
     out = []
     for idx_set in candidates:
         labels = frozenset(universe.elements[i] for i in idx_set)

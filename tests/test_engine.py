@@ -101,6 +101,14 @@ def test_run_closure_prop_rejects_an_unknown_predicate():
         run_closure_prop(g, SUBS, "loose-subgroupoidd", random.Random(0))
 
 
+def test_run_closure_prop_rejects_an_unknown_collection_label():
+    pair = NCollection([Component(mult_magma(3), "semigroup", True),
+                        Component(mult_magma(4), "semigroup", True)])
+    with pytest.raises(ValueError, match="unknown element 'zz'"):
+        run_closure_prop(pair, [(frozenset({"0", "zz"}), frozenset({"0"}))], "loose-n-sub",
+                         random.Random(0))
+
+
 def test_hunt_finds_replayable_counterexample():
     g = param_groupoid(4, 2, 1)
     pop = [frozenset({"0", "2I"}), frozenset({"0", "1", "3"})]

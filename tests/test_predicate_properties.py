@@ -2,7 +2,9 @@
 Cayley tables, subsets of ring(Z4+I) and subsets of Z2<cyclic(2)+I>, and the
 formal-sum predicates on additive spans, generated subrings, right ideals and
 ideals of five formal-sum rings; every failing verdict's witness must
-replay."""
+replay.  Both enumeration strategies against a brute-force listing of the
+subsets each predicate accepts, and the closure loop grown from a closed base
+against the closure from scratch."""
 
 import functools
 import itertools
@@ -14,14 +16,25 @@ from hypothesis import strategies as st
 from neutrolab.groupring import GroupRing
 from neutrolab.structures import (
     FiniteMagma,
+    ResourceCap,
     cyclic_neutro_group,
     neutro_double,
     neutro_ring,
+    param_groupoid,
     sym_group,
 )
-from neutrolab.subsets import PREDICATES, check_predicate
+from neutrolab.subsets import (
+    PREDICATES,
+    _close,
+    _generate_closed_sets,
+    _scan_closed_sets,
+    _view,
+    check_predicate,
+    closure,
+    enumerate_subs,
+)
 
-LABELS = ["0", "I", "1", "2I", "2"]
+LABELS = ["0", "I", "1", "2I", "2", "3I"]
 RING = neutro_ring(4)
 GR = GroupRing(2, cyclic_neutro_group(2))
 GR_ELEMENTS = list(GR.elements())
@@ -135,10 +148,10 @@ def pure_labels(labels):
 
 
 @st.composite
-def magma_and_subset(draw):
+def magma_and_subset(draw, max_n=5):
     """A random table, biased so that a chosen core absorbs from the right or
     from both sides; the subset is the core, a random set, or a closure."""
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, max_n))
     labels = LABELS[:n]
     palette = draw(st.sampled_from([labels, pure_labels(labels)]))
     core = sorted(labels.index(x) for x in draw(st.sets(st.sampled_from(palette), min_size=1)))
@@ -268,3 +281,96 @@ def test_formal_sum_predicates_on_generated_sets_match_brute_force(case):
         assert v.ok == want, (name, gr.name, labels)
         if not v.ok:
             replay(labels, v.witness, products, parse)
+
+
+def closed_subsets(universe, products):
+    """Every nonempty subset of element indices closed under `products`, from
+    itertools.combinations over the carrier."""
+    labels = universe.elements
+    return {frozenset(map(universe.idx, combo))
+            for k in range(1, len(labels) + 1)
+            for combo in itertools.combinations(labels, k)
+            if all(f(x, y) in combo for x in combo for y in combo for f in products)}
+
+
+def assert_three_way(universe, carrier_type, products):
+    """The raw candidates (scan: the sets closed under the first operation,
+    generate: under all of them) equal the brute-force closed sets, and each
+    predicate's listing by either strategy equals the closed sets the
+    brute-force check accepts; no predicate holds on a set that is not closed."""
+    view, n = _view(universe), len(universe)
+    closed = closed_subsets(universe, products)
+    assert set(_scan_closed_sets(view.binary[0][1], n, universe.name)) == \
+        closed_subsets(universe, products[:1])
+    assert set(_generate_closed_sets(view, n, universe.name)) == closed
+    ordered = [frozenset(universe.elements[i] for i in s)
+               for s in sorted(closed, key=lambda s: (len(s), sorted(s)))]
+    for name in names(carrier_type):
+        want = [s for s in ordered
+                if expected(name, set(s), universe.elements, products, products[-1], neutro,
+                            lambda x: neutro(x) or x == "0") is True]
+        assert enumerate_subs(universe, name, "scan") == want, (name, universe.name)
+        assert enumerate_subs(universe, name, "generate") == want, (name, universe.name)
+
+
+@settings(max_examples=100, deadline=None)
+@given(magma_and_subset(6))
+def test_scan_generate_and_brute_force_list_the_same_magma_subsets(case):
+    magma, _ = case
+    assert_three_way(magma, FiniteMagma, [magma.op])
+
+
+def test_scan_generate_and_brute_force_list_the_same_16_element_magma_subsets():
+    # 16 elements: the scan's masks use both image bytes
+    magma = param_groupoid(4, 2, 1)
+    assert_three_way(magma, FiniteMagma, [magma.op])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_scan_generate_and_brute_force_list_the_same_ring_subsets(n):
+    ring = neutro_ring(n)
+    assert_three_way(ring, type(ring), [ring.add, ring.mul])
+
+
+def indices(view, labels):
+    return frozenset(view.members(labels))
+
+
+@st.composite
+def carrier_base_and_seed(draw):
+    """A random magma (n <= 6) or ring(Z4+I) / ring(Z6+I), a closed base (the
+    closure of a random subset, possibly empty) and a random seed."""
+    if draw(st.booleans()):
+        universe, _ = draw(magma_and_subset(6))
+        products = [universe.op]
+    else:
+        universe = neutro_ring(draw(st.sampled_from([4, 6])))
+        products = [universe.add, universe.mul]
+    picks = st.sets(st.sampled_from(universe.elements), max_size=3)
+    base = fixpoint(draw(picks), products)
+    return universe, products, base, draw(picks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(carrier_base_and_seed())
+def test_closing_from_a_closed_base_matches_closing_from_scratch(case):
+    universe, products, base, seed = case
+    view = _view(universe)
+    grown = _close(view, indices(view, seed), len(universe), base=indices(view, base))
+    assert grown == _close(view, indices(view, base | seed), len(universe))
+    assert {universe.elements[i] for i in grown} == fixpoint(base | seed, products)
+
+
+@pytest.mark.parametrize("universe, base, seed", [
+    (neutro_ring(6), {"2", "3I"}, {"1", "I"}),
+    (neutro_ring(4), {"0", "2"}, {"I", "1"}),
+    (cyclic_neutro_group(4), {"g"}, {"I"}),
+])
+def test_closing_to_the_whole_carrier_stops_there_and_keeps_the_cap(universe, base, seed):
+    view = _view(universe)
+    closed = indices(view, closure(universe, base))
+    grown = _close(view, indices(view, seed), len(universe), base=closed)
+    assert grown == set(range(len(universe)))
+    assert closure(universe, base | seed) == frozenset(universe.elements)
+    with pytest.raises(ResourceCap, match="over cap = %d" % (len(universe) - 1)):
+        closure(universe, base | seed, cap=len(universe) - 1)

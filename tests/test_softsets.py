@@ -2,9 +2,11 @@
 
 import pytest
 
+from neutrolab.ncollect import Component, NCollection
 from neutrolab.softsets import (
     OPS,
     SoftSet,
+    _value_verdict,
     and_op,
     disjoint_union,
     extended_intersection,
@@ -23,7 +25,7 @@ from neutrolab.softsets import (
     value_intersect,
     value_union,
 )
-from neutrolab.structures import neutro_ring, param_groupoid
+from neutrolab.structures import mult_magma, neutro_ring, param_groupoid
 
 P4 = frozenset({"0", "2", "2I", "2+2I"})
 P3 = frozenset({"0", "2I", "2+2I"})
@@ -180,3 +182,16 @@ def test_absolute_and_neutro_params(g421):
     assert not is_absolute(SoftSet(g421, {"a1": full, "a2": P4}))
     f = SoftSet(g421, {"a1": P4, "a2": frozenset({"0", "2"})})
     assert soft_neutro_params(f) == ("a1",)
+
+
+def test_collection_values_with_unknown_labels_or_part_counts_raise():
+    pair = NCollection([Component(mult_magma(3), "semigroup", True),
+                        Component(mult_magma(4), "semigroup", True)])
+    for predicate in ("loose-n-sub", "strong-n-sub", "n-ideal"):
+        with pytest.raises(ValueError, match="unknown element 'zz'"):
+            soft_is(SoftSet(pair, {"a": (frozenset({"0", "zz"}), frozenset({"0"}))}), predicate)
+        with pytest.raises(ValueError, match="expected 2 parts, got 1"):
+            soft_is(SoftSet(pair, {"a": (frozenset({"0"}),)}), predicate)
+        # only a part that is really empty is the vacuous empty-part case
+        v = _value_verdict(pair, [{"0"}, ()], predicate)
+        assert not v.ok and v.flags == ("empty-part",)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from neutrolab import subsets
 from neutrolab.structures import (
     ResourceCap,
     mult_magma,
@@ -11,6 +12,7 @@ from neutrolab.structures import (
 )
 from neutrolab.subsets import (
     WEAKLY_LAGRANGE,
+    _view,
     check_predicate,
     classify_lagrange,
     closure,
@@ -187,3 +189,40 @@ def test_every_strong_sub_is_strict():
     strong = enumerate_subs(g, "strong")
     strict = enumerate_subs(g, "subgroupoid")
     assert strong and set(strong) <= set(strict)
+
+
+def test_enumerate_checks_the_predicate_name_before_enumerating(monkeypatch):
+    # over the generate cap: the misspelled name wins over the ResourceCap
+    with pytest.raises(ValueError, match="subgroupoidd"):
+        enumerate_subs(param_groupoid(10, 3, 2), "subgroupoidd")
+
+    def enumerated(*args):
+        raise AssertionError("enumerated before checking the predicate name")
+
+    monkeypatch.setattr(subsets, "_scan_closed_sets", enumerated)
+    monkeypatch.setattr(subsets, "_generate_closed_sets", enumerated)
+    for strategy in ("scan", "generate"):
+        with pytest.raises(ValueError, match="subgroupoidd"):
+            enumerate_subs(param_groupoid(6, 2, 3), "subgroupoidd", strategy)
+
+
+@pytest.mark.parametrize("params, closed_sets, limit", [
+    ((6, 2, 3), 465, 3_000_000),   # closing every s | {x} from scratch: 5,914,484
+    ((7, 1, 1), 10, 200_000),      # from scratch: 1,386,688
+])
+def test_generate_grows_each_closed_set_from_itself(monkeypatch, params, closed_sets, limit):
+    """`generate` extends a closed set by one element without recomputing the
+    products inside it: the closure tables' reads stay under `limit`."""
+    g = param_groupoid(*params)
+    reads = [0]
+
+    class CountingRow(list):
+        def __getitem__(self, y):
+            reads[0] += 1
+            return list.__getitem__(self, y)
+
+    view = _view(g)
+    monkeypatch.setattr(view, "spread", tuple([CountingRow(row) for row in table]
+                                              for table in view.spread))
+    assert len(enumerate_subs(g, "loose-subgroupoid", "generate")) == closed_sets
+    assert reads[0] <= limit
