@@ -14,8 +14,8 @@ Every predicate returns a Verdict carrying a replayable witness on failure.
 A set of formal sums is accepted from an additive generating set
 (`_generators`); whenever that check does not accept, the walk over every
 pair of members runs and its first gap is the witness.
-Enumeration offers two independent strategies (bitmask scan and closure
-completion) so results can be cross-checked.
+Enumeration offers two independent strategies (bitmask scan and
+Close-by-One over the closure loop) so results can be cross-checked.
 """
 
 from dataclasses import dataclass, field
@@ -34,7 +34,6 @@ WEAKLY_LAGRANGE = "WeaklyLagrange"
 LAGRANGE_FREE = "LagrangeFree"
 
 SCAN_LIMIT = 16
-GENERATE_CARRIER_LIMIT = 64
 GENERATE_COUNT_LIMIT = 4096
 IDEAL_CAP = 4096
 
@@ -185,13 +184,14 @@ def _absorb_verdict(view, gap, flags=(), where=""):
                    note="not %s-absorbing%s" % (gap[2], where))
 
 
-def _close(view, seed, cap, spread=None, absorb=(), setting="cap", base=()):
+def _close(view, seed, cap, spread=None, absorb=(), setting="cap", base=(), floor=None):
     """Smallest superset of `seed` and of the closed set `base` closed under
     the tables of `spread` (the view's by default) and absorbing every member
     of `absorb` from both sides; more than `cap` members raises ResourceCap
     naming `setting`.  Products inside `base` stay inside it, so only members
     outside it are multiplied out, and the walk stops once the set holds the
-    whole carrier."""
+    whole carrier.  With a `floor`, the walk gives up and returns None as
+    soon as it adds a member below `floor`."""
     spread = view.spread if spread is None else spread
     current = set(base)
     frontier = [x for x in set(seed) if x not in current]
@@ -207,6 +207,8 @@ def _close(view, seed, cap, spread=None, absorb=(), setting="cap", base=()):
                 for y in ys:
                     z = row[y]
                     if z not in current:
+                        if floor is not None and z < floor:
+                            return None
                         current.add(z)
                         fresh.append(z)
                         if len(current) > cap:
@@ -542,51 +544,58 @@ def _scan_closed_sets(table, n, name):
 
 
 def _generate_closed_sets(view, n, name):
-    """Every nonempty closed set, breadth first: each closed set is extended
-    by one element at a time and closed again from itself as the base."""
-    if n > GENERATE_CARRIER_LIMIT:
-        raise ResourceCap("%s has %d elements, over subsets.GENERATE_CARRIER_LIMIT = %d"
-                          % (name, n, GENERATE_CARRIER_LIMIT))
-    seen = set()
-    frontier = [frozenset()]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for x in range(n):
-                if x in s:
-                    continue
-                c = frozenset(_close(view, (x,), n, base=s))
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-                    if len(seen) > GENERATE_COUNT_LIMIT:
-                        raise ResourceCap("enumerating %s reached %d closed sets, over "
-                                          "subsets.GENERATE_COUNT_LIMIT = %d"
-                                          % (name, len(seen), GENERATE_COUNT_LIMIT))
-        frontier = nxt
-    return seen
+    """Every nonempty closed set, once each, by Close-by-One (Kuznetsov
+    1999): a closed set `s` reached by adding `y` is extended by each x > y
+    outside it and closed from itself as the base.  The closure is kept only
+    when it adds no member below x (the canonicity test of FCbO, Krajca,
+    Outrata and Vychodil 2010), and `_close` stops at the first such member,
+    so every closed set has one parent and is closed out once."""
+    closed, stack = [], [(frozenset(), -1)]
+    while stack:
+        s, y = stack.pop()
+        for x in range(y + 1, n):
+            if x in s:
+                continue
+            c = _close(view, (x,), n, base=s, floor=x)
+            if c is not None:
+                c = frozenset(c)
+                closed.append(c)
+                if len(closed) > GENERATE_COUNT_LIMIT:
+                    raise ResourceCap("enumerating %s reached %d closed sets, over "
+                                      "subsets.GENERATE_COUNT_LIMIT = %d"
+                                      % (name, len(closed), GENERATE_COUNT_LIMIT))
+                stack.append((c, x))
+    return closed
 
 
 def enumerate_subs(universe, predicate="subgroupoid", strategy="auto"):
     """All subsets satisfying a named predicate, sorted by (size, indices).
 
-    strategy 'scan' walks all bitmask subsets (carrier <= 16); 'generate'
-    completes closures of growing seeds; 'auto' picks by carrier size.
-    The two agree because every satisfying subset is closed.
+    strategy 'generate' lists the closed sets by Close-by-One and stops with
+    ResourceCap past subsets.GENERATE_COUNT_LIMIT of them, at any carrier
+    size; 'scan' walks every bitmask (carrier <= subsets.SCAN_LIMIT); 'auto'
+    runs 'generate' and falls back to 'scan' only when 'generate' runs out
+    of its count on a carrier the scan can take.  The two agree because
+    every satisfying subset is closed.  Any other strategy raises
+    ValueError, as does an unknown predicate, before anything is listed.
     """
-    n = len(universe)
-    if strategy == "auto":
-        strategy = "scan" if n <= SCAN_LIMIT else "generate"
+    if strategy not in ("scan", "generate", "auto"):
+        raise ValueError("unknown strategy %r: expected 'scan', 'generate' or 'auto'"
+                         % (strategy,))
     if not isinstance(universe, (FiniteMagma, FiniteRing)):
         raise ValueError("unsupported universe type %r" % type(universe).__name__)
     _predicate_row(universe, predicate)
-    view = _view(universe)
-    if strategy == "scan":
+    n, view, candidates = len(universe), _view(universe), None
+    if strategy != "scan":
+        try:
+            candidates = _generate_closed_sets(view, n, universe.name)
+        except ResourceCap:
+            if strategy == "generate" or n > SCAN_LIMIT:
+                raise
+    if candidates is None:
         # a ring subset must be closed under both tables: scan the masks
         # closed under the first, then filter
         candidates = _scan_closed_sets(view.binary[0][1], n, universe.name)
-    else:
-        candidates = _generate_closed_sets(view, n, universe.name)
     out = []
     for idx_set in candidates:
         labels = frozenset(universe.elements[i] for i in idx_set)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from neutrolab.claims import _span, registry
+from neutrolab.claims import _span, groupoid_10_3_2, registry, ring_12
 from neutrolab.engine import (
     KIND_CLASSIFICATION,
     KIND_EXAMPLE,
@@ -19,8 +19,10 @@ from neutrolab.engine import (
     STATUS_COUNTEREXAMPLE,
     STATUS_HOLDS,
     STATUS_VERIFIED,
+    _replay_witness,
     run_claim,
     run_closure_prop,
+    run_remark_hunt,
     run_suite,
 )
 from neutrolab.groupring import GroupRing
@@ -73,6 +75,31 @@ def test_remarks_find_counterexamples(reg, reports):
             r = reports[c.id]
             assert r.witness["kind"] == "union-violation", c.id
             assert r.trials <= 10_000, c.id
+
+
+# the remarks on carriers past 64 elements: (carrier, operation, predicate)
+LARGE_CARRIER_REMARKS = {
+    "remark-2.1.1": (groupoid_10_3_2, "extended-union", "loose-subgroupoid"),
+    "remark-2.1.2": (groupoid_10_3_2, "restricted-union", "loose-subgroupoid"),
+    "remark-2.1.3": (groupoid_10_3_2, "or", "loose-subgroupoid"),
+    "remark-3.1.1": (ring_12, "extended-union", "loose-subring"),
+    "remark-3.1.2": (ring_12, "restricted-union", "loose-subring"),
+    "remark-3.1.3": (ring_12, "or", "loose-subring"),
+    "remark-3.1.4": (ring_12, "extended-union", "loose-ring-ideal"),
+}
+
+
+@pytest.mark.parametrize("cid", sorted(LARGE_CARRIER_REMARKS))
+def test_large_carrier_remarks_hunt_without_their_pinned_pair(cid):
+    """Without the pinned pair, the structured and random phases find a
+    witness among every substructure of the carrier, and it replays."""
+    build, op, predicate = LARGE_CARRIER_REMARKS[cid]
+    u = build()
+    status, witness, trials = run_remark_hunt(
+        u, op, predicate, random.Random(0), pinned=None,
+        population=enumerate_subs(u, predicate, "generate"), budget=10_000)
+    assert status == STATUS_COUNTEREXAMPLE, cid
+    assert _replay_witness(u, op, predicate, witness), cid
 
 
 def test_pinned_escape_witness(reports):

@@ -7,7 +7,7 @@ import pytest
 from neutrolab.cli import main
 
 G421 = {"kind": "param_groupoid", "n": 4, "t": 2, "u": 1}
-G1032 = {"kind": "param_groupoid", "n": 10, "t": 3, "u": 2}
+G1284 = {"kind": "param_groupoid", "n": 12, "t": 8, "u": 4}
 RING4 = {"kind": "neutro_ring", "n": 4}
 GR256 = {"kind": "group_ring", "r": 2, "basis": {"kind": "cyclic_neutro_group", "m": 4}}
 COLL = {"kind": "ncollection", "components": [
@@ -161,7 +161,8 @@ def test_hunt_budget_starvation(tmp_path, capsys):
 
 
 def test_hunt_resource_cap(tmp_path, capsys):
-    spec = write(tmp_path, "g.json", G1032)
+    # more than subsets.GENERATE_COUNT_LIMIT closed sets to hunt over
+    spec = write(tmp_path, "g.json", G1284)
     assert main(["hunt", "--template", "extended-union:subgroupoid",
                  "--universe", spec]) == 3
     assert "resource cap" in capsys.readouterr().err

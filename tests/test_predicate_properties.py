@@ -295,14 +295,16 @@ def closed_subsets(universe, products):
 
 def assert_three_way(universe, carrier_type, products):
     """The raw candidates (scan: the sets closed under the first operation,
-    generate: under all of them) equal the brute-force closed sets, and each
-    predicate's listing by either strategy equals the closed sets the
-    brute-force check accepts; no predicate holds on a set that is not closed."""
+    generate: under all of them, each listed once) equal the brute-force
+    closed sets, and each predicate's listing by either strategy equals the
+    closed sets the brute-force check accepts; no predicate holds on a set
+    that is not closed."""
     view, n = _view(universe), len(universe)
     closed = closed_subsets(universe, products)
     assert set(_scan_closed_sets(view.binary[0][1], n, universe.name)) == \
         closed_subsets(universe, products[:1])
-    assert set(_generate_closed_sets(view, n, universe.name)) == closed
+    generated = _generate_closed_sets(view, n, universe.name)
+    assert len(generated) == len(set(generated)) and set(generated) == closed
     ordered = [frozenset(universe.elements[i] for i in s)
                for s in sorted(closed, key=lambda s: (len(s), sorted(s)))]
     for name in names(carrier_type):

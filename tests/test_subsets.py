@@ -4,6 +4,7 @@ import pytest
 
 from neutrolab import subsets
 from neutrolab.structures import (
+    FiniteMagma,
     ResourceCap,
     mult_magma,
     neutro_ring,
@@ -128,16 +129,32 @@ def test_scan_cap_names_it():
         enumerate_subs(param_groupoid(10, 3, 2), strategy="scan")
 
 
-def test_generate_carrier_cap_names_it():
-    with pytest.raises(ResourceCap, match=r"groupoid\(10;3,2\) has 100 elements, "
-                                          r"over subsets\.GENERATE_CARRIER_LIMIT = 64"):
-        enumerate_subs(param_groupoid(10, 3, 2))
+def test_generate_lists_carriers_past_64_elements_and_stops_at_the_count():
+    for u, predicate, count in ((param_groupoid(10, 3, 2), "loose-subgroupoid", 120),
+                                (neutro_ring(12), "loose-subring", 60)):
+        listed = enumerate_subs(u, predicate)
+        assert len(listed) == count, u.name
+        assert all(check_predicate(u, s, predicate).ok for s in listed)
+    with pytest.raises(ResourceCap, match=r"groupoid\(12;8,4\) reached 4097 closed sets, "
+                                          r"over subsets\.GENERATE_COUNT_LIMIT = 4096"):
+        enumerate_subs(param_groupoid(12, 8, 4), "loose-subgroupoid")
 
 
 def test_generate_count_cap_names_it():
     with pytest.raises(ResourceCap, match=r"reached 4097 closed sets, "
                                           r"over subsets\.GENERATE_COUNT_LIMIT = 4096"):
         enumerate_subs(mult_magma(6))
+
+
+def test_auto_falls_back_to_the_scan_past_the_count():
+    # x*y = x: every nonempty subset of the 13-element left-zero band is
+    # closed, 8,191 in all, over the generate count but within the scan
+    band = FiniteMagma(["e%d" % i for i in range(13)], [[i] * 13 for i in range(13)])
+    auto = enumerate_subs(band, "loose-subgroupoid", "auto")
+    assert len(auto) == 8191
+    assert auto == enumerate_subs(band, "loose-subgroupoid", "scan")
+    with pytest.raises(ResourceCap, match=r"over subsets\.GENERATE_COUNT_LIMIT = 4096"):
+        enumerate_subs(band, "loose-subgroupoid", "generate")
 
 
 def _ring_fixpoint(ring, seed):
@@ -192,7 +209,7 @@ def test_every_strong_sub_is_strict():
 
 
 def test_enumerate_checks_the_predicate_name_before_enumerating(monkeypatch):
-    # over the generate cap: the misspelled name wins over the ResourceCap
+    # a 100-element carrier: the misspelled name is reported before listing
     with pytest.raises(ValueError, match="subgroupoidd"):
         enumerate_subs(param_groupoid(10, 3, 2), "subgroupoidd")
 
@@ -206,13 +223,28 @@ def test_enumerate_checks_the_predicate_name_before_enumerating(monkeypatch):
             enumerate_subs(param_groupoid(6, 2, 3), "subgroupoidd", strategy)
 
 
+def test_enumerate_rejects_an_unknown_strategy_before_enumerating(monkeypatch):
+    def enumerated(*args):
+        raise AssertionError("enumerated before checking the strategy")
+
+    monkeypatch.setattr(subsets, "_scan_closed_sets", enumerated)
+    monkeypatch.setattr(subsets, "_generate_closed_sets", enumerated)
+    for strategy in ("sacn", "Generate", "", None):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            enumerate_subs(param_groupoid(4, 2, 1), "subgroupoid", strategy)
+
+
 @pytest.mark.parametrize("params, closed_sets, limit", [
     ((6, 2, 3), 465, 3_000_000),   # closing every s | {x} from scratch: 5,914,484
     ((7, 1, 1), 10, 200_000),      # from scratch: 1,386,688
+    ((8, 3, 2), 391, 200_000),     # breadth first with a seen set: 21,495,042
+    ((10, 3, 2), 120, 200_000),
 ])
 def test_generate_grows_each_closed_set_from_itself(monkeypatch, params, closed_sets, limit):
     """`generate` extends a closed set by one element without recomputing the
-    products inside it: the closure tables' reads stay under `limit`."""
+    products inside it, and gives up on a closure as soon as it reaches a
+    member below the added element: the closure tables' reads stay under
+    `limit`."""
     g = param_groupoid(*params)
     reads = [0]
 
