@@ -7,6 +7,8 @@ a claim registry with an exhaustive/randomized verification harness and
 counterexample hunter.
 """
 
+import importlib
+
 from .scalars import (
     ns_add,
     ns_classify,
@@ -108,17 +110,20 @@ from .io import (
     load_structure_file,
     soft_to_dict,
 )
-from .engine import (
-    Claim,
-    Report,
-    claim_matches,
-    emit,
-    run_claim,
-    run_closure_prop,
-    run_remark_hunt,
-    run_suite,
-)
-from .claims import claim_by_id, registry
+
+# the claim engine and registry load on first use: computing with structures
+# does not need them, and importing them holds about 1 MB more
+_LAZY = {name: "engine" for name in ("Claim", "Report", "claim_matches", "emit", "run_claim",
+                                     "run_closure_prop", "run_remark_hunt", "run_suite")}
+_LAZY.update(claim_by_id="claims", registry="claims")
+
+
+def __getattr__(name):
+    if name in ("engine", "claims"):
+        return importlib.import_module("." + name, __name__)
+    if name in _LAZY:
+        return getattr(importlib.import_module("." + _LAZY[name], __name__), name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 __version__ = "0.1.0"
 

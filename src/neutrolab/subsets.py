@@ -11,9 +11,14 @@ closure routines are written once over that view, and one table
 pure settings.
 
 Every predicate returns a Verdict carrying a replayable witness on failure.
-A set of formal sums is accepted from an additive generating set
-(`_generators`); whenever that check does not accept, the walk over every
-pair of members runs and its first gap is the witness.
+Formal sums are read as coefficient vectors in (Z_r)^|B|, and a set of them
+through the Howell form of its Z_r-span (`_howell`): the set is an additive
+subgroup exactly when it holds 0 and its span is no larger, and then the
+span's basis rows stand in for its members in the product and absorption
+checks.  Whenever that check does not accept, the walk over every pair of
+members runs and its first gap is the witness.  A generated ideal is the
+span of its generators saturated under basis monomials, so its size is
+known before any member is listed.
 Enumeration offers two independent strategies (bitmask scan and
 Close-by-One over the closure loop) so results can be cross-checked.
 """
@@ -79,7 +84,7 @@ class _View:
     arithmetic.  `binary` and `unary` are (name, table) pairs a subset must
     be closed under (the name is None for a magma), `spread` the tables a
     closure grows by, `absorb` the absorption product and its transpose,
-    `add` the addition of formal sums (None for a finite carrier), and
+    `ring` the formal-sum ring itself (None for a finite carrier), and
     `notes` the wording of a missing indeterminate and of an impure member."""
 
     def __init__(self, u):
@@ -89,7 +94,7 @@ class _View:
             self.binary, self.unary, self.spread = (("sub", _OpTable(u.sub)), ("mul", mul)), (), None
             self.absorb = (mul, _OpTable(lambda a, b: u.mul(b, a)))
             self.gens = [((i, 1),) for i in range(len(u.basis))]
-            self.neutro, self.label, self.zero, self.add = u.has_neutro_support, u.format, u.zero, u.add
+            self.neutro, self.label, self.zero, self.ring = u.has_neutro_support, u.format, u.zero, u
             self.impure = lambda a: bool(a) and not u.is_pure_neutro(a)
             self.members = lambda subset: sorted(set(subset))
             self.notes = ("closed but has no indeterminate-supported member",
@@ -105,7 +110,7 @@ class _View:
             self.spread = self.absorb = (u.table, [list(col) for col in zip(*u.table)])
         neutro = [label_is_neutro(x) for x in u.elements]
         impure = [not (i or label_is_zero(x)) for x, i in zip(u.elements, neutro)]
-        self.gens, self.zero, self.add = range(self.size), None, None
+        self.gens, self.zero, self.ring = range(self.size), None, None
         self.neutro, self.impure, self.label = neutro.__getitem__, impure.__getitem__, u.elements.__getitem__
         # the gap search walks a set built from the sorted indices; its order
         # decides which witness is reported
@@ -184,15 +189,13 @@ def _absorb_verdict(view, gap, flags=(), where=""):
                    note="not %s-absorbing%s" % (gap[2], where))
 
 
-def _close(view, seed, cap, spread=None, absorb=(), setting="cap", base=(), floor=None):
+def _close(view, seed, cap, base=(), floor=None):
     """Smallest superset of `seed` and of the closed set `base` closed under
-    the tables of `spread` (the view's by default) and absorbing every member
-    of `absorb` from both sides; more than `cap` members raises ResourceCap
-    naming `setting`.  Products inside `base` stay inside it, so only members
-    outside it are multiplied out, and the walk stops once the set holds the
-    whole carrier.  With a `floor`, the walk gives up and returns None as
-    soon as it adds a member below `floor`."""
-    spread = view.spread if spread is None else spread
+    the view's tables; more than `cap` members raises ResourceCap.  Products
+    inside `base` stay inside it, so only members outside it are multiplied
+    out, and the walk stops once the set holds the whole carrier.  With a
+    `floor`, the walk gives up and returns None as soon as it adds a member
+    below `floor`."""
     current = set(base)
     frontier = [x for x in set(seed) if x not in current]
     current.update(frontier)
@@ -200,11 +203,9 @@ def _close(view, seed, cap, spread=None, absorb=(), setting="cap", base=(), floo
         fresh = []
         for x in frontier:
             members = list(current)
-            rows = [(table[x], members) for table in spread]
-            if absorb:
-                rows += [(table[x], absorb) for table in view.absorb]
-            for row, ys in rows:
-                for y in ys:
+            for table in view.spread:
+                row = table[x]
+                for y in members:
                     z = row[y]
                     if z not in current:
                         if floor is not None and z < floor:
@@ -212,45 +213,135 @@ def _close(view, seed, cap, spread=None, absorb=(), setting="cap", base=(), floo
                         current.add(z)
                         fresh.append(z)
                         if len(current) > cap:
-                            raise ResourceCap("closure reached %d members, over %s = %d"
-                                              % (len(current), setting, cap))
+                            raise ResourceCap("closure reached %d members, over cap = %d"
+                                              % (len(current), cap))
                         if len(current) == view.size:
                             return current
         frontier = fresh
     return current
 
 
-def _generators(view, order, pool):
-    """An additive generating set of formal sums `pool`, or None when `pool`
-    is not an additive subgroup or the carrier is finite (a finite ring's
-    distributivity is only sampled above 58 elements).  Walking `order`, a
-    member outside the span is kept and the span grows by its cosets; the
-    walk gives up as soon as the span leaves `pool`.  Convolution is
-    bilinear, so a product or absorption check over the generators decides
-    it for every member."""
-    add = view.add
-    if add is None or view.zero not in pool:
+# ---------------------------------------------------------------------------
+# formal sums as Z_r-modules
+
+
+def _vector(gr, x):
+    """The coefficient vector of the formal sum `x`; ValueError unless `x` is
+    a canonical element: (basis index, coefficient) pairs with strictly
+    increasing indices in range and coefficients in 1..r-1."""
+    n, coeffs, last = len(gr.basis), range(1, gr.r), -1
+    vec = [0] * n
+    try:
+        for i, c in x:
+            if not (last < i < n and c in coeffs):
+                raise ValueError
+            vec[i] = c
+            last = i
+    except (TypeError, ValueError):
+        raise ValueError("%r is not a canonical element of %s" % (x, gr.name)) from None
+    return vec
+
+
+def _xgcd(a, b):
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, rem = divmod(a, b)
+        a, b = b, rem
+        s0, s1, t0, t1 = s1, s0 - q * s1, t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _howell(gr, sums, ideal=False, most=None):
+    """The Howell form of the Z_r-span of the formal sums `sums` (Howell
+    1986; Storjohann and Mulders 1998) and the span's size.  The rows are
+    coefficient vectors in order of their pivot, the first nonzero entry,
+    which divides r; entries above a pivot are reduced below it.  Every
+    (r / pivot)-multiple of a row is a combination of the rows after it, so
+    the span is the sums c_1 row_1 + ... with 0 <= c_i < r / pivot_i, one
+    member for each choice.  With `ideal` the span also absorbs every basis
+    monomial from both sides: it is the two-sided ideal `sums` generate.
+    With `most`, gives up and returns None as soon as the span has more than
+    `most` members.  ValueError names a member of `sums` that is not a
+    canonical element."""
+    r, table = gr.r, gr.basis.table
+    n = len(table)
+    rows, todo, size = [None] * n, [_vector(gr, x) for x in sums], 1
+    while todo:
+        v = todo.pop()
+        for col in range(n):
+            b = v[col]
+            if not b:
+                continue
+            row = rows[col]
+            if row is not None and b % row[col] == 0:
+                q = b // row[col]
+                v = [(x - q * y) % r for x, y in zip(v, row)]
+                continue
+            # a unimodular step on (row, v): the new row leads with gcd(a, b),
+            # the other combination leads with zero; an empty slot counts as
+            # a row with pivot r, which is zero mod r
+            a, row = (r, [0] * n) if row is None else (row[col], row)
+            g, s, t = _xgcd(a, b)
+            # distinct combinations of echelon rows with pivots dividing r
+            # are distinct members, so the span is at least this large
+            size = size // (r // a) * (r // g)
+            if most is not None and size > most:
+                return None
+            new = rows[col] = [(s * y + t * x) % r for x, y in zip(v, row)]
+            todo.append([(b // g * y - a // g * x) % r for x, y in zip(v, row)])
+            todo.append([r // g * x % r for x in new])
+            for m in range(n) if ideal else ():
+                left, right = [0] * n, [0] * n
+                for j, c in enumerate(new):
+                    if c:
+                        left[table[m][j]] += c
+                        right[table[j][m]] += c
+                todo.append([c % r for c in left])
+                todo.append([c % r for c in right])
+            break
+    rows = [row for row in rows if row is not None]
+    for i, p in enumerate(rows):
+        col = next(c for c, x in enumerate(p) if x)
+        for above in rows[:i]:
+            q = above[col] // p[col]
+            if q:
+                above[:] = [(x - q * y) % r for x, y in zip(above, p)]
+    return rows, size
+
+
+def _span_members(gr, rows):
+    """Every member of the span of Howell-form `rows`, once each, as
+    canonical formal sums that share their (index, coefficient) terms."""
+    r, n = gr.r, len(gr.basis)
+    terms = [[(i, c) for c in range(r)] for i in range(n)]
+    vecs = [[0] * n]
+    for row in rows:
+        pivot = next(c for c in row if c)
+        vecs = [[(x + k * y) % r for x, y in zip(u, row)]
+                for u in vecs for k in range(r // pivot)]
+    return frozenset(tuple(terms[i][c] for i, c in enumerate(u) if c) for u in vecs)
+
+
+def _additive_basis(view, pool):
+    """The Howell-form rows, as formal sums, of formal sums `pool` when it is
+    an additive subgroup: it holds 0 and its span is no larger.  None when
+    it is not one, or the carrier is finite (a finite ring's distributivity
+    is only sampled above 58 elements).  Convolution is bilinear, so a
+    product or absorption check over the rows decides it for every member."""
+    if view.ring is None:
         return None
-    span, gens = {view.zero}, []
-    for x in order:
-        if x in span:
-            continue
-        gens.append(x)
-        base, step = list(span), x
-        while step not in span:
-            for h in base:
-                z = add(h, step)
-                if z not in pool:
-                    return None
-                span.add(z)
-            step = add(step, x)
-    return gens
+    # the span holds `pool`, so it is `pool` unless it has more members
+    span = _howell(view.ring, pool, most=len(pool))
+    if span is None or view.zero not in pool:
+        return None
+    return [tuple((i, c) for i, c in enumerate(row) if c) for row in span[0]]
 
 
-def _absorbing_gap(view, order, pool, ys, span):
+def _absorbing_gap(view, order, pool, ys, rows):
     """The first absorption gap walking `order`, or None without the walk
-    when the additive generators `span` of `pool` absorb every `ys`."""
-    if span is not None and _absorb_gap(view, span, pool, ys) is None:
+    when the basis `rows` of additive subgroup `pool` absorb every `ys`."""
+    if rows is not None and _absorb_gap(view, rows, pool, ys) is None:
         return None
     return _absorb_gap(view, order, pool, ys)
 
@@ -258,39 +349,54 @@ def _absorbing_gap(view, order, pool, ys, span):
 def _additive_ideal_verdict(view, order, pool, gens, where=""):
     """`pool` closed under the view's first operation (+ of a ring, - of
     formal sums) and absorbing every member of `gens` from both sides."""
-    span = _generators(view, order, pool)
-    gap = _closed_gap(order, pool, view.binary[:1]) if span is None else None
+    rows = _additive_basis(view, pool)
+    gap = _closed_gap(order, pool, view.binary[:1]) if rows is None else None
     if gap is not None:
         return Verdict(False, witness=_labelled(view, gap), note="not additively closed")
-    return _absorb_verdict(view, _absorbing_gap(view, order, pool, gens, span), where=where)
+    return _absorb_verdict(view, _absorbing_gap(view, order, pool, gens, rows), where=where)
 
 
 def generated_ideal(gr, gens):
-    """Two-sided ideal of a formal-sum ring generated by `gens`: {0} and
-    `gens` closed under + while absorbing the basis monomials (a nonempty
-    finite set closed under + is a subgroup), then rechecked by the gap
-    searches."""
-    view = _view(gr)
-    pool = _close(view, [gr.zero, *gens], IDEAL_CAP, (_OpTable(gr.add),), view.gens,
-                  "subsets.IDEAL_CAP")
+    """Two-sided ideal of a formal-sum ring generated by `gens`: the Howell
+    form of their span, saturated under basis monomials on both sides, gives
+    the ideal's size before any member is listed; over subsets.IDEAL_CAP
+    members raises ResourceCap naming the size.  The listing is rechecked by
+    the gap searches.  ValueError names a generator that is not a canonical
+    element."""
+    rows, size = _howell(gr, gens, ideal=True)
+    if size > IDEAL_CAP:
+        raise ResourceCap("generated ideal has %d members, over subsets.IDEAL_CAP = %d"
+                          % (size, IDEAL_CAP))
+    pool, view = _span_members(gr, rows), _view(gr)
     v = _additive_ideal_verdict(view, sorted(pool), pool, view.gens)
     if not v.ok:
         raise RuntimeError("generated ideal failed its recheck: %s at %r" % (v.note, v.witness))
-    return frozenset(pool)
+    return pool
 
 
 def sub_verdict(universe, labels, strict=False, pure=False):
     """Nonempty subset closed under the carrier's operations; strict requires
     an indeterminate member, pure (implying strict) that every member is
     indeterminate or zero."""
-    view = _view(universe)
+    return _substructure(_view(universe), labels, strict, pure)[2]
+
+
+def _substructure(view, labels, strict, pure):
+    """The members of `labels` as a set, their additive basis rows (see
+    _additive_basis) and sub_verdict's verdict on them."""
     order = view.members(labels)
+    pool = order if isinstance(order, set) else set(order)
+    rows = _additive_basis(view, pool)
+    return pool, rows, _sub_check(view, order, pool, rows, strict, pure)
+
+
+def _sub_check(view, order, pool, rows, strict, pure):
+    """sub_verdict's verdict on the members `order`, the set `pool` of them,
+    with additive basis `rows`."""
     if not order:
         return Verdict(False, flags=("empty",), note="empty subset")
-    pool = order if isinstance(order, set) else set(order)
-    span = _generators(view, order, pool)
-    # an additive subgroup is closed under x when its generators' products are
-    if span is not None and _closed_gap(span, pool, view.binary[1:]) is None:
+    # an additive subgroup is closed under x when its basis rows' products are
+    if rows is not None and _closed_gap(rows, pool, view.binary[1:]) is None:
         gap = None
     else:
         gap = _closed_gap(order, pool, view.binary, view.unary)
@@ -310,14 +416,12 @@ def sub_verdict(universe, labels, strict=False, pure=False):
 
 def ideal_verdict(universe, labels, strict=False, pure=False):
     """Substructure absorbing every generator of the carrier from both sides."""
-    base = sub_verdict(universe, labels, strict, pure)
+    view = _view(universe)
+    pool, rows, base = _substructure(view, labels, strict, pure)
     if not base.ok:
         return Verdict(False, witness=base.witness,
                        flags=base.flags + ("not-substructure",), note=base.note)
-    view = _view(universe)
-    pool = set(view.members(labels))
-    order = sorted(pool)
-    gap = _absorbing_gap(view, order, pool, view.gens, _generators(view, order, pool))
+    gap = _absorbing_gap(view, sorted(pool), pool, view.gens, rows)
     return _absorb_verdict(view, gap, base.flags)
 
 

@@ -206,3 +206,17 @@ def test_seed0_rows_do_not_depend_on_the_hash_seed():
     for row in rows:
         del row["elapsed_ms"]
     assert json.dumps(rows, indent=2) + "\n" == GOLDEN.read_text()
+
+
+def test_package_loads_the_claim_engine_on_first_use():
+    """`import neutrolab` leaves the engine and the registry unloaded, and
+    every name the package exports from them still resolves."""
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = ("import sys, neutrolab\n"
+            "assert not {'neutrolab.engine', 'neutrolab.claims'} & set(sys.modules)\n"
+            "from neutrolab import *\n"
+            "assert len(registry()) == 65 and run_suite is neutrolab.engine.run_suite\n"
+            "assert neutrolab.claims.registry is registry\n")
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                   check=True)

@@ -7,13 +7,21 @@ laws on seeded random triples.
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neutrolab.groupring import GroupRing, group_ring
-from neutrolab.structures import ResourceCap, cyclic_neutro_group, sym_group
+from neutrolab.structures import (
+    FiniteMagma,
+    ResourceCap,
+    cyclic_neutro_group,
+    neutro_double,
+    sym_group,
+)
+from neutrolab.subsets import _howell, _span_members, gr_is_ideal, gr_is_subring
 
 
 def gr256():
@@ -88,9 +96,14 @@ def test_generated_ideals():
     assert len(full) == 256
 
 
-# the last basis does not commute, so a one-sided ideal would differ
+C2 = FiniteMagma(["1", "g"], [[0, 1], [1, 0]])
+LEFT_ZERO = FiniteMagma(["a", "b"], [[0, 0], [1, 1]])
+# the S3 and left-zero bases do not commute, so a one-sided ideal would
+# differ; Z4 and Z9 are not squarefree, so an echelon form over each prime
+# field would miss their spans
 IDEAL_RINGS = [GroupRing(2, cyclic_neutro_group(2)), GroupRing(3, cyclic_neutro_group(2)),
-               GroupRing(2, cyclic_neutro_group(3, semigroup=True)), GroupRing(2, sym_group(3))]
+               GroupRing(2, cyclic_neutro_group(3, semigroup=True)), GroupRing(2, sym_group(3)),
+               GroupRing(4, C2), GroupRing(9, C2), GroupRing(4, LEFT_ZERO)]
 IDEAL_ELEMENTS = [list(gr.elements()) for gr in IDEAL_RINGS]
 
 
@@ -123,11 +136,114 @@ def test_generated_ideal_over_the_cap_names_it():
         gr.generated_ideal([gr.monomial("1")])
 
 
+# rings whose ideals outgrow the cap, a unit monomial generating each, and
+# the size of that whole ring
+OVER_CAP = [(GroupRing(6, cyclic_neutro_group(4)), "1", 6 ** 8),
+            (GroupRing(3, neutro_double(sym_group(3))), "e", 3 ** 12)]
+
+
 def test_generated_ideal_cap_names_its_setting():
-    gr = GroupRing(6, cyclic_neutro_group(4))
-    with pytest.raises(ResourceCap, match=r"closure reached 4097 members, "
-                                          r"over subsets\.IDEAL_CAP = 4096"):
-        gr.generated_ideal([gr.monomial("1")])
+    for gr, label, size in OVER_CAP:
+        with pytest.raises(ResourceCap, match=r"generated ideal has %d members, "
+                                              r"over subsets\.IDEAL_CAP = 4096" % size):
+            gr.generated_ideal([gr.monomial(label)])
+
+
+class CountingGroupRing(GroupRing):
+    """Counts additions and products made through the ring's methods."""
+
+    def __init__(self, r, basis):
+        super().__init__(r, basis)
+        self.calls = 0
+
+    def add(self, x, y):
+        self.calls += 1
+        return super().add(x, y)
+
+    def mul(self, x, y):
+        self.calls += 1
+        return super().mul(x, y)
+
+
+def test_generated_ideal_over_the_cap_raises_before_listing():
+    """The closure under + made 5676 and 5143 additions and products before
+    it stopped at the 4097th member; the size comes first now."""
+    for gr, label, _ in OVER_CAP:
+        counted = CountingGroupRing(gr.r, gr.basis)
+        with pytest.raises(ResourceCap):
+            counted.generated_ideal([counted.monomial(label)])
+        assert counted.calls <= 200
+
+
+# over the C2 basis Z4+I has 256 members, Z8 64 and Z12 144
+SIZED_RINGS = [GroupRing(4, cyclic_neutro_group(2)), GroupRing(8, C2), GroupRing(12, C2)]
+SIZED_ELEMENTS = [list(gr.elements()) for gr in SIZED_RINGS]
+
+
+def test_generated_ideal_size_is_predicted():
+    """Every generated ideal lists exactly as many members as the Howell
+    form of its generators predicts."""
+    rng = random.Random(7)
+    for gr, everything in zip(IDEAL_RINGS + SIZED_RINGS, IDEAL_ELEMENTS + SIZED_ELEMENTS):
+        for _ in range(30):
+            gens = rng.sample(everything, rng.randint(1, 2))
+            assert len(gr.generated_ideal(gens)) == _howell(gr, gens, ideal=True)[1]
+
+
+def additive_closure(r, vectors, n):
+    """Every vector reached from 0 by adding members of `vectors` mod r."""
+    reached, frontier = {(0,) * n}, [(0,) * n]
+    while frontier:
+        fresh = []
+        for u in frontier:
+            for v in vectors:
+                w = tuple((x + y) % r for x, y in zip(u, v))
+                if w not in reached:
+                    reached.add(w)
+                    fresh.append(w)
+        frontier = fresh
+    return reached
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 4, 6, 8, 9, 12]), st.integers(1, 3), st.data())
+def test_howell_span_matches_additive_closure(r, n, data):
+    """The span listed from the Howell form is the additive closure of the
+    sums, its size is predicted, its pivots divide r, and the form is the
+    same from every generating set of the span."""
+    # a span does not read the basis table
+    gr = GroupRing(r, FiniteMagma([str(i) for i in range(n)], [[i] * n for i in range(n)]))
+    vectors = data.draw(st.lists(st.tuples(*[st.integers(0, r - 1)] * n), max_size=4))
+    sums = [tuple((i, c) for i, c in enumerate(v) if c) for v in vectors]
+    rows, size = _howell(gr, sums)
+    closed = additive_closure(r, vectors, n)
+    members = _span_members(gr, rows)
+    assert members == {tuple((i, c) for i, c in enumerate(v) if c) for v in closed}
+    assert size == len(closed)
+    assert all(r % next(c for c in row if c) == 0 for row in rows)
+    assert _howell(gr, members) == (rows, size)
+
+
+Z2C2 = GroupRing(2, cyclic_neutro_group(2))
+# none of these is a canonical element of Z2<C2+I>, whose basis has four
+# elements: a coefficient equal to r, one over r, an unsorted pair, a
+# repeated index, an index out of range, a zero coefficient and a fractional
+# coefficient
+NOT_CANONICAL = [((0, 2),), ((0, 3),), ((1, 1), (0, 1)), ((0, 1), (0, 1)), ((4, 1),),
+                 ((0, 0),), ((0, 0.5),)]
+
+
+@pytest.mark.parametrize("bad", NOT_CANONICAL, ids=str)
+def test_generated_ideal_rejects_non_canonical_generators(bad):
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        Z2C2.generated_ideal([Z2C2.monomial("g"), bad])
+
+
+@pytest.mark.parametrize("bad", NOT_CANONICAL, ids=str)
+def test_formal_sum_predicates_reject_non_canonical_members(bad):
+    for predicate in (gr_is_subring, gr_is_ideal):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            predicate(Z2C2, [Z2C2.zero, bad])
 
 
 def test_parse_format_oracles():

@@ -213,7 +213,7 @@ def test_formal_sum_predicates_match_brute_force(subset):
               parse=GR.parse)
 
 
-# formal-sum rings whose spans and generated ideals reach the generator
+# formal-sum rings whose spans and generated ideals reach the basis-row
 # path: r prime and composite (additive orders 2 and 4 in Z4), with and
 # without indeterminates, commutative and not; the last, over the doubled
 # left-zero semigroup x*y = x, has one-sided ideals with indeterminate
