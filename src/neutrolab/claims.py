@@ -1,25 +1,32 @@
 """The registered claim rows: closure propositions, non-closure remark
 hunts, worked-example checks, and classification pins, at desk scale.
 
-Every row records the status it is expected to report.  Runners recompute
-statuses from scratch each run; rows whose recorded statement disagrees
-with its own arithmetic are pre-registered as ExampleContradictsText and
-carry the recomputed witness.  Pools used by randomized sweeps are built
-from fixed string seeds so a row's outcome never depends on which other
-rows ran.
+Every row records the status it is expected to report.  Propositions,
+remarks and soft-set examples are rows of data (carrier and population
+builders, predicate, operation, pinned pair and gap, assignments and check)
+read by one runner per row shape when the claim runs; rows whose logic
+differs keep a runner of their own.  Runners recompute statuses from scratch
+each run; rows whose recorded statement disagrees with its own arithmetic
+are pre-registered as ExampleContradictsText and carry the recomputed
+witness.  Carriers and populations come from zero-argument cached builders,
+and pools used by randomized sweeps are built from fixed string seeds, so a
+row's outcome never depends on which other rows ran.
 """
 
 import itertools
 import random
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, partial
 
 from . import symbolic as sym
 from .engine import (
     Claim,
+    INTERSECTION_OPS,
     KIND_CLASSIFICATION,
     KIND_EXAMPLE,
     KIND_PROP,
     KIND_REMARK,
+    SPOT_PAIRS,
     STATUS_CONTRADICTS,
     STATUS_COUNTEREXAMPLE,
     STATUS_HOLDS,
@@ -50,6 +57,7 @@ from .softsets import (
     soft_lagrange_class,
     soft_neutro_params,
     soft_sub_of,
+    value_has_neutro,
 )
 from .structures import (
     alternating_labels,
@@ -155,7 +163,7 @@ def sym_basis6():
 @lru_cache(maxsize=None)
 def mixed_universe():
     """Five tagged components, three indeterminate; total order 68."""
-    return NCollection(
+    m = NCollection(
         [
             Component(mult_magma(3), "group", True),
             Component(mult_magma(6), "semigroup", True),
@@ -165,6 +173,8 @@ def mixed_universe():
         ],
         name="mixed5(order 68)",
     )
+    _require(m.order() == 68, "collection order 68")
+    return m
 
 
 @lru_cache(maxsize=None)
@@ -227,9 +237,26 @@ S3_IN_S4 = frozenset({"e", "(12)", "(13)", "(23)", "(123)", "(132)"})
 EVENS_10 = frozenset({"0", "2", "4", "6", "8"})
 
 
+def _mixed_row_a1():
+    return tuple(frozenset(x) for x in
+                 (("1", "I"), ("0", "3", "3I"), ("0", "2", "2I"), A3,
+                  EVENS_10))
+
+
+def _mixed_row_k2():
+    return tuple(frozenset(x) for x in
+                 (("1", "2"), ("0", "3I"), ("0", "2I"), A3, ("0", "5")))
+
+
+_IDEAL_12 = frozenset({"0", "6", "2I", "4I", "6I", "8I", "10I",
+                       "6+2I", "6+4I", "6+6I", "6+8I", "6+10I"})
+
+
 @lru_cache(maxsize=None)
 def grid_12_ideal():
-    return _grid(12, (0, 6), tuple(range(0, 12, 2)))
+    grid = _grid(12, (0, 6), tuple(range(0, 12, 2)))
+    _require(grid == _IDEAL_12, "the 12-member ideal grid")
+    return grid
 
 
 @lru_cache(maxsize=None)
@@ -315,12 +342,7 @@ def mixed_sub_pool():
             parts = set(enumerate_subs(s, "loose-subgroupoid"))
         by_comp.append(sorted(parts, key=lambda p: (len(p), sorted(p))))
 
-    pool = [
-        tuple(frozenset(x) for x in
-              (("1", "I"), ("0", "3", "3I"), ("0", "2", "2I"), A3, EVENS_10)),
-        tuple(frozenset(x) for x in
-              (("1", "2"), ("0", "3I"), ("0", "2I"), A3, ("0", "5"))),
-    ]
+    pool = [_mixed_row_a1(), _mixed_row_k2()]
     while len(pool) < 26:
         cand = tuple(rng.choice(parts) for parts in by_comp)
         if cand not in pool:
@@ -329,31 +351,41 @@ def mixed_sub_pool():
 
 
 # ---------------------------------------------------------------------------
-# pinned-gap decorators for the hunts
+# row values and pinned gaps
 
 
-def _pin_gap(op, x, y, component=None):
-    """A hunt's pinned-pair check: x and y lie in the value (or in its part
-    `component`) but x op y does not, recomputed through the carrier's public
-    operation `op` ("op" or "add"); formal sums are named by their text."""
-    def check(universe, value):
-        out = {}
-        if component is not None:
-            universe, value = universe.components[component].structure, value[component]
-            out["component"] = universe.name
-        sums = isinstance(universe, GroupRing)
-        a, b = (universe.parse(x), universe.parse(y)) if sums else (x, y)
-        z = getattr(universe, op)(a, b)
-        if a in value and b in value and z not in value:
-            out["pinned-pair"], out["escapes"] = [x, y], universe.format(z) if sums else z
-            return out
-        return None
+def _value(universe, value):
+    """A row's assignment value over `universe`: formal sums are written as
+    text, a span over the whole basis of a symbolic group ring as its
+    coefficient ring; any other value is used as written."""
+    if isinstance(universe, GroupRing):
+        return frozenset(map(universe.parse, value))
+    if isinstance(universe, sym.SymGroupRing):
+        return sym.SymGroupRing(value, universe.basis)
+    return value
 
-    return check
+
+def _pin_gap(gap, universe, value):
+    """A hunt's pinned-pair check, gap = (op, x, y) or (op, x, y, part): x and
+    y lie in the value (or in its part) but x op y does not, recomputed
+    through the carrier's public operation `op` ("op" or "add"); formal sums
+    are named by their text."""
+    op, x, y, *part = gap
+    out = {}
+    if part:
+        universe, value = universe.components[part[0]].structure, value[part[0]]
+        out["component"] = universe.name
+    sums = isinstance(universe, GroupRing)
+    a, b = (universe.parse(x), universe.parse(y)) if sums else (x, y)
+    z = getattr(universe, op)(a, b)
+    if a in value and b in value and z not in value:
+        out["pinned-pair"], out["escapes"] = [x, y], universe.format(z) if sums else z
+        return out
+    return None
 
 
 # ---------------------------------------------------------------------------
-# runner builders
+# results
 
 
 def _require(condition, what):
@@ -387,30 +419,118 @@ def _negative(failed, witness, trials):
                                           "to hold"}, trials
 
 
-def _prop_runner(universe_fn, population_fn, predicate, ops=None, spot=None):
-    def runner(rng):
-        kwargs = {}
-        if ops is not None:
-            kwargs["ops"] = ops
-        if spot is not None:
-            kwargs["spot"] = spot
-        return run_closure_prop(universe_fn(), population_fn(), predicate, rng,
-                                **kwargs)
-
-    return runner
+# ---------------------------------------------------------------------------
+# row shapes: each row is data, read by its shape's runner when the claim runs
 
 
-def _hunt_runner(universe_fn, op_name, predicate, pinned_fn, pin_check=None):
-    def runner(rng):
-        f_assign, k_assign = pinned_fn()
-        return run_remark_hunt(universe_fn(), op_name, predicate, rng,
-                               pinned=(f_assign, k_assign),
-                               pin_check=pin_check)
+@dataclass(frozen=True)
+class _Prop:
+    """A closure proposition: `predicate` holds on every member of the
+    population, on their pairwise intersections, and on the soft operations
+    `ops` over `spot` seeded pairs (engine.run_closure_prop)."""
+    id: str
+    universe: str
+    carrier: object
+    population: object
+    predicate: str
+    ops: tuple = INTERSECTION_OPS
+    spot: int = SPOT_PAIRS
+    generator: str = "exhaustive-pairs"
+    note: str = ""
 
-    return runner
+    def run(self, rng):
+        return run_closure_prop(self.carrier(), self.population(), self.predicate,
+                                rng, self.ops, self.spot)
+
+    def claim(self):
+        return Claim(self.id, KIND_PROP, self.universe, self.generator,
+                     STATUS_HOLDS, self.run, self.note)
 
 
-# --- chapter 1 and 2 examples ---------------------------------------------
+@dataclass(frozen=True)
+class _Remark:
+    """A non-closure remark: `op` breaks `predicate` on the pinned pair of
+    soft sets whose parameter a1 holds the two `pin` values
+    (engine.run_remark_hunt); a `gap` (see _pin_gap) names the escaping
+    pair in the witness."""
+    id: str
+    universe: str
+    carrier: object
+    op: str
+    predicate: str
+    pin: tuple
+    gap: tuple = None
+    note: str = ""
+
+    def run(self, rng):
+        u = self.carrier()
+        f, k = ({"a1": _value(u, v)} for v in self.pin)
+        check = None if self.gap is None else partial(_pin_gap, self.gap)
+        return run_remark_hunt(u, self.op, self.predicate, rng, pinned=(f, k),
+                               pin_check=check)
+
+    def claim(self):
+        return Claim(self.id, KIND_REMARK, self.universe, "pinned-hunt",
+                     STATUS_COUNTEREXAMPLE, self.run, self.note)
+
+
+@dataclass(frozen=True)
+class _SoftExample:
+    """A worked example on the soft set F built from the first assignment in
+    `softs` (a second assignment is F's parent), tested as
+    check = (test, argument):
+
+    - ("is", predicate): every assignment of F satisfies the predicate;
+    - ("is-not", predicate): as recorded, some assignment fails it;
+    - ("is-neutro", predicate): "is", and some assignment carries I;
+    - ("sub-of", predicate) or ("ideal-of", None): F lies in its parent;
+    - ("lagrange", class): F has that Lagrange class;
+    - ("profile", class): every assignment is an n-substructure of a
+      collection of that classification.
+
+    The witness is the failures (None when there are none), the class for
+    "lagrange", and the classification with any failures for "profile";
+    trials counts F's parameters."""
+    id: str
+    universe: str
+    carrier: object
+    check: tuple
+    softs: tuple
+    expected: str = STATUS_VERIFIED
+    note: str = ""
+
+    def run(self, rng):
+        u = self.carrier()
+        f, *parent = [SoftSet(u, {p: _value(u, v) for p, v in a.items()})
+                      for a in self.softs]
+        test, arg = self.check
+        trials = len(f.params)
+        if test == "lagrange":
+            cls = soft_lagrange_class(f)
+            return _positive(cls == arg, {"class": cls}, trials)
+        if test == "ideal-of":
+            rep = soft_ideal_of(f, *parent)
+        elif test == "sub-of":
+            rep = soft_sub_of(f, *parent, arg)
+        else:
+            rep = soft_is(f, "n-sub" if test == "profile" else arg)
+        witness = None if rep.ok else _report_failures(rep)
+        if test == "is-not":
+            return _negative(not rep.ok, witness, trials)
+        if test == "profile":
+            cls = classify_mixed(u)
+            return _positive(rep.ok and cls == arg,
+                             {"classification": cls, **(witness or {})}, trials)
+        return _positive(rep.ok and (test != "is-neutro" or soft_neutro_params(f)),
+                         witness, trials)
+
+    def claim(self):
+        return Claim(self.id, KIND_EXAMPLE, self.universe, "recorded-sets",
+                     self.expected, self.run, self.note)
+
+
+# ---------------------------------------------------------------------------
+# examples with their own logic
 
 
 def _run_example_1_1_3(rng):
@@ -427,58 +547,6 @@ def _run_example_1_1_3(rng):
     return _positive(ok, witness, 2)
 
 
-def _run_example_2_1_1(rng):
-    g = groupoid_10_3_2()
-    f = SoftSet(g, {"a1": P_1032, "a2": _reals(10)})
-    rep = soft_is(f, "loose-subgroupoid")
-    ok = rep.ok and len(soft_neutro_params(f)) >= 1
-    witness = None if ok else _report_failures(rep)
-    return _positive(ok, witness, len(f.params))
-
-
-def _soft_421():
-    return SoftSet(groupoid_4_2_1(),
-                   {"a1": P_421, "a2": S_421_3, "a3": S_421_2})
-
-
-def _run_example_2_1_2(rng):
-    rep = soft_is(_soft_421(), "subgroupoid")
-    return _positive(rep.ok, None if rep.ok else _report_failures(rep), 3)
-
-
-def _run_example_2_1_3(rng):
-    f = _soft_421()
-    h = SoftSet(groupoid_4_2_1(), {"a1": S_421_2, "a2": S_421_2})
-    rep = soft_sub_of(h, f, "subgroupoid")
-    return _positive(rep.ok, None if rep.ok else _report_failures(rep), 2)
-
-
-def _run_example_2_1_4(rng):
-    g = groupoid_4_2_1()
-    _require(len(g) == 16, "carrier order 16")
-    f = SoftSet(g, {"a1": P_421, "a2": S_421_2})
-    cls = soft_lagrange_class(f)
-    return _positive(cls == LAGRANGE, {"class": cls}, 2)
-
-
-def _run_example_2_1_5(rng):
-    f = _soft_421()
-    cls = soft_lagrange_class(f)
-    return _positive(cls == WEAKLY_LAGRANGE, {"class": cls}, 3)
-
-
-def _run_example_2_1_6(rng):
-    f = SoftSet(groupoid_4_2_1(), {"a1": S_421_3I, "a2": S_421_3})
-    cls = soft_lagrange_class(f)
-    return _positive(cls == LAGRANGE_FREE, {"class": cls}, 2)
-
-
-def _run_example_2_1_7(rng):
-    f = SoftSet(groupoid_4_2_1(), {"a1": S_421_3I, "a2": S_421_2})
-    rep = soft_is(f, "strong")
-    return _positive(rep.ok, None if rep.ok else _report_failures(rep), 2)
-
-
 def _run_classify_lagrange_2_1(rng):
     rep = classify_lagrange(groupoid_4_2_1())
     ok = (rep.verdict == WEAKLY_LAGRANGE
@@ -493,84 +561,34 @@ def _run_classify_lagrange_2_1(rng):
     return status, witness, len(rep.dividing) + len(rep.non_dividing)
 
 
-# --- chapter 2 collections --------------------------------------------------
-
-
-def _run_example_2_2_1(rng):
-    big = bi_groupoid()
-    f = SoftSet(big, {
-        "a1": (P_1032, P_421),
-        "a2": (_reals(10), S_421_2),
-    })
-    rep = soft_is(f, "n-sub")
-    return _positive(rep.ok, None if rep.ok else _report_failures(rep), 2)
-
-
-def _run_example_2_2_3(rng):
-    big = bi_groupoid()
-    f = SoftSet(big, {
-        "a1": (frozenset({"0", "5+5I"}), S_421_2),
-        "a2": (frozenset({"0", "5I"}), S_421_2),
-    })
-    rep = soft_is(f, "strong-n-sub")
-    return _positive(rep.ok, None if rep.ok else _report_failures(rep), 2)
-
-
-def _run_example_2_3_1(rng):
-    tri = tri_groupoid()
-    f = SoftSet(tri, {
-        "a1": (P_1032, P_421, frozenset({"0", "2"})),
-        "a2": (_reals(10), S_421_2, frozenset({"0", "2I"})),
-    })
-    rep = soft_is(f, "n-sub")
-    return _positive(rep.ok, _report_failures(rep) if not rep.ok else None,
-                     len(f.params))
-
-
-def _run_example_2_3_3(rng):
-    tri = tri_groupoid()
-    f = SoftSet(tri, {
-        "a1": (frozenset({"0", "5I"}), frozenset({"0", "2I"}),
-               frozenset({"0", "2I"})),
-        "a2": (frozenset({"0", "5+5I"}), S_421_2, S_421_2),
-    })
-    rep = soft_is(f, "strong-n-sub")
-    return _positive(rep.ok, _report_failures(rep) if not rep.ok else None,
-                     len(f.params))
-
-
-# --- chapter 3 examples -----------------------------------------------------
-
-
 def _zi(m=1):
     return sym.NamedRing("Z", m, True)
 
 
-def _run_example_3_1_1(rng):
-    outer = _zi()
-    rows = {"a%d" % i: _zi(m) for i, m in enumerate((2, 3, 5, 6), start=1)}
-    bad = {p: str(v) for p, v in rows.items()
-           if not sym.sym_subring_of(v, outer).ok}
+def _sym6(coeff, subset=None):
+    return sym.SymGroupRing(coeff, sym_basis6(), subset)
+
+
+def _symbolic_rows(outer, check, *rows):
+    """A soft structure recorded as symbolic rows a1, a2, ... over `outer`:
+    every row passes check(row, outer) and at least one carries I."""
+    rows = {"a%d" % i: v for i, v in enumerate(rows, start=1)}
+    bad = {p: str(v) for p, v in rows.items() if not check(v, outer).ok}
     witness = {"rows": sorted(str(v) for v in rows.values())}
     if bad:
         witness["failing"] = bad
-    return _positive(not bad, witness, len(rows))
+    ok = not bad and any(map(value_has_neutro, rows.values()))
+    return _positive(ok, witness, len(rows))
+
+
+def _run_example_3_1_1(rng):
+    return _symbolic_rows(_zi(), sym.sym_subring_of, *map(_zi, (2, 3, 5, 6)))
 
 
 def _run_example_3_1_2(rng):
-    outer = sym.NamedRing("C", 1, True)
-    rows = {
-        "a1": sym.NamedRing("R", 1, True),
-        "a2": sym.NamedRing("Q", 1, True),
-        "a3": _zi(),
-        "a4": _zi(2),
-    }
-    bad = {p: str(v) for p, v in rows.items()
-           if not sym.sym_subring_of(v, outer).ok}
-    witness = {"rows": sorted(str(v) for v in rows.values())}
-    if bad:
-        witness["failing"] = bad
-    return _positive(not bad, witness, len(rows))
+    return _symbolic_rows(sym.NamedRing("C", 1, True), sym.sym_subring_of,
+                          sym.NamedRing("R", 1, True), sym.NamedRing("Q", 1, True),
+                          _zi(), _zi(2))
 
 
 def _run_example_3_1_3(rng):
@@ -584,38 +602,6 @@ def _run_example_3_1_3(rng):
     witness = _report_failures(rep)
     witness["union-params"] = sorted(h.params)
     return _positive(ok, witness, len(h.params))
-
-
-def _run_example_3_1_4(rng):
-    r12 = ring_12()
-    grid = grid_12_ideal()
-    literal = frozenset({"0", "6", "2I", "4I", "6I", "8I", "10I",
-                         "6+2I", "6+4I", "6+6I", "6+8I", "6+10I"})
-    _require(grid == literal, "the 12-member ideal grid")
-    f = SoftSet(r12, {"a1": grid, "a2": _grid(12, (0, 6), (0, 6))})
-    rep = soft_is(f, "ring-ideal")
-    return _positive(rep.ok, None if rep.ok else _report_failures(rep), 2)
-
-
-def _run_example_3_1_5(rng):
-    r10 = ring_10()
-    f = SoftSet(r10, {
-        "a1": frozenset({"0", "2", "4", "6", "8", "2I", "4I", "6I", "8I"}),
-        "a2": frozenset({"0", "2I", "4I", "6I", "8I"}),
-    })
-    rep = soft_is(f, "ring-ideal")
-    return _negative(not rep.ok, _report_failures(rep) if not rep.ok else None,
-                     2)
-
-
-def _run_example_3_1_6(rng):
-    outer = sym.NamedRing("C", 1, True)
-    qi = sym.NamedRing("Q", 1, True)
-    ri = sym.NamedRing("R", 1, True)
-    f = SoftSet(outer, {"a1": _zi(), "a2": qi, "a3": ri})
-    k = SoftSet(outer, {"a2": _zi(), "a3": qi})
-    rep = soft_sub_of(k, f, "loose-subring")
-    return _positive(rep.ok, None if rep.ok else _report_failures(rep), 2)
 
 
 def _run_example_3_1_7(rng):
@@ -650,41 +636,22 @@ def _run_theorem_3_1_3(rng):
     return STATUS_HOLDS, {"ideals-checked": len(ideals)}, len(ideals)
 
 
-# --- chapter 4 examples -----------------------------------------------------
-
-
-def _sym_q6(subset=None):
-    return sym.SymGroupRing(sym.NamedRing("Q"), sym_basis6(),
-                            None if subset is None else frozenset(subset))
-
-
 def _run_example_4_1_1(rng):
-    outer = _sym_q6()
-    rows = {
-        "a1": _sym_q6({"1", "g^3"}),
-        "a2": _sym_q6({"1", "g^3", "I", "g^3I"}),
-        "a3": _sym_q6({"1", "g^2", "g^4"}),
-        "a4": _sym_q6({"1", "g^2", "g^4", "I", "g^2I", "g^4I"}),
-    }
-    bad = {p: str(v) for p, v in rows.items()
-           if not sym.sym_gr_subring_of(v, outer).ok}
-    neutro = [p for p, v in rows.items()
-              if any(label_is_neutro(x) for x in v.subset)]
-    ok = not bad and bool(neutro)
-    witness = {"rows": sorted(str(v) for v in rows.values())}
-    if bad:
-        witness["failing"] = bad
-    return _positive(ok, witness, len(rows))
+    q = sym.NamedRing("Q")
+    spans = ({"1", "g^3"}, {"1", "g^3", "I", "g^3I"}, {"1", "g^2", "g^4"},
+             {"1", "g^2", "g^4", "I", "g^2I", "g^4I"})
+    return _symbolic_rows(_sym6(q), sym.sym_gr_subring_of,
+                          *(_sym6(q, s) for s in spans))
 
 
 def _run_example_4_1_2(rng):
-    outer = _sym_q6()
+    q = sym.NamedRing("Q")
+    outer = _sym6(q)
     f = SoftSet(outer, {
-        "a1": _sym_q6({"1", "g^3"}),
-        "a2": _sym_q6({"1", "g^3", "I", "g^3I"}),
+        "a1": _sym6(q, {"1", "g^3"}),
+        "a2": _sym6(q, {"1", "g^3", "I", "g^3I"}),
     })
-    h = SoftSet(outer, {"a1": _sym_q6({"1", "g^2", "g^4", "I", "g^2I",
-                                       "g^4I"})})
+    h = SoftSet(outer, {"a1": _sym6(q, {"1", "g^2", "g^4", "I", "g^2I", "g^4I"})})
     k = restricted_union(f, h)
     rep = soft_is(k, "loose-gr-subring")
     failed = {p for p, _ in rep.failures} == {"a1"}
@@ -692,48 +659,9 @@ def _run_example_4_1_2(rng):
                      len(k.params))
 
 
-def _run_example_4_1_6(rng):
-    gr = gr_z6_c4()
-    f = SoftSet(gr, {
-        "a1": frozenset({gr.zero, gr.parse("3I")}),
-        "a2": frozenset({gr.zero, gr.parse("2I"), gr.parse("4I")}),
-    })
-    rep = soft_is(f, "gr-pseudo")
-    return _positive(rep.ok, None if rep.ok else _report_failures(rep), 2)
-
-
-def _gr_witness(gr, witness):
-    return [gr.format(t) if isinstance(t, tuple) else t
-            for t in (witness or ())]
-
-
-def _run_example_4_1_8(rng):
-    gr = gr_z2_c4()
-    f = SoftSet(gr, {
-        "a1": frozenset({gr.zero, gr.parse("1+g^2")}),
-        "a2": frozenset({gr.zero, gr.parse("1+g"), gr.parse("g+g^3"),
-                         gr.parse("1+g^3")}),
-    })
-    rep = soft_is(f, "loose-gr-subring")
-    witness = None
-    if not rep.ok:
-        witness = {"failures": [{"param": p, "note": v.note,
-                                 "witness": _gr_witness(gr, v.witness)}
-                                for p, v in rep.failures]}
-    return _positive(rep.ok, witness, 2)
-
-
 def _run_example_4_1_10(rng):
-    b6 = sym_basis6()
-    outer = sym.SymGroupRing(sym.NamedRing("Z"), b6)
-    rows = {"a%d" % i: sym.SymGroupRing(sym.NamedRing("Z", m), b6)
-            for i, m in enumerate((2, 4, 6), start=1)}
-    bad = {p: str(v) for p, v in rows.items()
-           if not sym.sym_gr_ideal_of(v, outer).ok}
-    witness = {"rows": sorted(str(v) for v in rows.values())}
-    if bad:
-        witness["failing"] = bad
-    return _positive(not bad, witness, len(rows))
+    return _symbolic_rows(_sym6(sym.NamedRing("Z")), sym.sym_gr_ideal_of,
+                          *(_sym6(sym.NamedRing("Z", m)) for m in (2, 4, 6)))
 
 
 def _run_example_4_1_11(rng):
@@ -755,57 +683,9 @@ def _run_example_4_1_11(rng):
                       "a3": sorted(gr.format(x) for x in gen_vw)},
     }
     if not rep.ok:
-        witness["failures"] = [{"param": p, "note": v2.note,
-                                "witness": _gr_witness(gr, v2.witness)}
+        witness["failures"] = [{"param": p, "note": v2.note, "witness": v2.witness}
                                for p, v2 in rep.failures]
     return _positive(rep.ok, witness, 3)
-
-
-def _run_example_4_1_12(rng):
-    b6 = sym_basis6()
-
-    def zgr(m):
-        return sym.SymGroupRing(sym.NamedRing("Z", m), b6)
-
-    outer = sym.SymGroupRing(sym.NamedRing("Z"), b6)
-    f = SoftSet(outer, {"a1": zgr(2), "a2": zgr(4), "a3": zgr(6)})
-    h = SoftSet(outer, {"a1": zgr(8), "a2": zgr(12)})
-    rep = soft_ideal_of(h, f)
-    return _positive(rep.ok, None if rep.ok else _report_failures(rep), 2)
-
-
-# --- chapter 6 examples -----------------------------------------------------
-
-
-def _mixed_row_a1():
-    return tuple(frozenset(x) for x in
-                 (("1", "I"), ("0", "3", "3I"), ("0", "2", "2I"), A3,
-                  EVENS_10))
-
-
-def _mixed_row_k2():
-    return tuple(frozenset(x) for x in
-                 (("1", "2"), ("0", "3I"), ("0", "2I"), A3, ("0", "5")))
-
-
-def _run_example_6_1_1(rng):
-    m = mixed_universe()
-    _require(m.order() == 68, "collection order 68")
-    f = SoftSet(m, {
-        "a1": _mixed_row_a1(),
-        "a2": tuple(frozenset(x) for x in
-                    (("2", "I"), ("0", "2", "4", "2I", "4I"),
-                     ("0", "2", "2I"), A3, ("0", "5"))),
-        "a3": tuple(frozenset(x) for x in
-                    (("1", "2"), ("0", "3"), ("0", "2"), A3, EVENS_10)),
-    })
-    rep = soft_is(f, "n-sub")
-    cls = classify_mixed(m)
-    ok = rep.ok and cls == MIXED
-    witness = {"classification": cls}
-    if not rep.ok:
-        witness.update(_report_failures(rep))
-    return _positive(ok, witness, len(f.params))
 
 
 def _run_example_6_1_2(rng):
@@ -827,24 +707,6 @@ def _run_example_6_1_2(rng):
     return _negative(not v.ok, witness, 1)
 
 
-def _run_example_6_1_3(rng):
-    d = dual_universe()
-    f = SoftSet(d, {
-        "a1": (frozenset({"e", "2"}), frozenset(alternating_labels(4)),
-               EVENS_10, frozenset({"0", "2"}),
-               frozenset({"e", "eI", "2", "2I"})),
-        "a2": (frozenset({"e", "3"}), S3_IN_S4, frozenset({"0", "5"}),
-               frozenset({"0", "2"}), frozenset({"e", "eI", "3", "3I"})),
-    })
-    rep = soft_is(f, "n-sub")
-    cls = classify_mixed(d)
-    ok = rep.ok and cls == MIXED_DUAL
-    witness = {"classification": cls}
-    if not rep.ok:
-        witness.update(_report_failures(rep))
-    return _positive(ok, witness, len(f.params))
-
-
 def _run_classify_mixed_6_1_1(rng):
     cls = classify_mixed(mixed_universe())
     ok = cls == WEAK_MIXED
@@ -863,64 +725,6 @@ def _run_classify_mixed_6_1_3(rng):
 # the registry
 
 
-def _example(cid, universe, runner, expected=STATUS_VERIFIED, note=""):
-    return Claim(cid, KIND_EXAMPLE, universe, "recorded-sets", expected,
-                 runner, note)
-
-
-def _prop(cid, universe, runner, generator="exhaustive-pairs", note=""):
-    return Claim(cid, KIND_PROP, universe, generator, STATUS_HOLDS, runner,
-                 note)
-
-
-def _remark(cid, universe, runner, note=""):
-    return Claim(cid, KIND_REMARK, universe, "pinned-hunt",
-                 STATUS_COUNTEREXAMPLE, runner, note)
-
-
-def _pin_1032():
-    return {"a1": P_1032}, {"a1": _reals(10)}
-
-
-def _pin_lagrange():
-    return {"a1": frozenset({"0", "2I"})}, {"a1": S_421_2}
-
-
-def _pin_strong_421():
-    return {"a1": frozenset({"0", "I", "2I", "3I"})}, {"a1": S_421_2}
-
-
-def _pin_bi_strong():
-    return ({"a1": (frozenset({"0", "2I", "4I", "6I", "8I"}),
-                    frozenset({"0", "2I"}))},
-            {"a1": (frozenset({"0", "5I"}), S_421_2)})
-
-
-def _pin_ring12():
-    return ({"a1": _grid(12, (0, 2, 4, 6, 8, 10), (0, 2, 4, 6, 8, 10))},
-            {"a1": _grid(12, (0, 3, 6, 9), (0, 3, 6, 9))})
-
-
-def _pin_ring12_ideals():
-    return ({"a1": _grid(12, (0, 6), (0, 6))},
-            {"a1": _grid(12, (0, 4, 8), (0, 4, 8))})
-
-
-def _pin_gr_c4():
-    gr = gr_z2_c4()
-    return ({"a1": _span(gr, ("1", "I"))}, {"a1": _span(gr, ("I", "g^2I"))})
-
-
-def _pin_gr_c3s():
-    gr = gr_z2_c3s()
-    return ({"a1": _span(gr, ("1", "I"))},
-            {"a1": _span(gr, ("I", "gI", "g^2I"))})
-
-
-def _pin_mixed():
-    return {"a1": _mixed_row_a1()}, {"a1": _mixed_row_k2()}
-
-
 def _build():
     g1032, g421 = groupoid_10_3_2, groupoid_4_2_1
     u1032 = "groupoid(10;3,2)"
@@ -936,223 +740,235 @@ def _build():
     umix = "mixed5(order 68)"
     udual = "dual5"
 
-    rows = [
-        _example("example-1.1.3", u1032, _run_example_1_1_3,
-                 note="one indeterminate and one purely real subgroupoid"),
-
-        _prop("prop-2.1.1", u421,
-              _prop_runner(g421, subgroupoids_421, "loose-subgroupoid",
-                           ops=("extended-intersection",)),
-              note="extended intersections stay closed"),
-        _prop("prop-2.1.2", u421,
-              _prop_runner(g421, subgroupoids_421, "loose-subgroupoid",
-                           ops=("restricted-intersection",)),
-              note="restricted intersections stay closed"),
-        _prop("prop-2.1.3", u421,
-              _prop_runner(g421, subgroupoids_421, "loose-subgroupoid",
-                           ops=("and",)),
-              note="AND combinations stay closed"),
-
-        _remark("remark-2.1.1", u1032,
-                _hunt_runner(g1032, "extended-union", "loose-subgroupoid",
-                             _pin_1032, _pin_gap("op", "5I", "3")),
-                note="3*(5I)+2*3 escapes the union"),
-        _remark("remark-2.1.2", u1032,
-                _hunt_runner(g1032, "restricted-union", "loose-subgroupoid",
-                             _pin_1032, _pin_gap("op", "5I", "3")),
-                note="same escape under the shared-parameter union"),
-        _remark("remark-2.1.3", u1032,
-                _hunt_runner(g1032, "or", "loose-subgroupoid",
-                             _pin_1032, _pin_gap("op", "5I", "3")),
-                note="same escape under OR"),
-
-        _example("example-2.1.1", u1032, _run_example_2_1_1,
-                 note="second assignment is purely real; the soft structure "
-                      "is read as closed rows with at least one carrying I"),
-        _example("example-2.1.2", u421, _run_example_2_1_2),
-        _example("example-2.1.3", u421, _run_example_2_1_3),
-        _example("example-2.1.4", u421, _run_example_2_1_4),
-        _example("example-2.1.5", u421, _run_example_2_1_5),
-        _example("example-2.1.6", u421, _run_example_2_1_6,
-                 note="three parameter labels declared, two assignments "
-                      "recorded"),
-        _example("example-2.1.7", u421, _run_example_2_1_7,
-                 note="three parameter labels declared, two assignments "
-                      "recorded"),
-    ]
-
+    pin_1032 = (P_1032, _reals(10))
+    pin_ring12 = (_grid(12, (0, 2, 4, 6, 8, 10), (0, 2, 4, 6, 8, 10)),
+                  _grid(12, (0, 3, 6, 9), (0, 3, 6, 9)))
+    pin_gr_c4 = ({"0", "1", "I", "1+I"}, {"0", "I", "g^2I", "I+g^2I"})
     lagrange_ops = ("extended-intersection", "restricted-intersection",
                     "and", "extended-union", "restricted-union", "or")
-    for i, op in enumerate(lagrange_ops, start=1):
-        rows.append(_remark(
-            "remark-2.1.4-i%d" % i, u421,
-            _hunt_runner(g421, op, "lagrange", _pin_lagrange),
-            note="order-2 pieces meet in a bare zero or join into an "
-                 "order-3 subgroupoid of a 16-element carrier"))
 
-    rows += [
+    rows = (
+        Claim("example-1.1.3", KIND_EXAMPLE, u1032, "recorded-sets", STATUS_VERIFIED,
+              _run_example_1_1_3,
+              note="one indeterminate and one purely real subgroupoid"),
+
+        _Prop("prop-2.1.1", u421, g421, subgroupoids_421, "loose-subgroupoid",
+              ("extended-intersection",),
+              note="extended intersections stay closed"),
+        _Prop("prop-2.1.2", u421, g421, subgroupoids_421, "loose-subgroupoid",
+              ("restricted-intersection",),
+              note="restricted intersections stay closed"),
+        _Prop("prop-2.1.3", u421, g421, subgroupoids_421, "loose-subgroupoid",
+              ("and",), note="AND combinations stay closed"),
+
+        _Remark("remark-2.1.1", u1032, g1032, "extended-union", "loose-subgroupoid",
+                pin_1032, ("op", "5I", "3"),
+                note="3*(5I)+2*3 escapes the union"),
+        _Remark("remark-2.1.2", u1032, g1032, "restricted-union", "loose-subgroupoid",
+                pin_1032, ("op", "5I", "3"),
+                note="same escape under the shared-parameter union"),
+        _Remark("remark-2.1.3", u1032, g1032, "or", "loose-subgroupoid",
+                pin_1032, ("op", "5I", "3"), note="same escape under OR"),
+
+        _SoftExample("example-2.1.1", u1032, g1032, ("is-neutro", "loose-subgroupoid"),
+                     ({"a1": P_1032, "a2": _reals(10)},),
+                     note="second assignment is purely real; the soft structure "
+                          "is read as closed rows with at least one carrying I"),
+        _SoftExample("example-2.1.2", u421, g421, ("is", "subgroupoid"),
+                     ({"a1": P_421, "a2": S_421_3, "a3": S_421_2},)),
+        _SoftExample("example-2.1.3", u421, g421, ("sub-of", "subgroupoid"),
+                     ({"a1": S_421_2, "a2": S_421_2},
+                      {"a1": P_421, "a2": S_421_3, "a3": S_421_2})),
+        _SoftExample("example-2.1.4", u421, g421, ("lagrange", LAGRANGE),
+                     ({"a1": P_421, "a2": S_421_2},)),
+        _SoftExample("example-2.1.5", u421, g421, ("lagrange", WEAKLY_LAGRANGE),
+                     ({"a1": P_421, "a2": S_421_3, "a3": S_421_2},)),
+        _SoftExample("example-2.1.6", u421, g421, ("lagrange", LAGRANGE_FREE),
+                     ({"a1": S_421_3I, "a2": S_421_3},),
+                     note="three parameter labels declared, two assignments "
+                          "recorded"),
+        _SoftExample("example-2.1.7", u421, g421, ("is", "strong"),
+                     ({"a1": S_421_3I, "a2": S_421_2},),
+                     note="three parameter labels declared, two assignments "
+                          "recorded"),
+
+        *(_Remark("remark-2.1.4-i%d" % i, u421, g421, op, "lagrange",
+                  ({"0", "2I"}, S_421_2),
+                  note="order-2 pieces meet in a bare zero or join into an "
+                       "order-3 subgroupoid of a 16-element carrier")
+          for i, op in enumerate(lagrange_ops, start=1)),
+
         Claim("classify-lagrange-2.1", KIND_CLASSIFICATION, u421,
               "exhaustive-subs", STATUS_HOLDS, _run_classify_lagrange_2_1,
               note="both dividing and non-dividing proper subgroupoids "
                    "exist"),
 
-        _remark("remark-2.1.8", u421,
-                _hunt_runner(g421, "extended-union", "strong",
-                             _pin_strong_421, _pin_gap("op", "I", "2+2I")),
+        _Remark("remark-2.1.8", u421, g421, "extended-union", "strong",
+                ({"0", "I", "2I", "3I"}, S_421_2), ("op", "I", "2+2I"),
                 note="the recorded items assert closure for the strong "
                      "unions; the computed counterexample supports the "
                      "negated reading used by the sibling union remarks"),
 
-        _example("example-2.2.1", ubig, _run_example_2_2_1),
-        _prop("prop-2.2.2", ubig,
-              _prop_runner(bi_groupoid, bi_ideal_population, "loose-n-ideal"),
+        _SoftExample("example-2.2.1", ubig, bi_groupoid, ("is", "n-sub"),
+                     ({"a1": (P_1032, P_421), "a2": (_reals(10), S_421_2)},)),
+        _Prop("prop-2.2.2", ubig, bi_groupoid, bi_ideal_population, "loose-n-ideal",
               generator="exhaustive-pairs(improper-only)",
               note="both components admit only the improper ideal"),
-        _example("example-2.2.3", ubig, _run_example_2_2_3),
-        _remark("remark-2.2.6", ubig,
-                _hunt_runner(bi_groupoid, "extended-union", "strong-n-sub",
-                             _pin_bi_strong,
-                             _pin_gap("op", "2I", "5I", component=0)),
+        _SoftExample("example-2.2.3", ubig, bi_groupoid, ("is", "strong-n-sub"),
+                     ({"a1": ({"0", "5+5I"}, S_421_2),
+                       "a2": ({"0", "5I"}, S_421_2)},)),
+        _Remark("remark-2.2.6", ubig, bi_groupoid, "extended-union", "strong-n-sub",
+                (({"0", "2I", "4I", "6I", "8I"}, {"0", "2I"}), ({"0", "5I"}, S_421_2)),
+                ("op", "2I", "5I", 0),
                 note="2*(2I)+3*(5I) = 9I escapes the first part"),
 
-        _example("example-2.3.1", utri, _run_example_2_3_1,
-                 expected=STATUS_CONTRADICTS,
-                 note="third parts are not closed: 0*2 = 8 and 0*(2I) = 8I "
-                      "under 8a+4b (mod 12)"),
-        _prop("prop-2.3.2", utri,
-              _prop_runner(tri_groupoid, tri_ideal_pool,
-                           "loose-n-ideal", spot=6200),
-              generator="pooled-supersets+randomized-spot",
+        _SoftExample("example-2.3.1", utri, tri_groupoid, ("is", "n-sub"),
+                     ({"a1": (P_1032, P_421, {"0", "2"}),
+                       "a2": (_reals(10), S_421_2, {"0", "2I"})},),
+                     expected=STATUS_CONTRADICTS,
+                     note="third parts are not closed: 0*2 = 8 and 0*(2I) = 8I "
+                          "under 8a+4b (mod 12)"),
+        _Prop("prop-2.3.2", utri, tri_groupoid, tri_ideal_pool, "loose-n-ideal",
+              spot=6200, generator="pooled-supersets+randomized-spot",
               note="third-component ideals are exactly the supersets of the "
                    "3x3 residue grid"),
-        _example("example-2.3.3", utri, _run_example_2_3_3,
-                 expected=STATUS_CONTRADICTS,
-                 note="third parts are not closed: 0*(2I) = 8I and "
-                      "0*(2+2I) = 8+8I under 8a+4b (mod 12)"),
+        _SoftExample("example-2.3.3", utri, tri_groupoid, ("is", "strong-n-sub"),
+                     ({"a1": ({"0", "5I"}, {"0", "2I"}, {"0", "2I"}),
+                       "a2": ({"0", "5+5I"}, S_421_2, S_421_2)},),
+                     expected=STATUS_CONTRADICTS,
+                     note="third parts are not closed: 0*(2I) = 8I and "
+                          "0*(2+2I) = 8+8I under 8a+4b (mod 12)"),
 
-        _prop("prop-3.1.1", ur6,
-              _prop_runner(ring_6, subrings_6, "loose-subring",
-                           ops=("extended-intersection",))),
-        _prop("prop-3.1.2", ur6,
-              _prop_runner(ring_6, subrings_6, "loose-subring",
-                           ops=("restricted-intersection",))),
-        _prop("prop-3.1.3", ur6,
-              _prop_runner(ring_6, subrings_6, "loose-subring",
-                           ops=("and",))),
+        _Prop("prop-3.1.1", ur6, ring_6, subrings_6, "loose-subring",
+              ("extended-intersection",)),
+        _Prop("prop-3.1.2", ur6, ring_6, subrings_6, "loose-subring",
+              ("restricted-intersection",)),
+        _Prop("prop-3.1.3", ur6, ring_6, subrings_6, "loose-subring", ("and",)),
         Claim("theorem-3.1.3", KIND_PROP, ur6, "exhaustive-ideals",
               STATUS_HOLDS, _run_theorem_3_1_3,
               note="every two-sided ideal is in particular a subring"),
-        _prop("prop-3.1.4", ur6,
-              _prop_runner(ring_6, ring_ideals_6, "loose-ring-ideal")),
+        _Prop("prop-3.1.4", ur6, ring_6, ring_ideals_6, "loose-ring-ideal"),
 
-        _remark("remark-3.1.1", ur12,
-                _hunt_runner(ring_12, "extended-union", "loose-subring",
-                             _pin_ring12, _pin_gap("add", "2", "3")),
+        _Remark("remark-3.1.1", ur12, ring_12, "extended-union", "loose-subring",
+                pin_ring12, ("add", "2", "3"),
                 note="2 + 3 = 5 escapes the union of the even and the "
                      "multiples-of-three grids"),
-        _remark("remark-3.1.2", ur12,
-                _hunt_runner(ring_12, "restricted-union", "loose-subring",
-                             _pin_ring12, _pin_gap("add", "2", "3")),
+        _Remark("remark-3.1.2", ur12, ring_12, "restricted-union", "loose-subring",
+                pin_ring12, ("add", "2", "3"),
                 note="same escape under the shared-parameter union"),
-        _remark("remark-3.1.3", ur12,
-                _hunt_runner(ring_12, "or", "loose-subring",
-                             _pin_ring12, _pin_gap("add", "2", "3")),
-                note="same escape under OR"),
-        _remark("remark-3.1.4", ur12,
-                _hunt_runner(ring_12, "extended-union", "loose-ring-ideal",
-                             _pin_ring12_ideals, _pin_gap("add", "6", "4")),
+        _Remark("remark-3.1.3", ur12, ring_12, "or", "loose-subring",
+                pin_ring12, ("add", "2", "3"), note="same escape under OR"),
+        _Remark("remark-3.1.4", ur12, ring_12, "extended-union", "loose-ring-ideal",
+                (_grid(12, (0, 6), (0, 6)), _grid(12, (0, 4, 8), (0, 4, 8))),
+                ("add", "6", "4"),
                 note="6 + 4 = 10 escapes the union of the <6> and <4> "
                      "ideal grids"),
 
-        _example("example-3.1.1", "<Z u I>", _run_example_3_1_1),
-        _example("example-3.1.2", "<C u I>", _run_example_3_1_2),
-        _example("example-3.1.3", "<Z u I>", _run_example_3_1_3,
-                 note="the recorded union rows fail exactly where stated: "
-                      "a cross sum such as 2 + 5 = 7 lands outside"),
-        _example("example-3.1.4", ur12, _run_example_3_1_4),
-        _example("example-3.1.5", ur10, _run_example_3_1_5,
-                 note="the negative ideal statement verifies; the first "
-                      "assignment is not even additively closed, so the "
-                      "positive framing already fails"),
-        _example("example-3.1.6", "<C u I>", _run_example_3_1_6),
-        _example("example-3.1.7", ur12, _run_example_3_1_7,
-                 expected=STATUS_CONTRADICTS,
-                 note="8+2 = 10 escapes two assignments and 6+(6+6I) = 6I "
-                      "escapes the inner row, against the recorded ideal "
-                      "statement"),
+        Claim("example-3.1.1", KIND_EXAMPLE, "<Z u I>", "recorded-sets",
+              STATUS_VERIFIED, _run_example_3_1_1),
+        Claim("example-3.1.2", KIND_EXAMPLE, "<C u I>", "recorded-sets",
+              STATUS_VERIFIED, _run_example_3_1_2),
+        Claim("example-3.1.3", KIND_EXAMPLE, "<Z u I>", "recorded-sets",
+              STATUS_VERIFIED, _run_example_3_1_3,
+              note="the recorded union rows fail exactly where stated: "
+                   "a cross sum such as 2 + 5 = 7 lands outside"),
+        _SoftExample("example-3.1.4", ur12, ring_12, ("is", "ring-ideal"),
+                     ({"a1": _IDEAL_12, "a2": _grid(12, (0, 6), (0, 6))},)),
+        _SoftExample("example-3.1.5", ur10, ring_10, ("is-not", "ring-ideal"),
+                     ({"a1": {"0", "2", "4", "6", "8", "2I", "4I", "6I", "8I"},
+                       "a2": {"0", "2I", "4I", "6I", "8I"}},),
+                     note="the negative ideal statement verifies; the first "
+                          "assignment is not even additively closed, so the "
+                          "positive framing already fails"),
+        _SoftExample("example-3.1.6", "<C u I>", partial(sym.NamedRing, "C", 1, True),
+                     ("sub-of", "loose-subring"),
+                     ({"a2": _zi(), "a3": sym.NamedRing("Q", 1, True)},
+                      {"a1": _zi(), "a2": sym.NamedRing("Q", 1, True),
+                       "a3": sym.NamedRing("R", 1, True)})),
+        Claim("example-3.1.7", KIND_EXAMPLE, ur12, "recorded-sets",
+              STATUS_CONTRADICTS, _run_example_3_1_7,
+              note="8+2 = 10 escapes two assignments and 6+(6+6I) = 6I "
+                   "escapes the inner row, against the recorded ideal "
+                   "statement"),
 
-        _prop("prop-4.1.1", ugr4,
-              _prop_runner(gr_z2_c4, lambda: span_population("z2c4"),
-                           "loose-gr-subneutro"),
-              generator="exhaustive-basis-spans",
+        _Prop("prop-4.1.1", ugr4, gr_z2_c4, partial(span_population, "z2c4"),
+              "loose-gr-subneutro", generator="exhaustive-basis-spans",
               note="spans of closed basis subsets intersect in the span of "
                    "the intersected basis"),
-        _remark("remark-4.1.1-i1", ugr4,
-                _hunt_runner(gr_z2_c4, "restricted-union",
-                             "loose-gr-subneutro", _pin_gr_c4,
-                             _pin_gap("add", "1", "g^2I")),
+        _Remark("remark-4.1.1-i1", ugr4, gr_z2_c4, "restricted-union",
+                "loose-gr-subneutro", pin_gr_c4, ("add", "1", "g^2I"),
                 note="1 + g^2I escapes the union of two basis spans"),
-        _remark("remark-4.1.1-i2", ugr4,
-                _hunt_runner(gr_z2_c4, "extended-union",
-                             "loose-gr-subneutro", _pin_gr_c4,
-                             _pin_gap("add", "1", "g^2I")),
+        _Remark("remark-4.1.1-i2", ugr4, gr_z2_c4, "extended-union",
+                "loose-gr-subneutro", pin_gr_c4, ("add", "1", "g^2I"),
                 note="same escape under the extended union"),
-        _remark("remark-4.1.1-i3", ugr4,
-                _hunt_runner(gr_z2_c4, "or", "loose-gr-subneutro",
-                             _pin_gr_c4, _pin_gap("add", "1", "g^2I")),
-                note="same escape under OR"),
+        _Remark("remark-4.1.1-i3", ugr4, gr_z2_c4, "or", "loose-gr-subneutro",
+                pin_gr_c4, ("add", "1", "g^2I"), note="same escape under OR"),
 
-        _example("example-4.1.1", usymq, _run_example_4_1_1,
-                 note="two rows are purely real spans; the soft structure "
-                      "is read as subring rows with at least one carrying I"),
-        _example("example-4.1.2", usymq, _run_example_4_1_2,
-                 note="the union row fails as recorded: g^3 + g^2 has "
-                      "support in neither span"),
-        _example("example-4.1.6", ugr6, _run_example_4_1_6),
-        _example("example-4.1.8", ugr4, _run_example_4_1_8,
-                 expected=STATUS_CONTRADICTS,
-                 note="(1+g)*(1+g) = 1+g^2 escapes the second assignment"),
-        _example("example-4.1.10", usymz, _run_example_4_1_10),
-        _example("example-4.1.11", ugr4, _run_example_4_1_11,
-                 expected=STATUS_CONTRADICTS,
-                 note="the ideals of v and v+w contain members with real "
-                      "support, so the pseudo reading fails; generated "
-                      "ideals are recomputed by brute force"),
-        _example("example-4.1.12", usymz, _run_example_4_1_12),
+        Claim("example-4.1.1", KIND_EXAMPLE, usymq, "recorded-sets",
+              STATUS_VERIFIED, _run_example_4_1_1,
+              note="two rows are purely real spans; the soft structure "
+                   "is read as subring rows with at least one carrying I"),
+        Claim("example-4.1.2", KIND_EXAMPLE, usymq, "recorded-sets",
+              STATUS_VERIFIED, _run_example_4_1_2,
+              note="the union row fails as recorded: g^3 + g^2 has "
+                   "support in neither span"),
+        _SoftExample("example-4.1.6", ugr6, gr_z6_c4, ("is", "gr-pseudo"),
+                     ({"a1": {"0", "3I"}, "a2": {"0", "2I", "4I"}},)),
+        _SoftExample("example-4.1.8", ugr4, gr_z2_c4, ("is", "loose-gr-subring"),
+                     ({"a1": {"0", "1+g^2"}, "a2": {"0", "1+g", "g+g^3", "1+g^3"}},),
+                     expected=STATUS_CONTRADICTS,
+                     note="(1+g)*(1+g) = 1+g^2 escapes the second assignment"),
+        Claim("example-4.1.10", KIND_EXAMPLE, usymz, "recorded-sets",
+              STATUS_VERIFIED, _run_example_4_1_10),
+        Claim("example-4.1.11", KIND_EXAMPLE, ugr4, "recorded-sets",
+              STATUS_CONTRADICTS, _run_example_4_1_11,
+              note="the ideals of v and v+w contain members with real "
+                   "support, so the pseudo reading fails; generated "
+                   "ideals are recomputed by brute force"),
+        _SoftExample("example-4.1.12", usymz, partial(_sym6, sym.NamedRing("Z")),
+                     ("ideal-of", None),
+                     ({"a1": sym.NamedRing("Z", 8), "a2": sym.NamedRing("Z", 12)},
+                      {"a1": sym.NamedRing("Z", 2), "a2": sym.NamedRing("Z", 4),
+                       "a3": sym.NamedRing("Z", 6)})),
 
-        _prop("prop-5.1.1", ugr3,
-              _prop_runner(gr_z2_c3s, lambda: span_population("z2c3s"),
-                           "loose-gr-subneutro"),
-              generator="exhaustive-basis-spans"),
-        _remark("remark-5.1.1", ugr3,
-                _hunt_runner(gr_z2_c3s, "restricted-union",
-                             "loose-gr-subneutro", _pin_gr_c3s,
-                             _pin_gap("add", "1", "gI")),
+        _Prop("prop-5.1.1", ugr3, gr_z2_c3s, partial(span_population, "z2c3s"),
+              "loose-gr-subneutro", generator="exhaustive-basis-spans"),
+        _Remark("remark-5.1.1", ugr3, gr_z2_c3s, "restricted-union",
+                "loose-gr-subneutro",
+                ({"0", "1", "I", "1+I"},
+                 {"0", "I", "gI", "g^2I", "I+gI", "I+g^2I", "gI+g^2I", "I+gI+g^2I"}),
+                ("add", "1", "gI"),
                 note="1 + gI escapes the union of two basis spans"),
 
-        _prop("prop-6.1.1", umix,
-              _prop_runner(mixed_universe, mixed_sub_pool,
-                           "loose-n-sub", spot=6200),
-              generator="pooled-parts+randomized-spot"),
-        _remark("remark-6.1.1", umix,
-                _hunt_runner(mixed_universe, "restricted-union",
-                             "loose-n-sub", _pin_mixed,
-                             _pin_gap("op", "2", "I", component=0)),
+        _Prop("prop-6.1.1", umix, mixed_universe, mixed_sub_pool, "loose-n-sub",
+              spot=6200, generator="pooled-parts+randomized-spot"),
+        _Remark("remark-6.1.1", umix, mixed_universe, "restricted-union",
+                "loose-n-sub", (_mixed_row_a1(), _mixed_row_k2()),
+                ("op", "2", "I", 0),
                 note="2*I = 2I escapes the first part of the union row"),
 
-        _example("example-6.1.1", umix, _run_example_6_1_1,
-                 expected=STATUS_CONTRADICTS,
-                 note="the computed profile is WeakMixed, one assignment "
-                      "has a non-closed first part (2*2 = 1), and another "
-                      "carries no indeterminate member"),
-        _example("example-6.1.2", umix, _run_example_6_1_2,
-                 note="the recorded union row fails closure in its first "
-                      "part (2*I escapes), as stated; the row also drops a "
-                      "member the recomputed union keeps, its fifth part is "
-                      "multiplicatively closed despite the recorded aside, "
-                      "and the second parameter set is recorded "
-                      "inconsistently"),
-        _example("example-6.1.3", udual, _run_example_6_1_3),
+        _SoftExample("example-6.1.1", umix, mixed_universe, ("profile", MIXED),
+                     ({"a1": _mixed_row_a1(),
+                       "a2": ({"2", "I"}, {"0", "2", "4", "2I", "4I"},
+                              {"0", "2", "2I"}, A3, {"0", "5"}),
+                       "a3": ({"1", "2"}, {"0", "3"}, {"0", "2"}, A3, EVENS_10)},),
+                     expected=STATUS_CONTRADICTS,
+                     note="the computed profile is WeakMixed, one assignment "
+                          "has a non-closed first part (2*2 = 1), and another "
+                          "carries no indeterminate member"),
+        Claim("example-6.1.2", KIND_EXAMPLE, umix, "recorded-sets",
+              STATUS_VERIFIED, _run_example_6_1_2,
+              note="the recorded union row fails closure in its first "
+                   "part (2*I escapes), as stated; the row also drops a "
+                   "member the recomputed union keeps, its fifth part is "
+                   "multiplicatively closed despite the recorded aside, "
+                   "and the second parameter set is recorded "
+                   "inconsistently"),
+        _SoftExample("example-6.1.3", udual, dual_universe, ("profile", MIXED_DUAL),
+                     ({"a1": ({"e", "2"}, frozenset(alternating_labels(4)), EVENS_10,
+                              {"0", "2"}, {"e", "eI", "2", "2I"}),
+                       "a2": ({"e", "3"}, S3_IN_S4, {"0", "5"}, {"0", "2"},
+                              {"e", "eI", "3", "3I"})},)),
 
         Claim("classify-mixed-6.1.1", KIND_CLASSIFICATION, umix,
               "declared-tags", STATUS_HOLDS, _run_classify_mixed_6_1_1,
@@ -1162,8 +978,8 @@ def _build():
               "declared-tags", STATUS_HOLDS, _run_classify_mixed_6_1_3,
               note="all four kinds appear plainly beside one indeterminate "
                    "loop"),
-    ]
-    return tuple(rows)
+    )
+    return tuple(row if isinstance(row, Claim) else row.claim() for row in rows)
 
 
 _REGISTRY = None

@@ -96,7 +96,7 @@ class _View:
             self.gens = [((i, 1),) for i in range(len(u.basis))]
             self.neutro, self.label, self.zero, self.ring = u.has_neutro_support, u.format, u.zero, u
             self.impure = lambda a: bool(a) and not u.is_pure_neutro(a)
-            self.members = lambda subset: sorted(set(subset))
+            self.members = lambda subset: _sorted_sums(u, subset)
             self.notes = ("closed but has no indeterminate-supported member",
                           "nonzero member has a plain basis term")
             return
@@ -240,6 +240,19 @@ def _vector(gr, x):
     except (TypeError, ValueError):
         raise ValueError("%r is not a canonical element of %s" % (x, gr.name)) from None
     return vec
+
+
+def _sorted_sums(gr, subset):
+    """The distinct formal sums of `subset`, sorted; ValueError names a member
+    that is not a canonical element, also when members of another type make
+    the set unsortable."""
+    members = set(subset)
+    try:
+        return sorted(members)
+    except TypeError:
+        for x in sorted(members, key=repr):
+            _vector(gr, x)
+        raise
 
 
 def _xgcd(a, b):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from neutrolab import claims
 from neutrolab.claims import _span, groupoid_10_3_2, registry, ring_12
 from neutrolab.engine import (
     KIND_CLASSIFICATION,
@@ -30,6 +31,7 @@ from neutrolab.structures import cyclic_neutro_group
 from neutrolab.subsets import enumerate_subs
 
 GOLDEN = Path(__file__).parent / "data" / "verify_seed0.json"
+REGISTRY_GOLDEN = Path(__file__).parent / "data" / "registry.json"
 
 CONTRADICTING_ROWS = {
     "example-2.3.1", "example-2.3.3", "example-3.1.7",
@@ -54,6 +56,34 @@ def test_registry_shape(reg):
     kinds = {KIND_PROP, KIND_REMARK, KIND_EXAMPLE, KIND_CLASSIFICATION}
     assert {c.kind for c in reg} <= kinds
     assert all(c.universe and c.generator for c in reg)
+
+
+def test_registry_rows_match_the_recorded_metadata(reg):
+    """Each row's id, kind, universe, generator, expected status and note, in
+    registry order, are pinned byte for byte; generators and notes appear in
+    no `verify` output."""
+    rows = [{"id": c.id, "kind": c.kind, "universe": c.universe,
+             "generator": c.generator, "expected": c.expected, "note": c.note}
+            for c in reg]
+    assert json.dumps(rows, indent=2) + "\n" == REGISTRY_GOLDEN.read_text()
+
+
+def test_a_warmed_suite_builds_no_carrier():
+    """Once every zero-argument cached builder in `claims` and both span
+    populations are filled, as the verify-suite benchmark does in its set-up,
+    a seed-0 suite run misses no builder cache, so no carrier or population
+    build lands in a claim's timed run."""
+    builders = [fn for fn in vars(claims).values()
+                if hasattr(fn, "cache_info") and fn.__module__ == claims.__name__]
+    assert builders
+    for fn in builders:
+        if fn.__wrapped__.__code__.co_argcount == 0:
+            fn()
+    for which in ("z2c4", "z2c3s"):
+        claims.span_population(which)
+    misses = {fn.__name__: fn.cache_info().misses for fn in builders}
+    run_suite(claims.registry(), None, seed=0)
+    assert {fn.__name__: fn.cache_info().misses for fn in builders} == misses
 
 
 def test_every_claim_reports_its_registered_status(reg, reports):
@@ -209,14 +239,17 @@ def test_seed0_rows_do_not_depend_on_the_hash_seed():
 
 
 def test_package_loads_the_claim_engine_on_first_use():
-    """`import neutrolab` leaves the engine and the registry unloaded, and
-    every name the package exports from them still resolves."""
+    """`import neutrolab` leaves the engine and the registry unloaded, every
+    name the package exports from them still resolves, and listing the
+    registry fills no cached builder."""
     src = str(Path(__file__).parent.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     code = ("import sys, neutrolab\n"
             "assert not {'neutrolab.engine', 'neutrolab.claims'} & set(sys.modules)\n"
             "from neutrolab import *\n"
             "assert len(registry()) == 65 and run_suite is neutrolab.engine.run_suite\n"
-            "assert neutrolab.claims.registry is registry\n")
+            "assert neutrolab.claims.registry is registry\n"
+            "assert not any(f.cache_info().currsize for f in\n"
+            "               vars(neutrolab.claims).values() if hasattr(f, 'cache_info'))\n")
     subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                    check=True)

@@ -227,10 +227,11 @@ def test_howell_span_matches_additive_closure(r, n, data):
 Z2C2 = GroupRing(2, cyclic_neutro_group(2))
 # none of these is a canonical element of Z2<C2+I>, whose basis has four
 # elements: a coefficient equal to r, one over r, an unsorted pair, a
-# repeated index, an index out of range, a zero coefficient and a fractional
-# coefficient
+# repeated index, an index out of range, a zero coefficient, a fractional
+# coefficient, and two members of another type that cannot be sorted among
+# formal sums: a formal sum's text and an integer
 NOT_CANONICAL = [((0, 2),), ((0, 3),), ((1, 1), (0, 1)), ((0, 1), (0, 1)), ((4, 1),),
-                 ((0, 0),), ((0, 0.5),)]
+                 ((0, 0),), ((0, 0.5),), "1+g", 3]
 
 
 @pytest.mark.parametrize("bad", NOT_CANONICAL, ids=str)
