@@ -221,8 +221,10 @@ def _remark_violation(universe, value, predicate):
     return None if v.ok else v
 
 
-def _hunt_pair(universe, op_name, predicate, f_assign, k_assign, counter,
+def _hunt_pair(universe, op_name, verdicts, f_assign, k_assign, counter,
                pin_check=None):
+    """Trial each assignment of op(f, k); `verdicts(value)` is the hunt's
+    _remark_violation for a value."""
     f = SoftSet(universe, dict(f_assign))
     k = SoftSet(universe, dict(k_assign))
     try:
@@ -232,7 +234,7 @@ def _hunt_pair(universe, op_name, predicate, f_assign, k_assign, counter,
     for p in res.params:
         counter[0] += 1
         value = res.value(p)
-        v = _remark_violation(universe, value, predicate)
+        v = verdicts(value)
         if v is not None:
             witness = _fail_witness(universe, "union-violation", v,
                                     op=op_name, param=p,
@@ -266,6 +268,9 @@ def run_remark_hunt(universe, op_name, predicate, rng, pinned=None,
     before being reported. Exhausted budget is an honest skip — only a
     fully-exhausted exhaustive population may report Holds.
 
+    Each distinct value is decided once per hunt; the replay decides the
+    witness's value again, from its serialization.
+
     pin_check(universe, value) may decorate the pinned phase's witness with
     an independently recomputed gap (a specific escaping element); it never
     decides the status by itself — the predicate must genuinely fail.
@@ -275,6 +280,12 @@ def run_remark_hunt(universe, op_name, predicate, rng, pinned=None,
     value that is not a strict subgroupoid)."""
     check_predicate_name(universe, predicate)
     counter = [0]
+    cache = {}
+
+    def verdicts(value):
+        if value not in cache:
+            cache[value] = _remark_violation(universe, value, predicate)
+        return cache[value]
 
     def finish(witness):
         if not _replay_witness(universe, op_name, predicate, witness):
@@ -282,7 +293,7 @@ def run_remark_hunt(universe, op_name, predicate, rng, pinned=None,
         return STATUS_COUNTEREXAMPLE, witness, counter[0]
 
     if pinned is not None:
-        witness = _hunt_pair(universe, op_name, predicate, pinned[0], pinned[1],
+        witness = _hunt_pair(universe, op_name, verdicts, pinned[0], pinned[1],
                              counter, pin_check=pin_check)
         if witness is not None:
             return finish(witness)
@@ -297,7 +308,7 @@ def run_remark_hunt(universe, op_name, predicate, rng, pinned=None,
                 if counter[0] >= budget:
                     done = False
                     break
-                witness = _hunt_pair(universe, op_name, predicate,
+                witness = _hunt_pair(universe, op_name, verdicts,
                                      {"p1": a}, {"p1": b}, counter)
                 if witness is not None:
                     return finish(witness)
@@ -310,7 +321,7 @@ def run_remark_hunt(universe, op_name, predicate, rng, pinned=None,
             if rng.random() < 0.5:
                 f_assign["p2"] = rng.choice(population)
             k_assign = {"p1": rng.choice(population)}
-            witness = _hunt_pair(universe, op_name, predicate, f_assign,
+            witness = _hunt_pair(universe, op_name, verdicts, f_assign,
                                  k_assign, counter)
             if witness is not None:
                 return finish(witness)

@@ -14,6 +14,8 @@ from .scalars import (
     ns_format,
     ns_mul,
     ns_scale,
+    ring_laws_hold,
+    triple_law_violations,
 )
 
 
@@ -67,13 +69,11 @@ class FiniteMagma:
 class FiniteRing:
     """A finite set with addition and multiplication tables.
 
-    Addition is expected to form an abelian group and multiplication to
-    distribute over it; `validate` sweeps those laws (exhaustively for small
-    carriers, identities plus a deterministic triple sample for large ones).
+    Addition is expected to form an abelian group and multiplication to be
+    associative and to distribute over it; `validate` proves those laws on
+    every triple, at every size (see scalars.ring_laws_hold), and raises
+    ValueError naming the first violation.
     """
-
-    FULL_TRIPLE_LIMIT = 200_000
-    SAMPLE_TRIPLES = 3000
 
     def __init__(self, elements, add_table, mul_table, name="", meta=None, validate=True):
         self.add_magma = FiniteMagma(elements, add_table, name=name + "+")
@@ -144,32 +144,17 @@ class FiniteRing:
         return neg
 
     def axiom_violations(self):
-        n = len(self.elements)
-        add = self.add_magma.table
-        mul = self.mul_magma.table
-        bad = []
-        for i in range(n):
-            for j in range(n):
-                if add[i][j] != add[j][i]:
-                    bad.append(("add-commutative", (self.elements[i], self.elements[j])))
-        if n**3 <= self.FULL_TRIPLE_LIMIT:
-            triples = (
-                (i, j, k) for i in range(n) for j in range(n) for k in range(n)
-            )
-        else:
-            step = max(1, n**3 // self.SAMPLE_TRIPLES)
-            flat = range(0, n**3, step)
-            triples = ((t // (n * n), (t // n) % n, t % n) for t in flat)
-        for i, j, k in triples:
-            if add[add[i][j]][k] != add[i][add[j][k]]:
-                bad.append(("add-associative", (self.elements[i], self.elements[j], self.elements[k])))
-            if mul[mul[i][j]][k] != mul[i][mul[j][k]]:
-                bad.append(("mul-associative", (self.elements[i], self.elements[j], self.elements[k])))
-            if mul[i][add[j][k]] != add[mul[i][j]][mul[i][k]]:
-                bad.append(("left-distributive", (self.elements[i], self.elements[j], self.elements[k])))
-            if mul[add[i][j]][k] != add[mul[i][k]][mul[j][k]]:
-                bad.append(("right-distributive", (self.elements[i], self.elements[j], self.elements[k])))
-        return bad
+        """(law, labels) for every failing pair or triple; empty when
+        ring_laws_hold proves the laws, else listed pair by pair and triple
+        by triple."""
+        add, mul, labels = self.add_table, self.mul_table, self.elements
+        if ring_laws_hold(add, mul):
+            return []
+        n = len(labels)
+        bad = [("add-commutative", (labels[i], labels[j]))
+               for i in range(n) for j in range(n) if add[i][j] != add[j][i]]
+        return bad + [(law, tuple(labels[i] for i in w))
+                      for law, w in triple_law_violations(add, mul)]
 
 
 def param_groupoid(n, t, u):

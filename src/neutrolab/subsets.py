@@ -227,12 +227,17 @@ def _close(view, seed, cap, base=(), floor=None):
 
 def _vector(gr, x):
     """The coefficient vector of the formal sum `x`; ValueError unless `x` is
-    a canonical element: (basis index, coefficient) pairs with strictly
-    increasing indices in range and coefficients in 1..r-1."""
+    a canonical element: a tuple of (basis index, coefficient) tuples with
+    strictly increasing indices in range and coefficients in 1..r-1."""
     n, coeffs, last = len(gr.basis), range(1, gr.r), -1
     vec = [0] * n
     try:
-        for i, c in x:
+        if not isinstance(x, tuple):
+            raise ValueError
+        for pair in x:
+            if not isinstance(pair, tuple):
+                raise ValueError
+            i, c = pair
             if not (last < i < n and c in coeffs):
                 raise ValueError
             vec[i] = c
@@ -245,10 +250,10 @@ def _vector(gr, x):
 def _sorted_sums(gr, subset):
     """The distinct formal sums of `subset`, sorted; ValueError names a member
     that is not a canonical element, also when members of another type make
-    the set unsortable."""
-    members = set(subset)
+    the set unhashable or unsortable."""
+    members = list(subset)
     try:
-        return sorted(members)
+        return sorted(set(members))
     except TypeError:
         for x in sorted(members, key=repr):
             _vector(gr, x)

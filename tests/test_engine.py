@@ -21,7 +21,8 @@ from neutrolab.engine import (
     run_suite,
 )
 from neutrolab.ncollect import Component, NCollection
-from neutrolab.structures import ResourceCap, mult_magma, param_groupoid
+from neutrolab import engine, softsets, subsets
+from neutrolab.structures import ResourceCap, mult_magma, neutro_ring, param_groupoid
 
 SUBS = [frozenset({"0"}), frozenset({"0", "2I"}), frozenset({"0", "2+2I"}),
         frozenset({"0", "2", "2I", "2+2I"})]
@@ -184,6 +185,32 @@ def test_hunt_unreplayable_witness_is_an_error():
     with pytest.raises(RuntimeError):
         run_remark_hunt(g, "extended-union", predicate, random.Random(0),
                         population=[frozenset({"0"})], budget=10)
+
+
+def test_hunt_decides_each_value_once(monkeypatch):
+    ring = neutro_ring(6)
+    population = subsets.enumerate_subs(ring, "subring", "generate")
+    assert len(population) == 21
+    decided = []
+    verdict = softsets._value_verdict
+
+    def counted(universe, value, predicate):
+        decided.append(value)
+        return verdict(universe, value, predicate)
+
+    monkeypatch.setattr(engine, "_value_verdict", counted)
+    out = run_remark_hunt(ring, "and", "loose-subring", random.Random(0),
+                          population=population, exhaustive=True)
+    assert out == (STATUS_HOLDS, None, 10_000)
+    assert decided and len(decided) == len(set(decided))
+    # a witness's value is decided again when it is replayed
+    g = param_groupoid(4, 2, 1)
+    pinned = ({"p1": frozenset({"0", "2I"})}, {"p1": frozenset({"0", "1"})})
+    decided.clear()
+    status, witness, _ = run_remark_hunt(g, "extended-union", "loose-subgroupoid",
+                                         random.Random(0), pinned=pinned)
+    assert status == STATUS_COUNTEREXAMPLE
+    assert decided == [frozenset(witness["result"])] * 2
 
 
 def test_run_suite_filter_and_no_match():

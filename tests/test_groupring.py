@@ -231,7 +231,7 @@ Z2C2 = GroupRing(2, cyclic_neutro_group(2))
 # coefficient, and two members of another type that cannot be sorted among
 # formal sums: a formal sum's text and an integer
 NOT_CANONICAL = [((0, 2),), ((0, 3),), ((1, 1), (0, 1)), ((0, 1), (0, 1)), ((4, 1),),
-                 ((0, 0),), ((0, 0.5),), "1+g", 3]
+                 ((0, 0),), ((0, 0.5),), "1+g", 3, [(0, 1)]]
 
 
 @pytest.mark.parametrize("bad", NOT_CANONICAL, ids=str)
