@@ -225,8 +225,8 @@ def _hunt_pair(universe, op_name, verdicts, f_assign, k_assign, counter,
                pin_check=None):
     """Trial each assignment of op(f, k); `verdicts(value)` is the hunt's
     _remark_violation for a value."""
-    f = SoftSet(universe, dict(f_assign))
-    k = SoftSet(universe, dict(k_assign))
+    f = SoftSet(universe, f_assign)
+    k = SoftSet(universe, k_assign)
     try:
         res = OPS[op_name](f, k)
     except ValueError:

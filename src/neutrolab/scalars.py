@@ -188,19 +188,18 @@ def ring_laws_hold(add, mul):
 
 
 def triple_law_violations(add, mul):
-    """Every (law, (i, j, k)) at which the index tables `add` and `mul` break
-    an associative or distributive law, triple by triple in index order."""
+    """Yield every (law, (i, j, k)) at which the index tables `add` and `mul`
+    break an associative or distributive law, triple by triple in index
+    order."""
     n = len(add)
-    bad = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 if add[add[i][j]][k] != add[i][add[j][k]]:
-                    bad.append(("add-associative", (i, j, k)))
+                    yield "add-associative", (i, j, k)
                 if mul[mul[i][j]][k] != mul[i][mul[j][k]]:
-                    bad.append(("mul-associative", (i, j, k)))
+                    yield "mul-associative", (i, j, k)
                 if mul[i][add[j][k]] != add[mul[i][j]][mul[i][k]]:
-                    bad.append(("left-distributive", (i, j, k)))
+                    yield "left-distributive", (i, j, k)
                 if mul[add[i][j]][k] != add[mul[i][k]][mul[j][k]]:
-                    bad.append(("right-distributive", (i, j, k)))
-    return bad
+                    yield "right-distributive", (i, j, k)

@@ -7,6 +7,10 @@ frozensets (collection carriers, one part per component), or symbolic
 carriers.  The restricted union follows the worked usage (merge only on the
 shared parameters); the literal flag switches to the written-down version,
 which coincides with the extended union.
+
+Values are frozen once, when a soft set is built, and the operations share
+them: a result holds its operands' frozensets, and a part intersected with
+itself is that same object.
 """
 
 from dataclasses import dataclass
@@ -38,6 +42,14 @@ class SoftSet:
             raise ValueError("a soft set needs at least one parameter")
         self.assign = {p: _freeze_value(v) for p, v in sorted(self.assign.items())}
 
+    @classmethod
+    def _of_frozen(cls, universe, assign):
+        """An operation's result: `assign` holds values that are already
+        frozen, so only the parameters are sorted."""
+        soft = cls.__new__(cls)
+        soft.universe, soft.assign = universe, dict(sorted(assign.items()))
+        return soft
+
     @property
     def params(self):
         return tuple(self.assign)
@@ -47,9 +59,15 @@ class SoftSet:
 
 
 def _freeze_value(v):
+    """`v` with its label sets frozen; an exact frozenset, or a tuple of
+    them, is returned as it is."""
+    if type(v) is frozenset:
+        return v
     if isinstance(v, (list, set, frozenset)):
         return frozenset(v)
     if isinstance(v, tuple) and v and isinstance(v[0], (list, set, frozenset)):
+        if all(type(p) is frozenset for p in v):
+            return v
         return tuple(frozenset(p) for p in v)
     return v
 
@@ -80,12 +98,16 @@ def value_union(value_a, value_b):
 
 
 def value_intersect(value_a, value_b):
+    """The meet of two values; a label set or tuple met with itself is
+    returned as the same object."""
     if isinstance(value_a, frozenset) and isinstance(value_b, frozenset):
-        return value_a & value_b
+        return value_a if value_a is value_b else value_a & value_b
     if isinstance(value_a, tuple) and isinstance(value_b, tuple):
+        if value_a is value_b:
+            return value_a
         if len(value_a) != len(value_b):
             raise ValueError("part counts differ")
-        return tuple(p & q for p, q in zip(value_a, value_b))
+        return tuple(p if p is q else p & q for p, q in zip(value_a, value_b))
     if isinstance(value_a, sym.NamedRing) and isinstance(value_b, sym.NamedRing):
         return sym.sym_intersect(value_a, value_b)
     raise ValueError("no intersection for these symbolic values")
@@ -117,7 +139,7 @@ def _restricted(f, k, merge):
     shared = sorted(set(f.params) & set(k.params))
     if not shared:
         raise ValueError("restricted operations need a shared parameter")
-    return SoftSet(f.universe, {p: merge(f.value(p), k.value(p)) for p in shared})
+    return SoftSet._of_frozen(f.universe, {p: merge(f.value(p), k.value(p)) for p in shared})
 
 
 def _extended(f, k, merge):
@@ -125,13 +147,13 @@ def _extended(f, k, merge):
     out = {**k.assign, **f.assign}
     for p in sorted(set(f.params) & set(k.params)):
         out[p] = merge(f.value(p), k.value(p))
-    return SoftSet(f.universe, out)
+    return SoftSet._of_frozen(f.universe, out)
 
 
 def _crossed(f, k, merge, sep):
     _check_same_universe(f, k)
-    return SoftSet(f.universe, {"%s%s%s" % (a, sep, b): merge(f.value(a), k.value(b))
-                                for a in f.params for b in k.params})
+    return SoftSet._of_frozen(f.universe, {"%s%s%s" % (a, sep, b): merge(f.value(a), k.value(b))
+                                           for a in f.params for b in k.params})
 
 
 def restricted_intersection(f, k):

@@ -91,9 +91,9 @@ class FiniteRing:
         self._neg = self._build_negation()
         self.neg_map = [self.idx(self._neg[lab]) for lab in self.elements]
         if validate:
-            bad = self.axiom_violations()
-            if bad:
-                raise ValueError("%s violates %s at %r" % (self.name, bad[0][0], bad[0][1]))
+            bad = next(self._violations(), None)
+            if bad is not None:
+                raise ValueError("%s violates %s at %r" % (self.name, bad[0], bad[1]))
 
     def __len__(self):
         return len(self.elements)
@@ -147,14 +147,19 @@ class FiniteRing:
         """(law, labels) for every failing pair or triple; empty when
         ring_laws_hold proves the laws, else listed pair by pair and triple
         by triple."""
+        return list(self._violations())
+
+    def _violations(self):
+        """axiom_violations, one at a time, so a caller that needs only the
+        first stops the sweep there."""
         add, mul, labels = self.add_table, self.mul_table, self.elements
         if ring_laws_hold(add, mul):
-            return []
+            return
         n = len(labels)
-        bad = [("add-commutative", (labels[i], labels[j]))
-               for i in range(n) for j in range(n) if add[i][j] != add[j][i]]
-        return bad + [(law, tuple(labels[i] for i in w))
-                      for law, w in triple_law_violations(add, mul)]
+        yield from (("add-commutative", (labels[i], labels[j]))
+                    for i in range(n) for j in range(n) if add[i][j] != add[j][i])
+        for law, w in triple_law_violations(add, mul):
+            yield law, tuple(labels[i] for i in w)
 
 
 def param_groupoid(n, t, u):
@@ -213,12 +218,17 @@ def neutro_double(magma, name=""):
 
 
 def neutro_ring(n):
-    """The ring of a+bI scalars mod n, with both tables materialized."""
-    elems = ns_elements(n)
-    labels = [ns_format(x) for x in elems]
-    pos = {x: i for i, x in enumerate(elems)}
-    add_table = [[pos[ns_add(n, x, y)] for y in elems] for x in elems]
-    mul_table = [[pos[ns_mul(n, x, y)] for y in elems] for x in elems]
+    """The ring of a+bI scalars mod n, with both tables materialized.  The
+    element a+bI has index a*n + b (the order of ns_elements), so the entry
+    for a+bI and c+dI is computed from the indices: the sum is
+    (a+c) + (b+d)I and the product ac + (ad + bc + bd)I, as in ns_add and
+    ns_mul."""
+    labels = [ns_format(x) for x in ns_elements(n)]
+    r = range(n)
+    add_table = [[(a + c) % n * n + (b + d) % n for c in r for d in r]
+                 for a in r for b in r]
+    mul_table = [[a * c % n * n + (a * d + b * (c + d)) % n for c in r for d in r]
+                 for a in r for b in r]
     return FiniteRing(
         labels,
         add_table,

@@ -344,9 +344,11 @@ def _span_members(gr, rows):
 def _additive_basis(view, pool):
     """The Howell-form rows, as formal sums, of formal sums `pool` when it is
     an additive subgroup: it holds 0 and its span is no larger.  None when
-    it is not one, or the carrier is finite (a finite ring's distributivity
-    is only sampled above 58 elements).  Convolution is bilinear, so a
-    product or absorption check over the rows decides it for every member."""
+    it is not one, or the carrier is finite: the Howell form needs
+    coordinates over Z_r, and a finite ring's additive group is given only
+    by its table, so finite carriers keep the pair walk.  Convolution is
+    bilinear, so a product or absorption check over the rows decides it for
+    every member."""
     if view.ring is None:
         return None
     # the span holds `pool`, so it is `pool` unless it has more members
@@ -408,13 +410,20 @@ def _substructure(view, labels, strict, pure):
     return pool, rows, _sub_check(view, order, pool, rows, strict, pure)
 
 
+def _whole(view, pool):
+    """Whether the member indices `pool` are a finite carrier's every
+    member; its tables name only members, so no product leaves the pool."""
+    return view.ring is None and len(pool) == view.size
+
+
 def _sub_check(view, order, pool, rows, strict, pure):
     """sub_verdict's verdict on the members `order`, the set `pool` of them,
     with additive basis `rows`."""
     if not order:
         return Verdict(False, flags=("empty",), note="empty subset")
-    # an additive subgroup is closed under x when its basis rows' products are
-    if rows is not None and _closed_gap(rows, pool, view.binary[1:]) is None:
+    # a finite carrier's every member has no gap; an additive subgroup is
+    # closed under x when its basis rows' products are
+    if _whole(view, pool) or rows is not None and _closed_gap(rows, pool, view.binary[1:]) is None:
         gap = None
     else:
         gap = _closed_gap(order, pool, view.binary, view.unary)
@@ -439,7 +448,7 @@ def ideal_verdict(universe, labels, strict=False, pure=False):
     if not base.ok:
         return Verdict(False, witness=base.witness,
                        flags=base.flags + ("not-substructure",), note=base.note)
-    gap = _absorbing_gap(view, sorted(pool), pool, view.gens, rows)
+    gap = None if _whole(view, pool) else _absorbing_gap(view, sorted(pool), pool, view.gens, rows)
     return _absorb_verdict(view, gap, base.flags)
 
 

@@ -1,7 +1,10 @@
 """Parameterised families of subsets and their six binary operations."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from neutrolab import symbolic as sym
 from neutrolab.ncollect import Component, NCollection
 from neutrolab.softsets import (
     OPS,
@@ -25,7 +28,7 @@ from neutrolab.softsets import (
     value_intersect,
     value_union,
 )
-from neutrolab.structures import mult_magma, neutro_ring, param_groupoid
+from neutrolab.structures import cyclic_neutro_group, mult_magma, neutro_ring, param_groupoid
 
 P4 = frozenset({"0", "2", "2I", "2+2I"})
 P3 = frozenset({"0", "2I", "2+2I"})
@@ -195,3 +198,124 @@ def test_collection_values_with_unknown_labels_or_part_counts_raise():
         # only a part that is really empty is the vacuous empty-part case
         v = _value_verdict(pair, [{"0"}, ()], predicate)
         assert not v.ok and v.flags == ("empty-part",)
+
+
+# ---------------------------------------------------------------------------
+# the operations against a reference over mutable copies
+
+G421 = param_groupoid(4, 2, 1)
+LABELS = sorted(G421.elements)
+# values drawn from these pools reach the operations as the same objects
+SHARED_SETS = [frozenset(), P2, P3, P4, frozenset(LABELS)]
+SHARED_PARTS = [(P2, P3), (P4, P4), (frozenset(), P2), (P3, frozenset(LABELS))]
+
+
+def _label_sets():
+    return st.one_of(st.sampled_from(SHARED_SETS), st.frozensets(st.sampled_from(LABELS)))
+
+
+@st.composite
+def soft_pairs(draw):
+    if draw(st.booleans()):
+        values = _label_sets()
+    else:
+        values = st.one_of(st.sampled_from(SHARED_PARTS),
+                           st.tuples(_label_sets(), _label_sets()))
+    shared = draw(st.lists(values, min_size=1, max_size=3))
+    names = st.sets(st.sampled_from(("a1", "a2", "a3", "a4")), min_size=1)
+    # operands may repeat one value object, within and across soft sets
+    f = {p: draw(st.sampled_from(shared) | values) for p in draw(names)}
+    k = {p: draw(st.sampled_from(shared) | values) for p in draw(names)}
+    return f, k
+
+
+def _mutable(value):
+    return [set(p) for p in value] if isinstance(value, tuple) else set(value)
+
+
+def _meet(a, b):
+    return [p & q for p, q in zip(a, b)] if isinstance(a, list) else a & b
+
+
+def _join(a, b):
+    return [p | q for p, q in zip(a, b)] if isinstance(a, list) else a | b
+
+
+def _reference(op_name, f, k):
+    """The operation on mutable copies of the operands' values, or None when
+    it needs a shared parameter the operands lack."""
+    f = {p: _mutable(v) for p, v in f.items()}
+    k = {p: _mutable(v) for p, v in k.items()}
+    merge = _join if "union" in op_name or op_name == "or" else _meet
+    if op_name in ("and", "or"):
+        sep = "&" if op_name == "and" else "|"
+        return {a + sep + b: merge(f[a], k[b]) for a in f for b in k}
+    shared = f.keys() & k.keys()
+    if op_name.startswith("restricted"):
+        return {p: merge(f[p], k[p]) for p in shared} or None
+    return {**k, **f, **{p: merge(f[p], k[p]) for p in shared}}
+
+
+def _frozen(value):
+    return tuple(map(frozenset, value)) if isinstance(value, list) else frozenset(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(soft_pairs(), st.sampled_from(sorted(OPS)))
+def test_ops_match_a_reference_on_mutable_copies(pair, op_name):
+    f_assign, k_assign = pair
+    f, k = SoftSet(G421, f_assign), SoftSet(G421, k_assign)
+    before = (dict(f.assign), dict(k.assign))
+    want = _reference(op_name, f_assign, k_assign)
+    if want is None:
+        with pytest.raises(ValueError, match="shared parameter"):
+            OPS[op_name](f, k)
+        return
+    res = OPS[op_name](f, k)
+    assert res.params == tuple(sorted(want))
+    for p in res.params:
+        value = res.value(p)
+        assert value == _frozen(want[p]), p
+        parts = value if isinstance(value, tuple) else (value,)
+        assert all(type(part) is frozenset for part in parts)
+    assert (f.assign, k.assign) == before
+
+
+def test_softset_freezes_mutable_inputs_once():
+    labels, tup = ["0", "2I"], (["0"], ["0", "2"])
+    f = SoftSet(G421, {"a": labels, "b": {"0", "2"}, "c": tup})
+    labels.append("2")
+    tup[0].append("2I")
+    assert f.value("a") == frozenset({"0", "2I"}) and type(f.value("a")) is frozenset
+    assert f.value("b") == frozenset({"0", "2"}) and type(f.value("b")) is frozenset
+    assert f.value("c") == (frozenset({"0"}), frozenset({"0", "2"}))
+    assert all(type(p) is frozenset for p in f.value("c"))
+    # frozen values are kept as they are, and the operations share them
+    parts = (P3, P2)
+    g = SoftSet(G421, {"a": P4, "c": parts})
+    assert g.value("a") is P4 and g.value("c") is parts
+    assert extended_union(g, SoftSet(G421, {"z": P2})).value("a") is P4
+
+
+def test_value_intersect_with_itself():
+    parts = (P4, P2)
+    assert value_intersect(P4, P4) is P4
+    assert value_intersect(parts, parts) is parts
+    met = value_intersect(parts, (P4, P3))
+    assert met[0] is P4 and met[1] == P2 & P3
+    whole = sym.SymGroupRing(sym.NamedRing("Z", 1, True), cyclic_neutro_group(3))
+    with pytest.raises(ValueError, match="no intersection"):
+        value_intersect(whole, whole)
+
+
+def test_named_ring_values_meet_through_sym_intersect(monkeypatch):
+    calls = []
+
+    def recording(a, b):
+        calls.append((a, b))
+        return sym.NamedRing("Z", 6)
+
+    monkeypatch.setattr(sym, "sym_intersect", recording)
+    z2 = sym.NamedRing("Z", 2, True)
+    assert value_intersect(z2, z2) == sym.NamedRing("Z", 6)
+    assert calls == [(z2, z2)]

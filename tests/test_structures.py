@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from neutrolab import structures
+from neutrolab.scalars import ns_add, ns_elements, ns_mul
 from neutrolab.structures import (
     FiniteRing,
     alternating_labels,
@@ -130,6 +132,15 @@ def test_neutro_ring_tables():
     assert r.axiom_violations() == []
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_neutro_ring_tables_match_the_scalar_ops(n):
+    elems = ns_elements(n)
+    pos = {x: i for i, x in enumerate(elems)}
+    r = neutro_ring(n)
+    assert r.add_table == [[pos[ns_add(n, x, y)] for y in elems] for x in elems]
+    assert r.mul_table == [[pos[ns_mul(n, x, y)] for y in elems] for x in elems]
+
+
 def _perturbed(n, table, row, column, value):
     r = neutro_ring(n)
     add, mul = [list(t) for t in r.add_table], [list(t) for t in r.mul_table]
@@ -148,6 +159,26 @@ def test_perturbed_ring_lists_every_violation(case):
     r, add, mul = _perturbed(*(case[k] for k in ("n", "table", "row", "column", "value")))
     ring = FiniteRing(r.elements, add, mul, name="perturbed", validate=False)
     assert [[law, list(w)] for law, w in ring.axiom_violations()] == case["violations"]
+    law, labels = case["violations"][0]
+    with pytest.raises(ValueError) as err:
+        FiniteRing(r.elements, add, mul, name="perturbed")
+    assert str(err.value) == "perturbed violates %s at %r" % (law, tuple(labels))
+
+
+def test_validation_stops_at_the_first_violation(monkeypatch):
+    pulled, sweep = [], structures.triple_law_violations
+
+    def counted(add, mul):
+        for bad in sweep(add, mul):
+            pulled.append(bad)
+            yield bad
+
+    monkeypatch.setattr(structures, "triple_law_violations", counted)
+    r, add, mul = _perturbed(12, "mul", "1+7I", "5+6I", "5+4I")
+    with pytest.raises(ValueError) as err:
+        FiniteRing(r.elements, add, mul, name=r.name)
+    assert str(err.value) == "ring(Z12+I) violates right-distributive at ('I', '1+6I', '5+6I')"
+    assert len(pulled) == 1
 
 
 def test_large_ring_is_proven_not_sampled():

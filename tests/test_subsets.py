@@ -6,7 +6,10 @@ from neutrolab import subsets
 from neutrolab.structures import (
     FiniteMagma,
     ResourceCap,
+    build_from_table,
+    cyclic_neutro_group,
     mult_magma,
+    neutro_double,
     neutro_ring,
     param_groupoid,
     sym_group,
@@ -18,11 +21,13 @@ from neutrolab.subsets import (
     classify_lagrange,
     closure,
     enumerate_subs,
+    ideal_verdict,
     is_ideal,
     is_lagrange_sub,
     is_strong_subgroupoid,
     is_subgroupoid,
     is_subring,
+    sub_verdict,
 )
 
 P4 = frozenset({"0", "2", "2I", "2+2I"})
@@ -258,3 +263,64 @@ def test_generate_grows_each_closed_set_from_itself(monkeypatch, params, closed_
                                               for table in view.spread))
     assert len(enumerate_subs(g, "loose-subgroupoid", "generate")) == closed_sets
     assert reads[0] <= limit
+
+
+def _cyclic_cayley(k):
+    labels = ["e"] + ["a%d" % i for i in range(1, k)]
+    return build_from_table(labels, [[(i + j) % k for j in range(k)] for i in range(k)])
+
+
+# the carriers of the structure-queries benchmark decks, collection
+# components included
+DECK_CARRIERS = (
+    [param_groupoid(*p) for p in [
+        (2, 1, 1), (3, 1, 1), (3, 2, 1), (3, 1, 2), (4, 1, 1), (4, 2, 1), (4, 1, 2),
+        (4, 2, 3), (4, 3, 2), (5, 1, 1), (5, 2, 1), (5, 1, 2), (5, 2, 3), (5, 3, 2),
+        (6, 2, 1), (6, 1, 2), (6, 2, 3), (6, 3, 2), (7, 1, 1), (7, 2, 1), (7, 1, 2),
+        (7, 2, 3), (7, 3, 2), (10, 3, 2)]]
+    + [cyclic_neutro_group(m) for m in (2, 3, 4, 5, 6, 8, 12, 16, 24)]
+    + [cyclic_neutro_group(m, True) for m in (3, 5)]
+    + [mult_magma(n) for n in (2, 3, 4, 5, 6)]
+    + [mult_magma(n, pure_union=True) for n in (3, 5, 8)]
+    + [mult_magma(n, neutro=False) for n in (4, 6, 8, 10, 12, 16)]
+    + [sym_group(3), sym_group(4), _cyclic_cayley(6)]
+    + [neutro_double(m) for m in (sym_group(3), mult_magma(6, neutro=False),
+                                  _cyclic_cayley(4), _cyclic_cayley(12))]
+    + [neutro_ring(n) for n in range(2, 9)] + [neutro_ring(12)]
+)
+
+
+def test_whole_carrier_verdicts_match_the_gap_walk_with_no_table_read(monkeypatch):
+    """A finite carrier's tables name only its members, so the whole carrier
+    is closed and absorbing: its verdicts, flags included, are the gap
+    walk's, read from no table."""
+    reads = [0]
+
+    class CountingRow(list):
+        def __getitem__(self, y):
+            reads[0] += 1
+            return list.__getitem__(self, y)
+
+    def checks(u):
+        labels = list(u.elements)
+        return ([sub_verdict(u, labels, strict, pure)
+                 for strict, pure in ((False, False), (True, False), (True, True))]
+                + [ideal_verdict(u, labels, strict) for strict in (False, True)])
+
+    for u in DECK_CARRIERS:
+        view = _view(u)
+        with monkeypatch.context() as m:
+            m.setattr(view, "binary", tuple((name, [CountingRow(row) for row in table])
+                                            for name, table in view.binary))
+            m.setattr(view, "unary", tuple((name, CountingRow(table))
+                                           for name, table in view.unary))
+            m.setattr(view, "absorb", tuple([CountingRow(row) for row in table]
+                                            for table in view.absorb))
+            with monkeypatch.context() as walk:
+                walk.setattr(subsets, "_whole", lambda view, pool: False)
+                walked = checks(u)
+            assert reads[0] > 0, u.name
+            reads[0] = 0
+            assert checks(u) == walked, u.name
+            assert reads[0] == 0, u.name
+        assert walked[0].ok and "improper" in walked[0].flags
