@@ -35,6 +35,7 @@ from .engine import (
     run_remark_hunt,
 )
 from .groupring import GroupRing
+from .io import _load_value
 from .ncollect import (
     MIXED,
     MIXED_DUAL,
@@ -359,7 +360,7 @@ def _value(universe, value):
     text, a span over the whole basis of a symbolic group ring as its
     coefficient ring; any other value is used as written."""
     if isinstance(universe, GroupRing):
-        return frozenset(map(universe.parse, value))
+        return _load_value(universe, value)
     if isinstance(universe, sym.SymGroupRing):
         return sym.SymGroupRing(value, universe.basis)
     return value

@@ -6,7 +6,6 @@ input error, 3 resource cap reached (including exhausted hunt budgets).
 
 import argparse
 import json
-import random
 import sys
 
 from .claims import registry
@@ -20,6 +19,8 @@ from .engine import (
 )
 from .groupring import GroupRing
 from .io import (
+    _dump_value,
+    _load_value,
     json_plain,
     load_soft,
     load_structure_file,
@@ -37,19 +38,19 @@ from .subsets import classify_lagrange, enumerate_subs
 
 
 def _parse_subset(universe, text):
+    def labels(part):
+        return [x.strip() for x in part.split(",") if x.strip()]
+
     if isinstance(universe, NCollection):
-        parts = [p.strip() for p in text.split(";")]
-        return tuple(frozenset(x.strip() for x in p.split(",") if x.strip())
-                     for p in parts)
-    return frozenset(x.strip() for x in text.split(",") if x.strip())
+        return _load_value(universe, [labels(p) for p in text.split(";")])
+    return _load_value(universe, labels(text))
 
 
 def _format_subset(universe, value):
-    if isinstance(value, tuple):
-        return "; ".join(",".join(sorted(p)) for p in value)
-    if isinstance(universe, GroupRing):
-        return ",".join(sorted(universe.format(x) for x in value))
-    return ",".join(sorted(value))
+    plain = _dump_value(universe, value)
+    if isinstance(universe, NCollection):
+        return "; ".join(map(",".join, plain))
+    return ",".join(plain)
 
 
 def _cmd_build(args):
@@ -171,9 +172,8 @@ def _cmd_hunt(args):
                          % (op_name, ", ".join(sorted(OPS))))
     universe = load_structure_file(args.universe)
     population = enumerate_subs(universe, predicate)
-    rng = random.Random("hunt:%s" % args.template)
     status, witness, trials = run_remark_hunt(
-        universe, op_name, result_predicate(predicate), rng,
+        universe, op_name, result_predicate(predicate),
         population=population, budget=args.budget, exhaustive=True)
     print(json.dumps({"status": status, "witness": json_plain(witness),
                       "trials": trials}, indent=2))

@@ -12,11 +12,14 @@ import random
 import re
 import time
 from dataclasses import dataclass
+from functools import cache
+from itertools import product
 
 from .io import _dump_value, json_plain, load_soft, soft_to_dict
 from .softsets import (
     OPS,
     SoftSet,
+    _freeze_value,
     _value_verdict,
     check_predicate_name,
     value_intersect,
@@ -111,12 +114,44 @@ def run_claim(claim, seed=0):
 # assignment-level evaluation shared by closure and non-closure rows
 
 
-def _assignment_state(universe, value, predicate):
-    """('ok'|'skip'|'fail', Verdict) for one assignment value."""
+def _closure_failure(universe, value, predicate):
+    """The verdict of a value that fails `predicate`, or None. A verdict
+    flagged as degenerate is vacuous rather than failing."""
     v = _value_verdict(universe, value, predicate)
-    if not v.ok and any(f in v.flags for f in DEGENERATE_FLAGS):
-        return "skip", v
-    return ("ok" if v.ok else "fail"), v
+    if v.ok or any(f in v.flags for f in DEGENERATE_FLAGS):
+        return None
+    return v
+
+
+def _remark_violation(universe, value, predicate):
+    """For a hunt, any failure counts — including degenerate collapses,
+    which are flagged so reports show how the witness fails."""
+    if value_is_empty(value):
+        return Verdict(False, flags=("empty-assignment",),
+                       note="operation produced an empty assignment")
+    try:
+        v = _value_verdict(universe, value, predicate)
+    except ValueError as exc:
+        return Verdict(False, note=str(exc))
+    return None if v.ok else v
+
+
+def _failures(failing, universe, predicate):
+    """failing(universe, value, predicate) as a function of the value,
+    decided once per distinct value."""
+    return cache(lambda value: failing(universe, value, predicate))
+
+
+def _op_trial(op_name, f, k, fails):
+    """Run op(f, k) and decide each result value as one trial. Returns the
+    trial count and the first failure, (param, value, verdict), or None."""
+    res = OPS[op_name](f, k)
+    for n, p in enumerate(res.params, 1):
+        value = res.value(p)
+        v = fails(value)
+        if v is not None:
+            return n, (p, value, v)
+    return len(res.params), None
 
 
 def _value_plain(universe, value):
@@ -144,108 +179,52 @@ def _fail_witness(universe, kind, v, **extra):
 def run_closure_prop(universe, population, predicate, rng, ops=INTERSECTION_OPS,
                      spot=SPOT_PAIRS):
     """Exhaustive pairwise sweep over a population of assignment values,
-    then a seeded spot-check that routes pairs through the real soft-set
-    operations. Returns (status, witness, trials)."""
-    population = list(population)
-    trials = 0
-    cache = {}
-
-    def state_of(value):
-        if value not in cache:
-            cache[value] = _assignment_state(universe, value, predicate)
-        return cache[value]
-
+    then a seeded spot-check of `spot` pairs of soft sets that routes their
+    values through the real soft-set operations `ops`, in turn. Returns
+    (status, witness, trials)."""
+    population = [_freeze_value(v) for v in population]
+    fails = _failures(_closure_failure, universe, predicate)
     for val in population:
-        trials += 1
-        state, v = state_of(val)
-        if state == "fail":
+        v = fails(val)
+        if v is not None:
             raise RuntimeError(
                 "population member fails its own predicate (%s): %s"
                 % (predicate, v.note))
+    trials = len(population)
     for a in population:
         for b in population:
             trials += 1
-            state, v = state_of(value_intersect(a, b))
-            if state == "fail":
+            v = fails(value_intersect(a, b))
+            if v is not None:
                 return (STATUS_COUNTEREXAMPLE,
                         _fail_witness(universe, "pair-intersection", v,
                                       lhs=_value_plain(universe, a),
                                       rhs=_value_plain(universe, b)),
                         trials)
-    checked, witness = _soft_spot_sweep(universe, population, predicate, ops,
-                                        rng, spot, state_of)
-    trials += checked
-    if witness is not None:
-        return STATUS_COUNTEREXAMPLE, witness, trials
-    return STATUS_HOLDS, None, trials
-
-
-def _soft_spot_sweep(universe, population, predicate, ops, rng, pairs, state_of):
-    if not population:
-        return 0, None
     checked = 0
-    for _ in range(pairs):
+    for _ in range(spot if population else 0):
         f_assign = {"p1": rng.choice(population)}
         if rng.random() < 0.5:
             f_assign["p2"] = rng.choice(population)
         k_assign = {"p1": rng.choice(population)}
         if rng.random() < 0.5:
             k_assign["p3"] = rng.choice(population)
-        f, k = SoftSet(universe, f_assign), SoftSet(universe, k_assign)
+        f = SoftSet._of_frozen(universe, f_assign)
+        k = SoftSet._of_frozen(universe, k_assign)
         op_name = ops[checked % len(ops)] if ops else "restricted-intersection"
-        res = OPS[op_name](f, k)
-        for p in res.params:
-            checked += 1
-            state, v = state_of(res.value(p))
-            if state == "fail":
-                return checked, _fail_witness(
-                    universe, "soft-op", v, op=op_name, param=p,
-                    lhs=soft_to_dict(f), rhs=soft_to_dict(k))
-    return checked, None
+        n, failure = _op_trial(op_name, f, k, fails)
+        checked += n
+        if failure is not None:
+            p, _, v = failure
+            return (STATUS_COUNTEREXAMPLE,
+                    _fail_witness(universe, "soft-op", v, op=op_name, param=p,
+                                  lhs=soft_to_dict(f), rhs=soft_to_dict(k)),
+                    trials + checked)
+    return STATUS_HOLDS, None, trials + checked
 
 
 # ---------------------------------------------------------------------------
 # non-closure remarks (counterexample hunts)
-
-
-def _remark_violation(universe, value, predicate):
-    """For a hunt, any failure counts — including degenerate collapses,
-    which are flagged so reports show how the witness fails."""
-    if value_is_empty(value):
-        return Verdict(False, flags=("empty-assignment",),
-                       note="operation produced an empty assignment")
-    try:
-        v = _value_verdict(universe, value, predicate)
-    except ValueError as exc:
-        return Verdict(False, note=str(exc))
-    return None if v.ok else v
-
-
-def _hunt_pair(universe, op_name, verdicts, f_assign, k_assign, counter,
-               pin_check=None):
-    """Trial each assignment of op(f, k); `verdicts(value)` is the hunt's
-    _remark_violation for a value."""
-    f = SoftSet(universe, f_assign)
-    k = SoftSet(universe, k_assign)
-    try:
-        res = OPS[op_name](f, k)
-    except ValueError:
-        return None
-    for p in res.params:
-        counter[0] += 1
-        value = res.value(p)
-        v = verdicts(value)
-        if v is not None:
-            witness = _fail_witness(universe, "union-violation", v,
-                                    op=op_name, param=p,
-                                    lhs=soft_to_dict(f), rhs=soft_to_dict(k),
-                                    result=_value_plain(universe, value))
-            if pin_check is not None:
-                pinned = pin_check(universe, value)
-                if pinned:
-                    witness.update(json_plain(pinned))
-            return witness
-    return None
 
 
 def _replay_witness(universe, op_name, predicate, witness):
@@ -260,13 +239,20 @@ def _replay_witness(universe, op_name, predicate, witness):
     return _remark_violation(universe, res.value(param), predicate) is not None
 
 
-def run_remark_hunt(universe, op_name, predicate, rng, pinned=None,
+def run_remark_hunt(universe, op_name, predicate, rng=None, pinned=None,
                     population=None, budget=DEFAULT_BUDGET, exhaustive=False,
                     pin_check=None):
-    """Three-phase hunt: pinned seed pair, structured small-first pairs,
-    randomized pairs. A found witness is replayed from its serialization
-    before being reported. Exhausted budget is an honest skip — only a
-    fully-exhausted exhaustive population may report Holds.
+    """Two-phase hunt: the pinned pair of assignment maps, then every
+    ordered pair of population members, smallest first, until `budget`
+    trials are spent. A trial decides one value of op(f, k). A found
+    witness is replayed from its serialization before being reported.
+    A spent budget is an honest skip; a complete sweep reports Holds only
+    when `exhaustive` says the population is every candidate.
+
+    The soft operations act parameter by parameter through the meet or
+    join of two values, so every value they form from the population is a
+    member, or the meet or join of two members: the sweep decides all of
+    them, and no random pairs are drawn (`rng` is accepted and unused).
 
     Each distinct value is decided once per hunt; the replay decides the
     witness's value again, from its serialization.
@@ -279,56 +265,49 @@ def run_remark_hunt(universe, op_name, predicate, rng, pinned=None,
     a ValueError from the predicate counts as a violation (a `lagrange`
     value that is not a strict subgroupoid)."""
     check_predicate_name(universe, predicate)
-    counter = [0]
-    cache = {}
+    fails = _failures(_remark_violation, universe, predicate)
+    trials = 0
 
-    def verdicts(value):
-        if value not in cache:
-            cache[value] = _remark_violation(universe, value, predicate)
-        return cache[value]
-
-    def finish(witness):
+    def hunt(f, k, check=None):
+        """Trial op(f, k): its replayed witness, or None."""
+        nonlocal trials
+        try:
+            n, failure = _op_trial(op_name, f, k, fails)
+        except ValueError:
+            return None
+        trials += n
+        if failure is None:
+            return None
+        p, value, v = failure
+        witness = _fail_witness(universe, "union-violation", v,
+                                op=op_name, param=p,
+                                lhs=soft_to_dict(f), rhs=soft_to_dict(k),
+                                result=_value_plain(universe, value))
+        gap = check(universe, value) if check is not None else None
+        if gap:
+            witness.update(json_plain(gap))
         if not _replay_witness(universe, op_name, predicate, witness):
             raise RuntimeError("hunt witness failed to replay")
-        return STATUS_COUNTEREXAMPLE, witness, counter[0]
+        return witness
 
     if pinned is not None:
-        witness = _hunt_pair(universe, op_name, verdicts, pinned[0], pinned[1],
-                             counter, pin_check=pin_check)
+        witness = hunt(SoftSet(universe, pinned[0]), SoftSet(universe, pinned[1]),
+                       pin_check)
         if witness is not None:
-            return finish(witness)
+            return STATUS_COUNTEREXAMPLE, witness, trials
 
-    population = list(population or [])
-    swept_all = False
-    if population:
-        ordered = sorted(population, key=lambda v: (_value_size(v), _value_plain(universe, v).__repr__()))
-        done = True
-        for a in ordered:
-            for b in ordered:
-                if counter[0] >= budget:
-                    done = False
-                    break
-                witness = _hunt_pair(universe, op_name, verdicts,
-                                     {"p1": a}, {"p1": b}, counter)
-                if witness is not None:
-                    return finish(witness)
-            if not done:
-                break
-        swept_all = done
-
-        while counter[0] < budget:
-            f_assign = {"p1": rng.choice(population)}
-            if rng.random() < 0.5:
-                f_assign["p2"] = rng.choice(population)
-            k_assign = {"p1": rng.choice(population)}
-            witness = _hunt_pair(universe, op_name, verdicts, f_assign,
-                                 k_assign, counter)
-            if witness is not None:
-                return finish(witness)
-
-    if exhaustive and swept_all:
-        return STATUS_HOLDS, None, counter[0]
-    return STATUS_SKIPPED_BUDGET, {"budget": budget}, counter[0]
+    ordered = sorted(map(_freeze_value, population or ()),
+                     key=lambda v: (_value_size(v), repr(_value_plain(universe, v))))
+    for a, b in product(ordered, repeat=2):
+        if trials >= budget:
+            return STATUS_SKIPPED_BUDGET, {"budget": budget}, trials
+        witness = hunt(SoftSet._of_frozen(universe, {"p1": a}),
+                       SoftSet._of_frozen(universe, {"p1": b}))
+        if witness is not None:
+            return STATUS_COUNTEREXAMPLE, witness, trials
+    if exhaustive and ordered:
+        return STATUS_HOLDS, None, trials
+    return STATUS_SKIPPED_BUDGET, {"budget": budget}, trials
 
 
 def _value_size(value):

@@ -527,11 +527,6 @@ def is_subring(ring, labels, strict=False):
     return sub_verdict(ring, labels, strict)
 
 
-def is_pseudo_subring(ring, labels):
-    """Subring whose nonzero members are all indeterminate."""
-    return sub_verdict(ring, labels, True, True)
-
-
 def is_ring_ideal(ring, labels, strict=False, pseudo=False):
     """Additive subgroup absorbing ring multiplication from both sides."""
     return ideal_verdict(ring, labels, strict, pseudo)

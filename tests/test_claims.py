@@ -121,8 +121,8 @@ LARGE_CARRIER_REMARKS = {
 
 @pytest.mark.parametrize("cid", sorted(LARGE_CARRIER_REMARKS))
 def test_large_carrier_remarks_hunt_without_their_pinned_pair(cid):
-    """Without the pinned pair, the structured and random phases find a
-    witness among every substructure of the carrier, and it replays."""
+    """Without the pinned pair, the sweep over ordered pairs of every
+    substructure of the carrier finds a witness, and it replays."""
     build, op, predicate = LARGE_CARRIER_REMARKS[cid]
     u = build()
     status, witness, trials = run_remark_hunt(

@@ -64,6 +64,16 @@ def test_check_sub_collection_parts(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_check_sub_formal_sums(tmp_path, capsys):
+    spec = write(tmp_path, "gr.json", {"kind": "group_ring", "r": 2,
+                                       "basis": {"kind": "cyclic_neutro_group", "m": 2}})
+    base = ["check-sub", "--structure", spec, "--predicate", "gr-subring", "--subset"]
+    assert main(base + ["0,I"]) == 0
+    assert capsys.readouterr().out == "holds: loose-gr-subring on {0,I}\n"
+    assert main(base + ["0,g"]) == 1
+    assert 'witness: ["g", "g", "mul", "1"]' in capsys.readouterr().out
+
+
 def test_enumerate_matches_library_count(tmp_path, capsys):
     from neutrolab.io import load_structure
     from neutrolab.subsets import enumerate_subs
@@ -150,6 +160,14 @@ def test_hunt_counterexample(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "CounterexampleFound"
     assert doc["witness"]["kind"] == "union-violation"
+
+
+def test_hunt_holds_after_sweeping_every_pair(tmp_path, capsys):
+    spec = write(tmp_path, "r.json", {"kind": "neutro_ring", "n": 6})
+    assert main(["hunt", "--template", "and:subring", "--universe", spec]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    # 21 subrings, 21 * 21 ordered pairs, one value each
+    assert (doc["status"], doc["trials"]) == ("Holds", 441)
 
 
 def test_hunt_budget_starvation(tmp_path, capsys):

@@ -139,10 +139,14 @@ def test_hunt_rejects_an_unknown_predicate():
 def test_hunt_exhaustive_holds():
     g = param_groupoid(4, 2, 1)
     pop = [frozenset({"0"}), frozenset({"0", "2I"})]
+    rng = random.Random(0)
+    before = rng.getstate()
     status, witness, trials = run_remark_hunt(
-        g, "extended-union", "loose-subgroupoid", random.Random(0),
+        g, "extended-union", "loose-subgroupoid", rng,
         population=pop, budget=1000, exhaustive=True)
     assert status == STATUS_HOLDS and witness is None
+    assert trials == len(pop) ** 2
+    assert rng.getstate() == before     # the sweep draws nothing
 
 
 def test_hunt_budget_starvation_is_a_skip():
@@ -201,7 +205,7 @@ def test_hunt_decides_each_value_once(monkeypatch):
     monkeypatch.setattr(engine, "_value_verdict", counted)
     out = run_remark_hunt(ring, "and", "loose-subring", random.Random(0),
                           population=population, exhaustive=True)
-    assert out == (STATUS_HOLDS, None, 10_000)
+    assert out == (STATUS_HOLDS, None, 441)
     assert decided and len(decided) == len(set(decided))
     # a witness's value is decided again when it is replayed
     g = param_groupoid(4, 2, 1)

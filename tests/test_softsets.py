@@ -273,11 +273,17 @@ def test_ops_match_a_reference_on_mutable_copies(pair, op_name):
         return
     res = OPS[op_name](f, k)
     assert res.params == tuple(sorted(want))
+    # each value is an operand value, or the meet or join of two of them, so
+    # a hunt over every pair of population members decides all it can form
+    pool = [*f_assign.values(), *k_assign.values()]
+    formed = {_frozen(merge(_mutable(a), _mutable(b)))
+              for a in pool for b in pool for merge in (_meet, _join)}
     for p in res.params:
         value = res.value(p)
         assert value == _frozen(want[p]), p
         parts = value if isinstance(value, tuple) else (value,)
         assert all(type(part) is frozenset for part in parts)
+        assert value in pool or value in formed, p
     assert (f.assign, k.assign) == before
 
 
