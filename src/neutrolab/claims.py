@@ -35,7 +35,6 @@ from .engine import (
     run_remark_hunt,
 )
 from .groupring import GroupRing
-from .io import _load_value
 from .ncollect import (
     MIXED,
     MIXED_DUAL,
@@ -58,7 +57,7 @@ from .softsets import (
     soft_lagrange_class,
     soft_neutro_params,
     soft_sub_of,
-    value_has_neutro,
+    value_kind,
 )
 from .structures import (
     alternating_labels,
@@ -356,14 +355,9 @@ def mixed_sub_pool():
 
 
 def _value(universe, value):
-    """A row's assignment value over `universe`: formal sums are written as
-    text, a span over the whole basis of a symbolic group ring as its
-    coefficient ring; any other value is used as written."""
-    if isinstance(universe, GroupRing):
-        return _load_value(universe, value)
-    if isinstance(universe, sym.SymGroupRing):
-        return sym.SymGroupRing(value, universe.basis)
-    return value
+    """A row's assignment value over `universe`, read by its kind: formal
+    sums are written as text."""
+    return value_kind(universe).load(universe, value)
 
 
 def _pin_gap(gap, universe, value):
@@ -578,7 +572,7 @@ def _symbolic_rows(outer, check, *rows):
     witness = {"rows": sorted(str(v) for v in rows.values())}
     if bad:
         witness["failing"] = bad
-    ok = not bad and any(map(value_has_neutro, rows.values()))
+    ok = not bad and any(value_kind(outer).neutro(outer, v) for v in rows.values())
     return _positive(ok, witness, len(rows))
 
 

@@ -18,39 +18,26 @@ from .engine import (
     run_suite,
 )
 from .groupring import GroupRing
-from .io import (
-    _dump_value,
-    _load_value,
-    json_plain,
-    load_soft,
-    load_structure_file,
-    soft_to_dict,
-)
+from .io import json_plain, load_soft, load_structure_file, soft_to_dict
 from .ncollect import NCollection, classify_mixed
-from .softsets import (
-    OPS,
-    _value_verdict,
-    restricted_union,
-    soft_is,
-)
+from .softsets import OPS, restricted_union, soft_is, value_kind
 from .structures import FiniteMagma, FiniteRing, ResourceCap, verify_kind
 from .subsets import classify_lagrange, enumerate_subs
 
 
-def _parse_subset(universe, text):
+def _parse_subset(text):
+    """Labels separated by ',', and collection parts by ';'."""
     def labels(part):
         return [x.strip() for x in part.split(",") if x.strip()]
 
-    if isinstance(universe, NCollection):
-        return _load_value(universe, [labels(p) for p in text.split(";")])
-    return _load_value(universe, labels(text))
+    return [labels(p) for p in text.split(";")] if ";" in text else labels(text)
 
 
-def _format_subset(universe, value):
-    plain = _dump_value(universe, value)
-    if isinstance(universe, NCollection):
-        return "; ".join(map(",".join, plain))
-    return ",".join(plain)
+def _format_subset(plain):
+    """A dumped value in the syntax `_parse_subset` reads."""
+    if all(isinstance(x, str) for x in plain):
+        return ",".join(plain)
+    return "; ".join(map(_format_subset, plain))
 
 
 def _cmd_build(args):
@@ -80,11 +67,12 @@ def _cmd_build(args):
 
 def _cmd_check_sub(args):
     universe = load_structure_file(args.structure)
-    value = _parse_subset(universe, args.subset)
+    kind = value_kind(universe)
+    value = kind.load(universe, _parse_subset(args.subset))
     name = args.predicate if args.strict else result_predicate(args.predicate)
-    v = _value_verdict(universe, value, name)
+    v = kind.decide(universe, name)(value)
     if v.ok:
-        print("holds: %s on {%s}" % (name, _format_subset(universe, value)))
+        print("holds: %s on {%s}" % (name, _format_subset(kind.dump(universe, value))))
         return 0
     print("fails: %s" % (v.note or "predicate failed"))
     if v.witness:

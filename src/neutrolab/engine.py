@@ -15,16 +15,8 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
-from .io import _dump_value, json_plain, load_soft, soft_to_dict
-from .softsets import (
-    OPS,
-    SoftSet,
-    _freeze_value,
-    _value_verdict,
-    check_predicate_name,
-    value_intersect,
-    value_is_empty,
-)
+from .io import json_plain, load_soft, soft_to_dict
+from .softsets import OPS, SoftSet, value_intersect, value_kind
 from .structures import ResourceCap
 from .subsets import Verdict
 
@@ -114,32 +106,35 @@ def run_claim(claim, seed=0):
 # assignment-level evaluation shared by closure and non-closure rows
 
 
-def _closure_failure(universe, value, predicate):
-    """The verdict of a value that fails `predicate`, or None. A verdict
-    flagged as degenerate is vacuous rather than failing."""
-    v = _value_verdict(universe, value, predicate)
-    if v.ok or any(f in v.flags for f in DEGENERATE_FLAGS):
-        return None
-    return v
+def _closure_failure(universe, predicate):
+    """The verdict of a value that fails `predicate`, or None, as a function
+    of the value. A verdict flagged as degenerate is vacuous rather than
+    failing."""
+    decide = value_kind(universe).decide(universe, predicate)
+
+    def failure(value):
+        v = decide(value)
+        return None if v.ok or any(f in v.flags for f in DEGENERATE_FLAGS) else v
+    return failure
 
 
-def _remark_violation(universe, value, predicate):
+def _remark_violation(universe, predicate):
     """For a hunt, any failure counts — including degenerate collapses,
-    which are flagged so reports show how the witness fails."""
-    if value_is_empty(value):
-        return Verdict(False, flags=("empty-assignment",),
-                       note="operation produced an empty assignment")
-    try:
-        v = _value_verdict(universe, value, predicate)
-    except ValueError as exc:
-        return Verdict(False, note=str(exc))
-    return None if v.ok else v
+    which are flagged so reports show how the witness fails. Returns the
+    failing verdict or None, as a function of the value."""
+    kind = value_kind(universe)
+    decide = kind.decide(universe, predicate)
 
-
-def _failures(failing, universe, predicate):
-    """failing(universe, value, predicate) as a function of the value,
-    decided once per distinct value."""
-    return cache(lambda value: failing(universe, value, predicate))
+    def violation(value):
+        if kind.empty(value):
+            return Verdict(False, flags=("empty-assignment",),
+                           note="operation produced an empty assignment")
+        try:
+            v = decide(value)
+        except ValueError as exc:
+            return Verdict(False, note=str(exc))
+        return None if v.ok else v
+    return violation
 
 
 def _op_trial(op_name, f, k, fails):
@@ -152,13 +147,6 @@ def _op_trial(op_name, f, k, fails):
         if v is not None:
             return n, (p, value, v)
     return len(res.params), None
-
-
-def _value_plain(universe, value):
-    try:
-        return _dump_value(universe, value)
-    except Exception:
-        return json_plain(value)
 
 
 def _fail_witness(universe, kind, v, **extra):
@@ -182,8 +170,9 @@ def run_closure_prop(universe, population, predicate, rng, ops=INTERSECTION_OPS,
     then a seeded spot-check of `spot` pairs of soft sets that routes their
     values through the real soft-set operations `ops`, in turn. Returns
     (status, witness, trials)."""
-    population = [_freeze_value(v) for v in population]
-    fails = _failures(_closure_failure, universe, predicate)
+    kind = value_kind(universe)
+    population = [kind.freeze(universe, v) for v in population]
+    fails = cache(_closure_failure(universe, predicate))
     for val in population:
         v = fails(val)
         if v is not None:
@@ -198,8 +187,8 @@ def run_closure_prop(universe, population, predicate, rng, ops=INTERSECTION_OPS,
             if v is not None:
                 return (STATUS_COUNTEREXAMPLE,
                         _fail_witness(universe, "pair-intersection", v,
-                                      lhs=_value_plain(universe, a),
-                                      rhs=_value_plain(universe, b)),
+                                      lhs=kind.dump(universe, a),
+                                      rhs=kind.dump(universe, b)),
                         trials)
     checked = 0
     for _ in range(spot if population else 0):
@@ -236,7 +225,7 @@ def _replay_witness(universe, op_name, predicate, witness):
     param = witness["param"]
     if param not in res.params:
         return False
-    return _remark_violation(universe, res.value(param), predicate) is not None
+    return _remark_violation(universe, predicate)(res.value(param)) is not None
 
 
 def run_remark_hunt(universe, op_name, predicate, rng=None, pinned=None,
@@ -264,8 +253,8 @@ def run_remark_hunt(universe, op_name, predicate, rng=None, pinned=None,
     A misspelled predicate name raises ValueError up front: inside the hunt
     a ValueError from the predicate counts as a violation (a `lagrange`
     value that is not a strict subgroupoid)."""
-    check_predicate_name(universe, predicate)
-    fails = _failures(_remark_violation, universe, predicate)
+    kind = value_kind(universe)
+    fails = cache(_remark_violation(universe, predicate))
     trials = 0
 
     def hunt(f, k, check=None):
@@ -282,7 +271,7 @@ def run_remark_hunt(universe, op_name, predicate, rng=None, pinned=None,
         witness = _fail_witness(universe, "union-violation", v,
                                 op=op_name, param=p,
                                 lhs=soft_to_dict(f), rhs=soft_to_dict(k),
-                                result=_value_plain(universe, value))
+                                result=kind.dump(universe, value))
         gap = check(universe, value) if check is not None else None
         if gap:
             witness.update(json_plain(gap))
@@ -296,8 +285,8 @@ def run_remark_hunt(universe, op_name, predicate, rng=None, pinned=None,
         if witness is not None:
             return STATUS_COUNTEREXAMPLE, witness, trials
 
-    ordered = sorted(map(_freeze_value, population or ()),
-                     key=lambda v: (_value_size(v), repr(_value_plain(universe, v))))
+    ordered = sorted((kind.freeze(universe, v) for v in population or ()),
+                     key=lambda v: (kind.size(v), repr(kind.dump(universe, v))))
     for a, b in product(ordered, repeat=2):
         if trials >= budget:
             return STATUS_SKIPPED_BUDGET, {"budget": budget}, trials
@@ -308,15 +297,6 @@ def run_remark_hunt(universe, op_name, predicate, rng=None, pinned=None,
     if exhaustive and ordered:
         return STATUS_HOLDS, None, trials
     return STATUS_SKIPPED_BUDGET, {"budget": budget}, trials
-
-
-def _value_size(value):
-    if isinstance(value, tuple):
-        return sum(len(p) for p in value)
-    try:
-        return len(value)
-    except TypeError:
-        return 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,16 @@
 
 A structure spec is a dict with a "kind" key; soft-set files carry
 {"universe": <spec>, "assign": {param: value, ...}} where each value is a
-list of element labels, or a list of label lists for collection universes.
+list of element labels, of formal sums as text for group rings, or of label
+lists for collection universes (see softsets.value_kind).
 """
 
 import json
 
 from .groupring import GroupRing
 from .ncollect import Component, NCollection
-from .softsets import SoftSet
+from .softsets import SoftSet, value_kind
 from .structures import (
-    FiniteMagma,
-    FiniteRing,
     build_from_table,
     cyclic_neutro_group,
     mult_magma,
@@ -61,21 +60,11 @@ def load_structure_file(path):
         return load_structure(json.load(fh))
 
 
-def _load_value(universe, raw):
-    if isinstance(universe, NCollection):
-        if not (isinstance(raw, list) and all(isinstance(p, list) for p in raw)):
-            raise ValueError("collection assignments are lists of label lists")
-        return tuple(frozenset(p) for p in raw)
-    if isinstance(universe, GroupRing):
-        return frozenset(universe.parse(s) for s in raw)
-    return frozenset(raw)
-
-
 def load_soft(spec, universe=None):
     if universe is None:
         universe = load_structure(spec["universe"])
-    assign = {p: _load_value(universe, v) for p, v in spec["assign"].items()}
-    return SoftSet(universe, assign)
+    load = value_kind(universe).load
+    return SoftSet(universe, {p: load(universe, v) for p, v in spec["assign"].items()})
 
 
 def load_soft_file(path, universe=None):
@@ -83,23 +72,13 @@ def load_soft_file(path, universe=None):
         return load_soft(json.load(fh), universe=universe)
 
 
-def _dump_value(universe, value):
-    if isinstance(universe, NCollection):
-        return [sorted(p) for p in value]
-    if isinstance(universe, GroupRing):
-        return sorted(universe.format(x) for x in value)
-    if isinstance(value, frozenset):
-        return sorted(value)
-    return str(value)
-
-
 def soft_to_dict(soft, universe_spec=None):
     out = {}
     if universe_spec is not None:
         out["universe"] = universe_spec
     out["params"] = list(soft.params)
-    out["assign"] = {p: _dump_value(soft.universe, soft.value(p))
-                     for p in soft.params}
+    dump = value_kind(soft.universe).dump
+    out["assign"] = {p: dump(soft.universe, soft.value(p)) for p in soft.params}
     return out
 
 

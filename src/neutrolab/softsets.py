@@ -2,18 +2,23 @@
 operations on them.
 
 A soft set is a map from parameter names to assignment values over one shared
-universe.  Values are frozensets of labels (finite carriers), tuples of
-frozensets (collection carriers, one part per component), or symbolic
-carriers.  The restricted union follows the worked usage (merge only on the
-shared parameters); the literal flag switches to the written-down version,
-which coincides with the extended union.
+universe, all of the kind `value_kind` picks for it: label sets, formal-sum
+sets, tuples of label sets (one part per component), or symbolic carriers.
+A value of another shape raises ValueError when the soft set is built.  The
+restricted union follows the worked usage (merge only on the shared
+parameters); the literal flag switches to the written-down version, which
+coincides with the extended union.
 
 Values are frozen once, when a soft set is built, and the operations share
 them: a result holds its operands' frozensets, and a part intersected with
 itself is that same object.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
+from operator import is_, not_
 
 from .groupring import GroupRing
 from .ncollect import NCollection, is_n_ideal, is_n_sub
@@ -40,7 +45,8 @@ class SoftSet:
     def __post_init__(self):
         if not self.assign:
             raise ValueError("a soft set needs at least one parameter")
-        self.assign = {p: _freeze_value(v) for p, v in sorted(self.assign.items())}
+        freeze = value_kind(self.universe).freeze
+        self.assign = {p: freeze(self.universe, v) for p, v in sorted(self.assign.items())}
 
     @classmethod
     def _of_frozen(cls, universe, assign):
@@ -58,30 +64,139 @@ class SoftSet:
         return self.assign[p]
 
 
-def _freeze_value(v):
-    """`v` with its label sets frozen; an exact frozenset, or a tuple of
-    them, is returned as it is."""
-    if type(v) is frozenset:
-        return v
-    if isinstance(v, (list, set, frozenset)):
-        return frozenset(v)
-    if isinstance(v, tuple) and v and isinstance(v[0], (list, set, frozenset)):
-        if all(type(p) is frozenset for p in v):
-            return v
-        return tuple(frozenset(p) for p in v)
-    return v
+# ---------------------------------------------------------------------------
+# one table of value functions per universe kind
+#
+# freeze(u, raw): the value, frozen; a wrong shape raises ValueError
+# empty(v): no member (a label set) or an empty part (a collection value)
+# neutro(u, v): some member carries the indeterminacy I
+# size(v): the number of members, which orders a hunt's population
+# decide(u, predicate): the Verdict of a value as a function of the value; a
+#     predicate is a name or a callable (u, value) -> Verdict, and a name the
+#     kind does not decide raises ValueError here
+# whole(u, v): v is the whole carrier
+# load(u, raw), dump(u, v): the value read from and written as JSON
+
+ValueKind = namedtuple("ValueKind", "freeze empty neutro size decide whole load dump")
+
+
+def value_kind(universe):
+    """The value functions of the universe's kind."""
+    if isinstance(universe, (FiniteMagma, FiniteRing)):
+        return _LABELS
+    if isinstance(universe, GroupRing):
+        return _SUMS
+    if isinstance(universe, NCollection):
+        return _PARTS
+    if isinstance(universe, (sym.NamedRing, sym.SymGroupRing)):
+        return _SYMBOLIC
+    raise ValueError("no soft-set values over a %s" % type(universe).__name__)
+
+
+def _label_set(raw, member=str):
+    """`raw`, a collection of `member`s, as a frozenset; an exact frozenset
+    is returned as it is."""
+    if not (isinstance(raw, (list, tuple, set, frozenset))
+            and all(map(isinstance, raw, repeat(member)))):
+        raise ValueError("expected a set of %s members, got %.60r" % (member.__name__, raw))
+    return raw if type(raw) is frozenset else frozenset(raw)
+
+
+def _freeze_parts(u, raw):
+    """One label set per component; an exact tuple of exact frozensets is
+    returned as it is."""
+    if not isinstance(raw, (list, tuple)):
+        raise ValueError("a collection value is a tuple of label sets, got %.60r" % (raw,))
+    if len(raw) != len(u.components):
+        raise ValueError("expected %d parts, got %d" % (len(u.components), len(raw)))
+    parts = tuple(map(_label_set, raw))
+    return raw if type(raw) is tuple and all(map(is_, parts, raw)) else parts
+
+
+def _members(v):
+    return v.members if isinstance(v, sym.SymUnion) else (v,)
+
+
+def _freeze_symbolic(u, raw):
+    """A carrier of the universe's own type, or a union of them; over a
+    symbolic group ring, a coefficient ring stands for its span."""
+    if isinstance(u, sym.SymGroupRing) and isinstance(raw, sym.NamedRing):
+        raw = sym.SymGroupRing(raw, u.basis)
+    if not all(isinstance(m, type(u)) for m in _members(raw)):
+        raise ValueError("expected a %s value, got %.60r" % (type(u).__name__, raw))
+    return raw
+
+
+def _deciding(test, nonempty, flag):
+    """test(v), or a Verdict flagged `flag` when `nonempty(v)` is false."""
+    def decide(v):
+        return test(v) if nonempty(v) else Verdict(False, flags=(flag,), note=flag.replace("-", " "))
+    return decide
+
+
+def _decide_set(u, predicate):
+    if callable(predicate):
+        return _deciding(partial(predicate, u), bool, "empty-assignment")
+    _predicate_row(u, predicate)
+    return _deciding(lambda v: check_predicate(u, v, predicate), bool, "empty-assignment")
+
+
+# collection predicate names; each is also taken with a "loose-" prefix
+N_PREDICATES = ("n-sub", "strong-n-sub", "n-ideal")
+
+
+def _decide_parts(u, predicate):
+    if callable(predicate):
+        return _deciding(partial(predicate, u), all, "empty-part")
+    loose, core = predicate.startswith("loose-"), predicate.removeprefix("loose-")
+    if core not in N_PREDICATES:
+        raise ValueError("unknown collection predicate %r" % predicate)
+    check = is_n_ideal if core == "n-ideal" else partial(is_n_sub, strong=core == "strong-n-sub")
+    return _deciding(lambda v: check(u, v, require_neutro=not loose), all, "empty-part")
+
+
+def _decide_symbolic(u, predicate):
+    """Only the union check is decided: loose-subring over a named ring,
+    loose-gr-subring over a symbolic group ring."""
+    if callable(predicate):
+        return partial(predicate, u)
+    if predicate != ("loose-gr-subring" if isinstance(u, sym.SymGroupRing) else "loose-subring"):
+        raise ValueError("unknown symbolic predicate %r" % predicate)
+    return lambda v: sym.sym_union_substructure(sym.SymUnion(_members(v)))
+
+
+def _not_finite(u, v):
+    raise ValueError("absolute check needs a finite universe")
+
+
+_LABELS = ValueKind(
+    freeze=lambda u, raw: _label_set(raw), empty=not_,
+    neutro=lambda u, v: any(map(label_is_neutro, v)), size=len, decide=_decide_set,
+    whole=lambda u, v: len(v) == len(u) and v == frozenset(u.elements),
+    load=lambda u, raw: _label_set(raw), dump=lambda u, v: sorted(v))
+_SUMS = ValueKind(
+    freeze=lambda u, raw: _label_set(raw, tuple), empty=not_,
+    neutro=lambda u, v: any(map(u.has_neutro_support, v)), size=len, decide=_decide_set,
+    # sizes first: a group ring can hold millions of sums
+    whole=lambda u, v: len(v) == len(u) and v == frozenset(u.elements()),
+    load=lambda u, raw: frozenset(map(u.parse, _label_set(raw))),
+    dump=lambda u, v: sorted(map(u.format, v)))
+_PARTS = ValueKind(
+    freeze=_freeze_parts, empty=lambda v: not all(v),
+    neutro=lambda u, v: any(label_is_neutro(x) for p in v for x in p),
+    size=lambda v: sum(map(len, v)), decide=_decide_parts,
+    whole=lambda u, v: v == tuple(frozenset(c.structure.elements) for c in u.components),
+    load=_freeze_parts, dump=lambda u, v: [sorted(p) for p in v])
+_SYMBOLIC = ValueKind(
+    freeze=_freeze_symbolic, empty=lambda v: False,
+    neutro=lambda u, v: any(m.neutro if isinstance(m, sym.NamedRing)
+                            else any(map(label_is_neutro, m.subset)) for m in _members(v)),
+    size=lambda v: 1, decide=_decide_symbolic, whole=_not_finite,
+    load=_freeze_symbolic, dump=lambda u, v: str(v))
 
 
 # ---------------------------------------------------------------------------
-# value algebra (dispatch on assignment shape)
-
-
-def value_is_empty(value):
-    if isinstance(value, frozenset):
-        return not value
-    if isinstance(value, tuple):
-        return any(not p for p in value)
-    return False
+# value algebra (meet, join and containment of two values of one kind)
 
 
 def value_union(value_a, value_b):
@@ -221,46 +336,6 @@ class SoftReport:
         return self.ok
 
 
-# collection predicate names; each is also taken with a "loose-" prefix
-N_PREDICATES = ("n-sub", "strong-n-sub", "n-ideal")
-
-
-def check_predicate_name(universe, predicate):
-    """Raise ValueError when a named predicate does not exist for the
-    universe's carrier family; a callable, or a symbolic universe whose
-    values decide their own check, passes."""
-    if callable(predicate):
-        return
-    if isinstance(universe, NCollection):
-        if predicate.removeprefix("loose-") not in N_PREDICATES:
-            raise ValueError("unknown collection predicate %r" % predicate)
-    elif isinstance(universe, (FiniteMagma, FiniteRing, GroupRing)):
-        _predicate_row(universe, predicate)
-
-
-def _value_verdict(universe, value, predicate):
-    if value_is_empty(value):
-        return Verdict(False, flags=("empty-assignment",), note="empty assignment")
-    if callable(predicate):
-        return predicate(universe, value)
-    if isinstance(universe, NCollection):
-        check_predicate_name(universe, predicate)
-        loose = predicate.startswith("loose-")
-        core = predicate[6:] if loose else predicate
-        # a wrong part count raises here, an unknown label in the part checks
-        if not all(universe.resolve_parts(value)):
-            return Verdict(False, flags=("empty-part",), note="empty part")
-        if core == "n-sub":
-            return is_n_sub(universe, value, require_neutro=not loose)
-        if core == "strong-n-sub":
-            return is_n_sub(universe, value, strong=True)
-        return is_n_ideal(universe, value, require_neutro=not loose)
-    if isinstance(value, (sym.NamedRing, sym.SymGroupRing, sym.SymUnion)):
-        union = value if isinstance(value, sym.SymUnion) else sym.SymUnion((value,))
-        return sym.sym_union_substructure(union)
-    return check_predicate(universe, value, predicate)
-
-
 def _report(params, verdict_of):
     failures = tuple((p, v) for p in params for v in (verdict_of(p),) if not v.ok)
     if failures:
@@ -271,25 +346,14 @@ def _report(params, verdict_of):
 
 def soft_is(soft, predicate):
     """Whether every assignment satisfies the named per-value predicate."""
-    return _report(soft.params,
-                   lambda p: _value_verdict(soft.universe, soft.value(p), predicate))
-
-
-def value_has_neutro(value):
-    if isinstance(value, frozenset):
-        return any(label_is_neutro(x) for x in value)
-    if isinstance(value, tuple):
-        return any(any(label_is_neutro(x) for x in p) for p in value)
-    members = value.members if isinstance(value, sym.SymUnion) else (value,)
-    return any(getattr(m, "neutro", False) or
-               (isinstance(m, sym.SymGroupRing) and
-                any(label_is_neutro(x) for x in m.subset))
-               for m in members)
+    decide = value_kind(soft.universe).decide(soft.universe, predicate)
+    return _report(soft.params, lambda p: decide(soft.value(p)))
 
 
 def soft_neutro_params(soft):
     """Parameters whose assignment carries an indeterminate member."""
-    return tuple(p for p in soft.params if value_has_neutro(soft.value(p)))
+    neutro = value_kind(soft.universe).neutro
+    return tuple(p for p in soft.params if neutro(soft.universe, soft.value(p)))
 
 
 def soft_lagrange_class(soft):
@@ -309,16 +373,8 @@ def soft_lagrange_class(soft):
 
 def is_absolute(soft):
     """Every assignment equals the whole carrier."""
-    u = soft.universe
-    if isinstance(u, NCollection):
-        full = tuple(frozenset(c.structure.elements) for c in u.components)
-    elif isinstance(u, (FiniteMagma, FiniteRing)):
-        full = frozenset(u.elements)
-    elif isinstance(u, GroupRing):
-        full = frozenset(u.elements())
-    else:
-        raise ValueError("absolute check needs a finite universe")
-    return all(soft.value(p) == full for p in soft.params)
+    whole = value_kind(soft.universe).whole
+    return all(whole(soft.universe, soft.value(p)) for p in soft.params)
 
 
 def _nested_report(h, f, verdict_of):
@@ -335,8 +391,9 @@ def _nested_report(h, f, verdict_of):
 def soft_sub_of(h, f, predicate="loose-subgroupoid"):
     """(H, B) inside (F, A): parameters nest, assignments nest, and each H(b)
     is itself a substructure (closure is inherited by the parent)."""
+    decide = value_kind(h.universe).decide(h.universe, predicate)
     return _nested_report(h, f, lambda hv, fv: (
-        _value_verdict(h.universe, hv, predicate) if value_contains(hv, fv)
+        decide(hv) if value_contains(hv, fv)
         else Verdict(False, note="assignment not inside parent")))
 
 

@@ -21,7 +21,7 @@ from neutrolab.engine import (
     run_suite,
 )
 from neutrolab.ncollect import Component, NCollection
-from neutrolab import engine, softsets, subsets
+from neutrolab import softsets, subsets
 from neutrolab.structures import ResourceCap, mult_magma, neutro_ring, param_groupoid
 
 SUBS = [frozenset({"0"}), frozenset({"0", "2I"}), frozenset({"0", "2+2I"}),
@@ -196,13 +196,13 @@ def test_hunt_decides_each_value_once(monkeypatch):
     population = subsets.enumerate_subs(ring, "subring", "generate")
     assert len(population) == 21
     decided = []
-    verdict = softsets._value_verdict
+    verdict = softsets.check_predicate
 
     def counted(universe, value, predicate):
         decided.append(value)
         return verdict(universe, value, predicate)
 
-    monkeypatch.setattr(engine, "_value_verdict", counted)
+    monkeypatch.setattr(softsets, "check_predicate", counted)
     out = run_remark_hunt(ring, "and", "loose-subring", random.Random(0),
                           population=population, exhaustive=True)
     assert out == (STATUS_HOLDS, None, 441)

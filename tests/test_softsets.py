@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neutrolab import symbolic as sym
+from neutrolab.claims import bi_groupoid
+from neutrolab.groupring import GroupRing
 from neutrolab.ncollect import Component, NCollection
 from neutrolab.softsets import (
     OPS,
     SoftSet,
-    _value_verdict,
     and_op,
     disjoint_union,
     extended_intersection,
@@ -195,9 +196,70 @@ def test_collection_values_with_unknown_labels_or_part_counts_raise():
             soft_is(SoftSet(pair, {"a": (frozenset({"0", "zz"}), frozenset({"0"}))}), predicate)
         with pytest.raises(ValueError, match="expected 2 parts, got 1"):
             soft_is(SoftSet(pair, {"a": (frozenset({"0"}),)}), predicate)
-        # only a part that is really empty is the vacuous empty-part case
-        v = _value_verdict(pair, [{"0"}, ()], predicate)
-        assert not v.ok and v.flags == ("empty-part",)
+        # only a part that is really empty is the vacuous empty-part case,
+        # whether the value comes as a list or as a frozen tuple
+        for value in ([{"0"}, ()], (frozenset({"0"}), frozenset())):
+            v = soft_is(SoftSet(pair, {"a": value}), predicate).failures[0][1]
+            assert not v.ok and v.flags == ("empty-part",)
+
+
+def test_a_label_set_over_a_collection_raises():
+    big = bi_groupoid()
+    # not read one character at a time as the parts "0" and "5I"
+    with pytest.raises(ValueError, match="tuple of label sets"):
+        SoftSet(big, {"a": {"0", "5I"}})
+    with pytest.raises(ValueError, match="set of str members"):
+        SoftSet(big, {"a": ["0", "5I"]})
+
+
+def test_a_part_tuple_over_a_groupoid_raises(g421):
+    with pytest.raises(ValueError, match="set of str members"):
+        SoftSet(g421, {"a": (P2, P3)})
+    with pytest.raises(ValueError, match="set of tuple members"):
+        SoftSet(GroupRing(2, cyclic_neutro_group(2)), {"a": {"0", "I"}})
+    with pytest.raises(ValueError, match="expected a NamedRing value"):
+        SoftSet(sym.NamedRing("Z", 1, True), {"a": P2})
+
+
+def test_mixed_value_shapes_raise(g421):
+    # the extended union of such a soft set would join a label set and a
+    # part tuple into a symbolic union
+    with pytest.raises(ValueError, match="set of str members"):
+        SoftSet(g421, {"a": P4, "b": (P2, P3)})
+    with pytest.raises(ValueError, match="tuple of label sets"):
+        SoftSet(bi_groupoid(), {"a": (frozenset({"0"}), frozenset({"0"})), "b": P2})
+
+
+def test_formal_sum_values_with_indeterminate_support():
+    gr = GroupRing(2, cyclic_neutro_group(4))
+    f = SoftSet(gr, {"a": {gr.zero, gr.parse("I")}, "b": {gr.zero, gr.parse("1+g")}})
+    assert soft_neutro_params(f) == ("a",)
+
+
+def test_absolute_formal_sums_compare_sizes_first(monkeypatch):
+    small = GroupRing(2, cyclic_neutro_group(2))
+    assert is_absolute(SoftSet(small, {"a": frozenset(small.elements())}))
+    big = GroupRing(6, cyclic_neutro_group(4))      # 6^8 formal sums
+
+    def listed(self):
+        raise AssertionError("every formal sum listed")
+
+    monkeypatch.setattr(GroupRing, "elements", listed)
+    assert not is_absolute(SoftSet(big, {"a": {big.zero, big.parse("I")}}))
+
+
+def test_symbolic_universes_decide_only_their_union_check():
+    zi = sym.NamedRing("Z", 1, True)
+    f = SoftSet(zi, {"a": sym.NamedRing("Z", 2, True)})
+    assert soft_is(f, "loose-subring").ok
+    for name in ("no-such-predicate", "subring", "loose-gr-subring"):
+        with pytest.raises(ValueError, match="unknown symbolic predicate"):
+            soft_is(f, name)
+    span = sym.SymGroupRing(sym.NamedRing("Q"), cyclic_neutro_group(3))
+    g = SoftSet(span, {"a": span})
+    assert soft_is(g, "loose-gr-subring").ok
+    with pytest.raises(ValueError, match="unknown symbolic predicate"):
+        soft_is(g, "loose-subring")
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +267,8 @@ def test_collection_values_with_unknown_labels_or_part_counts_raise():
 
 G421 = param_groupoid(4, 2, 1)
 LABELS = sorted(G421.elements)
+# part tuples live over a collection of two copies of G421
+PAIR421 = NCollection([Component(G421, "groupoid", True), Component(G421, "groupoid", True)])
 # values drawn from these pools reach the operations as the same objects
 SHARED_SETS = [frozenset(), P2, P3, P4, frozenset(LABELS)]
 SHARED_PARTS = [(P2, P3), (P4, P4), (frozenset(), P2), (P3, frozenset(LABELS))]
@@ -217,16 +281,16 @@ def _label_sets():
 @st.composite
 def soft_pairs(draw):
     if draw(st.booleans()):
-        values = _label_sets()
+        universe, values = G421, _label_sets()
     else:
-        values = st.one_of(st.sampled_from(SHARED_PARTS),
-                           st.tuples(_label_sets(), _label_sets()))
+        universe, values = PAIR421, st.one_of(st.sampled_from(SHARED_PARTS),
+                                              st.tuples(_label_sets(), _label_sets()))
     shared = draw(st.lists(values, min_size=1, max_size=3))
     names = st.sets(st.sampled_from(("a1", "a2", "a3", "a4")), min_size=1)
     # operands may repeat one value object, within and across soft sets
     f = {p: draw(st.sampled_from(shared) | values) for p in draw(names)}
     k = {p: draw(st.sampled_from(shared) | values) for p in draw(names)}
-    return f, k
+    return universe, f, k
 
 
 def _mutable(value):
@@ -263,8 +327,8 @@ def _frozen(value):
 @settings(max_examples=200, deadline=None)
 @given(soft_pairs(), st.sampled_from(sorted(OPS)))
 def test_ops_match_a_reference_on_mutable_copies(pair, op_name):
-    f_assign, k_assign = pair
-    f, k = SoftSet(G421, f_assign), SoftSet(G421, k_assign)
+    universe, f_assign, k_assign = pair
+    f, k = SoftSet(universe, f_assign), SoftSet(universe, k_assign)
     before = (dict(f.assign), dict(k.assign))
     want = _reference(op_name, f_assign, k_assign)
     if want is None:
@@ -289,18 +353,21 @@ def test_ops_match_a_reference_on_mutable_copies(pair, op_name):
 
 def test_softset_freezes_mutable_inputs_once():
     labels, tup = ["0", "2I"], (["0"], ["0", "2"])
-    f = SoftSet(G421, {"a": labels, "b": {"0", "2"}, "c": tup})
+    f = SoftSet(G421, {"a": labels, "b": {"0", "2"}})
+    c = SoftSet(PAIR421, {"c": tup})
     labels.append("2")
     tup[0].append("2I")
     assert f.value("a") == frozenset({"0", "2I"}) and type(f.value("a")) is frozenset
     assert f.value("b") == frozenset({"0", "2"}) and type(f.value("b")) is frozenset
-    assert f.value("c") == (frozenset({"0"}), frozenset({"0", "2"}))
-    assert all(type(p) is frozenset for p in f.value("c"))
+    assert c.value("c") == (frozenset({"0"}), frozenset({"0", "2"}))
+    assert all(type(p) is frozenset for p in c.value("c"))
     # frozen values are kept as they are, and the operations share them
     parts = (P3, P2)
-    g = SoftSet(G421, {"a": P4, "c": parts})
-    assert g.value("a") is P4 and g.value("c") is parts
+    g = SoftSet(G421, {"a": P4})
+    h = SoftSet(PAIR421, {"c": parts})
+    assert g.value("a") is P4 and h.value("c") is parts
     assert extended_union(g, SoftSet(G421, {"z": P2})).value("a") is P4
+    assert extended_union(h, SoftSet(PAIR421, {"z": (P2, P2)})).value("c") is parts
 
 
 def test_value_intersect_with_itself():
