@@ -16,7 +16,7 @@ from functools import cache
 from itertools import product
 
 from .io import json_plain, load_soft, soft_to_dict
-from .softsets import OPS, SoftSet, value_intersect, value_kind
+from .softsets import OPS, SoftSet, op_items, value_intersect, value_kind, value_union
 from .structures import ResourceCap
 from .subsets import Verdict
 
@@ -137,20 +137,25 @@ def _remark_violation(universe, predicate):
     return violation
 
 
-def _op_trial(op_name, f, k, fails):
-    """Run op(f, k) and decide each result value as one trial. Returns the
-    trial count and the first failure, (param, value, verdict), or None."""
-    res = OPS[op_name](f, k)
-    for n, p in enumerate(res.params, 1):
-        value = res.value(p)
+def _op_trial(op_name, f, k, fails, merge=None):
+    """Run the operation on two assignment maps of frozen values and decide
+    each result value as one trial. Returns the trial count and the first
+    failure, (param, value, verdict), or None."""
+    items = op_items(op_name, f, k, merge)
+    for n, (p, value) in enumerate(items, 1):
         v = fails(value)
         if v is not None:
             return n, (p, value, v)
-    return len(res.params), None
+    return len(items), None
 
 
-def _fail_witness(universe, kind, v, **extra):
-    out = {"kind": kind, "reason": v.note or "predicate failed"}
+def _soft_dump(universe, assign):
+    """An operand of a trial, as a soft-set file's dict."""
+    return soft_to_dict(SoftSet._of_frozen(universe, assign))
+
+
+def _fail_witness(witness_kind, v, **extra):
+    out = {"kind": witness_kind, "reason": v.note or "predicate failed"}
     if v.witness is not None:
         out["witness"] = json_plain(v.witness)
     if v.flags:
@@ -169,7 +174,11 @@ def run_closure_prop(universe, population, predicate, rng, ops=INTERSECTION_OPS,
     """Exhaustive pairwise sweep over a population of assignment values,
     then a seeded spot-check of `spot` pairs of soft sets that routes their
     values through the real soft-set operations `ops`, in turn. Returns
-    (status, witness, trials)."""
+    (status, witness, trials).
+
+    The spot sweep memoises the meet and the join, which is sound because
+    values are frozen and both are pure: a pair of members shares one
+    result object, which `fails` finds in its cache by identity."""
     kind = value_kind(universe)
     population = [kind.freeze(universe, v) for v in population]
     fails = cache(_closure_failure(universe, predicate))
@@ -186,28 +195,30 @@ def run_closure_prop(universe, population, predicate, rng, ops=INTERSECTION_OPS,
             v = fails(value_intersect(a, b))
             if v is not None:
                 return (STATUS_COUNTEREXAMPLE,
-                        _fail_witness(universe, "pair-intersection", v,
+                        _fail_witness("pair-intersection", v,
                                       lhs=kind.dump(universe, a),
                                       rhs=kind.dump(universe, b)),
                         trials)
+    meet, join = cache(value_intersect), cache(value_union)
+    choice, coin = rng.choice, rng.random
     checked = 0
     for _ in range(spot if population else 0):
-        f_assign = {"p1": rng.choice(population)}
-        if rng.random() < 0.5:
-            f_assign["p2"] = rng.choice(population)
-        k_assign = {"p1": rng.choice(population)}
-        if rng.random() < 0.5:
-            k_assign["p3"] = rng.choice(population)
-        f = SoftSet._of_frozen(universe, f_assign)
-        k = SoftSet._of_frozen(universe, k_assign)
+        f = {"p1": choice(population)}
+        if coin() < 0.5:
+            f["p2"] = choice(population)
+        k = {"p1": choice(population)}
+        if coin() < 0.5:
+            k["p3"] = choice(population)
         op_name = ops[checked % len(ops)] if ops else "restricted-intersection"
-        n, failure = _op_trial(op_name, f, k, fails)
+        merge = meet if op_name in INTERSECTION_OPS else join
+        n, failure = _op_trial(op_name, f, k, fails, merge)
         checked += n
         if failure is not None:
             p, _, v = failure
             return (STATUS_COUNTEREXAMPLE,
-                    _fail_witness(universe, "soft-op", v, op=op_name, param=p,
-                                  lhs=soft_to_dict(f), rhs=soft_to_dict(k)),
+                    _fail_witness("soft-op", v, op=op_name, param=p,
+                                  lhs=_soft_dump(universe, f),
+                                  rhs=_soft_dump(universe, k)),
                     trials + checked)
     return STATUS_HOLDS, None, trials + checked
 
@@ -268,9 +279,9 @@ def run_remark_hunt(universe, op_name, predicate, rng=None, pinned=None,
         if failure is None:
             return None
         p, value, v = failure
-        witness = _fail_witness(universe, "union-violation", v,
-                                op=op_name, param=p,
-                                lhs=soft_to_dict(f), rhs=soft_to_dict(k),
+        witness = _fail_witness("union-violation", v, op=op_name, param=p,
+                                lhs=_soft_dump(universe, f),
+                                rhs=_soft_dump(universe, k),
                                 result=kind.dump(universe, value))
         gap = check(universe, value) if check is not None else None
         if gap:
@@ -280,8 +291,8 @@ def run_remark_hunt(universe, op_name, predicate, rng=None, pinned=None,
         return witness
 
     if pinned is not None:
-        witness = hunt(SoftSet(universe, pinned[0]), SoftSet(universe, pinned[1]),
-                       pin_check)
+        witness = hunt(SoftSet(universe, pinned[0]).assign,
+                       SoftSet(universe, pinned[1]).assign, pin_check)
         if witness is not None:
             return STATUS_COUNTEREXAMPLE, witness, trials
 
@@ -290,8 +301,7 @@ def run_remark_hunt(universe, op_name, predicate, rng=None, pinned=None,
     for a, b in product(ordered, repeat=2):
         if trials >= budget:
             return STATUS_SKIPPED_BUDGET, {"budget": budget}, trials
-        witness = hunt(SoftSet._of_frozen(universe, {"p1": a}),
-                       SoftSet._of_frozen(universe, {"p1": b}))
+        witness = hunt({"p1": a}, {"p1": b})
         if witness is not None:
             return STATUS_COUNTEREXAMPLE, witness, trials
     if exhaustive and ordered:

@@ -50,10 +50,10 @@ class SoftSet:
 
     @classmethod
     def _of_frozen(cls, universe, assign):
-        """An operation's result: `assign` holds values that are already
-        frozen, so only the parameters are sorted."""
+        """A soft set over values that are already frozen: `assign` is a
+        map or (param, value) pairs, already in parameter order."""
         soft = cls.__new__(cls)
-        soft.universe, soft.assign = universe, dict(sorted(assign.items()))
+        soft.universe, soft.assign = universe, dict(assign)
         return soft
 
     @property
@@ -241,7 +241,8 @@ def value_contains(small, big):
 
 
 # ---------------------------------------------------------------------------
-# the six operations
+# the six operations: one of three shapes over two assignment maps, with
+# the meet or the join as the merge of two values
 
 
 def _check_same_universe(f, k):
@@ -250,51 +251,72 @@ def _check_same_universe(f, k):
 
 
 def _restricted(f, k, merge):
-    _check_same_universe(f, k)
-    shared = sorted(set(f.params) & set(k.params))
+    shared = sorted(f.keys() & k.keys())
     if not shared:
         raise ValueError("restricted operations need a shared parameter")
-    return SoftSet._of_frozen(f.universe, {p: merge(f.value(p), k.value(p)) for p in shared})
+    return [(p, merge(f[p], k[p])) for p in shared]
 
 
 def _extended(f, k, merge):
-    _check_same_universe(f, k)
-    out = {**k.assign, **f.assign}
-    for p in sorted(set(f.params) & set(k.params)):
-        out[p] = merge(f.value(p), k.value(p))
-    return SoftSet._of_frozen(f.universe, out)
+    out = {**k, **f}
+    for p in f.keys() & k.keys():
+        out[p] = merge(f[p], k[p])
+    return sorted(out.items())
 
 
 def _crossed(f, k, merge, sep):
+    return sorted({"%s%s%s" % (a, sep, b): merge(fa, kb)
+                   for a, fa in f.items() for b, kb in k.items()}.items())
+
+
+_OP_SHAPES = {
+    "restricted-intersection": (_restricted, value_intersect),
+    "extended-intersection": (_extended, value_intersect),
+    "restricted-union": (_restricted, value_union),
+    "extended-union": (_extended, value_union),
+    "and": (partial(_crossed, sep="&"), value_intersect),
+    "or": (partial(_crossed, sep="|"), value_union),
+}
+
+
+def op_items(name, f_assign, k_assign, merge=None):
+    """The (param, value) pairs of operation `name` on two assignment maps
+    of frozen values, in parameter order; the public operations build their
+    soft set from them. `merge` replaces the operation's meet or join, for
+    a caller that memoises it."""
+    shape, own = _OP_SHAPES[name]
+    return shape(f_assign, k_assign, merge or own)
+
+
+def _op(name, f, k):
     _check_same_universe(f, k)
-    return SoftSet._of_frozen(f.universe, {"%s%s%s" % (a, sep, b): merge(f.value(a), k.value(b))
-                                           for a in f.params for b in k.params})
+    return SoftSet._of_frozen(f.universe, op_items(name, f.assign, k.assign))
 
 
 def restricted_intersection(f, k):
-    return _restricted(f, k, value_intersect)
+    return _op("restricted-intersection", f, k)
 
 
 def extended_intersection(f, k):
-    return _extended(f, k, value_intersect)
+    return _op("extended-intersection", f, k)
 
 
 def extended_union(f, k):
-    return _extended(f, k, value_union)
+    return _op("extended-union", f, k)
 
 
 def restricted_union(f, k, literal=False):
     """Merge on the shared parameters (the usage in the worked cases); with
     literal=True keep every parameter, which makes it the extended union."""
-    return (_extended if literal else _restricted)(f, k, value_union)
+    return _op("extended-union" if literal else "restricted-union", f, k)
 
 
 def and_op(f, k):
-    return _crossed(f, k, value_intersect, "&")
+    return _op("and", f, k)
 
 
 def or_op(f, k):
-    return _crossed(f, k, value_union, "|")
+    return _op("or", f, k)
 
 
 def same_param_intersection(f, k):

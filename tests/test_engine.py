@@ -20,8 +20,9 @@ from neutrolab.engine import (
     run_remark_hunt,
     run_suite,
 )
+from neutrolab.io import load_soft
 from neutrolab.ncollect import Component, NCollection
-from neutrolab import softsets, subsets
+from neutrolab import claims, softsets, subsets
 from neutrolab.structures import ResourceCap, mult_magma, neutro_ring, param_groupoid
 
 SUBS = [frozenset({"0"}), frozenset({"0", "2I"}), frozenset({"0", "2+2I"}),
@@ -108,6 +109,68 @@ def test_run_closure_prop_rejects_an_unknown_collection_label():
     with pytest.raises(ValueError, match="unknown element 'zz'"):
         run_closure_prop(pair, [(frozenset({"0", "zz"}), frozenset({"0"}))], "loose-n-sub",
                          random.Random(0))
+
+
+def test_spot_sweep_witness_loads_and_fails_again():
+    """No registered claim reaches the spot sweep's witness; unions of the
+    ring(Z6+I) subrings fail at the first spot trial. Status, witness and
+    trials are those of the sweep over SoftSet operands."""
+    ring = neutro_ring(6)
+    population = subsets.enumerate_subs(ring, "subring", "generate")
+    status, witness, trials = run_closure_prop(ring, population, "loose-subring",
+                                               random.Random(0), ops=("extended-union",))
+    assert (status, trials) == (STATUS_COUNTEREXAMPLE, 463)
+    assert witness == {
+        "kind": "soft-op", "reason": "not closed under add",
+        "witness": ["2I", "1+5I", "add", "1+I"], "op": "extended-union", "param": "p1",
+        "lhs": {"params": ["p1"],
+                "assign": {"p1": ["0", "1+5I", "2+4I", "3+3I", "4+2I", "5+I"]}},
+        "rhs": {"params": ["p1", "p3"],
+                "assign": {"p1": ["0", "2", "2+2I", "2+4I", "2I", "4", "4+2I", "4+4I", "4I"],
+                           "p3": ["0", "1+2I", "1+5I", "2+4I", "2+I", "3", "3+3I", "3I",
+                                  "4+2I", "4+5I", "5+4I", "5+I"]}}}
+    f = load_soft(witness["lhs"], universe=ring)
+    k = load_soft(witness["rhs"], universe=ring)
+    value = softsets.OPS[witness["op"]](f, k).value(witness["param"])
+    assert not subsets.check_predicate(ring, value, "loose-subring").ok
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts the soft sets built, through either constructor."""
+    count = {"softsets": 0}
+    init, of_frozen = softsets.SoftSet.__post_init__, softsets.SoftSet._of_frozen.__func__
+
+    def counted_init(self):
+        count["softsets"] += 1
+        init(self)
+
+    def counted_of_frozen(cls, universe, assign):
+        count["softsets"] += 1
+        return of_frozen(cls, universe, assign)
+
+    monkeypatch.setattr(softsets.SoftSet, "__post_init__", counted_init)
+    monkeypatch.setattr(softsets.SoftSet, "_of_frozen", classmethod(counted_of_frozen))
+    return count
+
+
+def test_passing_trials_build_no_soft_set(built):
+    claim = next(c for c in claims.registry() if c.id == "prop-2.3.2")
+    claim.runner(random.Random(0))      # fills the cached carrier and pool
+    built["softsets"] = 0
+    report = run_claim(claim, seed=0)
+    assert report.status == STATUS_HOLDS and report.trials > 10_000
+    assert built["softsets"] == 0
+    ring = neutro_ring(6)
+    population = subsets.enumerate_subs(ring, "subring", "generate")
+    whole = frozenset(ring.elements)
+    out = run_remark_hunt(ring, "and", "loose-subring", population=population,
+                          exhaustive=True)
+    assert out == (STATUS_HOLDS, None, 441) and built["softsets"] == 0
+    # the pinned pair is frozen through SoftSet; the sweep after it is not
+    out = run_remark_hunt(ring, "and", "loose-subring", pinned=({"a": whole}, {"b": whole}),
+                          population=population, exhaustive=True)
+    assert out == (STATUS_HOLDS, None, 442) and built["softsets"] == 2
 
 
 def test_hunt_finds_replayable_counterexample():

@@ -1,5 +1,7 @@
 """Parameterised families of subsets and their six binary operations."""
 
+from functools import cache, partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from neutrolab.softsets import (
     extended_intersection,
     extended_union,
     is_absolute,
+    op_items,
     or_op,
     restricted_intersection,
     restricted_union,
@@ -349,6 +352,57 @@ def test_ops_match_a_reference_on_mutable_copies(pair, op_name):
         assert all(type(part) is frozenset for part in parts)
         assert value in pool or value in formed, p
     assert (f.assign, k.assign) == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(soft_pairs(), st.sampled_from(sorted(OPS)))
+def test_op_items_are_the_public_operations(pair, op_name):
+    """op_items on the assignment maps gives the public result's pairs in
+    order, with the own merge and with a memoised one; every value is an
+    operand's object or one the merge returned."""
+    universe, f_assign, k_assign = pair
+    f, k = SoftSet(universe, f_assign), SoftSet(universe, k_assign)
+    own = value_union if "union" in op_name or op_name == "or" else value_intersect
+    memo = cache(own)
+    for merge in (own, memo):
+        made = []
+
+        def recorded(a, b):
+            made.append(merge(a, b))
+            return made[-1]
+
+        try:
+            want = list(OPS[op_name](f, k).assign.items())
+        except ValueError:
+            with pytest.raises(ValueError, match="shared parameter"):
+                op_items(op_name, f.assign, k.assign, recorded)
+            continue
+        items = op_items(op_name, f.assign, k.assign, recorded)
+        assert items == want
+        operands = [*f.assign.values(), *k.assign.values(), *made]
+        assert all(any(v is o for o in operands) for _, v in items)
+        if merge is own:
+            assert items == op_items(op_name, f.assign, k.assign)
+            # the public result holds an operand's object where op_items does
+            assert all(v is w for (_, v), (_, w) in zip(items, want)
+                       if any(w is o for o in (*f.assign.values(), *k.assign.values())))
+    assert restricted_union(f, k, literal=True).assign == extended_union(f, k).assign
+    if f.params == k.params:
+        assert same_param_intersection(f, k).assign == restricted_intersection(f, k).assign
+    else:
+        with pytest.raises(ValueError, match="equal parameter sets"):
+            same_param_intersection(f, k)
+    if set(f.params) & set(k.params):
+        with pytest.raises(ValueError, match="disjoint parameter sets"):
+            disjoint_union(f, k)
+    else:
+        assert disjoint_union(f, k).assign == extended_union(f, k).assign
+    twin = param_groupoid(4, 2, 1) if universe is G421 else NCollection(PAIR421.components)
+    other = SoftSet(twin, f.assign)
+    for op in (*OPS.values(), partial(restricted_union, literal=True),
+               same_param_intersection, disjoint_union):
+        with pytest.raises(ValueError, match="different universes"):
+            op(f, other)
 
 
 def test_softset_freezes_mutable_inputs_once():
