@@ -265,8 +265,15 @@ def _extended(f, k, merge):
 
 
 def _crossed(f, k, merge, sep):
-    return sorted({"%s%s%s" % (a, sep, b): merge(fa, kb)
-                   for a, fa in f.items() for b, kb in k.items()}.items())
+    """One parameter `a<sep>b` per pair; two pairs that would share a name
+    (say x&y with z, and x with y&z) raise ValueError naming it."""
+    out = {"%s%s%s" % (a, sep, b): merge(fa, kb)
+           for a, fa in f.items() for b, kb in k.items()}
+    if len(out) < len(f) * len(k):
+        names = ["%s%s%s" % (a, sep, b) for a in f for b in k]
+        raise ValueError("crossed parameter %r names two pairs"
+                         % next(p for p in names if names.count(p) > 1))
+    return sorted(out.items())
 
 
 _OP_SHAPES = {

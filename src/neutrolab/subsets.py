@@ -194,8 +194,8 @@ def _close(view, seed, cap, base=(), floor=None):
     the view's tables; more than `cap` members raises ResourceCap.  Products
     inside `base` stay inside it, so only members outside it are multiplied
     out, and the walk stops once the set holds the whole carrier.  With a
-    `floor`, the walk gives up and returns None as soon as it adds a member
-    below `floor`."""
+    `floor`, the walk gives up as soon as it adds a member below `floor` and
+    returns that member instead of a set."""
     current = set(base)
     frontier = [x for x in set(seed) if x not in current]
     current.update(frontier)
@@ -209,7 +209,7 @@ def _close(view, seed, cap, base=(), floor=None):
                     z = row[y]
                     if z not in current:
                         if floor is not None and z < floor:
-                            return None
+                            return z
                         current.add(z)
                         fresh.append(z)
                         if len(current) > cap:
@@ -674,23 +674,33 @@ def _generate_closed_sets(view, n, name):
     1999): a closed set `s` reached by adding `y` is extended by each x > y
     outside it and closed from itself as the base.  The closure is kept only
     when it adds no member below x (the canonicity test of FCbO, Krajca,
-    Outrata and Vychodil 2010), and `_close` stops at the first such member,
-    so every closed set has one parent and is closed out once."""
-    closed, stack = [], [(frozenset(), -1)]
+    Outrata and Vychodil 2010), and `_close` stops at the first such member
+    z, so every closed set has one parent and is closed out once.
+
+    As in FCbO, a failed test is inherited: `s` records x -> z, and each
+    closed set B grown from `s` skips x while z is not in B, since the
+    closure of B | {x} contains the closure of s | {x}, so z, and would fail
+    the same way.  A child is popped only after its parent's loop ends, so it
+    reads the parent's whole map; it writes to its own copy, so a failure
+    found under one sibling never reaches another."""
+    closed, stack = [], [(frozenset(), -1, {})]
     while stack:
-        s, y = stack.pop()
+        s, y, inherited = stack.pop()
+        failed = dict(inherited)
         for x in range(y + 1, n):
-            if x in s:
+            if x in s or x in failed and failed[x] not in s:
                 continue
             c = _close(view, (x,), n, base=s, floor=x)
-            if c is not None:
-                c = frozenset(c)
-                closed.append(c)
-                if len(closed) > GENERATE_COUNT_LIMIT:
-                    raise ResourceCap("enumerating %s reached %d closed sets, over "
-                                      "subsets.GENERATE_COUNT_LIMIT = %d"
-                                      % (name, len(closed), GENERATE_COUNT_LIMIT))
-                stack.append((c, x))
+            if isinstance(c, int):
+                failed[x] = c
+                continue
+            c = frozenset(c)
+            closed.append(c)
+            if len(closed) > GENERATE_COUNT_LIMIT:
+                raise ResourceCap("enumerating %s reached %d closed sets, over "
+                                  "subsets.GENERATE_COUNT_LIMIT = %d"
+                                  % (name, len(closed), GENERATE_COUNT_LIMIT))
+            stack.append((c, x, failed))
     return closed
 
 

@@ -102,6 +102,15 @@ def test_and_or_cross_products(g421):
     assert o.value("a1|b1") == P4 | P3
 
 
+@pytest.mark.parametrize("op, sep", [(and_op, "&"), (or_op, "|")])
+def test_crossed_name_collision_raises(g421, op, sep):
+    # (x&y, z) and (x, y&z) would both be named x&y&z; one value was dropped
+    f = SoftSet(g421, {"x" + sep + "y": P4, "x": P2})
+    k = SoftSet(g421, {"z": P2, "y" + sep + "z": P4})
+    with pytest.raises(ValueError, match=r"'x\%sy\%sz'" % (sep, sep)):
+        op(f, k)
+
+
 def test_strict_param_preconditions(g421):
     f = SoftSet(g421, {"a1": P4})
     k = SoftSet(g421, {"a1": P3, "a2": P2})
