@@ -50,6 +50,7 @@ LOOSE_RESULT = {
     "subring": "loose-subring",
     "ring-ideal": "loose-ring-ideal",
     "gr-subring": "loose-gr-subring",
+    "gr-ideal": "loose-gr-ideal",
     "gr-subneutro": "loose-gr-subneutro",
     "n-sub": "loose-n-sub",
     "n-ideal": "loose-n-ideal",

@@ -10,7 +10,7 @@ tag advertises.  Subset checks work part-by-part.
 
 from dataclasses import dataclass
 
-from .structures import FiniteRing, label_is_neutro, verify_kind
+from .structures import FiniteRing, _identity, label_is_neutro, verify_kind
 from .subsets import Verdict, ideal_verdict, order_verdict, sub_verdict
 
 MAGMA_TAGS = ("group", "semigroup", "groupoid", "loop")
@@ -91,11 +91,7 @@ def _part_verdict(comp, labels, strong):
     s = comp.structure
     v = sub_verdict(s, labels, strong, strong)
     if v.ok and comp.alg == "loop":
-        pool = sorted(labels, key=s.idx)
-        has_e = any(
-            all(s.op(e, x) == x and s.op(x, e) == x for x in pool) for e in pool
-        )
-        if not has_e:
+        if _identity(s.table, sorted(map(s.idx, labels))) is None:
             return Verdict(False, flags=v.flags + ("no-part-identity",),
                            note="closed but has no two-sided identity inside")
     return v

@@ -141,7 +141,8 @@ def _decide_set(u, predicate):
     return _deciding(lambda v: check_predicate(u, v, predicate), bool, "empty-assignment")
 
 
-# collection predicate names; each is also taken with a "loose-" prefix
+# collection predicate names; each but strong-n-sub, whose every part holds
+# an indeterminate member, is also taken with a "loose-" prefix
 N_PREDICATES = ("n-sub", "strong-n-sub", "n-ideal")
 
 
@@ -149,7 +150,7 @@ def _decide_parts(u, predicate):
     if callable(predicate):
         return _deciding(partial(predicate, u), all, "empty-part")
     loose, core = predicate.startswith("loose-"), predicate.removeprefix("loose-")
-    if core not in N_PREDICATES:
+    if core not in N_PREDICATES or loose and core == "strong-n-sub":
         raise ValueError("unknown collection predicate %r" % predicate)
     check = is_n_ideal if core == "n-ideal" else partial(is_n_sub, strong=core == "strong-n-sub")
     return _deciding(lambda v: check(u, v, require_neutro=not loose), all, "empty-part")

@@ -31,24 +31,28 @@ def label_is_zero(label):
     return label == "0"
 
 
-class FiniteMagma:
-    """A finite set with one total binary operation, given by an index table."""
+class _Labelled:
+    """Ordered string labels and their positions, which the operation tables
+    of a finite carrier hold."""
 
-    def __init__(self, elements, table, name="", meta=None):
-        n = len(elements)
-        if len(set(elements)) != n:
+    def __init__(self, elements, name, meta):
+        if len(set(elements)) != len(elements):
             raise ValueError("duplicate element labels")
+        self.elements = list(elements)
+        self.name = name
+        self.meta = dict(meta or {})
+        self._index = {lab: i for i, lab in enumerate(self.elements)}
+
+    def _table(self, table):
+        """A copy of `table`, which must be a square table of positions."""
+        n = len(self.elements)
         if len(table) != n or any(len(row) != n for row in table):
             raise ValueError("table must be %d x %d" % (n, n))
         for row in table:
             for v in row:
                 if not 0 <= v < n:
                     raise ValueError("table entry %r out of range" % (v,))
-        self.elements = list(elements)
-        self.table = [list(row) for row in table]
-        self.name = name or "magma(%d)" % n
-        self.meta = dict(meta or {})
-        self._index = {lab: i for i, lab in enumerate(self.elements)}
+        return [list(row) for row in table]
 
     def __len__(self):
         return len(self.elements)
@@ -62,11 +66,35 @@ class FiniteMagma:
         except KeyError:
             raise ValueError("unknown element %r in %s" % (label, self.name))
 
+    def _apply(self, table, x, y):
+        return self.elements[table[self.idx(x)][self.idx(y)]]
+
+
+def _identity(table, pool=None):
+    """The first position e of `pool` (default: every position) with
+    table[e][x] == x == table[x][e] for each x of `pool`, or None."""
+    pool = range(len(table)) if pool is None else pool
+    return next((e for e in pool
+                 if all(table[e][x] == x and table[x][e] == x for x in pool)), None)
+
+
+def _inverse(table, e, x):
+    """The first position y with table[x][y] == e == table[y][x], or None."""
+    return next((y for y in range(len(table)) if table[x][y] == e and table[y][x] == e), None)
+
+
+class FiniteMagma(_Labelled):
+    """A finite set with one total binary operation, given by an index table."""
+
+    def __init__(self, elements, table, name="", meta=None):
+        super().__init__(elements, name or "magma(%d)" % len(elements), meta)
+        self.table = self._table(table)
+
     def op(self, x, y):
-        return self.elements[self.table[self.idx(x)][self.idx(y)]]
+        return self._apply(self.table, x, y)
 
 
-class FiniteRing:
+class FiniteRing(_Labelled):
     """A finite set with addition and multiplication tables.
 
     Addition is expected to form an abelian group and multiplication to be
@@ -76,72 +104,33 @@ class FiniteRing:
     """
 
     def __init__(self, elements, add_table, mul_table, name="", meta=None, validate=True):
-        self.add_magma = FiniteMagma(elements, add_table, name=name + "+")
-        self.mul_magma = FiniteMagma(elements, mul_table, name=name + "*")
-        self.elements = self.add_magma.elements
-        self.name = name or "ring(%d)" % len(elements)
-        self.meta = dict(meta or {})
-        self._index = self.add_magma._index
-        self.add_table = self.add_magma.table
-        self.mul_table = self.mul_magma.table
-        zero = self._find_add_identity()
+        super().__init__(elements, name or "ring(%d)" % len(elements), meta)
+        self.add_table = self._table(add_table)
+        self.mul_table = self._table(mul_table)
+        zero = _identity(self.add_table)
         if zero is None:
             raise ValueError("%s has no additive identity" % self.name)
-        self.zero = zero
-        self._neg = self._build_negation()
-        self.neg_map = [self.idx(self._neg[lab]) for lab in self.elements]
+        self.zero = self.elements[zero]
+        self.neg_map = [_inverse(self.add_table, zero, x) for x in range(len(self))]
+        if None in self.neg_map:
+            raise ValueError("%s: %r has no additive inverse"
+                             % (self.name, self.elements[self.neg_map.index(None)]))
         if validate:
             bad = next(self._violations(), None)
             if bad is not None:
                 raise ValueError("%s violates %s at %r" % (self.name, bad[0], bad[1]))
 
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def idx(self, label):
-        try:
-            return self._index[label]
-        except KeyError:
-            raise ValueError("unknown element %r in %s" % (label, self.name))
-
     def add(self, x, y):
-        return self.add_magma.op(x, y)
+        return self._apply(self.add_table, x, y)
 
     def mul(self, x, y):
-        return self.mul_magma.op(x, y)
+        return self._apply(self.mul_table, x, y)
 
     def neg(self, x):
-        return self._neg[x]
+        return self.elements[self.neg_map[self.idx(x)]]
 
     def sub(self, x, y):
         return self.add(x, self.neg(y))
-
-    def _find_add_identity(self):
-        n = len(self.elements)
-        t = self.add_magma.table
-        for e in range(n):
-            if all(t[e][x] == x and t[x][e] == x for x in range(n)):
-                return self.elements[e]
-        return None
-
-    def _build_negation(self):
-        n = len(self.elements)
-        t = self.add_magma.table
-        z = self.idx(self.zero)
-        neg = {}
-        for i in range(n):
-            for j in range(n):
-                if t[i][j] == z and t[j][i] == z:
-                    neg[self.elements[i]] = self.elements[j]
-                    break
-            else:
-                raise ValueError(
-                    "%s: %r has no additive inverse" % (self.name, self.elements[i])
-                )
-        return neg
 
     def axiom_violations(self):
         """(law, labels) for every failing pair or triple; empty when
@@ -260,40 +249,23 @@ def mult_magma(n, neutro=True, pure_union=False):
                              "pure_union": bool(pure_union)})
 
 
-def _perm_label(p):
-    seen = [False] * len(p)
-    cycles = []
+def _cycles(p):
+    """The cycles of the permutation `p` that move a point, each listed from
+    its least point, in the order of those points."""
+    seen, cycles = set(), []
     for start in range(len(p)):
-        if seen[start] or p[start] == start:
-            seen[start] = True
+        if start in seen or p[start] == start:
             continue
         cyc = [start]
-        seen[start] = True
-        nxt = p[start]
-        while nxt != start:
-            cyc.append(nxt)
-            seen[nxt] = True
-            nxt = p[nxt]
+        while p[cyc[-1]] != start:
+            cyc.append(p[cyc[-1]])
+        seen.update(cyc)
         cycles.append(cyc)
-    if not cycles:
-        return "e"
-    return "".join("(" + "".join(str(i + 1) for i in cyc) + ")" for cyc in cycles)
+    return cycles
 
 
-def _perm_is_even(p):
-    seen = [False] * len(p)
-    parity = 0
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        length = 0
-        nxt = start
-        while not seen[nxt]:
-            seen[nxt] = True
-            nxt = p[nxt]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity == 0
+def _perm_label(p):
+    return "".join("(" + "".join(str(i + 1) for i in cyc) + ")" for cyc in _cycles(p)) or "e"
 
 
 def sym_group(k):
@@ -314,7 +286,7 @@ def alternating_labels(k):
     return frozenset(
         _perm_label(p)
         for p in itertools.permutations(range(k))
-        if _perm_is_even(p)
+        if sum(len(cyc) - 1 for cyc in _cycles(p)) % 2 == 0
     )
 
 
@@ -378,42 +350,29 @@ def verify_kind(magma):
     if assoc_witness:
         rep.witnesses["not-associative"] = assoc_witness
 
-    identity = None
-    for e in range(n):
-        if all(t[e][x] == x and t[x][e] == x for x in range(n)):
-            identity = e
-            break
-    rep.identity = labs[identity] if identity is not None else None
+    identity = _identity(t)
     if identity is None:
         rep.witnesses["no-identity"] = ()
+        return rep
+    rep.identity = labs[identity]
 
-    if rep.semigroup and identity is not None:
-        missing = None
-        for x in range(n):
-            if not any(t[x][y] == identity and t[y][x] == identity for y in range(n)):
-                missing = labs[x]
-                break
+    if rep.semigroup:
+        missing = next((x for x in range(n) if _inverse(t, identity, x) is None), None)
         rep.group = missing is None
         if missing is not None:
-            rep.witnesses["no-inverse"] = (missing,)
-    else:
-        rep.group = False
+            rep.witnesses["no-inverse"] = (labs[missing],)
 
-    if identity is not None:
-        latin_witness = None
-        for i in range(n):
-            if len(set(t[i])) != n:
-                latin_witness = ("row", labs[i])
-                break
-            if len({t[j][i] for j in range(n)}) != n:
-                latin_witness = ("column", labs[i])
-                break
-        rep.loop = latin_witness is None
-        if latin_witness:
-            rep.witnesses["not-latin"] = latin_witness
-    else:
-        rep.loop = False
-
+    latin_witness = None
+    for i in range(n):
+        if len(set(t[i])) != n:
+            latin_witness = ("row", labs[i])
+            break
+        if len({t[j][i] for j in range(n)}) != n:
+            latin_witness = ("column", labs[i])
+            break
+    rep.loop = latin_witness is None
+    if latin_witness:
+        rep.witnesses["not-latin"] = latin_witness
     return rep
 
 

@@ -602,6 +602,7 @@ PREDICATES = {
     "loose-gr-subring": (GroupRing, "sub", False, False),
     "gr-pseudo": (GroupRing, "sub", True, True),
     "gr-ideal": (GroupRing, "ideal", True, False),
+    "loose-gr-ideal": (GroupRing, "ideal", False, False),
     "gr-pseudo-ideal": (GroupRing, "ideal", True, True),
     "gr-subneutro": (GroupRing, "subneutro", True, False),
     "loose-gr-subneutro": (GroupRing, "subneutro", False, False),

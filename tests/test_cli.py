@@ -74,6 +74,16 @@ def test_check_sub_formal_sums(tmp_path, capsys):
     assert 'witness: ["g", "g", "mul", "1"]' in capsys.readouterr().out
 
 
+def test_check_sub_formal_sum_ideal_has_a_loose_twin(tmp_path, capsys):
+    spec = write(tmp_path, "gr.json", {"kind": "group_ring", "r": 2,
+                                       "basis": {"kind": "cyclic_neutro_group", "m": 2}})
+    base = ["check-sub", "--structure", spec, "--predicate", "gr-ideal", "--subset", "0"]
+    assert main(base) == 0
+    assert capsys.readouterr().out == "holds: loose-gr-ideal on {0}\n"
+    assert main(base + ["--strict"]) == 1
+    assert capsys.readouterr().out == "fails: closed but has no indeterminate-supported member\n"
+
+
 def test_enumerate_matches_library_count(tmp_path, capsys):
     from neutrolab.io import load_structure
     from neutrolab.subsets import enumerate_subs
@@ -94,6 +104,11 @@ def test_classify_magma_and_collection(tmp_path, capsys):
     assert "mixed profile:" in capsys.readouterr().out
 
 
+def test_classify_ring(tmp_path, capsys):
+    assert main(["classify", "--structure", write(tmp_path, "r.json", RING4)]) == 0
+    assert capsys.readouterr().out == "ring with 16 elements\n"
+
+
 def test_soft_op_writes_result(tmp_path, capsys):
     lhs = write(tmp_path, "f.json",
                 {"universe": G421, "assign": {"a1": ["0", "2I"], "a2": ["0"]}})
@@ -110,6 +125,19 @@ def test_soft_op_writes_result(tmp_path, capsys):
     doc = json.loads((tmp_path / "u.json").read_text())
     assert doc["params"] == ["a1", "a2", "a3"]
     capsys.readouterr()
+
+
+def test_soft_op_crossed_and(tmp_path, capsys):
+    lhs = write(tmp_path, "f.json",
+                {"universe": G421, "assign": {"a": ["0", "2I"], "b": ["0", "2"]}})
+    rhs = write(tmp_path, "k.json",
+                {"universe": G421, "assign": {"a": ["0", "2I", "2+2I"]}})
+    out = str(tmp_path / "and.json")
+    assert main(["soft-op", "--op", "and", "--lhs", lhs, "--rhs", rhs, "-o", out]) == 0
+    assert capsys.readouterr().out == "wrote %s with parameters: a&a, b&a\n" % out
+    doc = json.loads((tmp_path / "and.json").read_text())
+    assert doc["universe"] == G421
+    assert doc["assign"] == {"a&a": ["0", "2I"], "b&a": ["0"]}
 
 
 def test_soft_op_flag_misuse_and_missing_share(tmp_path, capsys):

@@ -37,6 +37,7 @@ def claim_of(cid, runner=None):
 def test_result_predicate():
     assert result_predicate("subgroupoid") == "loose-subgroupoid"
     assert result_predicate("ring-ideal") == "loose-ring-ideal"
+    assert result_predicate("gr-ideal") == "loose-gr-ideal"
     assert result_predicate("n-sub") == "loose-n-sub"
     assert result_predicate("loose-subgroupoid") == "loose-subgroupoid"
     assert result_predicate("lagrange") == "lagrange"
@@ -196,6 +197,10 @@ def test_hunt_rejects_an_unknown_predicate():
                         Component(mult_magma(4), "semigroup", True)])
     with pytest.raises(ValueError, match="loose-n-subb"):
         run_remark_hunt(pair, "extended-union", "loose-n-subb", random.Random(0),
+                        population=[(frozenset({"0"}), frozenset({"0"}))], budget=100)
+    # strong-n-sub parts are all indeterminate, so it has no loose form
+    with pytest.raises(ValueError, match="unknown collection predicate 'loose-strong-n-sub'"):
+        run_remark_hunt(pair, "extended-union", "loose-strong-n-sub", random.Random(0),
                         population=[(frozenset({"0"}), frozenset({"0"}))], budget=100)
 
 

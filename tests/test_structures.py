@@ -8,6 +8,7 @@ import pytest
 from neutrolab import structures
 from neutrolab.scalars import ns_add, ns_elements, ns_mul
 from neutrolab.structures import (
+    FiniteMagma,
     FiniteRing,
     alternating_labels,
     build_from_table,
@@ -222,3 +223,46 @@ def test_cyclic_neutro_group_labels_and_table():
     s3 = cyclic_neutro_group(3, semigroup=True)
     assert s3.name == "cyclic-semigroup(3)+I"
     assert s3.meta == {"kind": "cyclic_neutro_group", "m": 3, "semigroup": True}
+
+
+# the tables of {0, 1}: under max, 0 is the identity and 1 has no inverse;
+# under "left operand wins" no element is a two-sided identity
+MAX = [[0, 1], [1, 1]]
+LEFT = [[0, 0], [1, 1]]
+
+
+def test_ring_without_additive_identity_or_inverse_raises():
+    with pytest.raises(ValueError) as err:
+        FiniteRing(["0", "1"], LEFT, MAX)
+    assert str(err.value) == "ring(2) has no additive identity"
+    with pytest.raises(ValueError) as err:
+        FiniteRing(["0", "1"], MAX, MAX, name="max")
+    assert str(err.value) == "max: '1' has no additive inverse"
+    # validate=False skips the ring laws, not the identity and inverse searches
+    with pytest.raises(ValueError, match="no additive inverse"):
+        FiniteRing(["0", "1"], MAX, LEFT, validate=False)
+
+
+def test_magma_rejects_duplicate_labels_and_out_of_range_entries():
+    with pytest.raises(ValueError) as err:
+        FiniteMagma(["a", "a"], [[0, 0], [0, 0]])
+    assert str(err.value) == "duplicate element labels"
+    for bad in (2, -1):
+        with pytest.raises(ValueError) as err:
+            FiniteMagma(["a", "b"], [[0, 1], [bad, 0]])
+        assert str(err.value) == "table entry %r out of range" % bad
+    with pytest.raises(ValueError) as err:
+        FiniteRing(["a", "b"], [[0, 1], [1, 0]], [[0, 0], [0, 3]])
+    assert str(err.value) == "table entry 3 out of range"
+
+
+def test_latin_rows_with_a_repeated_column_are_not_a_loop():
+    # e is the identity and every row is a permutation, but column a reads
+    # a, b, a
+    m = build_from_table(["e", "a", "b"], [["e", "a", "b"],
+                                           ["a", "b", "e"],
+                                           ["b", "a", "e"]])
+    rep = verify_kind(m)
+    assert rep.identity == "e"
+    assert not rep.loop
+    assert rep.witnesses["not-latin"] == ("column", "a")

@@ -174,3 +174,35 @@ def test_union_of_spans():
     c = SymGroupRing(Z, basis, {"I", "g^2I"})
     v = sym_union_substructure(SymUnion((a, c)))
     assert not v.ok and v.witness[2] == "add"
+
+
+QI = NamedRing("Q", 1, True)
+
+
+def test_irrational_and_indeterminate_cross_sum_escapes_both():
+    # sqrt(2) lies in R but not in <Q u I>, I the other way round; their sum
+    # has an irrational real part and an I part, so neither member holds it
+    v = sym_union_substructure(SymUnion((R, QI)))
+    assert not v.ok
+    assert v.witness == ("I", "sqrt(2)", "add", "I+sqrt(2)")
+    assert v.note == "cross sum lies outside every member"
+
+
+def test_span_escapes_by_coefficient_or_by_basis_term():
+    basis = cyclic_neutro_group(4)
+    v = sym_gr_subring_of(SymGroupRing(Q, basis, {"1", "g^2"}), SymGroupRing(Z, basis))
+    assert (v.ok, v.witness, v.note) == (False, ("1/2",), "coefficient escapes")
+    v = sym_gr_subring_of(SymGroupRing(Z, basis, {"1", "g^2"}),
+                          SymGroupRing(Z, basis, {"1", "g"}))
+    assert (v.ok, v.witness, v.note) == (False, ("g^2",), "basis term escapes")
+
+
+def test_ideal_verdicts_that_fail_by_absorption_or_by_containment():
+    v = sym_ideal_of(Z2, Q)                            # 2Z sits in Q but 1/2 * 2 = 1
+    assert not v.ok and v.witness == ("1/2", "absorb") and v.flags == ()
+    v = sym_ideal_of(QI, Q)
+    assert not v.ok and v.witness == ("I",) and v.flags == ("not-substructure",)
+    basis = cyclic_neutro_group(4)
+    v = sym_gr_ideal_of(SymGroupRing(Z, basis), SymGroupRing(Q, basis))
+    assert not v.ok and v.witness == ("1/2", "absorb")
+    assert v.note == "coefficient multiples leave the inner span"
