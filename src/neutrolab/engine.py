@@ -16,9 +16,9 @@ from functools import cache
 from itertools import product
 
 from .io import json_plain, load_soft, soft_to_dict
-from .softsets import OPS, SoftSet, op_items, value_intersect, value_kind, value_union
+from .softsets import N_PREDICATES, OPS, SoftSet, op_items, value_kind
 from .structures import ResourceCap
-from .subsets import Verdict
+from .subsets import PREDICATES, Verdict
 
 STATUS_HOLDS = "Holds"
 STATUS_COUNTEREXAMPLE = "CounterexampleFound"
@@ -42,23 +42,13 @@ DEGENERATE_FLAGS = ("empty-assignment", "empty-part")
 
 INTERSECTION_OPS = ("extended-intersection", "restricted-intersection", "and")
 
-# Population members satisfy the strict form of a predicate; combined values
-# produced by a soft operation only need the closure-only form.
-LOOSE_RESULT = {
-    "subgroupoid": "loose-subgroupoid",
-    "ideal": "loose-ideal",
-    "subring": "loose-subring",
-    "ring-ideal": "loose-ring-ideal",
-    "gr-subring": "loose-gr-subring",
-    "gr-ideal": "loose-gr-ideal",
-    "gr-subneutro": "loose-gr-subneutro",
-    "n-sub": "loose-n-sub",
-    "n-ideal": "loose-n-ideal",
-}
-
 
 def result_predicate(name):
-    return LOOSE_RESULT.get(name, name)
+    """The closure-only form of a predicate, where one is defined: population
+    members satisfy the strict form, and the values a soft operation forms
+    from them only need the closure-only one."""
+    loose = "loose-" + name
+    return loose if loose in PREDICATES or loose in N_PREDICATES else name
 
 
 @dataclass
@@ -138,11 +128,11 @@ def _remark_violation(universe, predicate):
     return violation
 
 
-def _op_trial(op_name, f, k, fails, merge=None):
-    """Run the operation on two assignment maps of frozen values and decide
-    each result value as one trial. Returns the trial count and the first
-    failure, (param, value, verdict), or None."""
-    items = op_items(op_name, f, k, merge)
+def _op_trial(op_name, f, k, fails, kind):
+    """Run the operation on two assignment maps of frozen values of `kind`
+    and decide each result value as one trial. Returns the trial count and
+    the first failure, (param, value, verdict), or None."""
+    items = op_items(op_name, f, k, kind)
     for n, (p, value) in enumerate(items, 1):
         v = fails(value)
         if v is not None:
@@ -177,7 +167,7 @@ def run_closure_prop(universe, population, predicate, rng, ops=INTERSECTION_OPS,
     values through the real soft-set operations `ops`, in turn. Returns
     (status, witness, trials).
 
-    The spot sweep memoises the meet and the join, which is sound because
+    The spot sweep memoises the kind's meet and join, which is sound because
     values are frozen and both are pure: a pair of members shares one
     result object, which `fails` finds in its cache by identity."""
     kind = value_kind(universe)
@@ -193,14 +183,14 @@ def run_closure_prop(universe, population, predicate, rng, ops=INTERSECTION_OPS,
     for a in population:
         for b in population:
             trials += 1
-            v = fails(value_intersect(a, b))
+            v = fails(kind.meet(a, b))
             if v is not None:
                 return (STATUS_COUNTEREXAMPLE,
                         _fail_witness("pair-intersection", v,
                                       lhs=kind.dump(universe, a),
                                       rhs=kind.dump(universe, b)),
                         trials)
-    meet, join = cache(value_intersect), cache(value_union)
+    memo = kind._replace(meet=cache(kind.meet), join=cache(kind.join))
     choice, coin = rng.choice, rng.random
     checked = 0
     for _ in range(spot if population else 0):
@@ -211,8 +201,7 @@ def run_closure_prop(universe, population, predicate, rng, ops=INTERSECTION_OPS,
         if coin() < 0.5:
             k["p3"] = choice(population)
         op_name = ops[checked % len(ops)] if ops else "restricted-intersection"
-        merge = meet if op_name in INTERSECTION_OPS else join
-        n, failure = _op_trial(op_name, f, k, fails, merge)
+        n, failure = _op_trial(op_name, f, k, fails, memo)
         checked += n
         if failure is not None:
             p, _, v = failure
@@ -273,7 +262,7 @@ def run_remark_hunt(universe, op_name, predicate, rng=None, pinned=None,
         """Trial op(f, k): its replayed witness, or None."""
         nonlocal trials
         try:
-            n, failure = _op_trial(op_name, f, k, fails)
+            n, failure = _op_trial(op_name, f, k, fails, kind)
         except ValueError:
             return None
         trials += n

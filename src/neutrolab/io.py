@@ -22,33 +22,51 @@ from .structures import (
 )
 
 
+def _field(spec, key, cls):
+    """spec[key], which must be a `cls`; another value raises ValueError
+    naming the field."""
+    value = spec[key]
+    if not isinstance(value, cls):
+        raise ValueError("field %r must be a %s, got %.60r" % (key, cls.__name__, value))
+    return value
+
+
+def _int(spec, key):
+    try:
+        return int(spec[key])
+    except (TypeError, ValueError):
+        raise ValueError("field %r must be an integer, got %.60r" % (key, spec[key])) from None
+
+
 def load_structure(spec):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("a structure spec is a dict with a 'kind' key")
     kind = spec["kind"]
     if kind == "param_groupoid":
-        return param_groupoid(int(spec["n"]), int(spec["t"]), int(spec["u"]))
+        return param_groupoid(_int(spec, "n"), _int(spec, "t"), _int(spec, "u"))
     if kind == "cyclic_neutro_group":
-        return cyclic_neutro_group(int(spec["m"]), bool(spec.get("semigroup", False)))
+        return cyclic_neutro_group(_int(spec, "m"), bool(spec.get("semigroup", False)))
     if kind == "neutro_ring":
-        return neutro_ring(int(spec["n"]))
+        return neutro_ring(_int(spec, "n"))
     if kind == "mult_magma":
-        return mult_magma(int(spec["n"]), bool(spec.get("neutro", True)),
+        return mult_magma(_int(spec, "n"), bool(spec.get("neutro", True)),
                           bool(spec.get("pure_union", False)))
     if kind == "sym_group":
-        return sym_group(int(spec["k"]))
+        return sym_group(_int(spec, "k"))
     if kind == "cayley":
-        return build_from_table(list(spec["elements"]), spec["table"],
+        return build_from_table(_field(spec, "elements", list), _field(spec, "table", list),
                                 name=spec.get("name", ""))
     if kind == "neutro_double":
         return neutro_double(load_structure(spec["base"]), name=spec.get("name", ""))
     if kind == "group_ring":
-        return GroupRing(int(spec["r"]), load_structure(spec["basis"]),
+        return GroupRing(_int(spec, "r"), load_structure(spec["basis"]),
                          name=spec.get("name", ""))
     if kind == "ncollection":
         comps = []
-        for c in spec["components"]:
-            tag = c["kind_tag"]
+        for c in _field(spec, "components", list):
+            if not isinstance(c, dict):
+                raise ValueError("a component is a dict with 'spec' and 'kind_tag', got %.60r" % (c,))
+            tag = _field(c, "kind_tag", dict)
             comps.append(Component(load_structure(c["spec"]), tag["alg"],
                                    bool(tag["neutrosophic"])))
         return NCollection(comps, name=spec.get("name", ""))
@@ -61,10 +79,13 @@ def load_structure_file(path):
 
 
 def load_soft(spec, universe=None):
+    if not isinstance(spec, dict):
+        raise ValueError("a soft-set spec is a dict with 'universe' and 'assign' keys")
     if universe is None:
         universe = load_structure(spec["universe"])
     load = value_kind(universe).load
-    return SoftSet(universe, {p: load(universe, v) for p, v in spec["assign"].items()})
+    return SoftSet(universe, {p: load(universe, v)
+                              for p, v in _field(spec, "assign", dict).items()})
 
 
 def load_soft_file(path, universe=None):

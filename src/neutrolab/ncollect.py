@@ -80,6 +80,8 @@ class NCollection:
         return sum(len(c.structure) for c in self.components)
 
     def resolve_parts(self, parts):
+        if isinstance(parts, str) or any(isinstance(p, str) for p in parts):
+            raise ValueError("a collection value is a sequence of label sets, got %.60r" % (parts,))
         parts = [frozenset(p or ()) for p in parts]
         if len(parts) != len(self.components):
             raise ValueError("expected %d parts, got %d"

@@ -5,6 +5,8 @@ A soft set is a map from parameter names to assignment values over one shared
 universe, all of the kind `value_kind` picks for it: label sets, formal-sum
 sets, tuples of label sets (one part per component), or symbolic carriers.
 A value of another shape raises ValueError when the soft set is built.  The
+kind also meets, joins and compares two values: each operation merges the
+values of two assignment maps with its kind's meet or join (`op_items`).  The
 restricted union follows the worked usage (merge only on the shared
 parameters); the literal flag switches to the written-down version, which
 coincides with the extended union.
@@ -18,7 +20,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
-from operator import is_, not_
+from operator import is_, le, not_, or_
 
 from .groupring import GroupRing
 from .ncollect import NCollection, is_n_ideal, is_n_sub
@@ -76,8 +78,12 @@ class SoftSet:
 #     kind does not decide raises ValueError here
 # whole(u, v): v is the whole carrier
 # load(u, raw), dump(u, v): the value read from and written as JSON
+# meet(a, b), join(a, b): the intersection and the union of two values; a
+#     value met with itself is returned as it is
+# contains(small, big): every member of `small` lies in `big`
 
-ValueKind = namedtuple("ValueKind", "freeze empty neutro size decide whole load dump")
+ValueKind = namedtuple("ValueKind", "freeze empty neutro size decide whole load dump "
+                                    "meet join contains")
 
 
 def value_kind(universe):
@@ -100,6 +106,10 @@ def _label_set(raw, member=str):
             and all(map(isinstance, raw, repeat(member)))):
         raise ValueError("expected a set of %s members, got %.60r" % (member.__name__, raw))
     return raw if type(raw) is frozenset else frozenset(raw)
+
+
+def _set_meet(a, b):
+    return a if a is b else a & b
 
 
 def _freeze_parts(u, raw):
@@ -127,6 +137,20 @@ def _freeze_symbolic(u, raw):
     return raw
 
 
+def _sym_meet(a, b):
+    if isinstance(a, sym.NamedRing) and isinstance(b, sym.NamedRing):
+        return sym.sym_intersect(a, b)
+    raise ValueError("no intersection for these symbolic values")
+
+
+def _sym_contains(small, big):
+    if isinstance(small, sym.NamedRing) and isinstance(big, sym.NamedRing):
+        return sym.sym_contains(small, big)
+    if isinstance(small, sym.SymGroupRing) and isinstance(big, sym.SymGroupRing):
+        return sym.sym_gr_contains(small, big)
+    raise ValueError("no containment for these values")
+
+
 def _deciding(test, nonempty, flag):
     """test(v), or a Verdict flagged `flag` when `nonempty(v)` is false."""
     def decide(v):
@@ -141,19 +165,24 @@ def _decide_set(u, predicate):
     return _deciding(lambda v: check_predicate(u, v, predicate), bool, "empty-assignment")
 
 
-# collection predicate names; each but strong-n-sub, whose every part holds
-# an indeterminate member, is also taken with a "loose-" prefix
-N_PREDICATES = ("n-sub", "strong-n-sub", "n-ideal")
+# collection predicate name -> (part check, whether some part must carry I);
+# strong-n-sub, whose every part holds an indeterminate member, has no loose form
+N_PREDICATES = {
+    "n-sub": (is_n_sub, True),
+    "loose-n-sub": (is_n_sub, False),
+    "strong-n-sub": (partial(is_n_sub, strong=True), True),
+    "n-ideal": (is_n_ideal, True),
+    "loose-n-ideal": (is_n_ideal, False),
+}
 
 
 def _decide_parts(u, predicate):
     if callable(predicate):
         return _deciding(partial(predicate, u), all, "empty-part")
-    loose, core = predicate.startswith("loose-"), predicate.removeprefix("loose-")
-    if core not in N_PREDICATES or loose and core == "strong-n-sub":
+    if predicate not in N_PREDICATES:
         raise ValueError("unknown collection predicate %r" % predicate)
-    check = is_n_ideal if core == "n-ideal" else partial(is_n_sub, strong=core == "strong-n-sub")
-    return _deciding(lambda v: check(u, v, require_neutro=not loose), all, "empty-part")
+    check, neutro = N_PREDICATES[predicate]
+    return _deciding(lambda v: check(u, v, require_neutro=neutro), all, "empty-part")
 
 
 def _decide_symbolic(u, predicate):
@@ -174,10 +203,11 @@ _LABELS = ValueKind(
     freeze=lambda u, raw: _label_set(raw), empty=not_,
     neutro=lambda u, v: any(map(label_is_neutro, v)), size=len, decide=_decide_set,
     whole=lambda u, v: len(v) == len(u) and v == frozenset(u.elements),
-    load=lambda u, raw: _label_set(raw), dump=lambda u, v: sorted(v))
-_SUMS = ValueKind(
-    freeze=lambda u, raw: _label_set(raw, tuple), empty=not_,
-    neutro=lambda u, v: any(map(u.has_neutro_support, v)), size=len, decide=_decide_set,
+    load=lambda u, raw: _label_set(raw), dump=lambda u, v: sorted(v),
+    meet=_set_meet, join=or_, contains=le)
+_SUMS = _LABELS._replace(
+    freeze=lambda u, raw: _label_set(raw, tuple),
+    neutro=lambda u, v: any(map(u.has_neutro_support, v)),
     # sizes first: a group ring can hold millions of sums
     whole=lambda u, v: len(v) == len(u) and v == frozenset(u.elements()),
     load=lambda u, raw: frozenset(map(u.parse, _label_set(raw))),
@@ -187,63 +217,22 @@ _PARTS = ValueKind(
     neutro=lambda u, v: any(label_is_neutro(x) for p in v for x in p),
     size=lambda v: sum(map(len, v)), decide=_decide_parts,
     whole=lambda u, v: v == tuple(frozenset(c.structure.elements) for c in u.components),
-    load=_freeze_parts, dump=lambda u, v: [sorted(p) for p in v])
+    load=_freeze_parts, dump=lambda u, v: [sorted(p) for p in v],
+    meet=lambda a, b: a if a is b else tuple(map(_set_meet, a, b)),
+    join=lambda a, b: tuple(map(or_, a, b)), contains=lambda a, b: all(map(le, a, b)))
 _SYMBOLIC = ValueKind(
     freeze=_freeze_symbolic, empty=lambda v: False,
     neutro=lambda u, v: any(m.neutro if isinstance(m, sym.NamedRing)
                             else any(map(label_is_neutro, m.subset)) for m in _members(v)),
     size=lambda v: 1, decide=_decide_symbolic, whole=_not_finite,
-    load=_freeze_symbolic, dump=lambda u, v: str(v))
-
-
-# ---------------------------------------------------------------------------
-# value algebra (meet, join and containment of two values of one kind)
-
-
-def value_union(value_a, value_b):
-    if isinstance(value_a, frozenset) and isinstance(value_b, frozenset):
-        return value_a | value_b
-    if isinstance(value_a, tuple) and isinstance(value_b, tuple):
-        if len(value_a) != len(value_b):
-            raise ValueError("part counts differ")
-        return tuple(p | q for p, q in zip(value_a, value_b))
-    members = []
-    for v in (value_a, value_b):
-        members.extend(v.members if isinstance(v, sym.SymUnion) else (v,))
-    return sym.SymUnion(tuple(dict.fromkeys(members)))
-
-
-def value_intersect(value_a, value_b):
-    """The meet of two values; a label set or tuple met with itself is
-    returned as the same object."""
-    if isinstance(value_a, frozenset) and isinstance(value_b, frozenset):
-        return value_a if value_a is value_b else value_a & value_b
-    if isinstance(value_a, tuple) and isinstance(value_b, tuple):
-        if value_a is value_b:
-            return value_a
-        if len(value_a) != len(value_b):
-            raise ValueError("part counts differ")
-        return tuple(p if p is q else p & q for p, q in zip(value_a, value_b))
-    if isinstance(value_a, sym.NamedRing) and isinstance(value_b, sym.NamedRing):
-        return sym.sym_intersect(value_a, value_b)
-    raise ValueError("no intersection for these symbolic values")
-
-
-def value_contains(small, big):
-    if isinstance(small, frozenset) and isinstance(big, frozenset):
-        return small <= big
-    if isinstance(small, tuple) and isinstance(big, tuple):
-        return len(small) == len(big) and all(p <= q for p, q in zip(small, big))
-    if isinstance(small, sym.NamedRing) and isinstance(big, sym.NamedRing):
-        return sym.sym_contains(small, big)
-    if isinstance(small, sym.SymGroupRing) and isinstance(big, sym.SymGroupRing):
-        return sym.sym_gr_contains(small, big)
-    raise ValueError("no containment for these values")
+    load=_freeze_symbolic, dump=lambda u, v: str(v), meet=_sym_meet,
+    join=lambda a, b: sym.SymUnion(tuple(dict.fromkeys((*_members(a), *_members(b))))),
+    contains=_sym_contains)
 
 
 # ---------------------------------------------------------------------------
 # the six operations: one of three shapes over two assignment maps, with
-# the meet or the join as the merge of two values
+# the kind's meet or join as the merge of two values
 
 
 def _check_same_universe(f, k):
@@ -278,27 +267,27 @@ def _crossed(f, k, merge, sep):
 
 
 _OP_SHAPES = {
-    "restricted-intersection": (_restricted, value_intersect),
-    "extended-intersection": (_extended, value_intersect),
-    "restricted-union": (_restricted, value_union),
-    "extended-union": (_extended, value_union),
-    "and": (partial(_crossed, sep="&"), value_intersect),
-    "or": (partial(_crossed, sep="|"), value_union),
+    "restricted-intersection": (_restricted, "meet"),
+    "extended-intersection": (_extended, "meet"),
+    "restricted-union": (_restricted, "join"),
+    "extended-union": (_extended, "join"),
+    "and": (partial(_crossed, sep="&"), "meet"),
+    "or": (partial(_crossed, sep="|"), "join"),
 }
 
 
-def op_items(name, f_assign, k_assign, merge=None):
+def op_items(name, f_assign, k_assign, kind):
     """The (param, value) pairs of operation `name` on two assignment maps
-    of frozen values, in parameter order; the public operations build their
-    soft set from them. `merge` replaces the operation's meet or join, for
-    a caller that memoises it."""
-    shape, own = _OP_SHAPES[name]
-    return shape(f_assign, k_assign, merge or own)
+    of frozen values, merged by `kind`'s meet or join, in parameter order;
+    the public operations build their soft set from them."""
+    shape, merge = _OP_SHAPES[name]
+    return shape(f_assign, k_assign, getattr(kind, merge))
 
 
 def _op(name, f, k):
     _check_same_universe(f, k)
-    return SoftSet._of_frozen(f.universe, op_items(name, f.assign, k.assign))
+    return SoftSet._of_frozen(f.universe, op_items(name, f.assign, k.assign,
+                                                   value_kind(f.universe)))
 
 
 def restricted_intersection(f, k):
@@ -421,21 +410,24 @@ def _nested_report(h, f, verdict_of):
 def soft_sub_of(h, f, predicate="loose-subgroupoid"):
     """(H, B) inside (F, A): parameters nest, assignments nest, and each H(b)
     is itself a substructure (closure is inherited by the parent)."""
-    decide = value_kind(h.universe).decide(h.universe, predicate)
+    kind = value_kind(h.universe)
+    decide = kind.decide(h.universe, predicate)
     return _nested_report(h, f, lambda hv, fv: (
-        decide(hv) if value_contains(hv, fv)
+        decide(hv) if kind.contains(hv, fv)
         else Verdict(False, note="assignment not inside parent")))
 
 
 def soft_ideal_of(h, f):
     """(H, B) an ideal of (F, A): nested parameters and assignments, each
     H(b) absorbing products with members of F(b)."""
+    contains = value_kind(h.universe).contains
+
     def verdict(hv, fv):
         if isinstance(hv, sym.SymGroupRing):
             return sym.sym_gr_ideal_of(hv, fv)
         if isinstance(hv, sym.NamedRing):
             return sym.sym_ideal_of(hv, fv)
-        if not value_contains(hv, fv):
+        if not contains(hv, fv):
             return Verdict(False, note="assignment not inside parent")
         return ideal_in_parent(h.universe, hv, fv)
 

@@ -295,14 +295,16 @@ def build_from_table(elements, table, name=""):
     index = {lab: i for i, lab in enumerate(elements)}
     norm = []
     for row in table:
+        if not isinstance(row, (list, tuple)):
+            raise ValueError("table row %.60r is not a list" % (row,))
         out = []
         for v in row:
-            if isinstance(v, str):
-                if v not in index:
-                    raise ValueError("table entry %r is not an element" % v)
+            if isinstance(v, str) and v in index:
                 out.append(index[v])
+            elif isinstance(v, int):
+                out.append(v)
             else:
-                out.append(int(v))
+                raise ValueError("table entry %r is neither an element nor an index" % (v,))
         norm.append(out)
     return FiniteMagma(elements, norm, name=name or "cayley(%d)" % len(elements),
                        meta={"kind": "cayley"})

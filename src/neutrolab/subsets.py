@@ -96,7 +96,7 @@ class _View:
             self.gens = [((i, 1),) for i in range(len(u.basis))]
             self.neutro, self.label, self.zero, self.ring = u.has_neutro_support, u.format, u.zero, u
             self.impure = lambda a: bool(a) and not u.is_pure_neutro(a)
-            self.members = lambda subset: _sorted_sums(u, subset)
+            self.members = lambda subset: _sorted_sums(u, _not_text(subset))
             self.notes = ("closed but has no indeterminate-supported member",
                           "nonzero member has a plain basis term")
             return
@@ -114,9 +114,16 @@ class _View:
         self.neutro, self.impure, self.label = neutro.__getitem__, impure.__getitem__, u.elements.__getitem__
         # the gap search walks a set built from the sorted indices; its order
         # decides which witness is reported
-        self.members = lambda labels: set(sorted({u.idx(x) for x in labels}))
+        self.members = lambda labels: set(sorted({u.idx(x) for x in _not_text(labels)}))
         self.notes = ("closed but has no indeterminate member",
                       "member is neither indeterminate nor zero")
+
+
+def _not_text(labels):
+    """`labels`, unless it is a string, which is not a set of labels."""
+    if isinstance(labels, str):
+        raise ValueError("a subset is a collection of members, not the string %r" % labels)
+    return labels
 
 
 def _view(universe):
@@ -625,7 +632,7 @@ def check_predicate(universe, labels, predicate):
     """Run a named predicate against a labelled subset."""
     carrier, kind, strict, pure = _predicate_row(universe, predicate)
     if carrier is GroupRing:
-        labels = [universe.parse(s) if isinstance(s, str) else s for s in labels]
+        labels = [universe.parse(s) if isinstance(s, str) else s for s in _not_text(labels)]
     if kind == "lagrange":
         return is_lagrange_sub(universe, labels)
     if kind == "subneutro":

@@ -220,3 +220,26 @@ def test_hunt_usage_errors(tmp_path, capsys):
     assert main(["hunt", "--template", "sideways-union:subgroupoid",
                  "--universe", spec]) == 2
     capsys.readouterr()
+
+
+MALFORMED = [
+    (["build"], {"kind": "ncollection", "components": 5}, "'components'"),
+    (["build"], {"kind": "cayley", "elements": ["a"], "table": 7}, "'table'"),
+    (["build"], {"kind": "cayley", "elements": ["a"], "table": [[None]]}, "table entry None"),
+    (["build"], {"kind": "param_groupoid", "n": [4], "t": 2, "u": 1}, "'n'"),
+    (["soft-check", "--predicate", "subgroupoid", "--file"],
+     {"universe": G421, "assign": 5}, "'assign'"),
+    (["soft-op", "--op", "and", "-o", "OUT", "--rhs", "GOOD", "--lhs"],
+     {"universe": G421, "assign": 5}, "'assign'"),
+]
+
+
+@pytest.mark.parametrize("command, doc, field", MALFORMED)
+def test_malformed_input_is_an_input_error(tmp_path, capsys, command, doc, field):
+    """A file of the wrong shape exits 2 with the bad field named, not 1
+    with a traceback."""
+    paths = {"GOOD": write(tmp_path, "good.json", {"universe": G421, "assign": {"a": ["0"]}}),
+             "OUT": str(tmp_path / "out.json")}
+    assert main([paths.get(a, a) for a in command] + [write(tmp_path, "bad.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err

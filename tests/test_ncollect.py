@@ -157,3 +157,10 @@ def test_ring_components_join_collections():
                         Component(mult_magma(6), "semigroup", True)])
     assert coll.order() == 4 + 36
     assert is_n_sub(coll, ({"0", "I"}, {"0", "1"})).ok
+
+
+def test_a_bare_string_is_not_a_part(bi):
+    for parts in (("2I", "1"), "2I", ({"2I"}, "1")):
+        with pytest.raises(ValueError, match="sequence of label sets"):
+            is_n_sub(bi, parts)
+    assert is_n_sub(bi, ({"0", "I"}, {"0", "1"})).ok

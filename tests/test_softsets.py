@@ -28,11 +28,15 @@ from neutrolab.softsets import (
     soft_lagrange_class,
     soft_neutro_params,
     soft_sub_of,
-    value_contains,
-    value_intersect,
-    value_union,
+    value_kind,
 )
-from neutrolab.structures import cyclic_neutro_group, mult_magma, neutro_ring, param_groupoid
+from neutrolab.structures import (
+    cyclic_neutro_group,
+    mult_magma,
+    neutro_ring,
+    param_groupoid,
+    sym_group,
+)
 
 P4 = frozenset({"0", "2", "2I", "2+2I"})
 P3 = frozenset({"0", "2I", "2+2I"})
@@ -180,16 +184,32 @@ def test_soft_ideal_of_rejects_an_empty_part():
         assert (v.flags, v.note) == (("empty",), "empty subset")
 
 
-def test_value_algebra():
-    assert value_union(frozenset("ab"), frozenset("bc")) == frozenset("abc")
-    assert value_intersect(frozenset("ab"), frozenset("bc")) == frozenset("b")
-    assert value_contains(frozenset("a"), frozenset("ab"))
+def test_value_algebra(g421):
+    gr = GroupRing(2, cyclic_neutro_group(2))
+    labels, sums = value_kind(g421), value_kind(gr)
+    assert labels.join(frozenset("ab"), frozenset("bc")) == frozenset("abc")
+    assert labels.meet(frozenset("ab"), frozenset("bc")) == frozenset("b")
+    assert labels.contains(frozenset("a"), frozenset("ab"))
+    assert not labels.contains(frozenset("ac"), frozenset("ab"))
+    # formal-sum sets meet, join and nest as label sets do
+    assert (sums.meet, sums.join, sums.contains) == (labels.meet, labels.join, labels.contains)
+    parts = value_kind(NCollection([Component(g421, "groupoid", True),
+                                    Component(sym_group(3), "group", False)]))
     parts_a = (frozenset({"0"}), frozenset({"e"}))
     parts_b = (frozenset({"1"}), frozenset({"e", "x"}))
-    assert value_union(parts_a, parts_b) == (frozenset({"0", "1"}),
-                                             frozenset({"e", "x"}))
-    assert value_intersect(parts_a, parts_b) == (frozenset(), frozenset({"e"}))
-    assert value_contains(parts_a, value_union(parts_a, parts_b))
+    assert parts.join(parts_a, parts_b) == (frozenset({"0", "1"}),
+                                            frozenset({"e", "x"}))
+    assert parts.meet(parts_a, parts_b) == (frozenset(), frozenset({"e"}))
+    assert parts.contains(parts_a, parts.join(parts_a, parts_b))
+    assert not parts.contains(parts_b, parts_a)
+    z2, z3 = sym.NamedRing("Z", 2), sym.NamedRing("Z", 3)
+    rings = value_kind(z2)
+    assert rings.contains(sym.NamedRing("Z", 6), z2) and not rings.contains(z2, z3)
+    assert rings.join(z2, rings.join(z3, z2)) == sym.SymUnion((z2, z3))
+    with pytest.raises(ValueError, match="no containment"):
+        rings.contains(sym.SymUnion((z2, z3)), z2)
+    span = sym.SymGroupRing(sym.NamedRing("Z", 1), cyclic_neutro_group(3))
+    assert value_kind(span).contains(span, span)
 
 
 def test_absolute_and_neutro_params(g421):
@@ -371,27 +391,32 @@ def test_op_items_are_the_public_operations(pair, op_name):
     operand's object or one the merge returned."""
     universe, f_assign, k_assign = pair
     f, k = SoftSet(universe, f_assign), SoftSet(universe, k_assign)
-    own = value_union if "union" in op_name or op_name == "or" else value_intersect
-    memo = cache(own)
-    for merge in (own, memo):
-        made = []
+    own = "join" if "union" in op_name or op_name == "or" else "meet"
+    kind = value_kind(universe)
+    memo = kind._replace(meet=cache(kind.meet), join=cache(kind.join))
+    for merging in (kind, memo):
+        made, used = [], set()
 
-        def recorded(a, b):
-            made.append(merge(a, b))
-            return made[-1]
+        def recorded(name):
+            def merge(a, b):
+                used.add(name)
+                made.append(getattr(merging, name)(a, b))
+                return made[-1]
+            return merge
 
+        recording = merging._replace(meet=recorded("meet"), join=recorded("join"))
         try:
             want = list(OPS[op_name](f, k).assign.items())
         except ValueError:
             with pytest.raises(ValueError, match="shared parameter"):
-                op_items(op_name, f.assign, k.assign, recorded)
+                op_items(op_name, f.assign, k.assign, recording)
             continue
-        items = op_items(op_name, f.assign, k.assign, recorded)
-        assert items == want
+        items = op_items(op_name, f.assign, k.assign, recording)
+        assert items == want and used <= {own}
         operands = [*f.assign.values(), *k.assign.values(), *made]
         assert all(any(v is o for o in operands) for _, v in items)
-        if merge is own:
-            assert items == op_items(op_name, f.assign, k.assign)
+        if merging is kind:
+            assert items == op_items(op_name, f.assign, k.assign, kind)
             # the public result holds an operand's object where op_items does
             assert all(v is w for (_, v), (_, w) in zip(items, want)
                        if any(w is o for o in (*f.assign.values(), *k.assign.values())))
@@ -434,14 +459,15 @@ def test_softset_freezes_mutable_inputs_once():
 
 
 def test_value_intersect_with_itself():
+    labels, pairs = value_kind(G421), value_kind(PAIR421)
     parts = (P4, P2)
-    assert value_intersect(P4, P4) is P4
-    assert value_intersect(parts, parts) is parts
-    met = value_intersect(parts, (P4, P3))
+    assert labels.meet(P4, P4) is P4
+    assert pairs.meet(parts, parts) is parts
+    met = pairs.meet(parts, (P4, P3))
     assert met[0] is P4 and met[1] == P2 & P3
     whole = sym.SymGroupRing(sym.NamedRing("Z", 1, True), cyclic_neutro_group(3))
     with pytest.raises(ValueError, match="no intersection"):
-        value_intersect(whole, whole)
+        value_kind(whole).meet(whole, whole)
 
 
 def test_named_ring_values_meet_through_sym_intersect(monkeypatch):
@@ -453,5 +479,5 @@ def test_named_ring_values_meet_through_sym_intersect(monkeypatch):
 
     monkeypatch.setattr(sym, "sym_intersect", recording)
     z2 = sym.NamedRing("Z", 2, True)
-    assert value_intersect(z2, z2) == sym.NamedRing("Z", 6)
+    assert value_kind(z2).meet(z2, z2) == sym.NamedRing("Z", 6)
     assert calls == [(z2, z2)]

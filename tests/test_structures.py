@@ -266,3 +266,20 @@ def test_latin_rows_with_a_repeated_column_are_not_a_loop():
     assert rep.identity == "e"
     assert not rep.loop
     assert rep.witnesses["not-latin"] == ("column", "a")
+
+
+def test_param_groupoid_kinds_follow_closed_forms():
+    """x*y = tx + uy is associative iff t and u are idempotent mod n,
+    commutative iff t = u, and makes every element idempotent iff t + u = 1."""
+    carriers = 0
+    for n in range(2, 8):
+        for t in range(n):
+            for u in range(n):
+                g = param_groupoid(n, t, u)
+                table, size = g.table, len(g)
+                carriers += 1
+                assert verify_kind(g).semigroup == (t * t % n == t and u * u % n == u), g.name
+                assert all(table[i][j] == table[j][i] for i in range(size)
+                           for j in range(i)) == (t == u), g.name
+                assert all(table[i][i] == i for i in range(size)) == ((t + u) % n == 1), g.name
+    assert carriers == 139

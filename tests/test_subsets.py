@@ -3,6 +3,7 @@
 import pytest
 
 from neutrolab import subsets
+from neutrolab.groupring import GroupRing
 from neutrolab.structures import (
     FiniteMagma,
     ResourceCap,
@@ -391,3 +392,16 @@ def test_ring_ideals_of_every_neutro_ring_match_the_product_ring_oracle(strategy
     for n in range(2, 13):
         ideals = enumerate_subs(neutro_ring(n), "ring-ideal", strategy)
         assert len(ideals) == _divisor_count(n) ** 2 - 1, n
+
+
+def test_a_bare_string_is_not_a_label_set():
+    m = mult_magma(3)
+    for check in (lambda s: check_predicate(m, s, "subgroupoid"),
+                  lambda s: is_subgroupoid(m, s), lambda s: ideal_verdict(m, s)):
+        with pytest.raises(ValueError, match="not the string '2I'"):
+            check("2I")
+    assert not check_predicate(m, ["2I"], "subgroupoid").ok
+    gr = GroupRing(2, cyclic_neutro_group(2))
+    with pytest.raises(ValueError, match="not the string '1\\+g'"):
+        check_predicate(gr, "1+g", "gr-subring")
+    assert check_predicate(gr, ["0", "1+g"], "loose-gr-subring").ok
