@@ -13,7 +13,6 @@ and pools used by randomized sweeps are built from fixed string seeds, so a
 row's outcome never depends on which other rows ran.
 """
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -71,6 +70,7 @@ from .structures import (
     sym_group,
 )
 from .subsets import (
+    _span_members,
     classify_lagrange,
     closure,
     enumerate_subs,
@@ -265,12 +265,9 @@ def e4_grid():
 
 
 def _span(gr, basis_labels):
-    """All formal sums supported on the given basis labels."""
-    idxs = sorted(gr.basis.idx(x) for x in basis_labels)
-    out = set()
-    for coeffs in itertools.product(range(gr.r), repeat=len(idxs)):
-        out.add(tuple((i, c) for i, c in zip(idxs, coeffs) if c))
-    return frozenset(out)
+    """All formal sums supported on the given basis labels: the span of their
+    monomials, which are already in Howell form."""
+    return _span_members(gr, [gr.monomial(x) for x in basis_labels])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Formal sums over a finite magma basis with coefficients mod r.
 
-An element is a canonical tuple of (basis_index, coeff) pairs, sorted by
-basis index, with zero coefficients dropped; the empty tuple is zero.
-Multiplication is convolution through the basis table.
+An element is the tuple of its coefficients: one residue in 0..r-1 for each
+basis element, in basis order; zero is the all-zero tuple.  Multiplication
+is convolution through the basis table.
 """
 
 import itertools
@@ -19,7 +19,7 @@ class GroupRing:
             raise ValueError("basis must be a finite magma")
         self.r = r
         self.basis = basis
-        self.zero = ()
+        self.zero = (0,) * len(basis)
         self.name = name or "Z%d<%s>" % (r, basis.name)
         self.meta = {"kind": "group_ring", "r": r, "basis": dict(basis.meta)}
 
@@ -27,96 +27,74 @@ class GroupRing:
         return self.r ** len(self.basis)
 
     def elements(self):
-        idxs = range(len(self.basis))
-        for coeffs in itertools.product(range(self.r), repeat=len(self.basis)):
-            yield tuple((i, c) for i, c in zip(idxs, coeffs) if c)
+        return itertools.product(range(self.r), repeat=len(self.basis))
 
     def monomial(self, label, coeff=1):
-        c = coeff % self.r
-        return ((self.basis.idx(label), c),) if c else ()
+        i = self.basis.idx(label)
+        return self.zero[:i] + (coeff % self.r,) + self.zero[i + 1:]
 
     def add(self, x, y):
-        acc = dict(x)
-        for i, c in y:
-            v = (acc.get(i, 0) + c) % self.r
-            if v:
-                acc[i] = v
-            else:
-                acc.pop(i, None)
-        return tuple(sorted(acc.items()))
+        r = self.r
+        return tuple([(a + b) % r for a, b in zip(x, y)])
 
     def neg(self, x):
-        return tuple((i, -c % self.r) for i, c in x)
+        r = self.r
+        return tuple([-a % r for a in x])
 
     def sub(self, x, y):
-        return self.add(x, self.neg(y))
+        r = self.r
+        return tuple([(a - b) % r for a, b in zip(x, y)])
 
     def mul(self, x, y):
-        table = self.basis.table
-        acc = {}
-        for i, c in x:
-            row = table[i]
-            for j, d in y:
-                k = row[j]
-                v = (acc.get(k, 0) + c * d) % self.r
-                if v:
-                    acc[k] = v
-                else:
-                    acc.pop(k, None)
-        return tuple(sorted(acc.items()))
+        acc = [0] * len(x)
+        for c, row in zip(x, self.basis.table):
+            if c:
+                for d, k in zip(y, row):
+                    if d:
+                        acc[k] += c * d
+        r = self.r
+        return tuple([v % r for v in acc])
 
     def scale(self, c, x):
-        c %= self.r
-        out = []
-        for i, v in x:
-            w = c * v % self.r
-            if w:
-                out.append((i, w))
-        return tuple(out)
+        r = self.r
+        return tuple([c * a % r for a in x])
 
     def support_labels(self, x):
-        return tuple(self.basis.elements[i] for i, _ in x)
+        return tuple(label for label, c in zip(self.basis.elements, x) if c)
 
     def is_pure_neutro(self, x):
         """Nonzero and supported only on I-labelled basis elements."""
-        return bool(x) and all(label_is_neutro(self.basis.elements[i]) for i, _ in x)
+        return any(x) and all(map(label_is_neutro, self.support_labels(x)))
 
     def has_neutro_support(self, x):
-        return any(label_is_neutro(self.basis.elements[i]) for i, _ in x)
+        return any(map(label_is_neutro, self.support_labels(x)))
 
     _TERM_RE = re.compile(r"^(\d+)?(.*)$")
 
     def parse(self, s):
         t = s.replace(" ", "")
         if t in ("0", ""):
-            return ()
-        acc = ()
+            return self.zero
+        acc = self.zero
         for term in t.split("+"):
-            m = self._TERM_RE.match(term)
-            coeff_s, rest = m.groups()
-            coeff = int(coeff_s) if coeff_s is not None else 1
-            if rest == "":
-                label = "1"
-            else:
-                label = rest
+            if not term:
+                raise ValueError("empty term in %r" % s)
+            coeff_s, label = self._TERM_RE.match(term).groups()
+            # a bare coefficient is a multiple of the basis element "1"
+            label = label or "1"
             if label not in self.basis._index:
                 raise ValueError("unknown basis element %r in %r" % (label, s))
-            acc = self.add(acc, self.monomial(label, coeff))
+            acc = self.add(acc, self.monomial(label, 1 if coeff_s is None else int(coeff_s)))
         return acc
 
     def format(self, x):
-        if not x:
-            return "0"
         parts = []
-        for i, c in x:
-            label = self.basis.elements[i]
+        for label, c in zip(self.basis.elements, x):
             if c == 1:
                 parts.append(label)
-            elif label == "1":
-                parts.append(str(c))
-            else:
-                parts.append("%d%s" % (c, label))
-        return "+".join(parts)
+            elif c:
+                parts.append(str(c) if label == "1" else "%d%s" % (c, label))
+        return "+".join(parts) or "0"
 
     def generated_ideal(self, gens):
         """Two-sided ideal generated by `gens` (see subsets.generated_ideal)."""

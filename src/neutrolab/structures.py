@@ -36,6 +36,11 @@ class _Labelled:
     of a finite carrier hold."""
 
     def __init__(self, elements, name, meta):
+        if not elements:
+            raise ValueError("a carrier needs at least one element")
+        bad = next((x for x in elements if not isinstance(x, str)), None)
+        if bad is not None:
+            raise ValueError("element label %r is not a string" % (bad,))
         if len(set(elements)) != len(elements):
             raise ValueError("duplicate element labels")
         self.elements = list(elements)

@@ -11,7 +11,7 @@ closure routines are written once over that view, and one table
 pure settings.
 
 Every predicate returns a Verdict carrying a replayable witness on failure.
-Formal sums are read as coefficient vectors in (Z_r)^|B|, and a set of them
+Formal sums are coefficient vectors in (Z_r)^|B|, and a set of them is read
 through the Howell form of its Z_r-span (`_howell`): the set is an additive
 subgroup exactly when it holds 0 and its span is no larger, and then the
 span's basis rows stand in for its members in the product and absorption
@@ -84,7 +84,8 @@ class _View:
     arithmetic.  `binary` and `unary` are (name, table) pairs a subset must
     be closed under (the name is None for a magma), `spread` the tables a
     closure grows by, `absorb` the absorption product and its transpose,
-    `ring` the formal-sum ring itself (None for a finite carrier), and
+    `ring` the formal-sum ring itself (None for a finite carrier), `key` the
+    sort key of members in witness order (None: their natural order), and
     `notes` the wording of a missing indeterminate and of an impure member."""
 
     def __init__(self, u):
@@ -93,9 +94,10 @@ class _View:
             mul = _OpTable(u.mul)
             self.binary, self.unary, self.spread = (("sub", _OpTable(u.sub)), ("mul", mul)), (), None
             self.absorb = (mul, _OpTable(lambda a, b: u.mul(b, a)))
-            self.gens = [((i, 1),) for i in range(len(u.basis))]
+            self.gens = [u.monomial(x) for x in u.basis.elements]
             self.neutro, self.label, self.zero, self.ring = u.has_neutro_support, u.format, u.zero, u
-            self.impure = lambda a: bool(a) and not u.is_pure_neutro(a)
+            self.impure = lambda a: not all(map(label_is_neutro, u.support_labels(a)))
+            self.key = _terms
             self.members = lambda subset: _sorted_sums(u, _not_text(subset))
             self.notes = ("closed but has no indeterminate-supported member",
                           "nonzero member has a plain basis term")
@@ -110,7 +112,7 @@ class _View:
             self.spread = self.absorb = (u.table, [list(col) for col in zip(*u.table)])
         neutro = [label_is_neutro(x) for x in u.elements]
         impure = [not (i or label_is_zero(x)) for x, i in zip(u.elements, neutro)]
-        self.gens, self.zero, self.ring = range(self.size), None, None
+        self.gens, self.zero, self.ring, self.key = range(self.size), None, None, None
         self.neutro, self.impure, self.label = neutro.__getitem__, impure.__getitem__, u.elements.__getitem__
         # the gap search walks a set built from the sorted indices; its order
         # decides which witness is reported
@@ -233,34 +235,31 @@ def _close(view, seed, cap, base=(), floor=None):
 
 
 def _vector(gr, x):
-    """The coefficient vector of the formal sum `x`; ValueError unless `x` is
-    a canonical element: a tuple of (basis index, coefficient) tuples with
-    strictly increasing indices in range and coefficients in 1..r-1."""
-    n, coeffs, last = len(gr.basis), range(1, gr.r), -1
-    vec = [0] * n
+    """`x`, unless it is not a canonical element: a tuple of one coefficient
+    in 0..r-1 for each basis element; then ValueError names it."""
     try:
-        if not isinstance(x, tuple):
-            raise ValueError
-        for pair in x:
-            if not isinstance(pair, tuple):
-                raise ValueError
-            i, c = pair
-            if not (last < i < n and c in coeffs):
-                raise ValueError
-            vec[i] = c
-            last = i
-    except (TypeError, ValueError):
-        raise ValueError("%r is not a canonical element of %s" % (x, gr.name)) from None
-    return vec
+        if (isinstance(x, tuple) and len(x) == len(gr.basis)
+                and frozenset(range(gr.r)).issuperset(x)):
+            return x
+    except TypeError:  # an unhashable coefficient
+        pass
+    raise ValueError("%r is not a canonical element of %s" % (x, gr.name))
+
+
+def _terms(x):
+    """The nonzero (index, coefficient) terms of formal sum `x`.  Members are
+    walked in the order of their terms, and the walk's first gap is the
+    witness, so the recorded witnesses depend on this order."""
+    return tuple([(i, c) for i, c in enumerate(x) if c])
 
 
 def _sorted_sums(gr, subset):
-    """The distinct formal sums of `subset`, sorted; ValueError names a member
-    that is not a canonical element, also when members of another type make
-    the set unhashable or unsortable."""
+    """The distinct formal sums of `subset`, sorted by their terms; ValueError
+    names a member that is not a canonical element, also when members of
+    another type make the set unhashable or unsortable."""
     members = list(subset)
     try:
-        return sorted(set(members))
+        return sorted(set(members), key=_terms)
     except TypeError:
         for x in sorted(members, key=repr):
             _vector(gr, x)
@@ -332,37 +331,33 @@ def _howell(gr, sums, ideal=False, most=None):
             q = above[col] // p[col]
             if q:
                 above[:] = [(x - q * y) % r for x, y in zip(above, p)]
-    return rows, size
+    return [tuple(row) for row in rows], size
 
 
 def _span_members(gr, rows):
-    """Every member of the span of Howell-form `rows`, once each, as
-    canonical formal sums that share their (index, coefficient) terms."""
-    r, n = gr.r, len(gr.basis)
-    terms = [[(i, c) for c in range(r)] for i in range(n)]
-    vecs = [[0] * n]
+    """Every member of the span of Howell-form `rows`, once each."""
+    r, vecs = gr.r, [gr.zero]
     for row in rows:
         pivot = next(c for c in row if c)
-        vecs = [[(x + k * y) % r for x, y in zip(u, row)]
+        vecs = [tuple([(x + k * y) % r for x, y in zip(u, row)])
                 for u in vecs for k in range(r // pivot)]
-    return frozenset(tuple(terms[i][c] for i, c in enumerate(u) if c) for u in vecs)
+    return frozenset(vecs)
 
 
 def _additive_basis(view, pool):
-    """The Howell-form rows, as formal sums, of formal sums `pool` when it is
-    an additive subgroup: it holds 0 and its span is no larger.  None when
-    it is not one, or the carrier is finite: the Howell form needs
-    coordinates over Z_r, and a finite ring's additive group is given only
-    by its table, so finite carriers keep the pair walk.  Convolution is
-    bilinear, so a product or absorption check over the rows decides it for
-    every member."""
+    """The Howell-form rows of formal sums `pool` when it is an additive
+    subgroup: it holds 0 and its span is no larger.  None when it is not
+    one, or the carrier is finite: the Howell form needs coordinates over
+    Z_r, and a finite ring's additive group is given only by its table, so
+    finite carriers keep the pair walk.  Convolution is bilinear, so a
+    product or absorption check over the rows decides it for every member."""
     if view.ring is None:
         return None
     # the span holds `pool`, so it is `pool` unless it has more members
     span = _howell(view.ring, pool, most=len(pool))
     if span is None or view.zero not in pool:
         return None
-    return [tuple((i, c) for i, c in enumerate(row) if c) for row in span[0]]
+    return span[0]
 
 
 def _absorbing_gap(view, order, pool, ys, rows):
@@ -395,7 +390,7 @@ def generated_ideal(gr, gens):
         raise ResourceCap("generated ideal has %d members, over subsets.IDEAL_CAP = %d"
                           % (size, IDEAL_CAP))
     pool, view = _span_members(gr, rows), _view(gr)
-    v = _additive_ideal_verdict(view, sorted(pool), pool, view.gens)
+    v = _additive_ideal_verdict(view, sorted(pool, key=view.key), pool, view.gens)
     if not v.ok:
         raise RuntimeError("generated ideal failed its recheck: %s at %r" % (v.note, v.witness))
     return pool
@@ -442,7 +437,7 @@ def _sub_check(view, order, pool, rows, strict, pure):
         flags += ("trivial",)
     if (strict or pure) and not any(map(view.neutro, order)):
         return Verdict(False, flags=flags + ("no-indeterminate",), note=view.notes[0])
-    for x in sorted(pool) if pure else ():
+    for x in sorted(pool, key=view.key) if pure else ():
         if view.impure(x):
             return Verdict(False, witness=(view.label(x),), flags=flags, note=view.notes[1])
     return Verdict(True, flags=flags)
@@ -455,7 +450,8 @@ def ideal_verdict(universe, labels, strict=False, pure=False):
     if not base.ok:
         return Verdict(False, witness=base.witness,
                        flags=base.flags + ("not-substructure",), note=base.note)
-    gap = None if _whole(view, pool) else _absorbing_gap(view, sorted(pool), pool, view.gens, rows)
+    gap = None if _whole(view, pool) else _absorbing_gap(view, sorted(pool, key=view.key), pool,
+                                                         view.gens, rows)
     return _absorb_verdict(view, gap, base.flags)
 
 
@@ -567,7 +563,8 @@ def _grids(gr, pool):
             idxs = [i for i in range(len(basis)) if mask >> i & 1]
             if (len(coeffs) ** len(idxs) == len(pool)
                     and _closed_gap(idxs, set(idxs), ops) is None
-                    and all(i in idxs and c in coeffs for x in pool for i, c in x)):
+                    and all(c in coeffs and (not c or mask >> i & 1)
+                            for x in pool for i, c in enumerate(x))):
                 yield d, tuple(basis.elements[i] for i in idxs)
 
 

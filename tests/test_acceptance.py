@@ -99,7 +99,7 @@ def test_criterion_3_group_ring_laws():
 
     def mask(x):
         m = 0
-        for i, c in x:
+        for i, c in enumerate(x):
             m |= c << i
         return m
 

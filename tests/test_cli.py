@@ -38,6 +38,14 @@ def test_build_missing_file_is_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_build_rejects_empty_carriers_and_non_string_labels(tmp_path, capsys):
+    for doc in [{"kind": "param_groupoid", "n": 0, "t": 0, "u": 0},
+                {"kind": "mult_magma", "n": -3},
+                {"kind": "cayley", "elements": [1, 2], "table": [[0, 1], [1, 0]]}]:
+        assert main(["build", write(tmp_path, "s.json", doc)]) == 2
+        assert "error" in capsys.readouterr().err
+
+
 def test_no_command_is_usage_error(capsys):
     assert main([]) == 2
     assert main(["not-a-command"]) == 2

@@ -6,6 +6,7 @@ exhaustively against the coefficient-vector XOR oracle, its multiplicative
 laws on seeded random triples.
 """
 
+import itertools
 import random
 import re
 
@@ -19,9 +20,10 @@ from neutrolab.structures import (
     ResourceCap,
     cyclic_neutro_group,
     neutro_double,
+    param_groupoid,
     sym_group,
 )
-from neutrolab.subsets import _howell, _span_members, gr_is_ideal, gr_is_subring
+from neutrolab.subsets import _howell, _sorted_sums, _span_members, gr_is_ideal, gr_is_subring
 
 
 def gr256():
@@ -31,7 +33,7 @@ def gr256():
 def to_mask(x):
     """Coefficient vector of an element packed into an int (r=2 only)."""
     m = 0
-    for i, c in x:
+    for i, c in enumerate(x):
         m |= c << i
     return m
 
@@ -43,8 +45,8 @@ def test_element_count_and_canonical_forms():
     assert len(set(els)) == 256
     assert gr.zero in els
     for x in els:
-        assert all(c == 1 for _, c in x)
-        assert list(x) == sorted(x)
+        assert len(x) == 8
+        assert all(c in (0, 1) for c in x)
 
 
 def test_additive_group_exhaustive_via_xor_oracle():
@@ -214,11 +216,10 @@ def test_howell_span_matches_additive_closure(r, n, data):
     # a span does not read the basis table
     gr = GroupRing(r, FiniteMagma([str(i) for i in range(n)], [[i] * n for i in range(n)]))
     vectors = data.draw(st.lists(st.tuples(*[st.integers(0, r - 1)] * n), max_size=4))
-    sums = [tuple((i, c) for i, c in enumerate(v) if c) for v in vectors]
-    rows, size = _howell(gr, sums)
+    rows, size = _howell(gr, vectors)
     closed = additive_closure(r, vectors, n)
     members = _span_members(gr, rows)
-    assert members == {tuple((i, c) for i, c in enumerate(v) if c) for v in closed}
+    assert members == closed
     assert size == len(closed)
     assert all(r % next(c for c in row if c) == 0 for row in rows)
     assert _howell(gr, members) == (rows, size)
@@ -226,12 +227,15 @@ def test_howell_span_matches_additive_closure(r, n, data):
 
 Z2C2 = GroupRing(2, cyclic_neutro_group(2))
 # none of these is a canonical element of Z2<C2+I>, whose basis has four
-# elements: a coefficient equal to r, one over r, an unsorted pair, a
-# repeated index, an index out of range, a zero coefficient, a fractional
-# coefficient, and two members of another type that cannot be sorted among
-# formal sums: a formal sum's text and an integer
-NOT_CANONICAL = [((0, 2),), ((0, 3),), ((1, 1), (0, 1)), ((0, 1), (0, 1)), ((4, 1),),
-                 ((0, 0),), ((0, 0.5),), "1+g", 3, [(0, 1)]]
+# elements: one coefficient too few, one too many, a coefficient equal to r,
+# a negative coefficient, a fractional coefficient, a list instead of a
+# tuple, and two members of another type that cannot be sorted among formal
+# sums: a formal sum's text and an integer; nor is a sum written as
+# (basis index, coefficient) pairs, however the pairs are chosen
+NOT_CANONICAL = [(0, 1, 0), (0, 1, 0, 0, 0), (0, 2, 0, 0), (0, -1, 0, 0), (0, 0.5, 0, 0),
+                 [0, 1, 0, 0], "1+g", 3,
+                 ((0, 2),), ((0, 3),), ((1, 1), (0, 1)), ((0, 1), (0, 1)), ((4, 1),),
+                 ((0, 0),), ((0, 0.5),), [(0, 1)]]
 
 
 @pytest.mark.parametrize("bad", NOT_CANONICAL, ids=str)
@@ -259,8 +263,104 @@ def test_parse_format_oracles():
 @given(st.integers(0, 255))
 def test_parse_format_roundtrip(mask):
     gr = gr256()
-    x = tuple((i, 1) for i in range(8) if mask >> i & 1)
+    x = tuple(mask >> i & 1 for i in range(8))
     assert gr.parse(gr.format(x)) == x
+
+
+def test_parse_rejects_empty_terms():
+    """An empty term was read as the basis element "1": over Z2<C4+I>, "+"
+    gave 0, "1++g" gave g and "g+" gave 1+g; over Z6<C2+I>, "+" gave 2."""
+    for gr, text in [(gr256(), "+"), (gr256(), "1++g"), (gr256(), "g+"),
+                     (GroupRing(6, cyclic_neutro_group(2)), "+")]:
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            gr.parse(text)
+
+
+def test_sorted_sums_follow_their_terms():
+    """Members are walked in the order of their nonzero (index, coefficient)
+    terms, which the recorded witnesses depend on; the plain tuple order
+    would put g+g^3 before 1+g."""
+    gr = gr256()
+    members = map(gr.parse, ["g+g^3", "1+g^3", "0", "1+g", "1+g"])
+    assert [gr.format(x) for x in _sorted_sums(gr, members)] == ["0", "1+g", "1+g^3", "g+g^3"]
+
+
+class SparseReference:
+    """Formal-sum arithmetic on sparse sums: tuples of (basis index,
+    coefficient) pairs with increasing indices and nonzero coefficients,
+    accumulated in dicts.  The dense GroupRing must agree with it."""
+
+    def __init__(self, r, basis):
+        self.r, self.n, self.table = r, len(basis), basis.table
+
+    def elements(self):
+        for coeffs in itertools.product(range(self.r), repeat=self.n):
+            yield tuple((i, c) for i, c in enumerate(coeffs) if c)
+
+    def _canonical(self, acc):
+        return tuple(sorted((i, c % self.r) for i, c in acc.items() if c % self.r))
+
+    def add(self, x, y):
+        acc = dict(x)
+        for i, c in y:
+            acc[i] = acc.get(i, 0) + c
+        return self._canonical(acc)
+
+    def neg(self, x):
+        return self._canonical({i: -c for i, c in x})
+
+    def sub(self, x, y):
+        return self.add(x, self.neg(y))
+
+    def scale(self, c, x):
+        return self._canonical({i: c * v for i, v in x})
+
+    def mul(self, x, y):
+        acc = {}
+        for i, c in x:
+            for j, d in y:
+                k = self.table[i][j]
+                acc[k] = acc.get(k, 0) + c * d
+        return self._canonical(acc)
+
+
+def dense(gr, x):
+    """The GroupRing element of sparse sum `x`."""
+    vec = [0] * len(gr.basis)
+    for i, c in x:
+        vec[i] = c
+    return tuple(vec)
+
+
+# (basis, whether its labels survive format and parse); groupoid(2;1,1) is
+# not associative, and its label 1+I reads back as a sum of two terms
+REFERENCE_BASES = [(cyclic_neutro_group(3), True), (cyclic_neutro_group(3, semigroup=True), True),
+                   (sym_group(3), True), (neutro_double(sym_group(3)), True),
+                   (param_groupoid(2, 1, 1), False)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(REFERENCE_BASES), st.sampled_from([2, 3, 4, 6]), st.data())
+def test_dense_arithmetic_matches_the_sparse_reference(case, r, data):
+    basis, codec = case
+    gr, ref = GroupRing(r, basis), SparseReference(r, basis)
+    sparse_sum = st.lists(st.integers(0, r - 1), min_size=len(basis), max_size=len(basis)).map(
+        lambda coeffs: tuple((i, c) for i, c in enumerate(coeffs) if c))
+    x, y = data.draw(sparse_sum), data.draw(sparse_sum)
+    c = data.draw(st.integers(-r, 2 * r))
+    assert gr.add(dense(gr, x), dense(gr, y)) == dense(gr, ref.add(x, y))
+    assert gr.sub(dense(gr, x), dense(gr, y)) == dense(gr, ref.sub(x, y))
+    assert gr.neg(dense(gr, x)) == dense(gr, ref.neg(x))
+    assert gr.scale(c, dense(gr, x)) == dense(gr, ref.scale(c, x))
+    assert gr.mul(dense(gr, x), dense(gr, y)) == dense(gr, ref.mul(x, y))
+    if codec:
+        assert gr.parse(gr.format(dense(gr, x))) == dense(gr, x)
+    # the sums in the order the sparse sums were listed (the first 4096 of a
+    # larger ring), and their count
+    head = min(len(gr), 4096)
+    assert list(itertools.islice(gr.elements(), head)) == [
+        dense(gr, s) for s in itertools.islice(ref.elements(), head)]
+    assert len(gr) == r ** len(basis)
 
 
 def test_commutative_when_basis_commutes():
