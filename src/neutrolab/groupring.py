@@ -20,6 +20,7 @@ class GroupRing:
         self.r = r
         self.basis = basis
         self.zero = (0,) * len(basis)
+        self._width = len(basis)
         self.name = name or "Z%d<%s>" % (r, basis.name)
         self.meta = {"kind": "group_ring", "r": r, "basis": dict(basis.meta)}
 
@@ -33,8 +34,16 @@ class GroupRing:
         i = self.basis.idx(label)
         return self.zero[:i] + (coeff % self.r,) + self.zero[i + 1:]
 
+    def _wrong_length(self, x, y):
+        """The ValueError for an operand without one coefficient per basis element."""
+        bad = x if len(x) != self._width else y
+        return ValueError("%r is not an element of %s: %d coefficients for %d basis elements"
+                          % (bad, self.name, len(bad), self._width))
+
     def add(self, x, y):
-        r = self.r
+        r, n = self.r, self._width
+        if len(x) != n or len(y) != n:
+            raise self._wrong_length(x, y)
         return tuple([(a + b) % r for a, b in zip(x, y)])
 
     def neg(self, x):
@@ -42,11 +51,16 @@ class GroupRing:
         return tuple([-a % r for a in x])
 
     def sub(self, x, y):
-        r = self.r
+        r, n = self.r, self._width
+        if len(x) != n or len(y) != n:
+            raise self._wrong_length(x, y)
         return tuple([(a - b) % r for a, b in zip(x, y)])
 
     def mul(self, x, y):
-        acc = [0] * len(x)
+        n = self._width
+        if len(x) != n or len(y) != n:
+            raise self._wrong_length(x, y)
+        acc = [0] * n
         for c, row in zip(x, self.basis.table):
             if c:
                 for d, k in zip(y, row):

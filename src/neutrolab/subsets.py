@@ -19,8 +19,10 @@ checks.  Whenever that check does not accept, the walk over every pair of
 members runs and its first gap is the witness.  A generated ideal is the
 span of its generators saturated under basis monomials, so its size is
 known before any member is listed.
-Enumeration offers two independent strategies (bitmask scan and
-Close-by-One over the closure loop) so results can be cross-checked.
+Enumeration lists the closed sets by two independent strategies (a pruned
+depth-first scan of member masks, and Close-by-One over the closure loop) so
+results can be cross-checked, then decides each on its indices with only the
+tests closure leaves open.
 """
 
 from dataclasses import dataclass, field
@@ -641,36 +643,53 @@ def check_predicate(universe, labels, predicate):
 # enumeration
 
 
-def _scan_closed_sets(table, n, name):
-    """Every nonempty mask closed under `table`.  A mask splits into its low
-    byte and its high bits (one byte while n <= 16); lo[x][b] is the mask of
-    x*y over the members y in low byte b, hi[x][h] over those in high bits h,
-    so the products of x with a mask's members are one OR of two lookups."""
+def _scan_closed_sets(spread, n, name):
+    """Every nonempty set closed under the tables `spread`, once each.  The
+    lowest undecided member is decided in turn: taking it forces in its
+    products with the members taken, and a branch dies at a product naming
+    a member left out, so only prefixes of closed sets are walked (closed
+    sets are a Moore family, Ganter and Wille 1999).  A mask splits into its
+    low byte and its high bits (one byte while n <= 16); lo[x][b] is the
+    mask of x*y and y*x under every table over the members y in low byte b,
+    hi[x][h] over those in high bits h, so the products of x with a mask's
+    members are one OR of two lookups."""
     if n > SCAN_LIMIT:
         raise ResourceCap("%s has %d elements, over subsets.SCAN_LIMIT = %d"
                           % (name, n, SCAN_LIMIT))
+    # a sum of distinct bits is their OR
+    pair = [[sum({1 << t[a][b] for t in spread for a, b in ((x, y), (y, x))})
+             for y in range(n)] for x in range(n)]
 
     def images(x, shift, width):
         t = [0] * (1 << width)
         for b in range(1, len(t)):
             low = b & -b
-            t[b] = t[b ^ low] | 1 << table[x][shift + low.bit_length() - 1]
+            t[b] = t[b ^ low] | pair[x][shift + low.bit_length() - 1]
         return t
 
     lo = [images(x, 0, min(n, 8)) for x in range(n)]
     hi = [images(x, 8, max(n - 8, 0)) for x in range(n)]
-    closed = []
-    for mask in range(1, 1 << n):
-        b, h, out = mask & 255, mask >> 8, ~mask
-        rest = mask
-        while rest:
-            low = rest & -rest
+    closed, stack = [], [(0, 0)]   # (members taken, members left out)
+    while stack:
+        inside, out = stack.pop()
+        free = (1 << n) - 1 & ~(inside | out)
+        if not free:
+            if inside:
+                closed.append(frozenset(x for x in range(n) if inside >> x & 1))
+            continue
+        fresh = free & -free
+        stack.append((inside, out | fresh))
+        inside |= fresh
+        while fresh:
+            low = fresh & -fresh
             x = low.bit_length() - 1
-            if (lo[x][b] | hi[x][h]) & out:
+            product = lo[x][inside & 255] | hi[x][inside >> 8]
+            if product & out:
                 break
-            rest ^= low
+            fresh = (fresh ^ low) | product & ~inside
+            inside |= product
         else:
-            closed.append(frozenset(x for x in range(n) if mask >> x & 1))
+            stack.append((inside, out))
     return closed
 
 
@@ -714,18 +733,20 @@ def enumerate_subs(universe, predicate="subgroupoid", strategy="auto"):
 
     strategy 'generate' lists the closed sets by Close-by-One and stops with
     ResourceCap past subsets.GENERATE_COUNT_LIMIT of them, at any carrier
-    size; 'scan' walks every bitmask (carrier <= subsets.SCAN_LIMIT); 'auto'
-    runs 'generate' and falls back to 'scan' only when 'generate' runs out
-    of its count on a carrier the scan can take.  The two agree because
-    every satisfying subset is closed.  Any other strategy raises
-    ValueError, as does an unknown predicate, before anything is listed.
+    size; 'scan' decides members depth first, pruning at the first product
+    left out (carrier <= subsets.SCAN_LIMIT); 'auto' runs 'generate' and
+    falls back to 'scan' only when 'generate' runs out of its count on a
+    carrier the scan can take.  Both list the sets closed under every table,
+    so each is decided by its predicate's remaining tests alone.  Any other
+    strategy raises ValueError, as does an unknown predicate, before
+    anything is listed.
     """
     if strategy not in ("scan", "generate", "auto"):
         raise ValueError("unknown strategy %r: expected 'scan', 'generate' or 'auto'"
                          % (strategy,))
     if not isinstance(universe, (FiniteMagma, FiniteRing)):
         raise ValueError("unsupported universe type %r" % type(universe).__name__)
-    _predicate_row(universe, predicate)
+    _, kind, strict, pure = _predicate_row(universe, predicate)
     n, view, candidates = len(universe), _view(universe), None
     if strategy != "scan":
         try:
@@ -734,20 +755,17 @@ def enumerate_subs(universe, predicate="subgroupoid", strategy="auto"):
             if strategy == "generate" or n > SCAN_LIMIT:
                 raise
     if candidates is None:
-        # a ring subset must be closed under both tables: scan the masks
-        # closed under the first, then filter
-        candidates = _scan_closed_sets(view.binary[0][1], n, universe.name)
-    out = []
-    for idx_set in candidates:
-        labels = frozenset(universe.elements[i] for i in idx_set)
-        try:
-            v = check_predicate(universe, labels, predicate)
-        except ValueError:   # a lagrange candidate that is not a strict subgroupoid
-            continue
-        if v.ok:
-            out.append(labels)
-    out.sort(key=lambda s: (len(s), tuple(sorted(universe.idx(x) for x in s))))
-    return out
+        candidates = _scan_closed_sets(view.spread, n, universe.name)
+    # every candidate is nonempty and closed, so only the row's residual
+    # tests are left; the whole carrier absorbs everything
+    kept = sorted((s for s in candidates
+                   if (not strict or any(map(view.neutro, s)))
+                   and not (pure and any(map(view.impure, s)))
+                   and (kind != "ideal" or len(s) == n
+                        or _absorb_gap(view, s, s, view.gens) is None)
+                   and (kind != "lagrange" or n % len(s) == 0)),
+                  key=lambda s: (len(s), sorted(s)))
+    return [frozenset(map(view.label, s)) for s in kept]
 
 
 @dataclass

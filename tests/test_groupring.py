@@ -396,3 +396,17 @@ def test_constructor_validation():
         GroupRing(2, "not a magma")
     named = group_ring(2, cyclic_neutro_group(4))
     assert named.name == "Z2<cyclic-group(4)+I>" or "Z2<" in named.name
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul"])
+def test_arithmetic_rejects_an_operand_of_the_wrong_length(op):
+    # zip would stop at the shorter operand and return a wrong sum
+    gr = gr256()
+    g = gr.monomial("g")
+    for x, y, bad in (((1,), g, (1,)), (g, (1, 0), (1, 0)), (g, g + (0,), g + (0,))):
+        message = "%r is not an element of %s: %d coefficients for 8 basis elements" % (
+            bad, gr.name, len(bad))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            getattr(gr, op)(x, y)
+    assert getattr(gr, op)(g, g) == {"add": gr.zero, "sub": gr.zero,
+                                     "mul": gr.monomial("g^2")}[op]

@@ -3,7 +3,8 @@ Cayley tables, subsets of ring(Z4+I) and subsets of Z2<cyclic(2)+I>, and the
 formal-sum predicates on additive spans, generated subrings, right ideals and
 ideals of five formal-sum rings; every failing verdict's witness must
 replay.  Both enumeration strategies against a brute-force listing of the
-subsets each predicate accepts, and the closure loop grown from a closed base
+subsets each predicate accepts, the pruned scan against every mask closed
+under random tables, and the closure loop grown from a closed base
 against the closure from scratch."""
 
 import functools
@@ -294,17 +295,16 @@ def closed_subsets(universe, products):
 
 
 def assert_three_way(universe, carrier_type, products):
-    """The raw candidates (scan: the sets closed under the first operation,
-    generate: under all of them, each listed once) equal the brute-force
-    closed sets, and each predicate's listing by either strategy equals the
-    closed sets the brute-force check accepts; no predicate holds on a set
-    that is not closed."""
+    """The raw candidates of both strategies (the sets closed under every
+    operation, each listed once) equal the brute-force closed sets, and each
+    predicate's listing by either strategy equals the closed sets the
+    brute-force check accepts; no predicate holds on a set that is not
+    closed."""
     view, n = _view(universe), len(universe)
     closed = closed_subsets(universe, products)
-    assert set(_scan_closed_sets(view.binary[0][1], n, universe.name)) == \
-        closed_subsets(universe, products[:1])
-    generated = _generate_closed_sets(view, n, universe.name)
-    assert len(generated) == len(set(generated)) and set(generated) == closed
+    for listed in (_scan_closed_sets(view.spread, n, universe.name),
+                   _generate_closed_sets(view, n, universe.name)):
+        assert len(listed) == len(set(listed)) and set(listed) == closed
     ordered = [frozenset(universe.elements[i] for i in s)
                for s in sorted(closed, key=lambda s: (len(s), sorted(s)))]
     for name in names(carrier_type):
@@ -332,6 +332,33 @@ def test_scan_generate_and_brute_force_list_the_same_16_element_magma_subsets():
 def test_scan_generate_and_brute_force_list_the_same_ring_subsets(n):
     ring = neutro_ring(n)
     assert_three_way(ring, type(ring), [ring.add, ring.mul])
+
+
+@st.composite
+def tables(draw):
+    """One to three random operation tables on at most 6 elements."""
+    n = draw(st.integers(1, 6))
+    cell = st.integers(0, n - 1)
+    table = st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n)
+    return n, draw(st.lists(table, min_size=1, max_size=3))
+
+
+def masks_closed_under(n, spread):
+    return {frozenset(i for i in range(n) if mask >> i & 1) for mask in range(1, 1 << n)
+            if all(mask >> t[x][y] & 1 for t in spread
+                   for x in range(n) if mask >> x & 1 for y in range(n) if mask >> y & 1)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables())
+def test_the_scan_lists_each_set_closed_under_every_table_once(case):
+    # the tables are random, so neither commutative nor given with their
+    # transposes: the scan must take products both ways round itself (the
+    # view's own tables, rings included, are the three-way tests' case)
+    n, spread = case
+    listed = _scan_closed_sets(spread, n, "carrier")
+    assert len(listed) == len(set(listed))
+    assert set(listed) == masks_closed_under(n, spread)
 
 
 def indices(view, labels):

@@ -366,6 +366,53 @@ def test_inherited_failures_list_what_plain_close_by_one_lists():
     assert capped == 1      # mult(Z6+I) is over the count
 
 
+def _accepted(u, closed, predicate):
+    """The closed index sets whose labels the full check accepts, in
+    (size, indices) order, as label sets."""
+    def ok(labels):
+        try:
+            return check_predicate(u, labels, predicate).ok
+        except ValueError:   # a lagrange candidate that is not a strict subgroupoid
+            return False
+
+    ordered = sorted(closed, key=lambda s: (len(s), sorted(s)))
+    return [labels for labels in (frozenset(u.elements[i] for i in s) for s in ordered)
+            if ok(labels)]
+
+
+def _listing(u, predicate, strategy):
+    try:
+        return enumerate_subs(u, predicate, strategy)
+    except ResourceCap as exc:
+        return "ResourceCap: %s" % exc
+
+
+def test_enumeration_lists_what_the_full_check_accepts(monkeypatch):
+    """Every deck carrier, predicate and strategy: the listing equals the
+    plain Close-by-One closed sets the full check accepts, in order, and
+    mult(Z6+I) stops at the same count cap; the listing decides on index
+    sets without calling the full check."""
+    cases = []
+    for u in DECK_CARRIERS:
+        closed = _listed_or_capped(_plain_close_by_one, u)
+        for predicate in [p for p, row in subsets.PREDICATES.items() if isinstance(u, row[0])]:
+            want = closed if isinstance(closed, str) else _accepted(u, closed, predicate)
+            for strategy in ("scan", "generate", "auto") if len(u) <= 16 else ("generate", "auto"):
+                cases.append((u, predicate, strategy, want))
+
+    def full_check(*args, **kwargs):
+        raise AssertionError("enumeration ran the full check")
+
+    for name in ("check_predicate", "sub_verdict", "ideal_verdict"):
+        monkeypatch.setattr(subsets, name, full_check)
+    capped = set()
+    for u, predicate, strategy, want in cases:
+        assert _listing(u, predicate, strategy) == want, (u.name, predicate, strategy)
+        if isinstance(want, str):
+            capped.add(u.name)
+    assert len(cases) == 990 and capped == {"mult(Z6+I)"}
+
+
 @pytest.mark.parametrize("params", [(6, 2, 3), (8, 3, 2)])
 def test_generate_skips_closures_a_parent_proved_non_canonical(monkeypatch, params):
     # plain Close-by-One closes 7,514 and 13,065 times on these carriers
