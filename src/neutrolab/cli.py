@@ -18,7 +18,7 @@ from .engine import (
     run_suite,
 )
 from .groupring import GroupRing
-from .io import json_plain, load_soft, load_structure_file, soft_to_dict
+from .io import json_plain, load_soft, load_soft_file, load_structure_file, soft_to_dict
 from .ncollect import NCollection, classify_mixed
 from .softsets import OPS, restricted_union, soft_is, value_kind
 from .structures import FiniteMagma, FiniteRing, ResourceCap, verify_kind
@@ -112,8 +112,7 @@ def _cmd_soft_op(args):
     with open(args.lhs) as fh:
         lhs_spec = json.load(fh)
     f = load_soft(lhs_spec)
-    with open(args.rhs) as fh:
-        k = load_soft(json.load(fh), universe=f.universe)
+    k = load_soft_file(args.rhs, universe=f.universe)
     if args.union_all_params and args.op != "restricted-union":
         raise ValueError("--union-all-params only applies to restricted-union")
     if args.op == "restricted-union":
@@ -129,9 +128,7 @@ def _cmd_soft_op(args):
 
 
 def _cmd_soft_check(args):
-    with open(args.file) as fh:
-        soft = load_soft(json.load(fh))
-    rep = soft_is(soft, args.predicate)
+    rep = soft_is(load_soft_file(args.file), args.predicate)
     if rep.ok:
         print("holds: every assignment satisfies %s" % args.predicate)
         return 0

@@ -35,11 +35,6 @@ KIND_CLASSIFICATION = "Classification"
 DEFAULT_BUDGET = 10_000
 SPOT_PAIRS = 400
 
-# assignment verdicts carrying these flags are vacuous rather than failing:
-# an empty assignment (or an empty part of a collection assignment) has no
-# members to witness anything, so closure rows skip it.
-DEGENERATE_FLAGS = ("empty-assignment", "empty-part")
-
 INTERSECTION_OPS = ("extended-intersection", "restricted-intersection", "and")
 
 
@@ -99,13 +94,17 @@ def run_claim(claim, seed=0):
 
 def _closure_failure(universe, predicate):
     """The verdict of a value that fails `predicate`, or None, as a function
-    of the value. A verdict flagged as degenerate is vacuous rather than
-    failing."""
-    decide = value_kind(universe).decide(universe, predicate)
+    of the value. An empty value (an empty assignment, or an empty part of a
+    collection assignment) has no members to witness anything, so it is
+    vacuous rather than failing."""
+    kind = value_kind(universe)
+    decide = kind.decide(universe, predicate)
 
     def failure(value):
+        if kind.empty(value):
+            return None
         v = decide(value)
-        return None if v.ok or any(f in v.flags for f in DEGENERATE_FLAGS) else v
+        return None if v.ok else v
     return failure
 
 

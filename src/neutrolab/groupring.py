@@ -34,9 +34,10 @@ class GroupRing:
         i = self.basis.idx(label)
         return self.zero[:i] + (coeff % self.r,) + self.zero[i + 1:]
 
-    def _wrong_length(self, x, y):
-        """The ValueError for an operand without one coefficient per basis element."""
-        bad = x if len(x) != self._width else y
+    def _wrong_length(self, *xs):
+        """The ValueError for the first of `xs` without one coefficient per
+        basis element."""
+        bad = next(x for x in xs if len(x) != self._width)
         return ValueError("%r is not an element of %s: %d coefficients for %d basis elements"
                           % (bad, self.name, len(bad), self._width))
 
@@ -47,6 +48,8 @@ class GroupRing:
         return tuple([(a + b) % r for a, b in zip(x, y)])
 
     def neg(self, x):
+        if len(x) != self._width:
+            raise self._wrong_length(x)
         r = self.r
         return tuple([-a % r for a in x])
 
@@ -70,15 +73,20 @@ class GroupRing:
         return tuple([v % r for v in acc])
 
     def scale(self, c, x):
+        if len(x) != self._width:
+            raise self._wrong_length(x)
         r = self.r
         return tuple([c * a % r for a in x])
 
     def support_labels(self, x):
+        if len(x) != self._width:
+            raise self._wrong_length(x)
         return tuple(label for label, c in zip(self.basis.elements, x) if c)
 
     def is_pure_neutro(self, x):
         """Nonzero and supported only on I-labelled basis elements."""
-        return any(x) and all(map(label_is_neutro, self.support_labels(x)))
+        labels = self.support_labels(x)
+        return bool(labels) and all(map(label_is_neutro, labels))
 
     def has_neutro_support(self, x):
         return any(map(label_is_neutro, self.support_labels(x)))
@@ -102,6 +110,8 @@ class GroupRing:
         return acc
 
     def format(self, x):
+        if len(x) != self._width:
+            raise self._wrong_length(x)
         parts = []
         for label, c in zip(self.basis.elements, x):
             if c == 1:

@@ -101,9 +101,9 @@ def ring_axiom_violations(n):
     """Check the commutative unital ring laws for the a+bI scalars mod n.
 
     Returns a list of (law, witness) pairs; empty means every law holds.  The
-    unary laws and commutativity are checked element by element; the
-    three-variable laws are proven for all (n^2)^3 triples by ring_laws_hold
-    on the index tables, and listed by the per-triple sweep only if they fail.
+    unary laws and *-commutativity are checked element by element; the laws
+    of ring_laws_hold are read off the index tables of ns_add and ns_mul by
+    _ring_law_violations.
     """
     elems = ns_elements(n)
     bad = []
@@ -114,18 +114,12 @@ def ring_axiom_violations(n):
             bad.append(("add-inverse", (x,)))
         if ns_mul(n, ONE, x) != x or ns_mul(n, x, ONE) != x:
             bad.append(("mul-identity", (x,)))
-    for x in elems:
-        for y in elems:
-            if ns_add(n, x, y) != ns_add(n, y, x):
-                bad.append(("add-commutative", (x, y)))
-            if ns_mul(n, x, y) != ns_mul(n, y, x):
-                bad.append(("mul-commutative", (x, y)))
+    bad += [("mul-commutative", (x, y)) for x in elems for y in elems
+            if ns_mul(n, x, y) != ns_mul(n, y, x)]
     pos = {x: i for i, x in enumerate(elems)}
     add = [[pos[ns_add(n, x, y)] for y in elems] for x in elems]
     mul = [[pos[ns_mul(n, x, y)] for y in elems] for x in elems]
-    if not ring_laws_hold(add, mul):
-        bad += [(law, tuple(elems[i] for i in w)) for law, w in triple_law_violations(add, mul)]
-    return bad
+    return bad + [(law, tuple(elems[i] for i in w)) for law, w in _ring_law_violations(add, mul)]
 
 
 def _additive_generators(add):
@@ -203,3 +197,16 @@ def triple_law_violations(add, mul):
                     yield "left-distributive", (i, j, k)
                 if mul[add[i][j]][k] != add[mul[i][k]][mul[j][k]]:
                     yield "right-distributive", (i, j, k)
+
+
+def _ring_law_violations(add, mul):
+    """Yield every (law, positions) at which the index tables `add` and `mul`
+    break a law of ring_laws_hold: nothing when it proves them all, else the
+    pairs (i, j) at which + does not commute, then triple_law_violations.  A
+    caller that needs only the first stops the sweep there."""
+    if ring_laws_hold(add, mul):
+        return
+    n = len(add)
+    yield from (("add-commutative", (i, j))
+                for i in range(n) for j in range(n) if add[i][j] != add[j][i])
+    yield from triple_law_violations(add, mul)

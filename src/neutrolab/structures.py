@@ -8,15 +8,7 @@ tables, so predicates and enumeration can work positionally.  An element is
 import itertools
 from dataclasses import dataclass, field
 
-from .scalars import (
-    ns_add,
-    ns_elements,
-    ns_format,
-    ns_mul,
-    ns_scale,
-    ring_laws_hold,
-    triple_law_violations,
-)
+from .scalars import _ring_law_violations, ns_elements, ns_format
 
 
 class ResourceCap(Exception):
@@ -121,9 +113,10 @@ class FiniteRing(_Labelled):
             raise ValueError("%s: %r has no additive inverse"
                              % (self.name, self.elements[self.neg_map.index(None)]))
         if validate:
-            bad = next(self._violations(), None)
+            bad = next(_ring_law_violations(self.add_table, self.mul_table), None)
             if bad is not None:
-                raise ValueError("%s violates %s at %r" % (self.name, bad[0], bad[1]))
+                raise ValueError("%s violates %s at %r"
+                                 % (self.name, bad[0], tuple(self.elements[i] for i in bad[1])))
 
     def add(self, x, y):
         return self._apply(self.add_table, x, y)
@@ -138,36 +131,37 @@ class FiniteRing(_Labelled):
         return self.add(x, self.neg(y))
 
     def axiom_violations(self):
-        """(law, labels) for every failing pair or triple; empty when
-        ring_laws_hold proves the laws, else listed pair by pair and triple
-        by triple."""
-        return list(self._violations())
+        """(law, labels) for every failing pair or triple, in the order of
+        scalars._ring_law_violations."""
+        labels = self.elements
+        return [(law, tuple(labels[i] for i in w))
+                for law, w in _ring_law_violations(self.add_table, self.mul_table)]
 
-    def _violations(self):
-        """axiom_violations, one at a time, so a caller that needs only the
-        first stops the sweep there."""
-        add, mul, labels = self.add_table, self.mul_table, self.elements
-        if ring_laws_hold(add, mul):
-            return
-        n = len(labels)
-        yield from (("add-commutative", (labels[i], labels[j]))
-                    for i in range(n) for j in range(n) if add[i][j] != add[j][i])
-        for law, w in triple_law_violations(add, mul):
-            yield law, tuple(labels[i] for i in w)
+
+# The stock builders over the a+bI scalars mod n put a+bI at index a*n + b
+# (the order of ns_elements) and compute each table entry from the indices.
+
+
+def _ns_labels(n):
+    return [ns_format(x) for x in ns_elements(n)]
+
+
+def _ns_products(n):
+    """The index table of (a+bI)(c+dI) = ac + (ad + bc + bd)I mod n, as in
+    ns_mul."""
+    r = range(n)
+    return [[a * c % n * n + (a * d + b * (c + d)) % n for c in r for d in r]
+            for a in r for b in r]
 
 
 def param_groupoid(n, t, u):
-    """Carrier of all a+bI mod n with x*y = t.x + u.y."""
-    elems = ns_elements(n)
-    labels = [ns_format(x) for x in elems]
-    pos = {x: i for i, x in enumerate(elems)}
-    table = [
-        [pos[ns_add(n, ns_scale(n, t, x), ns_scale(n, u, y))] for y in elems]
-        for x in elems
-    ]
+    """Carrier of all a+bI mod n with x*y = t.x + u.y: the entry for a+bI
+    and c+dI is (ta + uc) + (tb + ud)I."""
+    r = range(n)
     return FiniteMagma(
-        labels,
-        table,
+        _ns_labels(n),
+        [[(t * a + u * c) % n * n + (t * b + u * d) % n for c in r for d in r]
+         for a in r for b in r],
         name="groupoid(%d;%d,%d)" % (n, t, u),
         meta={"kind": "param_groupoid", "n": n, "t": t, "u": u},
     )
@@ -212,21 +206,13 @@ def neutro_double(magma, name=""):
 
 
 def neutro_ring(n):
-    """The ring of a+bI scalars mod n, with both tables materialized.  The
-    element a+bI has index a*n + b (the order of ns_elements), so the entry
-    for a+bI and c+dI is computed from the indices: the sum is
-    (a+c) + (b+d)I and the product ac + (ad + bc + bd)I, as in ns_add and
-    ns_mul."""
-    labels = [ns_format(x) for x in ns_elements(n)]
+    """The ring of a+bI scalars mod n, with both tables materialized: the sum
+    of a+bI and c+dI is (a+c) + (b+d)I, as in ns_add."""
     r = range(n)
-    add_table = [[(a + c) % n * n + (b + d) % n for c in r for d in r]
-                 for a in r for b in r]
-    mul_table = [[a * c % n * n + (a * d + b * (c + d)) % n for c in r for d in r]
-                 for a in r for b in r]
     return FiniteRing(
-        labels,
-        add_table,
-        mul_table,
+        _ns_labels(n),
+        [[(a + c) % n * n + (b + d) % n for c in r for d in r] for a in r for b in r],
+        _ns_products(n),
         name="ring(Z%d+I)" % n,
         meta={"kind": "neutro_ring", "n": n},
     )
@@ -235,16 +221,15 @@ def neutro_ring(n):
 def mult_magma(n, neutro=True, pure_union=False):
     """Multiplication mod n over a+bI scalars, plain residues, or the pure
     union {a} with {bI} (products of pure elements stay pure)."""
-    if neutro:
-        if pure_union:
-            elems = [(a, 0) for a in range(n)] + [(0, b) for b in range(1, n)]
-            name = "mult(Z%d u Z%dI)" % (n, n)
-        else:
-            elems = ns_elements(n)
-            name = "mult(Z%d+I)" % n
-        labels = [ns_format(x) for x in elems]
-        pos = {x: i for i, x in enumerate(elems)}
-        table = [[pos[ns_mul(n, x, y)] for y in elems] for x in elems]
+    if neutro and pure_union:
+        # the indices of a and of bI in the full layout, and their positions
+        full, keep = _ns_products(n), [a * n for a in range(n)] + list(range(1, n))
+        pos = {k: i for i, k in enumerate(keep)}
+        labels = [ns_format(divmod(k, n)) for k in keep]
+        table = [[pos[full[x][y]] for y in keep] for x in keep]
+        name = "mult(Z%d u Z%dI)" % (n, n)
+    elif neutro:
+        labels, table, name = _ns_labels(n), _ns_products(n), "mult(Z%d+I)" % n
     else:
         labels = [str(i) for i in range(n)]
         table = [[(i * j) % n for j in range(n)] for i in range(n)]

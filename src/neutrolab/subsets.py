@@ -25,6 +25,8 @@ results can be cross-checked, then decides each on its indices with only the
 tests closure leaves open.
 """
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 from .groupring import GroupRing
@@ -552,22 +554,21 @@ def gr_is_ideal(gr, subset, strict=False, pseudo=False):
     return ideal_verdict(gr, subset, strict, pseudo)
 
 
-def _grids(gr, pool):
-    """Each (d, basis labels) whose coefficient grid equals `pool`: the
-    subring dZ_r holds its own identity, the basis subset is closed."""
-    basis, r = gr.basis, gr.r
-    ops = _view(basis).binary
-    for d in range(1, r + 1):
-        coeffs = frozenset(range(0, r, d))
-        if r % d or not any(all(e * x % r == x for x in coeffs) for e in coeffs):
-            continue
-        for mask in range(1, 1 << len(basis)):
-            idxs = [i for i in range(len(basis)) if mask >> i & 1]
-            if (len(coeffs) ** len(idxs) == len(pool)
-                    and _closed_gap(idxs, set(idxs), ops) is None
-                    and all(c in coeffs and (not c or mask >> i & 1)
-                            for x in pool for i, c in enumerate(x))):
-                yield d, tuple(basis.elements[i] for i in idxs)
+def _grid(gr, pool):
+    """(d, basis labels) when `pool`, which holds a nonzero sum, is the
+    coefficient grid of the subring dZ_r, which holds its own identity, over
+    a closed basis subset; else None.  A grid holds d.h for each of its
+    labels h, so its labels are the members' support and d is the gcd of r
+    and every coefficient."""
+    r, basis = gr.r, gr.basis
+    idxs = [i for i, cs in enumerate(zip(*pool)) if any(cs)]
+    d = math.gcd(r, *itertools.chain.from_iterable(pool))
+    coeffs = range(0, r, d)
+    if ((r // d) ** len(idxs) == len(pool)
+            and any(all(e * x % r == x for x in coeffs) for e in coeffs)
+            and _closed_gap(idxs, set(idxs), _view(basis).binary) is None):
+        return d, tuple(basis.elements[i] for i in idxs)
+    return None
 
 
 def gr_is_subneutro(gr, subset, strict=True):
@@ -580,7 +581,7 @@ def gr_is_subneutro(gr, subset, strict=True):
     base = gr_is_subring(gr, pool, strict=False)
     if not base.ok:
         return base
-    grid = next(_grids(gr, pool), None)
+    grid = _grid(gr, pool)
     if grid is None:
         return Verdict(False, flags=base.flags,
                        note="no coefficient-grid decomposition")

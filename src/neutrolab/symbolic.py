@@ -8,6 +8,7 @@ otherwise a cross-sum escape witness is produced (for additive groups A and
 B, any a in A\\B plus b in B\\A lands outside both).
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,20 +72,13 @@ def sym_is_neutro_field(r):
 def sym_intersect(a, b):
     neutro = a.neutro and b.neutro
     if a.base == "Z" and b.base == "Z":
-        m = a.mult * b.mult // _gcd(a.mult, b.mult)
-        return NamedRing("Z", m, neutro)
+        return NamedRing("Z", math.lcm(a.mult, b.mult), neutro)
     if a.base == "Z":
         return NamedRing("Z", a.mult, neutro)
     if b.base == "Z":
         return NamedRing("Z", b.mult, neutro)
     low = a if _RANK[a.base] <= _RANK[b.base] else b
     return NamedRing(low.base, 1, neutro)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _outside(a, b):

@@ -410,3 +410,18 @@ def test_arithmetic_rejects_an_operand_of_the_wrong_length(op):
             getattr(gr, op)(x, y)
     assert getattr(gr, op)(g, g) == {"add": gr.zero, "sub": gr.zero,
                                      "mul": gr.monomial("g^2")}[op]
+
+
+@pytest.mark.parametrize("method", ["neg", "scale", "format", "support_labels",
+                                    "has_neutro_support", "is_pure_neutro"])
+def test_one_operand_methods_reject_an_operand_of_the_wrong_length(method):
+    gr = gr256()
+    call = (lambda x: gr.scale(1, x)) if method == "scale" else getattr(gr, method)
+    for bad in ((1,), (0,), gr.monomial("gI") + (0,)):
+        message = "%r is not an element of %s: %d coefficients for 8 basis elements" % (
+            bad, gr.name, len(bad))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(bad)
+    gi = gr.monomial("gI")
+    assert call(gi) == {"neg": gi, "scale": gi, "format": "gI", "support_labels": ("gI",),
+                        "has_neutro_support": True, "is_pure_neutro": True}[method]

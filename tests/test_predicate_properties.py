@@ -19,6 +19,7 @@ from neutrolab.structures import (
     FiniteMagma,
     ResourceCap,
     cyclic_neutro_group,
+    mult_magma,
     neutro_double,
     neutro_ring,
     param_groupoid,
@@ -27,7 +28,9 @@ from neutrolab.structures import (
 from neutrolab.subsets import (
     PREDICATES,
     _close,
+    _closed_gap,
     _generate_closed_sets,
+    _grid,
     _scan_closed_sets,
     _view,
     check_predicate,
@@ -282,6 +285,61 @@ def test_formal_sum_predicates_on_generated_sets_match_brute_force(case):
         assert v.ok == want, (name, gr.name, labels)
         if not v.ok:
             replay(labels, v.witness, products, parse)
+
+
+def grids(gr, pool):
+    """Each (d, basis labels) whose coefficient grid equals `pool`, searched
+    over every divisor d of r and every basis mask: the subring dZ_r holds
+    its own identity, the basis subset is closed."""
+    basis, r = gr.basis, gr.r
+    ops = _view(basis).binary
+    for d in range(1, r + 1):
+        coeffs = frozenset(range(0, r, d))
+        if r % d or not any(all(e * x % r == x for x in coeffs) for e in coeffs):
+            continue
+        for mask in range(1, 1 << len(basis)):
+            idxs = [i for i in range(len(basis)) if mask >> i & 1]
+            if (len(coeffs) ** len(idxs) == len(pool)
+                    and _closed_gap(idxs, set(idxs), ops) is None
+                    and all(c in coeffs and (not c or mask >> i & 1)
+                            for x in pool for i, c in enumerate(x))):
+                yield d, tuple(basis.elements[i] for i in idxs)
+
+
+# bases of 2-3 elements with closed and unclosed subsets, with and without I
+GRID_BASES = [FiniteMagma(["1", "g"], [[0, 1], [1, 0]]), mult_magma(3, neutro=False),
+              neutro_double(FiniteMagma(["1"], [[0]]))]
+
+
+@st.composite
+def grid_candidates(draw):
+    """A formal-sum ring with r in {2, 3, 4, 6, 8, 9, 12} and a set holding a
+    nonzero sum: a coefficient grid dZ_r over some basis labels, that grid
+    with one member dropped or one sum added, or a random set."""
+    gr = GroupRing(draw(st.sampled_from([2, 3, 4, 6, 8, 9, 12])), draw(st.sampled_from(GRID_BASES)))
+    r, width = gr.r, len(gr.basis)
+    d = draw(st.sampled_from([d for d in range(1, r) if r % d == 0]))
+    labels = draw(st.sets(st.integers(0, width - 1), min_size=1))
+    sums = st.tuples(*[st.integers(0, r - 1)] * width)
+    pool = {tuple(dict(zip(labels, cs)).get(i, 0) for i in range(width))
+            for cs in itertools.product(range(0, r, d), repeat=len(labels))}
+    change = draw(st.sampled_from(["grid", "drop", "add", "random"]))
+    if change == "drop":
+        pool.discard(draw(st.sampled_from(sorted(pool - {gr.zero}))))
+    elif change == "add":
+        pool.add(draw(sums))
+    elif change == "random":
+        pool = draw(st.sets(sums, min_size=1, max_size=8))
+    if not any(map(any, pool)):
+        pool.add(gr.monomial(gr.basis.elements[0]))
+    return gr, frozenset(pool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_candidates())
+def test_the_grid_read_off_a_set_is_the_one_the_search_finds(case):
+    gr, pool = case
+    assert _grid(gr, pool) == next(grids(gr, pool), None)
 
 
 def closed_subsets(universe, products):

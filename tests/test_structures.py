@@ -1,12 +1,13 @@
 """Carrier builders: parametric groupoids, neutro doubles, loops, symmetric groups."""
 
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
-from neutrolab import structures
-from neutrolab.scalars import ns_add, ns_elements, ns_mul
+from neutrolab import scalars
+from neutrolab.scalars import ns_add, ns_elements, ns_format, ns_mul, ns_scale
 from neutrolab.structures import (
     FiniteMagma,
     FiniteRing,
@@ -133,13 +134,39 @@ def test_neutro_ring_tables():
     assert r.axiom_violations() == []
 
 
+def scalar_table(elems, op):
+    """The index table of `op` over `elems`, from the scalar ops."""
+    pos = {x: i for i, x in enumerate(elems)}
+    return [[pos[op(x, y)] for y in elems] for x in elems]
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_neutro_ring_tables_match_the_scalar_ops(n):
+    # every stock table over the a+bI scalars is computed from indices; the
+    # scalar ops are the reference: neutro_ring, every mult_magma form and
+    # param_groupoid(n, t, u) for n <= 8 and every t, u in 0..n
     elems = ns_elements(n)
-    pos = {x: i for i, x in enumerate(elems)}
+    mul = scalar_table(elems, lambda x, y: ns_mul(n, x, y))
     r = neutro_ring(n)
-    assert r.add_table == [[pos[ns_add(n, x, y)] for y in elems] for x in elems]
-    assert r.mul_table == [[pos[ns_mul(n, x, y)] for y in elems] for x in elems]
+    assert r.elements == [ns_format(x) for x in elems]
+    assert r.add_table == scalar_table(elems, lambda x, y: ns_add(n, x, y))
+    assert r.mul_table == mul
+    full = mult_magma(n)
+    assert (full.elements, full.table) == (r.elements, mul)
+    pure = [(a, 0) for a in range(n)] + [(0, b) for b in range(1, n)]
+    union = mult_magma(n, pure_union=True)
+    assert union.elements == [ns_format(x) for x in pure]
+    assert union.table == scalar_table(pure, lambda x, y: ns_mul(n, x, y))
+    plain = mult_magma(n, neutro=False)
+    assert (plain.elements, plain.table) == (
+        [str(i) for i in range(n)], [[i * j % n for j in range(n)] for i in range(n)])
+    if n > 8:
+        return
+    for t, u in itertools.product(range(n + 1), repeat=2):
+        g = param_groupoid(n, t, u)
+        assert g.elements == r.elements
+        assert g.table == scalar_table(
+            elems, lambda x, y: ns_add(n, ns_scale(n, t, x), ns_scale(n, u, y))), (t, u)
 
 
 def _perturbed(n, table, row, column, value):
@@ -167,14 +194,16 @@ def test_perturbed_ring_lists_every_violation(case):
 
 
 def test_validation_stops_at_the_first_violation(monkeypatch):
-    pulled, sweep = [], structures.triple_law_violations
+    # validation reads scalars._ring_law_violations, which looks the
+    # per-triple sweep up in scalars
+    pulled, sweep = [], scalars.triple_law_violations
 
     def counted(add, mul):
         for bad in sweep(add, mul):
             pulled.append(bad)
             yield bad
 
-    monkeypatch.setattr(structures, "triple_law_violations", counted)
+    monkeypatch.setattr(scalars, "triple_law_violations", counted)
     r, add, mul = _perturbed(12, "mul", "1+7I", "5+6I", "5+4I")
     with pytest.raises(ValueError) as err:
         FiniteRing(r.elements, add, mul, name=r.name)
