@@ -4,15 +4,21 @@ A structure spec is a dict with a "kind" key; soft-set files carry
 {"universe": <spec>, "assign": {param: value, ...}} where each value is a
 list of element labels, of formal sums as text for group rings, or of label
 lists for collection universes (see softsets.value_kind).
+
+Loading is memoised: while a carrier loaded from a spec is in use, every
+load of an equal spec, nested specs included, returns that same carrier
+instead of building and validating another.
 """
 
 import json
+import weakref
 
 from .groupring import GroupRing
-from .ncollect import Component, NCollection
+from .ncollect import NCollection
 from .softsets import SoftSet, value_kind
 from .structures import (
-    build_from_table,
+    _cayley,
+    _cayley_indices,
     cyclic_neutro_group,
     mult_magma,
     neutro_double,
@@ -38,38 +44,64 @@ def _int(spec, key):
         raise ValueError("field %r must be an integer, got %.60r" % (key, spec[key])) from None
 
 
+# The carriers `load_structure` built that are still in use, under the key
+# `_memo` makes for each.  Carriers are never mutated after construction (the
+# algebra view that subsets attaches depends only on the tables), so one
+# object serves every load of an equal spec.  An entry goes once no caller
+# holds its carrier, and no caller can then tell a fresh build from it.
+_LOADED = weakref.WeakValueDictionary()
+
+
+def _memo(build, args, key=None):
+    """build(*args), or the carrier an earlier load of an equal spec built
+    if it is still in use.  `key` (default `args`) stands for the arguments:
+    the checked and normalised values, free-form fields by their repr and
+    nested carriers, themselves loaded through here, as the objects.  A
+    build that raises stores nothing."""
+    key = (build, args if key is None else key)
+    carrier = _LOADED.get(key)
+    if carrier is None:
+        carrier = _LOADED[key] = build(*args)
+    return carrier
+
+
 def load_structure(spec):
+    """The carrier `spec` describes.  While it is in use, a later load of an
+    equal spec returns the same object, so callers share it and must not
+    mutate it."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("a structure spec is a dict with a 'kind' key")
-    kind = spec["kind"]
+    kind, name = spec["kind"], spec.get("name", "")
     if kind == "param_groupoid":
-        return param_groupoid(_int(spec, "n"), _int(spec, "t"), _int(spec, "u"))
+        return _memo(param_groupoid, (_int(spec, "n"), _int(spec, "t"), _int(spec, "u")))
     if kind == "cyclic_neutro_group":
-        return cyclic_neutro_group(_int(spec, "m"), bool(spec.get("semigroup", False)))
+        return _memo(cyclic_neutro_group, (_int(spec, "m"), bool(spec.get("semigroup", False))))
     if kind == "neutro_ring":
-        return neutro_ring(_int(spec, "n"))
+        return _memo(neutro_ring, (_int(spec, "n"),))
     if kind == "mult_magma":
-        return mult_magma(_int(spec, "n"), bool(spec.get("neutro", True)),
-                          bool(spec.get("pure_union", False)))
+        return _memo(mult_magma, (_int(spec, "n"), bool(spec.get("neutro", True)),
+                                  bool(spec.get("pure_union", False))))
     if kind == "sym_group":
-        return sym_group(_int(spec, "k"))
+        return _memo(sym_group, (_int(spec, "k"),))
     if kind == "cayley":
-        return build_from_table(_field(spec, "elements", list), _field(spec, "table", list),
-                                name=spec.get("name", ""))
+        elements = _field(spec, "elements", list)
+        rows = _cayley_indices(elements, _field(spec, "table", list))
+        return _memo(_cayley, (elements, rows, name), (tuple(elements), rows, repr(name)))
     if kind == "neutro_double":
-        return neutro_double(load_structure(spec["base"]), name=spec.get("name", ""))
+        base = load_structure(spec["base"])
+        return _memo(neutro_double, (base, name), (base, repr(name)))
     if kind == "group_ring":
-        return GroupRing(_int(spec, "r"), load_structure(spec["basis"]),
-                         name=spec.get("name", ""))
+        r, basis = _int(spec, "r"), load_structure(spec["basis"])
+        return _memo(GroupRing, (r, basis, name), (r, basis, repr(name)))
     if kind == "ncollection":
-        comps = []
+        parts = []
         for c in _field(spec, "components", list):
             if not isinstance(c, dict):
                 raise ValueError("a component is a dict with 'spec' and 'kind_tag', got %.60r" % (c,))
             tag = _field(c, "kind_tag", dict)
-            comps.append(Component(load_structure(c["spec"]), tag["alg"],
-                                   bool(tag["neutrosophic"])))
-        return NCollection(comps, name=spec.get("name", ""))
+            parts.append((load_structure(c["spec"]), tag["alg"], bool(tag["neutrosophic"])))
+        return _memo(NCollection, (parts, name),
+                     (tuple((s, repr(alg), neutro) for s, alg, neutro in parts), repr(name)))
     raise ValueError("unknown structure kind %r" % kind)
 
 
@@ -79,9 +111,12 @@ def load_structure_file(path):
 
 
 def load_soft(spec, universe=None):
+    """The soft set `spec` describes, over the carrier its "universe" spec
+    loads to (shared as in `load_structure`), or over `universe` when the
+    spec names none."""
     if not isinstance(spec, dict):
         raise ValueError("a soft-set spec is a dict with 'universe' and 'assign' keys")
-    if universe is None:
+    if universe is None or "universe" in spec:
         universe = load_structure(spec["universe"])
     load = value_kind(universe).load
     return SoftSet(universe, {p: load(universe, v)

@@ -280,8 +280,10 @@ def alternating_labels(k):
     )
 
 
-def build_from_table(elements, table, name=""):
-    """User-supplied Cayley table; entries may be labels or indices."""
+def _cayley_indices(elements, table):
+    """The rows of a user-supplied Cayley table as tuples of positions: a
+    label entry becomes its position in `elements`, an int entry stays as it
+    is, and anything else (a bool included) is rejected."""
     index = {lab: i for i, lab in enumerate(elements)}
     norm = []
     for row in table:
@@ -291,13 +293,23 @@ def build_from_table(elements, table, name=""):
         for v in row:
             if isinstance(v, str) and v in index:
                 out.append(index[v])
-            elif isinstance(v, int):
+            elif isinstance(v, int) and not isinstance(v, bool):
                 out.append(v)
             else:
                 raise ValueError("table entry %r is neither an element nor an index" % (v,))
-        norm.append(out)
-    return FiniteMagma(elements, norm, name=name or "cayley(%d)" % len(elements),
+        norm.append(tuple(out))
+    return tuple(norm)
+
+
+def _cayley(elements, rows, name=""):
+    """The magma of a Cayley table whose rows already hold positions."""
+    return FiniteMagma(elements, rows, name=name or "cayley(%d)" % len(elements),
                        meta={"kind": "cayley"})
+
+
+def build_from_table(elements, table, name=""):
+    """User-supplied Cayley table; entries may be labels or indices."""
+    return _cayley(elements, _cayley_indices(elements, table), name)
 
 
 @dataclass

@@ -148,6 +148,35 @@ def test_soft_op_crossed_and(tmp_path, capsys):
     assert doc["assign"] == {"a&a": ["0", "2I"], "b&a": ["0"]}
 
 
+def test_soft_op_reads_the_rhs_over_its_own_universe(tmp_path, capsys):
+    lhs = write(tmp_path, "f.json",
+                {"universe": {"kind": "neutro_ring", "n": 6}, "assign": {"a1": ["0"]}})
+    out = tmp_path / "r.json"
+    cmd = ["soft-op", "--op", "restricted-intersection", "--lhs", lhs, "-o", str(out)]
+    same = write(tmp_path, "same.json",
+                 {"universe": {"kind": "neutro_ring", "n": "6"}, "assign": {"a1": ["0", "3"]}})
+    assert main(cmd + ["--rhs", same]) == 0
+    assert json.loads(out.read_text())["assign"] == {"a1": ["0"]}
+    out.unlink()
+    other = write(tmp_path, "other.json", {"universe": G421, "assign": {"a1": ["0"]}})
+    assert main(cmd + ["--rhs", other]) == 2
+    assert "soft sets live over different universes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_soft_op_reads_an_rhs_without_a_universe_over_the_lhs_one(tmp_path, capsys):
+    lhs = write(tmp_path, "f.json",
+                {"universe": {"kind": "neutro_ring", "n": 6}, "assign": {"a1": ["0", "3I"]}})
+    rhs = write(tmp_path, "k.json", {"assign": {"a1": ["3I", "5+3I"]}})
+    out = tmp_path / "r.json"
+    assert main(["soft-op", "--op", "restricted-intersection",
+                 "--lhs", lhs, "--rhs", rhs, "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["universe"] == {"kind": "neutro_ring", "n": 6}
+    assert doc["assign"] == {"a1": ["3I"]}
+    capsys.readouterr()
+
+
 def test_soft_op_flag_misuse_and_missing_share(tmp_path, capsys):
     lhs = write(tmp_path, "f.json", {"universe": G421, "assign": {"a1": ["0"]}})
     rhs = write(tmp_path, "k.json", {"universe": G421, "assign": {"a2": ["0"]}})

@@ -1,9 +1,13 @@
 """JSON specs for structures and soft sets, and their round trips."""
 
+import gc
 import json
+import re
+import weakref
 
 import pytest
 
+from neutrolab import io
 from neutrolab.groupring import GroupRing
 from neutrolab.io import (
     json_plain,
@@ -14,8 +18,8 @@ from neutrolab.io import (
     soft_to_dict,
 )
 from neutrolab.ncollect import NCollection
-from neutrolab.softsets import SoftSet
-from neutrolab.structures import FiniteMagma, FiniteRing
+from neutrolab.softsets import OPS, SoftSet
+from neutrolab.structures import FiniteMagma, FiniteRing, param_groupoid
 
 STRUCTURE_SPECS = [
     {"kind": "param_groupoid", "n": 4, "t": 2, "u": 1},
@@ -113,6 +117,13 @@ def test_load_soft_with_shared_universe():
     assert isinstance(f, SoftSet)
 
 
+def test_a_soft_spec_with_a_universe_is_read_over_it():
+    ring = load_structure({"kind": "neutro_ring", "n": 6})
+    f = load_soft({"universe": STRUCTURE_SPECS[0], "assign": {"a1": ["0", "2I"]}},
+                  universe=ring)
+    assert f.universe is load_structure(STRUCTURE_SPECS[0]) and f.universe is not ring
+
+
 def test_json_plain_handles_every_witness_shape():
     blob = {"pair": ("5I", "3"), "set": frozenset({"b", "a"}),
             "n": 3, "none": None, "flag": True,
@@ -129,3 +140,98 @@ def test_structure_file_roundtrip(tmp_path):
     path.write_text(json.dumps({"kind": "mult_magma", "n": 5}))
     s = load_structure_file(str(path))
     assert len(s) == 25
+
+
+def _copy(spec):
+    """An equal spec that shares no object with `spec`."""
+    return json.loads(json.dumps(spec))
+
+
+def test_a_repeat_load_returns_the_same_carrier():
+    for spec in STRUCTURE_SPECS:
+        s = load_structure(spec)
+        assert load_structure(_copy(spec)) is s, spec
+    double, gr, coll = (load_structure(spec) for spec in STRUCTURE_SPECS[-3:])
+    assert double is load_structure({"kind": "neutro_double",
+                                     "base": load_structure(STRUCTURE_SPECS[7]).meta})
+    assert gr.basis is load_structure(STRUCTURE_SPECS[-2]["basis"])
+    assert [c.structure for c in coll.components] == [
+        load_structure(c["spec"]) for c in STRUCTURE_SPECS[-1]["components"]]
+    assert all(c.structure is load_structure(c.structure.meta) for c in coll.components)
+
+
+def test_specs_equal_after_their_checks_share_a_carrier():
+    ring = load_structure({"kind": "neutro_ring", "n": 4})
+    assert load_structure({"kind": "neutro_ring", "n": "4"}) is ring
+    z2 = load_structure(STRUCTURE_SPECS[8])
+    assert load_structure(dict(STRUCTURE_SPECS[8], table=[[0, 1], [1, 0]])) is z2
+    assert load_structure(dict(STRUCTURE_SPECS[8], name="other")) is not z2
+
+
+@pytest.mark.parametrize("good, bad, message", [
+    ({"kind": "cayley", "elements": ["a", "b"], "table": [[0, 1], [1, 0]]},
+     {"kind": "cayley", "elements": ["a", "b"], "table": [[0, 1.0], [1, 0]]},
+     "table entry 1.0 is neither an element nor an index"),
+    ({"kind": "cayley", "elements": ["a", "b"], "table": [[0, 1], [1, 0]]},
+     {"kind": "cayley", "elements": ["a", "b"], "table": [[False, True], [True, False]]},
+     "table entry False is neither an element nor an index"),
+    ({"kind": "cayley", "elements": ["a", "b"], "table": [[0, 1], [1, 0]]},
+     {"kind": "cayley", "elements": ["a", "b"], "table": ((0, 1), (1, 0))},
+     "field 'table' must be a list, got ((0, 1), (1, 0))"),
+    ({"kind": "cayley", "elements": ["a", "b"], "table": [[0, 1], [1, 0]]},
+     {"kind": "cayley", "elements": ("a", "b"), "table": [[0, 1], [1, 0]]},
+     "field 'elements' must be a list, got ('a', 'b')"),
+    ({"kind": "param_groupoid", "n": 4, "t": 2, "u": 1},
+     {"kind": "param_groupoid", "n": "4.0", "t": 2, "u": 1},
+     "field 'n' must be an integer, got '4.0'"),
+    (STRUCTURE_SPECS[-1],
+     dict(STRUCTURE_SPECS[-1], components=[
+         dict(STRUCTURE_SPECS[-1]["components"][0], kind_tag={"alg": ["semigroup"],
+                                                              "neutrosophic": True}),
+         STRUCTURE_SPECS[-1]["components"][1]]),
+     "unknown kind tag ['semigroup']"),
+])
+def test_a_failing_spec_still_fails_after_a_look_alike_loads(good, bad, message):
+    load_structure(good)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        load_structure(bad)
+
+
+def test_a_carrier_no_caller_holds_is_not_kept():
+    spec = {"kind": "neutro_ring", "n": 9}
+    held = weakref.ref(load_structure(spec))
+    gc.collect()
+    assert held() is None
+    assert len(load_structure(spec)) == 81
+
+
+def test_a_failed_build_is_not_stored(monkeypatch):
+    builds = []
+
+    def flaky(n, t, u):
+        builds.append((n, t, u))
+        if len(builds) == 1:
+            raise ValueError("first build fails")
+        return param_groupoid(n, t, u)
+
+    monkeypatch.setattr(io, "param_groupoid", flaky)
+    spec = {"kind": "param_groupoid", "n": 3, "t": 1, "u": 2}
+    with pytest.raises(ValueError, match="first build fails"):
+        load_structure(spec)
+    s = load_structure(spec)
+    assert load_structure(spec) is s
+    assert builds == [(3, 1, 2), (3, 1, 2)]
+
+
+@pytest.mark.parametrize("uspec, values", [
+    (STRUCTURE_SPECS[0], (["0", "2I"], ["0", "2", "2I", "2+2I"])),
+    (STRUCTURE_SPECS[10], (["0", "1+g"], ["I"])),
+    (STRUCTURE_SPECS[-1], ([["0", "I"], ["e"]], [["0"], []])),
+])
+def test_soft_files_over_one_universe_spec_combine_under_every_op(uspec, values):
+    v, w = values
+    f = load_soft({"universe": _copy(uspec), "assign": {"a1": v, "a2": w}})
+    k = load_soft({"universe": _copy(uspec), "assign": {"a1": w, "a3": v}})
+    assert f.universe is k.universe
+    for name, op in sorted(OPS.items()):
+        assert op(f, k).universe is f.universe, name

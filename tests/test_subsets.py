@@ -4,8 +4,10 @@ import pytest
 
 from neutrolab import subsets
 from neutrolab.groupring import GroupRing
+from neutrolab.io import load_structure
 from neutrolab.structures import (
     FiniteMagma,
+    FiniteRing,
     ResourceCap,
     build_from_table,
     cyclic_neutro_group,
@@ -271,24 +273,28 @@ def _cyclic_cayley(k):
     return build_from_table(labels, [[(i + j) % k for j in range(k)] for i in range(k)])
 
 
-# the carriers of the structure-queries benchmark decks, collection
-# components included
-DECK_CARRIERS = (
-    [param_groupoid(*p) for p in [
-        (2, 1, 1), (3, 1, 1), (3, 2, 1), (3, 1, 2), (4, 1, 1), (4, 2, 1), (4, 1, 2),
-        (4, 2, 3), (4, 3, 2), (5, 1, 1), (5, 2, 1), (5, 1, 2), (5, 2, 3), (5, 3, 2),
-        (6, 2, 1), (6, 1, 2), (6, 2, 3), (6, 3, 2), (7, 1, 1), (7, 2, 1), (7, 1, 2),
-        (7, 2, 3), (7, 3, 2), (10, 3, 2)]]
-    + [cyclic_neutro_group(m) for m in (2, 3, 4, 5, 6, 8, 12, 16, 24)]
-    + [cyclic_neutro_group(m, True) for m in (3, 5)]
-    + [mult_magma(n) for n in (2, 3, 4, 5, 6)]
-    + [mult_magma(n, pure_union=True) for n in (3, 5, 8)]
-    + [mult_magma(n, neutro=False) for n in (4, 6, 8, 10, 12, 16)]
-    + [sym_group(3), sym_group(4), _cyclic_cayley(6)]
-    + [neutro_double(m) for m in (sym_group(3), mult_magma(6, neutro=False),
-                                  _cyclic_cayley(4), _cyclic_cayley(12))]
-    + [neutro_ring(n) for n in range(2, 9)] + [neutro_ring(12)]
-)
+def _deck_carriers():
+    """Fresh builds of the carriers of the structure-queries benchmark
+    decks, collection components included."""
+    return (
+        [param_groupoid(*p) for p in [
+            (2, 1, 1), (3, 1, 1), (3, 2, 1), (3, 1, 2), (4, 1, 1), (4, 2, 1), (4, 1, 2),
+            (4, 2, 3), (4, 3, 2), (5, 1, 1), (5, 2, 1), (5, 1, 2), (5, 2, 3), (5, 3, 2),
+            (6, 2, 1), (6, 1, 2), (6, 2, 3), (6, 3, 2), (7, 1, 1), (7, 2, 1), (7, 1, 2),
+            (7, 2, 3), (7, 3, 2), (10, 3, 2)]]
+        + [cyclic_neutro_group(m) for m in (2, 3, 4, 5, 6, 8, 12, 16, 24)]
+        + [cyclic_neutro_group(m, True) for m in (3, 5)]
+        + [mult_magma(n) for n in (2, 3, 4, 5, 6)]
+        + [mult_magma(n, pure_union=True) for n in (3, 5, 8)]
+        + [mult_magma(n, neutro=False) for n in (4, 6, 8, 10, 12, 16)]
+        + [sym_group(3), sym_group(4), _cyclic_cayley(6)]
+        + [neutro_double(m) for m in (sym_group(3), mult_magma(6, neutro=False),
+                                      _cyclic_cayley(4), _cyclic_cayley(12))]
+        + [neutro_ring(n) for n in range(2, 9)] + [neutro_ring(12)]
+    )
+
+
+DECK_CARRIERS = _deck_carriers()
 
 
 def test_whole_carrier_verdicts_match_the_gap_walk_with_no_table_read(monkeypatch):
@@ -411,6 +417,40 @@ def test_enumeration_lists_what_the_full_check_accepts(monkeypatch):
         if isinstance(want, str):
             capped.add(u.name)
     assert len(cases) == 990 and capped == {"mult(Z6+I)"}
+
+
+def _spec(u):
+    """A `load_structure` spec for a deck carrier: its meta, or its own
+    table for a Cayley table and the double of one."""
+    if "cayley" in (u.meta["kind"], u.meta.get("base", {}).get("kind")):
+        return {"kind": "cayley", "elements": u.elements, "table": u.table, "name": u.name}
+    return u.meta
+
+
+def _classified(u):
+    try:
+        return classify_lagrange(u)
+    except ResourceCap as exc:
+        return "ResourceCap: %s" % exc
+
+
+def test_a_carrier_served_again_answers_as_a_fresh_build():
+    """A carrier `io.load_structure` serves again keeps the algebra view an
+    earlier query built; enumeration under each strategy and the Lagrange
+    classification over it equal those over a fresh build."""
+    for fresh in _deck_carriers():
+        u = load_structure(_spec(fresh))
+        predicate = "subring" if isinstance(u, FiniteRing) else "subgroupoid"
+        closure(u, [u.elements[-1]])
+        check_predicate(u, u.elements[:2], predicate)
+        view = _view(u)
+        served = load_structure(_spec(fresh))
+        assert served is u and _view(served) is view, fresh.name
+        for strategy in ("scan", "generate", "auto") if len(u) <= 16 else ("generate", "auto"):
+            assert (_listing(served, predicate, strategy)
+                    == _listing(fresh, predicate, strategy)), (fresh.name, strategy)
+        if isinstance(u, FiniteMagma):
+            assert _classified(served) == _classified(fresh), fresh.name
 
 
 @pytest.mark.parametrize("params", [(6, 2, 3), (8, 3, 2)])
