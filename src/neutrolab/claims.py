@@ -8,9 +8,14 @@ read by one runner per row shape when the claim runs; rows whose logic
 differs keep a runner of their own.  Runners recompute statuses from scratch
 each run; rows whose recorded statement disagrees with its own arithmetic
 are pre-registered as ExampleContradictsText and carry the recomputed
-witness.  Carriers and populations come from zero-argument cached builders,
-and pools used by randomized sweeps are built from fixed string seeds, so a
-row's outcome never depends on which other rows ran.
+witness.
+
+Each row names its carrier once, as a zero-argument builder: the report's
+universe is the carrier's name, and engine.run_claim builds the carrier
+before it starts timing and hands it to the runner.  Carriers and
+populations come from cached builders, and pools used by randomized sweeps
+are built from fixed string seeds, so a row's outcome never depends on
+which other rows ran.
 """
 
 import random
@@ -421,7 +426,6 @@ class _Prop:
     population, on their pairwise intersections, and on the soft operations
     `ops` over `spot` seeded pairs (engine.run_closure_prop)."""
     id: str
-    universe: str
     carrier: object
     population: object
     predicate: str
@@ -429,14 +433,11 @@ class _Prop:
     spot: int = SPOT_PAIRS
     generator: str = "exhaustive-pairs"
     note: str = ""
+    kind, expected = KIND_PROP, STATUS_HOLDS
 
-    def run(self, rng):
-        return run_closure_prop(self.carrier(), self.population(), self.predicate,
-                                rng, self.ops, self.spot)
-
-    def claim(self):
-        return Claim(self.id, KIND_PROP, self.universe, self.generator,
-                     STATUS_HOLDS, self.run, self.note)
+    def run(self, u, rng):
+        return run_closure_prop(u, self.population(), self.predicate, rng,
+                                self.ops, self.spot)
 
 
 @dataclass(frozen=True)
@@ -446,24 +447,19 @@ class _Remark:
     (engine.run_remark_hunt); a `gap` (see _pin_gap) names the escaping
     pair in the witness."""
     id: str
-    universe: str
     carrier: object
     op: str
     predicate: str
     pin: tuple
     gap: tuple = None
     note: str = ""
+    kind, generator, expected = KIND_REMARK, "pinned-hunt", STATUS_COUNTEREXAMPLE
 
-    def run(self, rng):
-        u = self.carrier()
+    def run(self, u, rng):
         f, k = ({"a1": _value(u, v)} for v in self.pin)
         check = None if self.gap is None else partial(_pin_gap, self.gap)
         return run_remark_hunt(u, self.op, self.predicate, rng, pinned=(f, k),
                                pin_check=check)
-
-    def claim(self):
-        return Claim(self.id, KIND_REMARK, self.universe, "pinned-hunt",
-                     STATUS_COUNTEREXAMPLE, self.run, self.note)
 
 
 @dataclass(frozen=True)
@@ -484,15 +480,14 @@ class _SoftExample:
     "lagrange", and the classification with any failures for "profile";
     trials counts F's parameters."""
     id: str
-    universe: str
     carrier: object
     check: tuple
     softs: tuple
     expected: str = STATUS_VERIFIED
     note: str = ""
+    kind, generator = KIND_EXAMPLE, "recorded-sets"
 
-    def run(self, rng):
-        u = self.carrier()
+    def run(self, u, rng):
         f, *parent = [SoftSet(u, {p: _value(u, v) for p, v in a.items()})
                       for a in self.softs]
         test, arg = self.check
@@ -516,17 +511,12 @@ class _SoftExample:
         return _positive(rep.ok and (test != "is-neutro" or soft_neutro_params(f)),
                          witness, trials)
 
-    def claim(self):
-        return Claim(self.id, KIND_EXAMPLE, self.universe, "recorded-sets",
-                     self.expected, self.run, self.note)
-
 
 # ---------------------------------------------------------------------------
 # examples with their own logic
 
 
-def _run_example_1_1_3(rng):
-    g = groupoid_10_3_2()
+def _run_example_1_1_3(g, rng):
     p = _grid(10, (0, 5), (0, 5))
     _require(p == P_1032, "the order-4 indeterminate subgroupoid")
     q = _reals(10)
@@ -539,8 +529,8 @@ def _run_example_1_1_3(rng):
     return _positive(ok, witness, 2)
 
 
-def _run_classify_lagrange_2_1(rng):
-    rep = classify_lagrange(groupoid_4_2_1())
+def _run_classify_lagrange_2_1(g, rng):
+    rep = classify_lagrange(g)
     ok = (rep.verdict == WEAKLY_LAGRANGE
           and P_421 in rep.dividing
           and S_421_3I in rep.non_dividing)
@@ -573,18 +563,17 @@ def _symbolic_rows(outer, check, *rows):
     return _positive(ok, witness, len(rows))
 
 
-def _run_example_3_1_1(rng):
-    return _symbolic_rows(_zi(), sym.sym_subring_of, *map(_zi, (2, 3, 5, 6)))
+def _run_example_3_1_1(outer, rng):
+    return _symbolic_rows(outer, sym.sym_subring_of, *map(_zi, (2, 3, 5, 6)))
 
 
-def _run_example_3_1_2(rng):
-    return _symbolic_rows(sym.NamedRing("C", 1, True), sym.sym_subring_of,
+def _run_example_3_1_2(outer, rng):
+    return _symbolic_rows(outer, sym.sym_subring_of,
                           sym.NamedRing("R", 1, True), sym.NamedRing("Q", 1, True),
                           _zi(), _zi(2))
 
 
-def _run_example_3_1_3(rng):
-    outer = _zi()
+def _run_example_3_1_3(outer, rng):
     f = SoftSet(outer, {"a1": _zi(2), "a2": _zi(3), "a3": _zi(4)})
     k = SoftSet(outer, {"a1": _zi(5), "a3": _zi(7)})
     h = extended_union(f, k)
@@ -596,8 +585,7 @@ def _run_example_3_1_3(rng):
     return _positive(ok, witness, len(h.params))
 
 
-def _run_example_3_1_7(rng):
-    r12 = ring_12()
+def _run_example_3_1_7(r12, rng):
     f = SoftSet(r12, {
         "a1": grid_12_ideal(),
         "a2": frozenset({"0", "2", "4", "6", "8", "2I", "4I", "6I", "8I"}),
@@ -617,8 +605,7 @@ def _run_example_3_1_7(rng):
     return _positive(ok, witness or None, 4)
 
 
-def _run_theorem_3_1_3(rng):
-    r = ring_6()
+def _run_theorem_3_1_3(r, rng):
     ideals = ring_ideals_6()
     for s in ideals:
         v = is_subring(r, s)
@@ -628,17 +615,15 @@ def _run_theorem_3_1_3(rng):
     return STATUS_HOLDS, {"ideals-checked": len(ideals)}, len(ideals)
 
 
-def _run_example_4_1_1(rng):
-    q = sym.NamedRing("Q")
+def _run_example_4_1_1(outer, rng):
     spans = ({"1", "g^3"}, {"1", "g^3", "I", "g^3I"}, {"1", "g^2", "g^4"},
              {"1", "g^2", "g^4", "I", "g^2I", "g^4I"})
-    return _symbolic_rows(_sym6(q), sym.sym_gr_subring_of,
-                          *(_sym6(q, s) for s in spans))
+    return _symbolic_rows(outer, sym.sym_gr_subring_of,
+                          *(_sym6(outer.coeff, s) for s in spans))
 
 
-def _run_example_4_1_2(rng):
-    q = sym.NamedRing("Q")
-    outer = _sym6(q)
+def _run_example_4_1_2(outer, rng):
+    q = outer.coeff
     f = SoftSet(outer, {
         "a1": _sym6(q, {"1", "g^3"}),
         "a2": _sym6(q, {"1", "g^3", "I", "g^3I"}),
@@ -651,13 +636,12 @@ def _run_example_4_1_2(rng):
                      len(k.params))
 
 
-def _run_example_4_1_10(rng):
-    return _symbolic_rows(_sym6(sym.NamedRing("Z")), sym.sym_gr_ideal_of,
+def _run_example_4_1_10(outer, rng):
+    return _symbolic_rows(outer, sym.sym_gr_ideal_of,
                           *(_sym6(sym.NamedRing("Z", m)) for m in (2, 4, 6)))
 
 
-def _run_example_4_1_11(rng):
-    gr = gr_z2_c4()
+def _run_example_4_1_11(gr, rng):
     v = gr.parse("1+g+g^2+g^3")
     w = gr.parse("I+gI+g^2I+g^3I")
     vw = gr.add(v, w)
@@ -680,8 +664,7 @@ def _run_example_4_1_11(rng):
     return _positive(rep.ok, witness, 3)
 
 
-def _run_example_6_1_2(rng):
-    m = mixed_universe()
+def _run_example_6_1_2(m, rng):
     printed = tuple(frozenset(x) for x in
                     (("1", "I", "2"), ("0", "3I"), ("0", "2", "2I"), A3,
                      ("0", "2", "4", "5", "6", "8")))
@@ -699,15 +682,15 @@ def _run_example_6_1_2(rng):
     return _negative(not v.ok, witness, 1)
 
 
-def _run_classify_mixed_6_1_1(rng):
-    cls = classify_mixed(mixed_universe())
+def _run_classify_mixed_6_1_1(m, rng):
+    cls = classify_mixed(m)
     ok = cls == WEAK_MIXED
     return (STATUS_HOLDS if ok else STATUS_COUNTEREXAMPLE,
-            {"classification": cls, "order": mixed_universe().order()}, 1)
+            {"classification": cls, "order": m.order()}, 1)
 
 
-def _run_classify_mixed_6_1_3(rng):
-    cls = classify_mixed(dual_universe())
+def _run_classify_mixed_6_1_3(dual, rng):
+    cls = classify_mixed(dual)
     ok = cls == MIXED_DUAL
     return (STATUS_HOLDS if ok else STATUS_COUNTEREXAMPLE,
             {"classification": cls}, 1)
@@ -719,18 +702,8 @@ def _run_classify_mixed_6_1_3(rng):
 
 def _build():
     g1032, g421 = groupoid_10_3_2, groupoid_4_2_1
-    u1032 = "groupoid(10;3,2)"
-    u421 = "groupoid(4;2,1)"
-    ubig = "bi(Z10;2,3 | Z4;2,1)+I"
-    utri = "tri(Z10;3,2 | Z4;2,1 | Z12;8,4)+I"
-    ur6, ur10, ur12 = "ring(Z6+I)", "ring(Z10+I)", "ring(Z12+I)"
-    ugr4 = "Z2<cyclic(4)+I>"
-    ugr6 = "Z6<cyclic(4)+I>"
-    ugr3 = "Z2<cyclic-semigroup(3)+I>"
-    usymq = "Q<cyclic(6)+I>"
-    usymz = "Z<cyclic(6)+I>"
-    umix = "mixed5(order 68)"
-    udual = "dual5"
+    c_i = partial(sym.NamedRing, "C", 1, True)
+    sym_q, sym_z = partial(_sym6, sym.NamedRing("Q")), partial(_sym6, sym.NamedRing("Z"))
 
     pin_1032 = (P_1032, _reals(10))
     pin_ring12 = (_grid(12, (0, 2, 4, 6, 8, 10), (0, 2, 4, 6, 8, 10)),
@@ -740,206 +713,202 @@ def _build():
                     "and", "extended-union", "restricted-union", "or")
 
     rows = (
-        Claim("example-1.1.3", KIND_EXAMPLE, u1032, "recorded-sets", STATUS_VERIFIED,
+        Claim("example-1.1.3", KIND_EXAMPLE, g1032, "recorded-sets", STATUS_VERIFIED,
               _run_example_1_1_3,
               note="one indeterminate and one purely real subgroupoid"),
 
-        _Prop("prop-2.1.1", u421, g421, subgroupoids_421, "loose-subgroupoid",
+        _Prop("prop-2.1.1", g421, subgroupoids_421, "loose-subgroupoid",
               ("extended-intersection",),
               note="extended intersections stay closed"),
-        _Prop("prop-2.1.2", u421, g421, subgroupoids_421, "loose-subgroupoid",
+        _Prop("prop-2.1.2", g421, subgroupoids_421, "loose-subgroupoid",
               ("restricted-intersection",),
               note="restricted intersections stay closed"),
-        _Prop("prop-2.1.3", u421, g421, subgroupoids_421, "loose-subgroupoid",
+        _Prop("prop-2.1.3", g421, subgroupoids_421, "loose-subgroupoid",
               ("and",), note="AND combinations stay closed"),
 
-        _Remark("remark-2.1.1", u1032, g1032, "extended-union", "loose-subgroupoid",
+        _Remark("remark-2.1.1", g1032, "extended-union", "loose-subgroupoid",
                 pin_1032, ("op", "5I", "3"),
                 note="3*(5I)+2*3 escapes the union"),
-        _Remark("remark-2.1.2", u1032, g1032, "restricted-union", "loose-subgroupoid",
+        _Remark("remark-2.1.2", g1032, "restricted-union", "loose-subgroupoid",
                 pin_1032, ("op", "5I", "3"),
                 note="same escape under the shared-parameter union"),
-        _Remark("remark-2.1.3", u1032, g1032, "or", "loose-subgroupoid",
+        _Remark("remark-2.1.3", g1032, "or", "loose-subgroupoid",
                 pin_1032, ("op", "5I", "3"), note="same escape under OR"),
 
-        _SoftExample("example-2.1.1", u1032, g1032, ("is-neutro", "loose-subgroupoid"),
+        _SoftExample("example-2.1.1", g1032, ("is-neutro", "loose-subgroupoid"),
                      ({"a1": P_1032, "a2": _reals(10)},),
                      note="second assignment is purely real; the soft structure "
                           "is read as closed rows with at least one carrying I"),
-        _SoftExample("example-2.1.2", u421, g421, ("is", "subgroupoid"),
+        _SoftExample("example-2.1.2", g421, ("is", "subgroupoid"),
                      ({"a1": P_421, "a2": S_421_3, "a3": S_421_2},)),
-        _SoftExample("example-2.1.3", u421, g421, ("sub-of", "subgroupoid"),
+        _SoftExample("example-2.1.3", g421, ("sub-of", "subgroupoid"),
                      ({"a1": S_421_2, "a2": S_421_2},
                       {"a1": P_421, "a2": S_421_3, "a3": S_421_2})),
-        _SoftExample("example-2.1.4", u421, g421, ("lagrange", LAGRANGE),
+        _SoftExample("example-2.1.4", g421, ("lagrange", LAGRANGE),
                      ({"a1": P_421, "a2": S_421_2},)),
-        _SoftExample("example-2.1.5", u421, g421, ("lagrange", WEAKLY_LAGRANGE),
+        _SoftExample("example-2.1.5", g421, ("lagrange", WEAKLY_LAGRANGE),
                      ({"a1": P_421, "a2": S_421_3, "a3": S_421_2},)),
-        _SoftExample("example-2.1.6", u421, g421, ("lagrange", LAGRANGE_FREE),
+        _SoftExample("example-2.1.6", g421, ("lagrange", LAGRANGE_FREE),
                      ({"a1": S_421_3I, "a2": S_421_3},),
                      note="three parameter labels declared, two assignments "
                           "recorded"),
-        _SoftExample("example-2.1.7", u421, g421, ("is", "strong"),
+        _SoftExample("example-2.1.7", g421, ("is", "strong"),
                      ({"a1": S_421_3I, "a2": S_421_2},),
                      note="three parameter labels declared, two assignments "
                           "recorded"),
 
-        *(_Remark("remark-2.1.4-i%d" % i, u421, g421, op, "lagrange",
+        *(_Remark("remark-2.1.4-i%d" % i, g421, op, "lagrange",
                   ({"0", "2I"}, S_421_2),
                   note="order-2 pieces meet in a bare zero or join into an "
                        "order-3 subgroupoid of a 16-element carrier")
           for i, op in enumerate(lagrange_ops, start=1)),
 
-        Claim("classify-lagrange-2.1", KIND_CLASSIFICATION, u421,
+        Claim("classify-lagrange-2.1", KIND_CLASSIFICATION, g421,
               "exhaustive-subs", STATUS_HOLDS, _run_classify_lagrange_2_1,
               note="both dividing and non-dividing proper subgroupoids "
                    "exist"),
 
-        _Remark("remark-2.1.8", u421, g421, "extended-union", "strong",
+        _Remark("remark-2.1.8", g421, "extended-union", "strong",
                 ({"0", "I", "2I", "3I"}, S_421_2), ("op", "I", "2+2I"),
                 note="the recorded items assert closure for the strong "
                      "unions; the computed counterexample supports the "
                      "negated reading used by the sibling union remarks"),
 
-        _SoftExample("example-2.2.1", ubig, bi_groupoid, ("is", "n-sub"),
+        _SoftExample("example-2.2.1", bi_groupoid, ("is", "n-sub"),
                      ({"a1": (P_1032, P_421), "a2": (_reals(10), S_421_2)},)),
-        _Prop("prop-2.2.2", ubig, bi_groupoid, bi_ideal_population, "loose-n-ideal",
+        _Prop("prop-2.2.2", bi_groupoid, bi_ideal_population, "loose-n-ideal",
               generator="exhaustive-pairs(improper-only)",
               note="both components admit only the improper ideal"),
-        _SoftExample("example-2.2.3", ubig, bi_groupoid, ("is", "strong-n-sub"),
+        _SoftExample("example-2.2.3", bi_groupoid, ("is", "strong-n-sub"),
                      ({"a1": ({"0", "5+5I"}, S_421_2),
                        "a2": ({"0", "5I"}, S_421_2)},)),
-        _Remark("remark-2.2.6", ubig, bi_groupoid, "extended-union", "strong-n-sub",
+        _Remark("remark-2.2.6", bi_groupoid, "extended-union", "strong-n-sub",
                 (({"0", "2I", "4I", "6I", "8I"}, {"0", "2I"}), ({"0", "5I"}, S_421_2)),
                 ("op", "2I", "5I", 0),
                 note="2*(2I)+3*(5I) = 9I escapes the first part"),
 
-        _SoftExample("example-2.3.1", utri, tri_groupoid, ("is", "n-sub"),
+        _SoftExample("example-2.3.1", tri_groupoid, ("is", "n-sub"),
                      ({"a1": (P_1032, P_421, {"0", "2"}),
                        "a2": (_reals(10), S_421_2, {"0", "2I"})},),
                      expected=STATUS_CONTRADICTS,
                      note="third parts are not closed: 0*2 = 8 and 0*(2I) = 8I "
                           "under 8a+4b (mod 12)"),
-        _Prop("prop-2.3.2", utri, tri_groupoid, tri_ideal_pool, "loose-n-ideal",
+        _Prop("prop-2.3.2", tri_groupoid, tri_ideal_pool, "loose-n-ideal",
               spot=6200, generator="pooled-supersets+randomized-spot",
               note="third-component ideals are exactly the supersets of the "
                    "3x3 residue grid"),
-        _SoftExample("example-2.3.3", utri, tri_groupoid, ("is", "strong-n-sub"),
+        _SoftExample("example-2.3.3", tri_groupoid, ("is", "strong-n-sub"),
                      ({"a1": ({"0", "5I"}, {"0", "2I"}, {"0", "2I"}),
                        "a2": ({"0", "5+5I"}, S_421_2, S_421_2)},),
                      expected=STATUS_CONTRADICTS,
                      note="third parts are not closed: 0*(2I) = 8I and "
                           "0*(2+2I) = 8+8I under 8a+4b (mod 12)"),
 
-        _Prop("prop-3.1.1", ur6, ring_6, subrings_6, "loose-subring",
+        _Prop("prop-3.1.1", ring_6, subrings_6, "loose-subring",
               ("extended-intersection",)),
-        _Prop("prop-3.1.2", ur6, ring_6, subrings_6, "loose-subring",
+        _Prop("prop-3.1.2", ring_6, subrings_6, "loose-subring",
               ("restricted-intersection",)),
-        _Prop("prop-3.1.3", ur6, ring_6, subrings_6, "loose-subring", ("and",)),
-        Claim("theorem-3.1.3", KIND_PROP, ur6, "exhaustive-ideals",
+        _Prop("prop-3.1.3", ring_6, subrings_6, "loose-subring", ("and",)),
+        Claim("theorem-3.1.3", KIND_PROP, ring_6, "exhaustive-ideals",
               STATUS_HOLDS, _run_theorem_3_1_3,
               note="every two-sided ideal is in particular a subring"),
-        _Prop("prop-3.1.4", ur6, ring_6, ring_ideals_6, "loose-ring-ideal"),
+        _Prop("prop-3.1.4", ring_6, ring_ideals_6, "loose-ring-ideal"),
 
-        _Remark("remark-3.1.1", ur12, ring_12, "extended-union", "loose-subring",
+        _Remark("remark-3.1.1", ring_12, "extended-union", "loose-subring",
                 pin_ring12, ("add", "2", "3"),
                 note="2 + 3 = 5 escapes the union of the even and the "
                      "multiples-of-three grids"),
-        _Remark("remark-3.1.2", ur12, ring_12, "restricted-union", "loose-subring",
+        _Remark("remark-3.1.2", ring_12, "restricted-union", "loose-subring",
                 pin_ring12, ("add", "2", "3"),
                 note="same escape under the shared-parameter union"),
-        _Remark("remark-3.1.3", ur12, ring_12, "or", "loose-subring",
+        _Remark("remark-3.1.3", ring_12, "or", "loose-subring",
                 pin_ring12, ("add", "2", "3"), note="same escape under OR"),
-        _Remark("remark-3.1.4", ur12, ring_12, "extended-union", "loose-ring-ideal",
+        _Remark("remark-3.1.4", ring_12, "extended-union", "loose-ring-ideal",
                 (_grid(12, (0, 6), (0, 6)), _grid(12, (0, 4, 8), (0, 4, 8))),
                 ("add", "6", "4"),
                 note="6 + 4 = 10 escapes the union of the <6> and <4> "
                      "ideal grids"),
 
-        Claim("example-3.1.1", KIND_EXAMPLE, "<Z u I>", "recorded-sets",
+        Claim("example-3.1.1", KIND_EXAMPLE, _zi, "recorded-sets",
               STATUS_VERIFIED, _run_example_3_1_1),
-        Claim("example-3.1.2", KIND_EXAMPLE, "<C u I>", "recorded-sets",
+        Claim("example-3.1.2", KIND_EXAMPLE, c_i, "recorded-sets",
               STATUS_VERIFIED, _run_example_3_1_2),
-        Claim("example-3.1.3", KIND_EXAMPLE, "<Z u I>", "recorded-sets",
+        Claim("example-3.1.3", KIND_EXAMPLE, _zi, "recorded-sets",
               STATUS_VERIFIED, _run_example_3_1_3,
               note="the recorded union rows fail exactly where stated: "
                    "a cross sum such as 2 + 5 = 7 lands outside"),
-        _SoftExample("example-3.1.4", ur12, ring_12, ("is", "ring-ideal"),
+        _SoftExample("example-3.1.4", ring_12, ("is", "ring-ideal"),
                      ({"a1": _IDEAL_12, "a2": _grid(12, (0, 6), (0, 6))},)),
-        _SoftExample("example-3.1.5", ur10, ring_10, ("is-not", "ring-ideal"),
+        _SoftExample("example-3.1.5", ring_10, ("is-not", "ring-ideal"),
                      ({"a1": {"0", "2", "4", "6", "8", "2I", "4I", "6I", "8I"},
                        "a2": {"0", "2I", "4I", "6I", "8I"}},),
                      note="the negative ideal statement verifies; the first "
                           "assignment is not even additively closed, so the "
                           "positive framing already fails"),
-        _SoftExample("example-3.1.6", "<C u I>", partial(sym.NamedRing, "C", 1, True),
-                     ("sub-of", "loose-subring"),
+        _SoftExample("example-3.1.6", c_i, ("sub-of", "loose-subring"),
                      ({"a2": _zi(), "a3": sym.NamedRing("Q", 1, True)},
                       {"a1": _zi(), "a2": sym.NamedRing("Q", 1, True),
                        "a3": sym.NamedRing("R", 1, True)})),
-        Claim("example-3.1.7", KIND_EXAMPLE, ur12, "recorded-sets",
+        Claim("example-3.1.7", KIND_EXAMPLE, ring_12, "recorded-sets",
               STATUS_CONTRADICTS, _run_example_3_1_7,
               note="8+2 = 10 escapes two assignments and 6+(6+6I) = 6I "
                    "escapes the inner row, against the recorded ideal "
                    "statement"),
 
-        _Prop("prop-4.1.1", ugr4, gr_z2_c4, partial(span_population, "z2c4"),
+        _Prop("prop-4.1.1", gr_z2_c4, partial(span_population, "z2c4"),
               "loose-gr-subneutro", generator="exhaustive-basis-spans",
               note="spans of closed basis subsets intersect in the span of "
                    "the intersected basis"),
-        _Remark("remark-4.1.1-i1", ugr4, gr_z2_c4, "restricted-union",
+        _Remark("remark-4.1.1-i1", gr_z2_c4, "restricted-union",
                 "loose-gr-subneutro", pin_gr_c4, ("add", "1", "g^2I"),
                 note="1 + g^2I escapes the union of two basis spans"),
-        _Remark("remark-4.1.1-i2", ugr4, gr_z2_c4, "extended-union",
+        _Remark("remark-4.1.1-i2", gr_z2_c4, "extended-union",
                 "loose-gr-subneutro", pin_gr_c4, ("add", "1", "g^2I"),
                 note="same escape under the extended union"),
-        _Remark("remark-4.1.1-i3", ugr4, gr_z2_c4, "or", "loose-gr-subneutro",
+        _Remark("remark-4.1.1-i3", gr_z2_c4, "or", "loose-gr-subneutro",
                 pin_gr_c4, ("add", "1", "g^2I"), note="same escape under OR"),
 
-        Claim("example-4.1.1", KIND_EXAMPLE, usymq, "recorded-sets",
+        Claim("example-4.1.1", KIND_EXAMPLE, sym_q, "recorded-sets",
               STATUS_VERIFIED, _run_example_4_1_1,
               note="two rows are purely real spans; the soft structure "
                    "is read as subring rows with at least one carrying I"),
-        Claim("example-4.1.2", KIND_EXAMPLE, usymq, "recorded-sets",
+        Claim("example-4.1.2", KIND_EXAMPLE, sym_q, "recorded-sets",
               STATUS_VERIFIED, _run_example_4_1_2,
               note="the union row fails as recorded: g^3 + g^2 has "
                    "support in neither span"),
-        _SoftExample("example-4.1.6", ugr6, gr_z6_c4, ("is", "gr-pseudo"),
+        _SoftExample("example-4.1.6", gr_z6_c4, ("is", "gr-pseudo"),
                      ({"a1": {"0", "3I"}, "a2": {"0", "2I", "4I"}},)),
-        _SoftExample("example-4.1.8", ugr4, gr_z2_c4, ("is", "loose-gr-subring"),
+        _SoftExample("example-4.1.8", gr_z2_c4, ("is", "loose-gr-subring"),
                      ({"a1": {"0", "1+g^2"}, "a2": {"0", "1+g", "g+g^3", "1+g^3"}},),
                      expected=STATUS_CONTRADICTS,
                      note="(1+g)*(1+g) = 1+g^2 escapes the second assignment"),
-        Claim("example-4.1.10", KIND_EXAMPLE, usymz, "recorded-sets",
+        Claim("example-4.1.10", KIND_EXAMPLE, sym_z, "recorded-sets",
               STATUS_VERIFIED, _run_example_4_1_10),
-        Claim("example-4.1.11", KIND_EXAMPLE, ugr4, "recorded-sets",
+        Claim("example-4.1.11", KIND_EXAMPLE, gr_z2_c4, "recorded-sets",
               STATUS_CONTRADICTS, _run_example_4_1_11,
               note="the ideals of v and v+w contain members with real "
                    "support, so the pseudo reading fails; generated "
                    "ideals are recomputed by brute force"),
-        _SoftExample("example-4.1.12", usymz, partial(_sym6, sym.NamedRing("Z")),
-                     ("ideal-of", None),
+        _SoftExample("example-4.1.12", sym_z, ("ideal-of", None),
                      ({"a1": sym.NamedRing("Z", 8), "a2": sym.NamedRing("Z", 12)},
                       {"a1": sym.NamedRing("Z", 2), "a2": sym.NamedRing("Z", 4),
                        "a3": sym.NamedRing("Z", 6)})),
 
-        _Prop("prop-5.1.1", ugr3, gr_z2_c3s, partial(span_population, "z2c3s"),
+        _Prop("prop-5.1.1", gr_z2_c3s, partial(span_population, "z2c3s"),
               "loose-gr-subneutro", generator="exhaustive-basis-spans"),
-        _Remark("remark-5.1.1", ugr3, gr_z2_c3s, "restricted-union",
-                "loose-gr-subneutro",
+        _Remark("remark-5.1.1", gr_z2_c3s, "restricted-union", "loose-gr-subneutro",
                 ({"0", "1", "I", "1+I"},
                  {"0", "I", "gI", "g^2I", "I+gI", "I+g^2I", "gI+g^2I", "I+gI+g^2I"}),
                 ("add", "1", "gI"),
                 note="1 + gI escapes the union of two basis spans"),
 
-        _Prop("prop-6.1.1", umix, mixed_universe, mixed_sub_pool, "loose-n-sub",
+        _Prop("prop-6.1.1", mixed_universe, mixed_sub_pool, "loose-n-sub",
               spot=6200, generator="pooled-parts+randomized-spot"),
-        _Remark("remark-6.1.1", umix, mixed_universe, "restricted-union",
-                "loose-n-sub", (_mixed_row_a1(), _mixed_row_k2()),
-                ("op", "2", "I", 0),
+        _Remark("remark-6.1.1", mixed_universe, "restricted-union", "loose-n-sub",
+                (_mixed_row_a1(), _mixed_row_k2()), ("op", "2", "I", 0),
                 note="2*I = 2I escapes the first part of the union row"),
 
-        _SoftExample("example-6.1.1", umix, mixed_universe, ("profile", MIXED),
+        _SoftExample("example-6.1.1", mixed_universe, ("profile", MIXED),
                      ({"a1": _mixed_row_a1(),
                        "a2": ({"2", "I"}, {"0", "2", "4", "2I", "4I"},
                               {"0", "2", "2I"}, A3, {"0", "5"}),
@@ -948,7 +917,7 @@ def _build():
                      note="the computed profile is WeakMixed, one assignment "
                           "has a non-closed first part (2*2 = 1), and another "
                           "carries no indeterminate member"),
-        Claim("example-6.1.2", KIND_EXAMPLE, umix, "recorded-sets",
+        Claim("example-6.1.2", KIND_EXAMPLE, mixed_universe, "recorded-sets",
               STATUS_VERIFIED, _run_example_6_1_2,
               note="the recorded union row fails closure in its first "
                    "part (2*I escapes), as stated; the row also drops a "
@@ -956,22 +925,24 @@ def _build():
                    "multiplicatively closed despite the recorded aside, "
                    "and the second parameter set is recorded "
                    "inconsistently"),
-        _SoftExample("example-6.1.3", udual, dual_universe, ("profile", MIXED_DUAL),
+        _SoftExample("example-6.1.3", dual_universe, ("profile", MIXED_DUAL),
                      ({"a1": ({"e", "2"}, frozenset(alternating_labels(4)), EVENS_10,
                               {"0", "2"}, {"e", "eI", "2", "2I"}),
                        "a2": ({"e", "3"}, S3_IN_S4, {"0", "5"}, {"0", "2"},
                               {"e", "eI", "3", "3I"})},)),
 
-        Claim("classify-mixed-6.1.1", KIND_CLASSIFICATION, umix,
+        Claim("classify-mixed-6.1.1", KIND_CLASSIFICATION, mixed_universe,
               "declared-tags", STATUS_HOLDS, _run_classify_mixed_6_1_1,
               note="three indeterminate kinds without a loop give the weak "
                    "profile"),
-        Claim("classify-mixed-6.1.3", KIND_CLASSIFICATION, udual,
+        Claim("classify-mixed-6.1.3", KIND_CLASSIFICATION, dual_universe,
               "declared-tags", STATUS_HOLDS, _run_classify_mixed_6_1_3,
               note="all four kinds appear plainly beside one indeterminate "
                    "loop"),
     )
-    return tuple(row if isinstance(row, Claim) else row.claim() for row in rows)
+    return tuple(row if isinstance(row, Claim) else Claim(
+        row.id, row.kind, row.carrier, row.generator, row.expected, row.run, row.note)
+        for row in rows)
 
 
 _REGISTRY = None

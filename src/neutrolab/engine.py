@@ -1,7 +1,8 @@
 """Deterministic claim harness.
 
-A Claim names a structure, a generator, and an expected status; run_claim
-executes it with a per-claim seeded RNG so a whole suite is reproducible.
+A Claim names its carrier builder, a generator, and an expected status;
+run_claim builds the carrier, then times the runner over it with a
+per-claim seeded RNG so a whole suite is reproducible.
 Closure rows succeed by finding no violation across the generated
 population; non-closure rows succeed by finding (and replaying) a witness.
 """
@@ -50,11 +51,15 @@ def result_predicate(name):
 class Claim:
     id: str
     kind: str
-    universe: str
+    carrier: object  # () -> the structure the claim is about
     generator: str
     expected: str
-    runner: object  # rng -> (status, witness, trials)
+    runner: object  # (carrier, rng) -> (status, witness, trials)
     note: str = ""
+
+    @property
+    def universe(self):
+        return self.carrier().name
 
 
 @dataclass
@@ -78,14 +83,17 @@ class Report:
 
 
 def run_claim(claim, seed=0):
+    """The claim's report; the carrier is built before the clock starts, so
+    `elapsed_ms` is the runner's own work."""
     rng = random.Random("%s:%s" % (seed, claim.id))
+    universe = claim.carrier()
     t0 = time.perf_counter()
     try:
-        status, witness, trials = claim.runner(rng)
+        status, witness, trials = claim.runner(universe, rng)
     except ResourceCap as cap:
         status, witness, trials = STATUS_SKIPPED_RESOURCE, {"cap": str(cap)}, 0
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
-    return Report(claim.id, status, json_plain(witness), claim.universe, trials, elapsed_ms)
+    return Report(claim.id, status, json_plain(witness), universe.name, trials, elapsed_ms)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from .groupring import GroupRing
 from .ncollect import NCollection
 from .softsets import SoftSet, value_kind
 from .structures import (
+    FiniteMagma,
     _cayley,
     _cayley_indices,
     cyclic_neutro_group,
@@ -38,10 +39,19 @@ def _field(spec, key, cls):
 
 
 def _int(spec, key):
-    try:
-        return int(spec[key])
-    except (TypeError, ValueError):
-        raise ValueError("field %r must be an integer, got %.60r" % (key, spec[key])) from None
+    """spec[key], which must be an int (not a bool) or a string of decimal
+    digits; another value raises ValueError naming the field."""
+    value = spec[key]
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError("field %r must be an integer, got %.60r" % (key, value))
+
+
+def _flag(spec, key, default):
+    """spec[key], which must be a JSON boolean, or `default` when absent."""
+    return _field(spec, key, bool) if key in spec else default
 
 
 # The carriers `load_structure` built that are still in use, under the key
@@ -75,20 +85,24 @@ def load_structure(spec):
     if kind == "param_groupoid":
         return _memo(param_groupoid, (_int(spec, "n"), _int(spec, "t"), _int(spec, "u")))
     if kind == "cyclic_neutro_group":
-        return _memo(cyclic_neutro_group, (_int(spec, "m"), bool(spec.get("semigroup", False))))
+        return _memo(cyclic_neutro_group, (_int(spec, "m"), _flag(spec, "semigroup", False)))
     if kind == "neutro_ring":
         return _memo(neutro_ring, (_int(spec, "n"),))
     if kind == "mult_magma":
-        return _memo(mult_magma, (_int(spec, "n"), bool(spec.get("neutro", True)),
-                                  bool(spec.get("pure_union", False))))
+        return _memo(mult_magma, (_int(spec, "n"), _flag(spec, "neutro", True),
+                                  _flag(spec, "pure_union", False)))
     if kind == "sym_group":
         return _memo(sym_group, (_int(spec, "k"),))
     if kind == "cayley":
         elements = _field(spec, "elements", list)
+        if not all(isinstance(x, str) for x in elements):
+            raise ValueError("field 'elements' must hold string labels, got %.60r" % (elements,))
         rows = _cayley_indices(elements, _field(spec, "table", list))
         return _memo(_cayley, (elements, rows, name), (tuple(elements), rows, repr(name)))
     if kind == "neutro_double":
         base = load_structure(spec["base"])
+        if not isinstance(base, FiniteMagma):
+            raise ValueError("field 'base' must describe a magma, got %s" % base.name)
         return _memo(neutro_double, (base, name), (base, repr(name)))
     if kind == "group_ring":
         r, basis = _int(spec, "r"), load_structure(spec["basis"])
@@ -99,7 +113,8 @@ def load_structure(spec):
             if not isinstance(c, dict):
                 raise ValueError("a component is a dict with 'spec' and 'kind_tag', got %.60r" % (c,))
             tag = _field(c, "kind_tag", dict)
-            parts.append((load_structure(c["spec"]), tag["alg"], bool(tag["neutrosophic"])))
+            parts.append((load_structure(c["spec"]), tag["alg"],
+                          _field(tag, "neutrosophic", bool)))
         return _memo(NCollection, (parts, name),
                      (tuple((s, repr(alg), neutro) for s, alg, neutro in parts), repr(name)))
     raise ValueError("unknown structure kind %r" % kind)

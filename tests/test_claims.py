@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,37 @@ def test_a_warmed_suite_builds_no_carrier():
     misses = {fn.__name__: fn.cache_info().misses for fn in builders}
     run_suite(claims.registry(), None, seed=0)
     assert {fn.__name__: fn.cache_info().misses for fn in builders} == misses
+
+
+def test_no_carrier_is_built_inside_a_claims_timed_section(reg):
+    """Each row, run from empty builder caches, has its carrier built before
+    its runner starts: no builder that a row's carrier runs (the carriers
+    themselves and their parts) misses its cache while a runner runs.
+    Populations may still be built there.  A count, not a timing."""
+    builders = [fn for fn in vars(claims).values()
+                if hasattr(fn, "cache_info") and fn.__module__ == claims.__name__]
+    for fn in builders:
+        fn.cache_clear()
+    for claim in reg:
+        claim.carrier()
+    carriers = {fn for fn in builders if fn.cache_info().misses}
+    assert len(carriers) == 16      # 12 that rows name, and 4 parts of those
+
+    def misses():
+        return {fn.__name__: fn.cache_info().misses for fn in carriers}
+
+    built = {}
+    for claim in reg:
+        for fn in builders:
+            fn.cache_clear()
+
+        def runner(u, rng, claim=claim):
+            before = misses()
+            out = claim.runner(u, rng)
+            built[claim.id] = sorted(k for k, v in misses().items() if v > before[k])
+            return out
+        run_claim(replace(claim, runner=runner), seed=0)
+    assert built == {claim.id: [] for claim in reg}
 
 
 def test_every_claim_reports_its_registered_status(reg, reports):
@@ -239,13 +271,14 @@ def test_seed0_rows_do_not_depend_on_the_hash_seed():
 
 
 def test_package_loads_the_claim_engine_on_first_use():
-    """`import neutrolab` leaves the engine and the registry unloaded, every
-    name the package exports from them still resolves, and listing the
-    registry fills no cached builder."""
+    """`import neutrolab` leaves the engine and the registry unloaded, and
+    `import neutrolab.cli` the registry; every name the package exports from
+    them still resolves, and listing the registry fills no cached builder."""
     src = str(Path(__file__).parent.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     code = ("import sys, neutrolab\n"
             "assert not {'neutrolab.engine', 'neutrolab.claims'} & set(sys.modules)\n"
+            "import neutrolab.cli; assert 'neutrolab.claims' not in sys.modules\n"
             "from neutrolab import *\n"
             "assert len(registry()) == 65 and run_suite is neutrolab.engine.run_suite\n"
             "assert neutrolab.claims.registry is registry\n"

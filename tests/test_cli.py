@@ -1,10 +1,15 @@
 """Command-line surface: every subcommand, every exit code."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neutrolab.cli import main
+from test_io import STRUCTURE_SPECS
 
 G421 = {"kind": "param_groupoid", "n": 4, "t": 2, "u": 1}
 G1284 = {"kind": "param_groupoid", "n": 12, "t": 8, "u": 4}
@@ -280,3 +285,34 @@ def test_malformed_input_is_an_input_error(tmp_path, capsys, command, doc, field
     assert main([paths.get(a, a) for a in command] + [write(tmp_path, "bad.json", doc)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
+
+
+def _fields(doc, path=()):
+    """The key path of every field and list item in a spec, nested ones too."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _fields(value, path + (key,))
+
+
+SPEC_FIELDS = [(i, path) for i, spec in enumerate(STRUCTURE_SPECS) for path in _fields(spec)]
+# small integers only: sym_group(6) alone has 720 elements
+FIELD_VALUES = [None, True, False, *range(-1, 6), 4.5, "x", [], {}, ["a"],
+                {"kind": "neutro_ring", "n": 2}, {"kind": "sym_group", "k": 2}]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SPEC_FIELDS), st.sampled_from(FIELD_VALUES))
+def test_a_spec_with_one_field_replaced_builds_or_is_an_input_error(field, value):
+    """`build` on a stock spec with one field replaced exits 0 or 2, never 1
+    with a traceback."""
+    i, (*outer, last) = field
+    doc = json.loads(json.dumps(STRUCTURE_SPECS[i]))
+    parent = doc
+    for key in outer:
+        parent = parent[key]
+    parent[last] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "s.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["build", str(spec)]) in (0, 2)

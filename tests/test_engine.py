@@ -2,6 +2,7 @@
 
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,9 +30,13 @@ SUBS = [frozenset({"0"}), frozenset({"0", "2I"}), frozenset({"0", "2+2I"}),
         frozenset({"0", "2", "2I", "2+2I"})]
 
 
+def carrier():
+    return SimpleNamespace(name="u")
+
+
 def claim_of(cid, runner=None):
-    runner = runner or (lambda rng: (STATUS_HOLDS, None, 1))
-    return Claim(cid, "ClosureProposition", "u", "g", STATUS_HOLDS, runner)
+    runner = runner or (lambda u, rng: (STATUS_HOLDS, None, 1))
+    return Claim(cid, "ClosureProposition", carrier, "g", STATUS_HOLDS, runner)
 
 
 # the hand-kept map that result_predicate derives from the predicate tables
@@ -65,23 +70,23 @@ def test_report_dict_field_order():
 
 
 def test_run_claim_seed_isolation_and_determinism():
-    def runner(rng):
+    def runner(u, rng):
         return STATUS_HOLDS, {"draw": rng.random()}, 1
 
-    a = run_claim(Claim("idA", "k", "u", "g", STATUS_HOLDS, runner), seed=0)
-    a2 = run_claim(Claim("idA", "k", "u", "g", STATUS_HOLDS, runner), seed=0)
-    b = run_claim(Claim("idB", "k", "u", "g", STATUS_HOLDS, runner), seed=0)
-    other = run_claim(Claim("idA", "k", "u", "g", STATUS_HOLDS, runner), seed=1)
+    a = run_claim(Claim("idA", "k", carrier, "g", STATUS_HOLDS, runner), seed=0)
+    a2 = run_claim(Claim("idA", "k", carrier, "g", STATUS_HOLDS, runner), seed=0)
+    b = run_claim(Claim("idB", "k", carrier, "g", STATUS_HOLDS, runner), seed=0)
+    other = run_claim(Claim("idA", "k", carrier, "g", STATUS_HOLDS, runner), seed=1)
     assert a.witness == a2.witness
     assert a.witness != b.witness       # stream is keyed by claim id
     assert a.witness != other.witness   # and by seed
 
 
 def test_run_claim_resource_cap_becomes_skip():
-    def runner(rng):
+    def runner(u, rng):
         raise ResourceCap("too big")
 
-    r = run_claim(Claim("idC", "k", "u", "g", STATUS_HOLDS, runner))
+    r = run_claim(Claim("idC", "k", carrier, "g", STATUS_HOLDS, runner))
     assert r.status == STATUS_SKIPPED_RESOURCE
     assert r.witness == {"cap": "too big"}
 
@@ -161,7 +166,7 @@ def built(monkeypatch):
 
 def test_passing_trials_build_no_soft_set(built):
     claim = next(c for c in claims.registry() if c.id == "prop-2.3.2")
-    claim.runner(random.Random(0))      # fills the cached carrier and pool
+    claim.runner(claim.carrier(), random.Random(0))     # fills the cached pool
     built["softsets"] = 0
     report = run_claim(claim, seed=0)
     assert report.status == STATUS_HOLDS and report.trials > 10_000
@@ -299,8 +304,8 @@ def test_run_suite_filter_and_no_match():
 
 
 def test_run_suite_flags_unexpected_status():
-    bad = Claim("prop-9.9.9", "ClosureProposition", "u", "g",
-                STATUS_COUNTEREXAMPLE, lambda rng: (STATUS_HOLDS, None, 1))
+    bad = Claim("prop-9.9.9", "ClosureProposition", carrier, "g",
+                STATUS_COUNTEREXAMPLE, lambda u, rng: (STATUS_HOLDS, None, 1))
     reports, ok = run_suite([bad])
     assert not ok
 

@@ -190,6 +190,29 @@ def test_specs_equal_after_their_checks_share_a_carrier():
                                                               "neutrosophic": True}),
          STRUCTURE_SPECS[-1]["components"][1]]),
      "unknown kind tag ['semigroup']"),
+    ({"kind": "param_groupoid", "n": 4, "t": 2, "u": 1},
+     {"kind": "param_groupoid", "n": 4.5, "t": 2, "u": 1.9},
+     "field 'n' must be an integer, got 4.5"),
+    ({"kind": "param_groupoid", "n": 1, "t": 2, "u": 1},
+     {"kind": "param_groupoid", "n": True, "t": 2, "u": 1},
+     "field 'n' must be an integer, got True"),
+    (STRUCTURE_SPECS[2], dict(STRUCTURE_SPECS[2], semigroup="false"),
+     "field 'semigroup' must be a bool, got 'false'"),
+    ({"kind": "mult_magma", "n": 4}, {"kind": "mult_magma", "n": 4, "neutro": "no"},
+     "field 'neutro' must be a bool, got 'no'"),
+    (STRUCTURE_SPECS[5], dict(STRUCTURE_SPECS[5], pure_union=1),
+     "field 'pure_union' must be a bool, got 1"),
+    ({"kind": "cayley", "elements": ["a", "b"], "table": [[0, 1], [1, 0]]},
+     {"kind": "cayley", "elements": [["a"], "b"], "table": [[0, 1], [1, 0]]},
+     "field 'elements' must hold string labels, got [['a'], 'b']"),
+    (STRUCTURE_SPECS[9], {"kind": "neutro_double", "base": {"kind": "neutro_ring", "n": 2}},
+     "field 'base' must describe a magma, got ring(Z2+I)"),
+    (STRUCTURE_SPECS[-1],
+     dict(STRUCTURE_SPECS[-1], components=[
+         dict(STRUCTURE_SPECS[-1]["components"][0], kind_tag={"alg": "semigroup",
+                                                              "neutrosophic": 1}),
+         STRUCTURE_SPECS[-1]["components"][1]]),
+     "field 'neutrosophic' must be a bool, got 1"),
 ])
 def test_a_failing_spec_still_fails_after_a_look_alike_loads(good, bad, message):
     load_structure(good)
