@@ -81,7 +81,7 @@ def load_structure(spec):
     mutate it."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("a structure spec is a dict with a 'kind' key")
-    kind, name = spec["kind"], spec.get("name", "")
+    kind, name = spec["kind"], _field(spec, "name", str) if "name" in spec else ""
     if kind == "param_groupoid":
         return _memo(param_groupoid, (_int(spec, "n"), _int(spec, "t"), _int(spec, "u")))
     if kind == "cyclic_neutro_group":

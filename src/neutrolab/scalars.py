@@ -122,13 +122,14 @@ def ring_axiom_violations(n):
     return bad + [(law, tuple(elems[i] for i in w)) for law, w in _ring_law_violations(add, mul)]
 
 
-def _additive_generators(add):
-    """A greedy generating set of (range(len(add)), +) for a commutative
-    table `add`: each element not yet in the closure of those before it.
-    Idempotents (the zero of a group) come last, so a group's zero is
-    reached from the others and never taken."""
-    inside, members, gens = [False] * len(add), [], []
-    for g in sorted(range(len(add)), key=lambda x: add[x][x] == x):
+def _generators(table):
+    """A greedy generating set of (range(len(table)), *) for the index table
+    `table`: each element not yet in the closure of those before it under
+    both a*b and b*a.  Idempotents (the zero of an additive group, the
+    identity of a group) come last, so a group's identity is reached from
+    the others and never taken."""
+    inside, members, gens = [False] * len(table), [], []
+    for g in sorted(range(len(table)), key=lambda x: table[x][x] == x):
         if inside[g]:
             continue
         gens.append(g)
@@ -137,10 +138,12 @@ def _additive_generators(add):
         while todo:
             a = todo.pop()
             members.append(a)
-            for c in map(add[a].__getitem__, members):
-                if not inside[c]:
-                    inside[c] = True
-                    todo.append(c)
+            row = table[a]
+            for m in members:
+                for c in (row[m], table[m][a]):
+                    if not inside[c]:
+                        inside[c] = True
+                        todo.append(c)
     return gens
 
 
@@ -168,7 +171,7 @@ def ring_laws_hold(add, mul):
     mul_cols = list(zip(*mul))
     # whole rows over y: at(row) is (row[t[0]], row[t[1]], ...) for a row t
     gens = [(g, itemgetter(*add[g]), mul_cols[g], itemgetter(*mul_cols[g]))
-            for g in _additive_generators(add)]
+            for g in _generators(add)]
     for add_x, mul_x in zip(add, mul):
         at_add_x, at_mul_x = itemgetter(*add_x), itemgetter(*mul_x)
         for g, at_add_g, mul_g, at_mul_g in gens:

@@ -87,7 +87,9 @@ class _View:
     through the tables of a finite carrier, formal sums through GroupRing
     arithmetic.  `binary` and `unary` are (name, table) pairs a subset must
     be closed under (the name is None for a magma), `spread` the tables a
-    closure grows by, `absorb` the absorption product and its transpose,
+    closure grows by (a ring's +, then the product, a ring's x or a magma's
+    operation, with its transpose unless the two are equal, so a commutative
+    product is read once), `absorb` the absorption product and its transpose,
     `ring` the formal-sum ring itself (None for a finite carrier), `key` the
     sort key of members in witness order (None: their natural order), and
     `notes` the wording of a missing indeterminate and of an impure member."""
@@ -107,13 +109,14 @@ class _View:
                           "nonzero member has a plain basis term")
             return
         if isinstance(u, FiniteRing):
-            mul_t = [list(col) for col in zip(*u.mul_table)]
             self.binary = (("add", u.add_table), ("mul", u.mul_table))
             self.unary = (("neg", u.neg_map),)
-            self.spread, self.absorb = (u.add_table, u.mul_table, mul_t), (u.mul_table, mul_t)
+            added, table = (u.add_table,), u.mul_table
         else:
             self.binary, self.unary = ((None, u.table),), ()
-            self.spread = self.absorb = (u.table, [list(col) for col in zip(*u.table)])
+            added, table = (), u.table
+        self.absorb = (table, [list(col) for col in zip(*table)])
+        self.spread = added + ((table,) if self.absorb[1] == table else self.absorb)
         neutro = [label_is_neutro(x) for x in u.elements]
         impure = [not (i or label_is_zero(x)) for x, i in zip(u.elements, neutro)]
         self.gens, self.zero, self.ring, self.key = range(self.size), None, None, None
@@ -204,33 +207,37 @@ def _absorb_verdict(view, gap, flags=(), where=""):
 
 def _close(view, seed, cap, base=(), floor=None):
     """Smallest superset of `seed` and of the closed set `base` closed under
-    the view's tables; more than `cap` members raises ResourceCap.  Products
-    inside `base` stay inside it, so only members outside it are multiplied
-    out, and the walk stops once the set holds the whole carrier.  With a
-    `floor`, the walk gives up as soon as it adds a member below `floor` and
-    returns that member instead of a set."""
-    current = set(base)
-    frontier = [x for x in set(seed) if x not in current]
-    current.update(frontier)
-    while frontier:
-        fresh = []
-        for x in frontier:
-            members = list(current)
-            for table in view.spread:
-                row = table[x]
-                for y in members:
-                    z = row[y]
-                    if z not in current:
-                        if floor is not None and z < floor:
-                            return z
-                        current.add(z)
-                        fresh.append(z)
-                        if len(current) > cap:
-                            raise ResourceCap("closure reached %d members, over cap = %d"
-                                              % (len(current), cap))
-                        if len(current) == view.size:
-                            return current
-        frontier = fresh
+    the view's tables; more than `cap` members raises ResourceCap.  A
+    worklist: `order` lists the members, those of `base` first, and each
+    member after them is multiplied, under every table of `spread`, by every
+    member listed up to it, itself included.  So each pair meets once, on
+    the turn of the one listed later, and no product inside `base` is formed.
+    The walk stops once the set holds the whole carrier.  With a `floor`, the
+    walk gives up as soon as it adds a member below `floor` and returns that
+    member instead of a set."""
+    current, order = set(base), list(base)
+    i = len(order)
+    for x in seed:
+        if x not in current:
+            current.add(x)
+            order.append(x)
+    while i < len(order):
+        x = order[i]
+        i += 1
+        for table in view.spread:
+            row = table[x]
+            for y in itertools.islice(order, i):
+                z = row[y]
+                if z not in current:
+                    if floor is not None and z < floor:
+                        return z
+                    current.add(z)
+                    order.append(z)
+                    if len(current) > cap:
+                        raise ResourceCap("closure reached %d members, over cap = %d"
+                                          % (len(current), cap))
+                    if len(current) == view.size:
+                        return current
     return current
 
 

@@ -273,6 +273,7 @@ MALFORMED = [
      {"universe": G421, "assign": 5}, "'assign'"),
     (["soft-op", "--op", "and", "-o", "OUT", "--rhs", "GOOD", "--lhs"],
      {"universe": G421, "assign": 5}, "'assign'"),
+    (["build"], {"kind": "cayley", "elements": ["a"], "table": [[0]], "name": ["a"]}, "'name'"),
 ]
 
 

@@ -213,6 +213,12 @@ def test_specs_equal_after_their_checks_share_a_carrier():
                                                               "neutrosophic": 1}),
          STRUCTURE_SPECS[-1]["components"][1]]),
      "field 'neutrosophic' must be a bool, got 1"),
+    (STRUCTURE_SPECS[8], dict(STRUCTURE_SPECS[8], name=["a"]),
+     "field 'name' must be a str, got ['a']"),
+    (STRUCTURE_SPECS[9], dict(STRUCTURE_SPECS[9], name=5),
+     "field 'name' must be a str, got 5"),
+    (STRUCTURE_SPECS[-1], dict(STRUCTURE_SPECS[-1], name=None),
+     "field 'name' must be a str, got None"),
 ])
 def test_a_failing_spec_still_fails_after_a_look_alike_loads(good, bad, message):
     load_structure(good)

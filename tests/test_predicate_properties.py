@@ -448,6 +448,24 @@ def test_closing_from_a_closed_base_matches_closing_from_scratch(case):
     assert {universe.elements[i] for i in grown} == fixpoint(base | seed, products)
 
 
+@settings(max_examples=150, deadline=None)
+@given(carrier_base_and_seed(), st.integers(0, 36))
+def test_closing_with_a_floor_returns_the_fixpoint_or_a_member_below_it(case, floor):
+    """With a `floor` no new seed member is below (as in Close-by-One, which
+    seeds the floor itself), `_close` returns the fixpoint when it adds no
+    member below the floor, and otherwise one such member."""
+    universe, products, base, seed = case
+    view = _view(universe)
+    closed, seeds = indices(view, base), indices(view, seed)
+    floor = min([floor, *(seeds - closed)])
+    fresh = indices(view, fixpoint(base | seed, products)) - closed
+    grown = _close(view, seeds, len(universe), base=closed, floor=floor)
+    if isinstance(grown, int):
+        assert grown < floor and grown in fresh
+    else:
+        assert grown == closed | fresh and min(fresh, default=floor) >= floor
+
+
 @pytest.mark.parametrize("universe, base, seed", [
     (neutro_ring(6), {"2", "3I"}, {"1", "I"}),
     (neutro_ring(4), {"0", "2"}, {"I", "1"}),

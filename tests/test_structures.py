@@ -5,6 +5,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neutrolab import scalars
 from neutrolab.scalars import ns_add, ns_elements, ns_format, ns_mul, ns_scale
@@ -312,3 +314,61 @@ def test_param_groupoid_kinds_follow_closed_forms():
                            for j in range(i)) == (t == u), g.name
                 assert all(table[i][i] == i for i in range(size)) == ((t + u) % n == 1), g.name
     assert carriers == 139
+
+
+def _semigroups(n):
+    """Associative index tables on n elements: Z_n under + and x, a chain
+    under min, left- and right-zero bands, a null semigroup, and for even n
+    the rectangular band 2 x n/2."""
+    tables = [lambda i, j: (i + j) % n, lambda i, j: i * j % n, min,
+              lambda i, j: i, lambda i, j: j, lambda i, j: 0]
+    if n % 2 == 0:
+        half = n // 2
+        tables.append(lambda i, j: i // half * half + j % half)
+    return [[[f(i, j) for j in range(n)] for i in range(n)] for f in tables]
+
+
+@st.composite
+def nearly_associative(draw):
+    """A semigroup of at most 6 elements, relabelled, with up to two entries
+    of its table rewritten, or a random table."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        entry = st.integers(0, n - 1)
+        return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    table = draw(st.sampled_from(_semigroups(n)))
+    perm = draw(st.permutations(range(n)))
+    inv = sorted(range(n), key=perm.__getitem__)
+    table = [[perm[table[inv[i]][inv[j]]] for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        table[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(st.integers(0, n - 1))
+    return table
+
+
+@settings(deadline=None)
+@given(nearly_associative())
+def test_associativity_on_generators_matches_the_triple_scan(table):
+    """verify_kind decides associativity by Light's test on a generating set
+    and names the first failing triple in index order, as the n^3 scan
+    does."""
+    n = len(table)
+    labels = ["e%d" % i for i in range(n)]
+    first = next(((labels[i], labels[j], labels[k])
+                  for i in range(n) for j in range(n) for k in range(n)
+                  if table[table[i][j]][k] != table[i][table[j][k]]), None)
+    rep = verify_kind(FiniteMagma(labels, table))
+    assert rep.semigroup == (first is None)
+    assert rep.witnesses.get("not-associative") == first
+    inside = set(scalars._generators(table))
+    while True:
+        grown = inside | {table[x][y] for x in inside for y in inside}
+        if grown == inside:
+            break
+        inside = grown
+    assert inside == set(range(n))
+
+
+def test_the_symmetric_group_on_six_points_is_decided_on_its_generators():
+    # the triple scan reads 720^3 triples here, about 19 s
+    rep = verify_kind(sym_group(6))
+    assert rep.semigroup and rep.group and rep.best() == "Group"

@@ -32,6 +32,7 @@ from neutrolab.subsets import (
     is_subring,
     sub_verdict,
 )
+from test_scalars import _upper_triangular_z2
 
 P4 = frozenset({"0", "2", "2I", "2+2I"})
 P3 = frozenset({"0", "2I", "2+2I"})
@@ -242,6 +243,21 @@ def test_enumerate_rejects_an_unknown_strategy_before_enumerating(monkeypatch):
             enumerate_subs(param_groupoid(4, 2, 1), "subgroupoid", strategy)
 
 
+def _count_spread_reads(monkeypatch, view):
+    """A counter of the reads the closure makes from `view`'s spread tables
+    from now on."""
+    reads = [0]
+
+    class CountingRow(list):
+        def __getitem__(self, y):
+            reads[0] += 1
+            return list.__getitem__(self, y)
+
+    monkeypatch.setattr(view, "spread", tuple([CountingRow(row) for row in table]
+                                              for table in view.spread))
+    return reads
+
+
 @pytest.mark.parametrize("params, closed_sets, limit", [
     ((6, 2, 3), 465, 3_000_000),   # closing every s | {x} from scratch: 5,914,484
     ((7, 1, 1), 10, 200_000),      # from scratch: 1,386,688
@@ -254,18 +270,52 @@ def test_generate_grows_each_closed_set_from_itself(monkeypatch, params, closed_
     member below the added element: the closure tables' reads stay under
     `limit`."""
     g = param_groupoid(*params)
-    reads = [0]
-
-    class CountingRow(list):
-        def __getitem__(self, y):
-            reads[0] += 1
-            return list.__getitem__(self, y)
-
-    view = _view(g)
-    monkeypatch.setattr(view, "spread", tuple([CountingRow(row) for row in table]
-                                              for table in view.spread))
+    reads = _count_spread_reads(monkeypatch, _view(g))
     assert len(enumerate_subs(g, "loose-subgroupoid", "generate")) == closed_sets
     assert reads[0] <= limit
+
+
+@pytest.mark.parametrize("build, predicate, listed, limit", [
+    # rounds of a frontier reading both a product and its equal transpose:
+    # 123,406 and 92,669
+    (lambda: mult_magma(6), "loose-subgroupoid", None, 80_000),
+    (lambda: neutro_ring(12), "loose-subring", 60, 75_000),
+], ids=["mult(Z6+I)", "ring(Z12+I)"])
+def test_generate_meets_each_pair_once_and_reads_a_commutative_table_once(
+        monkeypatch, build, predicate, listed, limit):
+    """The closure loop multiplies each new member by the members listed
+    before it, and spreads a commutative product without its transpose:
+    mult(Z6+I) reaches GENERATE_COUNT_LIMIT and ring(Z12+I) lists its 60
+    closed sets within `limit` table reads."""
+    u = build()
+    reads = _count_spread_reads(monkeypatch, _view(u))
+    if listed is None:
+        with pytest.raises(ResourceCap, match="subsets.GENERATE_COUNT_LIMIT = %d"
+                           % subsets.GENERATE_COUNT_LIMIT):
+            enumerate_subs(u, predicate, "generate")
+    else:
+        assert len(enumerate_subs(u, predicate, "generate")) == listed
+    assert reads[0] <= limit
+
+
+def test_a_view_spreads_a_commutative_table_once():
+    """A closure multiplies by a product's transpose only where it differs
+    from the product: one table for each commutative operation, two for a
+    non-commutative one; the absorption product keeps both."""
+    for u in (mult_magma(6), cyclic_neutro_group(4), param_groupoid(4, 1, 1)):
+        view = _view(u)
+        assert view.spread == (u.table,) and view.absorb == (u.table, u.table), u.name
+    g = param_groupoid(4, 2, 1)
+    view = _view(g)
+    assert view.spread == view.absorb and view.spread[1] != g.table
+    assert view.spread[1] == [list(col) for col in zip(*g.table)]
+    ring = neutro_ring(6)
+    assert _view(ring).spread == (ring.add_table, ring.mul_table)
+    add, mul = _upper_triangular_z2()
+    matrices = FiniteRing([str(i) for i in range(8)], add, mul)
+    view = _view(matrices)
+    assert view.spread == (matrices.add_table,) + view.absorb
+    assert view.absorb[1] == [list(col) for col in zip(*mul)] != mul
 
 
 def _cyclic_cayley(k):
