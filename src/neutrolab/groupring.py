@@ -2,7 +2,8 @@
 
 An element is the tuple of its coefficients: one residue in 0..r-1 for each
 basis element, in basis order; zero is the all-zero tuple.  Multiplication
-is convolution through the basis table.
+is convolution through the basis table over the nonzero terms of both
+operands, and a parsed string sums its terms' coefficients in one pass.
 """
 
 import itertools
@@ -63,12 +64,12 @@ class GroupRing:
         n = self._width
         if len(x) != n or len(y) != n:
             raise self._wrong_length(x, y)
+        terms = [(j, d) for j, d in enumerate(y) if d]
         acc = [0] * n
         for c, row in zip(x, self.basis.table):
             if c:
-                for d, k in zip(y, row):
-                    if d:
-                        acc[k] += c * d
+                for j, d in terms:
+                    acc[row[j]] += c * d
         r = self.r
         return tuple([v % r for v in acc])
 
@@ -97,17 +98,19 @@ class GroupRing:
         t = s.replace(" ", "")
         if t in ("0", ""):
             return self.zero
-        acc = self.zero
+        index, acc = self.basis._index, [0] * self._width
         for term in t.split("+"):
             if not term:
                 raise ValueError("empty term in %r" % s)
             coeff_s, label = self._TERM_RE.match(term).groups()
             # a bare coefficient is a multiple of the basis element "1"
             label = label or "1"
-            if label not in self.basis._index:
+            i = index.get(label)
+            if i is None:
                 raise ValueError("unknown basis element %r in %r" % (label, s))
-            acc = self.add(acc, self.monomial(label, 1 if coeff_s is None else int(coeff_s)))
-        return acc
+            acc[i] += 1 if coeff_s is None else int(coeff_s)
+        r = self.r
+        return tuple([v % r for v in acc])
 
     def format(self, x):
         if len(x) != self._width:

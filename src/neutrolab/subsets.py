@@ -247,13 +247,12 @@ def _close(view, seed, cap, base=(), floor=None):
 
 def _vector(gr, x):
     """`x`, unless it is not a canonical element: a tuple of one coefficient
-    in 0..r-1 for each basis element; then ValueError names it."""
-    try:
-        if (isinstance(x, tuple) and len(x) == len(gr.basis)
-                and frozenset(range(gr.r)).issuperset(x)):
-            return x
-    except TypeError:  # an unhashable coefficient
-        pass
+    in 0..r-1 for each basis element, each an int that is not a bool; then
+    ValueError names it."""
+    # type() of a bool is bool, so {int} refuses True as it refuses 1.0
+    if (isinstance(x, tuple) and len(x) == len(gr.basis)
+            and set(map(type, x)) == {int} and frozenset(range(gr.r)).issuperset(x)):
+        return x
     raise ValueError("%r is not a canonical element of %s" % (x, gr.name))
 
 

@@ -228,11 +228,13 @@ def test_howell_span_matches_additive_closure(r, n, data):
 Z2C2 = GroupRing(2, cyclic_neutro_group(2))
 # none of these is a canonical element of Z2<C2+I>, whose basis has four
 # elements: one coefficient too few, one too many, a coefficient equal to r,
-# a negative coefficient, a fractional coefficient, a list instead of a
-# tuple, and two members of another type that cannot be sorted among formal
-# sums: a formal sum's text and an integer; nor is a sum written as
-# (basis index, coefficient) pairs, however the pairs are chosen
+# a negative coefficient, a fractional coefficient, a float and bools equal
+# to residues, a list instead of a tuple, and two members of another type
+# that cannot be sorted among formal sums: a formal sum's text and an
+# integer; nor is a sum written as (basis index, coefficient) pairs, however
+# the pairs are chosen
 NOT_CANONICAL = [(0, 1, 0), (0, 1, 0, 0, 0), (0, 2, 0, 0), (0, -1, 0, 0), (0, 0.5, 0, 0),
+                 (1.0, 0, 0, 0), (True, False, False, False),
                  [0, 1, 0, 0], "1+g", 3,
                  ((0, 2),), ((0, 3),), ((1, 1), (0, 1)), ((0, 1), (0, 1)), ((4, 1),),
                  ((0, 0),), ((0, 0.5),), [(0, 1)]]
@@ -265,6 +267,16 @@ def test_parse_format_roundtrip(mask):
     gr = gr256()
     x = tuple(mask >> i & 1 for i in range(8))
     assert gr.parse(gr.format(x)) == x
+
+
+def test_parse_pinned_sums():
+    gr, z6 = gr256(), GroupRing(6, cyclic_neutro_group(2))
+    assert gr.parse("g+g") == gr.zero
+    assert gr.parse("3g") == gr.monomial("g")
+    assert z6.parse("5") == z6.monomial("1", 5) == (5, 0, 0, 0)
+    # the unknown label comes first, so it is the error, not the empty term
+    with pytest.raises(ValueError, match=re.escape("unknown basis element 'q' in '1+q+'")):
+        gr.parse("1+q+")
 
 
 def test_parse_rejects_empty_terms():
@@ -353,6 +365,12 @@ def test_dense_arithmetic_matches_the_sparse_reference(case, r, data):
     assert gr.neg(dense(gr, x)) == dense(gr, ref.neg(x))
     assert gr.scale(c, dense(gr, x)) == dense(gr, ref.scale(c, x))
     assert gr.mul(dense(gr, x), dense(gr, y)) == dense(gr, ref.mul(x, y))
+    # zero and single-term operands on either side, which drawn sums rarely
+    # are: mul lists the nonzero terms of its operands
+    d = data.draw(st.integers(1, r - 1))
+    for s in [()] + [((j, d),) for j in range(len(basis))]:
+        for u, v in ((s, x), (x, s), (s, s)):
+            assert gr.mul(dense(gr, u), dense(gr, v)) == dense(gr, ref.mul(u, v))
     if codec:
         assert gr.parse(gr.format(dense(gr, x))) == dense(gr, x)
     # the sums in the order the sparse sums were listed (the first 4096 of a
@@ -361,6 +379,28 @@ def test_dense_arithmetic_matches_the_sparse_reference(case, r, data):
     assert list(itertools.islice(gr.elements(), head)) == [
         dense(gr, s) for s in itertools.islice(ref.elements(), head)]
     assert len(gr) == r ** len(basis)
+
+
+def write_terms(terms):
+    """`terms`, (coefficient or None, label) pairs, as the text parse reads;
+    a multiple of the basis element "1" is a bare number."""
+    return "+".join(label if c is None else str(c) if label == "1" else "%d%s" % (c, label)
+                    for c, label in terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([basis for basis, codec in REFERENCE_BASES if codec]),
+       st.sampled_from([2, 3, 4, 6]), st.data())
+def test_parse_sums_its_terms(basis, r, data):
+    """A sum's text is the sum of its terms' monomials, repeated labels and
+    coefficients of r or more included."""
+    gr = GroupRing(r, basis)
+    terms = data.draw(st.lists(st.tuples(st.none() | st.integers(0, 3 * r),
+                                         st.sampled_from(basis.elements)), max_size=8))
+    expected = gr.zero
+    for c, label in terms:
+        expected = gr.add(expected, gr.monomial(label, 1 if c is None else c))
+    assert gr.parse(write_terms(terms)) == expected
 
 
 def test_commutative_when_basis_commutes():
