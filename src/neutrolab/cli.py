@@ -17,7 +17,14 @@ from .engine import (
     run_suite,
 )
 from .groupring import GroupRing
-from .io import json_plain, load_soft, load_soft_file, load_structure_file, soft_to_dict
+from .io import (
+    json_plain,
+    load_soft,
+    load_soft_file,
+    load_structure,
+    load_structure_file,
+    soft_to_dict,
+)
 from .ncollect import NCollection, classify_mixed
 from .softsets import OPS, restricted_union, soft_is, value_kind
 from .structures import FiniteMagma, FiniteRing, ResourceCap, verify_kind
@@ -156,11 +163,15 @@ def _cmd_hunt(args):
     if op_name not in OPS:
         raise ValueError("unknown operation %r; choices: %s"
                          % (op_name, ", ".join(sorted(OPS))))
-    universe = load_structure_file(args.universe)
+    with open(args.universe) as fh:
+        spec = json.load(fh)
+    universe = load_structure(spec)
     population = enumerate_subs(universe, predicate)
     status, witness, trials = run_remark_hunt(
         universe, op_name, result_predicate(predicate),
         population=population, budget=args.budget, exhaustive=True)
+    for side in ("lhs", "rhs") if status == STATUS_COUNTEREXAMPLE else ():
+        witness[side] = {"universe": spec, **witness[side]}
     print(json.dumps({"status": status, "witness": json_plain(witness),
                       "trials": trials}, indent=2))
     if status in (STATUS_COUNTEREXAMPLE, STATUS_HOLDS):

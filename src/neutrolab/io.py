@@ -131,8 +131,10 @@ def load_soft(spec, universe=None):
     spec names none."""
     if not isinstance(spec, dict):
         raise ValueError("a soft-set spec is a dict with 'universe' and 'assign' keys")
-    if universe is None or "universe" in spec:
+    if "universe" in spec:
         universe = load_structure(spec["universe"])
+    elif universe is None:
+        raise ValueError("a soft-set spec needs a 'universe' field")
     load = value_kind(universe).load
     return SoftSet(universe, {p: load(universe, v)
                               for p, v in _field(spec, "assign", dict).items()})

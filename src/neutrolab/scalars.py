@@ -147,13 +147,12 @@ def _generators(table):
     return gens
 
 
-def ring_laws_hold(add, mul):
-    """Whether the index tables `add` and `mul` over range(len(add)) make +
-    commutative and associative, and * associative and distributive over +
-    on both sides, for every triple.
-
-    Decided from O(N^2 |G|) table reads, whole rows at a time, for a
-    generating set G of (R, +).  The g passing Light's test (x+g)+y =
+def _additive_generators(add, mul):
+    """The greedy generating set G of (R, +) (see _generators) when the index
+    tables `add` and `mul` over range(len(add)) make + commutative and
+    associative, and * associative and distributive over + on both sides,
+    for every triple; None when a law fails.  Decided from O(N^2 |G|) table
+    reads, whole rows at a time.  The g passing Light's test (x+g)+y =
     x+(g+y) for all x, y are closed under + (Clifford and Preston 1961,
     section 1.2), so + is associative when every g in G passes.  Given that,
     the g with x(y+g) = xy+xg for all x, y are closed under +; given left
@@ -163,25 +162,30 @@ def ring_laws_hold(add, mul):
     matches.  triple_law_violations is the per-triple reference."""
     add = list(map(tuple, add))
     if list(zip(*add)) != add:
-        return False
+        return None
+    gens = _generators(add)
     if len(add) < 2:
         # itemgetter of one index gives the entry, not a 1-tuple; one element
         # satisfies every law
-        return True
+        return gens
     mul_cols = list(zip(*mul))
     # whole rows over y: at(row) is (row[t[0]], row[t[1]], ...) for a row t
-    gens = [(g, itemgetter(*add[g]), mul_cols[g], itemgetter(*mul_cols[g]))
-            for g in _generators(add)]
+    rows = [(g, itemgetter(*add[g]), mul_cols[g], itemgetter(*mul_cols[g])) for g in gens]
     for add_x, mul_x in zip(add, mul):
         at_add_x, at_mul_x = itemgetter(*add_x), itemgetter(*mul_x)
-        for g, at_add_g, mul_g, at_mul_g in gens:
+        for g, at_add_g, mul_g, at_mul_g in rows:
             add_xg = add[mul_x[g]]
             if (add[add_x[g]] != at_add_g(add_x)          # (x+g)+y = x+(g+y)
                     or at_add_g(mul_x) != at_mul_x(add_xg)  # x(g+y) = xg+xy
                     or at_add_x(mul_g) != at_mul_g(add_xg)  # (x+y)g = xg+yg
                     or at_mul_x(mul_g) != at_mul_g(mul_x)):  # (xy)g = x(yg)
-                return False
-    return True
+                return None
+    return gens
+
+
+def ring_laws_hold(add, mul):
+    """Whether `add` and `mul` satisfy the laws _additive_generators decides."""
+    return _additive_generators(add, mul) is not None
 
 
 def triple_law_violations(add, mul):

@@ -8,7 +8,7 @@ tables, so predicates and enumeration can work positionally.  An element is
 import itertools
 from dataclasses import dataclass, field
 
-from .scalars import _generators, _ring_law_violations, ns_elements, ns_format
+from .scalars import _additive_generators, _generators, _ring_law_violations, ns_elements, ns_format
 
 
 class ResourceCap(Exception):
@@ -92,15 +92,12 @@ class FiniteMagma(_Labelled):
 
 
 class FiniteRing(_Labelled):
-    """A finite set with addition and multiplication tables.
+    """A finite ring, proven one when it is built: + an abelian group, x
+    associative and distributive on both sides, on every triple (see
+    scalars._additive_generators); ValueError names the first violation.
+    `add_gens` keeps the additive generating set the proof derives."""
 
-    Addition is expected to form an abelian group and multiplication to be
-    associative and to distribute over it; `validate` proves those laws on
-    every triple, at every size (see scalars.ring_laws_hold), and raises
-    ValueError naming the first violation.
-    """
-
-    def __init__(self, elements, add_table, mul_table, name="", meta=None, validate=True):
+    def __init__(self, elements, add_table, mul_table, name="", meta=None):
         super().__init__(elements, name or "ring(%d)" % len(elements), meta)
         self.add_table = self._table(add_table)
         self.mul_table = self._table(mul_table)
@@ -112,11 +109,11 @@ class FiniteRing(_Labelled):
         if None in self.neg_map:
             raise ValueError("%s: %r has no additive inverse"
                              % (self.name, self.elements[self.neg_map.index(None)]))
-        if validate:
-            bad = next(_ring_law_violations(self.add_table, self.mul_table), None)
-            if bad is not None:
-                raise ValueError("%s violates %s at %r"
-                                 % (self.name, bad[0], tuple(self.elements[i] for i in bad[1])))
+        self.add_gens = _additive_generators(self.add_table, self.mul_table)
+        if self.add_gens is None:
+            law, w = next(_ring_law_violations(self.add_table, self.mul_table))
+            raise ValueError("%s violates %s at %r"
+                             % (self.name, law, tuple(self.elements[i] for i in w)))
 
     def add(self, x, y):
         return self._apply(self.add_table, x, y)
@@ -129,13 +126,6 @@ class FiniteRing(_Labelled):
 
     def sub(self, x, y):
         return self.add(x, self.neg(y))
-
-    def axiom_violations(self):
-        """(law, labels) for every failing pair or triple, in the order of
-        scalars._ring_law_violations."""
-        labels = self.elements
-        return [(law, tuple(labels[i] for i in w))
-                for law, w in _ring_law_violations(self.add_table, self.mul_table)]
 
 
 # The stock builders over the a+bI scalars mod n put a+bI at index a*n + b

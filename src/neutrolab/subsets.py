@@ -90,9 +90,11 @@ class _View:
     closure grows by (a ring's +, then the product, a ring's x or a magma's
     operation, with its transpose unless the two are equal, so a commutative
     product is read once), `absorb` the absorption product and its transpose,
-    `ring` the formal-sum ring itself (None for a finite carrier), `key` the
-    sort key of members in witness order (None: their natural order), and
-    `notes` the wording of a missing indeterminate and of an impure member."""
+    `gens` what an ideal absorbs (a magma's every element; a ring's additive
+    generating set, as its product is bilinear), `ring` the formal-sum ring
+    itself (None for a finite carrier), `key` the sort key of members in
+    witness order (None: their natural order), and `notes` the wording of a
+    missing indeterminate and of an impure member."""
 
     def __init__(self, u):
         self.size = len(u)
@@ -104,22 +106,24 @@ class _View:
             self.neutro, self.label, self.zero, self.ring = u.has_neutro_support, u.format, u.zero, u
             self.impure = lambda a: not all(map(label_is_neutro, u.support_labels(a)))
             self.key = _terms
-            self.members = lambda subset: _sorted_sums(u, _not_text(subset))
+            # each member is validated before equal ones merge
+            self.members = lambda subset: sorted(
+                {_vector(u, x) for x in _not_text(subset)}, key=_terms)
             self.notes = ("closed but has no indeterminate-supported member",
                           "nonzero member has a plain basis term")
             return
         if isinstance(u, FiniteRing):
             self.binary = (("add", u.add_table), ("mul", u.mul_table))
             self.unary = (("neg", u.neg_map),)
-            added, table = (u.add_table,), u.mul_table
+            added, table, self.gens = (u.add_table,), u.mul_table, u.add_gens
         else:
             self.binary, self.unary = ((None, u.table),), ()
-            added, table = (), u.table
+            added, table, self.gens = (), u.table, range(self.size)
         self.absorb = (table, [list(col) for col in zip(*table)])
         self.spread = added + ((table,) if self.absorb[1] == table else self.absorb)
         neutro = [label_is_neutro(x) for x in u.elements]
         impure = [not (i or label_is_zero(x)) for x, i in zip(u.elements, neutro)]
-        self.gens, self.zero, self.ring, self.key = range(self.size), None, None, None
+        self.zero, self.ring, self.key = None, None, None
         self.neutro, self.impure, self.label = neutro.__getitem__, impure.__getitem__, u.elements.__getitem__
         # the gap search walks a set built from the sorted indices; its order
         # decides which witness is reported
@@ -263,19 +267,6 @@ def _terms(x):
     return tuple([(i, c) for i, c in enumerate(x) if c])
 
 
-def _sorted_sums(gr, subset):
-    """The distinct formal sums of `subset`, sorted by their terms; ValueError
-    names a member that is not a canonical element, also when members of
-    another type make the set unhashable or unsortable."""
-    members = list(subset)
-    try:
-        return sorted(set(members), key=_terms)
-    except TypeError:
-        for x in sorted(members, key=repr):
-            _vector(gr, x)
-        raise
-
-
 def _xgcd(a, b):
     """(g, s, t) with g = gcd(a, b) = s*a + t*b."""
     s0, s1, t0, t1 = 1, 0, 0, 1
@@ -296,11 +287,10 @@ def _howell(gr, sums, ideal=False, most=None):
     member for each choice.  With `ideal` the span also absorbs every basis
     monomial from both sides: it is the two-sided ideal `sums` generate.
     With `most`, gives up and returns None as soon as the span has more than
-    `most` members.  ValueError names a member of `sums` that is not a
-    canonical element."""
+    `most` members.  Every member of `sums` must be a canonical element."""
     r, table = gr.r, gr.basis.table
     n = len(table)
-    rows, todo, size = [None] * n, [_vector(gr, x) for x in sums], 1
+    rows, todo, size = [None] * n, list(sums), 1
     while todo:
         v = todo.pop()
         for col in range(n):
@@ -359,7 +349,7 @@ def _additive_basis(view, pool):
     subgroup: it holds 0 and its span is no larger.  None when it is not
     one, or the carrier is finite: the Howell form needs coordinates over
     Z_r, and a finite ring's additive group is given only by its table, so
-    finite carriers keep the pair walk.  Convolution is bilinear, so a
+    its closure is walked pair by pair.  Convolution is bilinear, so a
     product or absorption check over the rows decides it for every member."""
     if view.ring is None:
         return None
@@ -395,7 +385,7 @@ def generated_ideal(gr, gens):
     members raises ResourceCap naming the size.  The listing is rechecked by
     the gap searches.  ValueError names a generator that is not a canonical
     element."""
-    rows, size = _howell(gr, gens, ideal=True)
+    rows, size = _howell(gr, [_vector(gr, x) for x in gens], ideal=True)
     if size > IDEAL_CAP:
         raise ResourceCap("generated ideal has %d members, over subsets.IDEAL_CAP = %d"
                           % (size, IDEAL_CAP))

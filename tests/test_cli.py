@@ -264,6 +264,24 @@ def test_hunt_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_hunt_witness_replays_through_soft_op(tmp_path, capsys):
+    """The operands a hunt prints name their universe, so `soft-op` rebuilds
+    the failing result from them and `soft-check` refuses it at the witness
+    parameter."""
+    spec = write(tmp_path, "r.json", {"kind": "neutro_ring", "n": 6})
+    assert main(["hunt", "--template", "extended-union:subring", "--universe", spec]) == 0
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    lhs, rhs = (write(tmp_path, side + ".json", witness[side]) for side in ("lhs", "rhs"))
+    out = str(tmp_path / "out.json")
+    assert main(["soft-op", "--op", "extended-union", "--lhs", lhs, "--rhs", rhs, "-o", out]) == 0
+    capsys.readouterr()
+    assert main(["soft-check", "--file", out, "--predicate", "loose-subring"]) == 1
+    assert "  %s: %s" % (witness["param"], witness["reason"]) in capsys.readouterr().out
+    assert main(["soft-check", "--file", write(tmp_path, "bare.json", {"assign": {}}),
+                 "--predicate", "loose-subring"]) == 2
+    assert "'universe'" in capsys.readouterr().err
+
+
 MALFORMED = [
     (["build"], {"kind": "ncollection", "components": 5}, "'components'"),
     (["build"], {"kind": "cayley", "elements": ["a"], "table": 7}, "'table'"),

@@ -23,7 +23,7 @@ from neutrolab.structures import (
     param_groupoid,
     sym_group,
 )
-from neutrolab.subsets import _howell, _sorted_sums, _span_members, gr_is_ideal, gr_is_subring
+from neutrolab.subsets import _howell, _span_members, _view, gr_is_ideal, gr_is_subring
 
 
 def gr256():
@@ -253,6 +253,22 @@ def test_formal_sum_predicates_reject_non_canonical_members(bad):
             predicate(Z2C2, [Z2C2.zero, bad])
 
 
+# members equal to a canonical one but not canonical themselves: a set used
+# to merge them with their canonical twin before they were validated, so
+# each was accepted or refused by its position
+EQUAL_TO_CANONICAL = [([Z2C2.zero, (False,) * 4], (False,) * 4),
+                      ([Z2C2.zero, (1, 0, 0, 0), (1.0, 0, 0, 0)], (1.0, 0, 0, 0)),
+                      ([(False,) * 4, Z2C2.zero], (False,) * 4)]
+
+
+@pytest.mark.parametrize("members,bad", EQUAL_TO_CANONICAL, ids=str)
+def test_a_member_equal_to_a_canonical_one_is_refused_wherever_it_stands(members, bad):
+    for order in itertools.permutations(members):
+        for predicate in (gr_is_subring, gr_is_ideal):
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                predicate(Z2C2, list(order))
+
+
 def test_parse_format_oracles():
     gr = gr256()
     assert gr.format(gr.zero) == "0"
@@ -294,7 +310,7 @@ def test_sorted_sums_follow_their_terms():
     would put g+g^3 before 1+g."""
     gr = gr256()
     members = map(gr.parse, ["g+g^3", "1+g^3", "0", "1+g", "1+g"])
-    assert [gr.format(x) for x in _sorted_sums(gr, members)] == ["0", "1+g", "1+g^3", "g+g^3"]
+    assert [gr.format(x) for x in _view(gr).members(members)] == ["0", "1+g", "1+g^3", "g+g^3"]
 
 
 class SparseReference:

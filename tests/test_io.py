@@ -115,6 +115,9 @@ def test_load_soft_with_shared_universe():
     k = load_soft({"assign": {"a1": ["0", "2"]}}, universe=g)
     assert f.universe is k.universe
     assert isinstance(f, SoftSet)
+    # with no universe given, a spec without one names the missing field
+    with pytest.raises(ValueError, match="'universe'"):
+        load_soft({"assign": {"a1": ["0", "2I"]}})
 
 
 def test_a_soft_spec_with_a_universe_is_read_over_it():

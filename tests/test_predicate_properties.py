@@ -5,7 +5,10 @@ ideals of five formal-sum rings; every failing verdict's witness must
 replay.  Both enumeration strategies against a brute-force listing of the
 subsets each predicate accepts, the pruned scan against every mask closed
 under random tables, and the closure loop grown from a closed base
-against the closure from scratch."""
+against the closure from scratch.  Ring ideals, which are decided on an
+additive generating set, against every (member, element) pair and against
+the sums of principal ideals, on rings that are not commutative or have no
+identity too."""
 
 import functools
 import itertools
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 from neutrolab.groupring import GroupRing
 from neutrolab.structures import (
     FiniteMagma,
+    FiniteRing,
     ResourceCap,
     cyclic_neutro_group,
     mult_magma,
@@ -36,7 +40,10 @@ from neutrolab.subsets import (
     check_predicate,
     closure,
     enumerate_subs,
+    ideal_verdict,
+    is_ring_ideal,
 )
+from test_scalars import _upper_triangular_z2
 
 LABELS = ["0", "I", "1", "2I", "2", "3I"]
 RING = neutro_ring(4)
@@ -479,3 +486,82 @@ def test_closing_to_the_whole_carrier_stops_there_and_keeps_the_cap(universe, ba
     assert closure(universe, base | seed) == frozenset(universe.elements)
     with pytest.raises(ResourceCap, match="over cap = %d" % (len(universe) - 1)):
         closure(universe, base | seed, cap=len(universe) - 1)
+
+
+# the upper-triangular 2x2 matrices over Z2, [[a, b], [0, c]] labelled "abc":
+# a ring with identity that is not commutative; and 2Z8 = {0, 2, 4, 6} mod 8,
+# a ring without identity
+UPPER_Z2 = FiniteRing([format(i, "03b") for i in range(8)], *_upper_triangular_z2(),
+                      name="UT2(Z2)")
+EVEN_Z8 = FiniteRing(["0", "2", "4", "6"], [[(x + y) % 4 for y in range(4)] for x in range(4)],
+                     [[2 * x * y % 4 for y in range(4)] for x in range(4)], name="2Z8")
+IDEAL_RINGS = [neutro_ring(n) for n in range(2, 9)] + [UPPER_Z2, EVEN_Z8]
+IDEAL_ROWS = {name: PREDICATES[name][2:] for name in ("ring-ideal", "loose-ring-ideal",
+                                                     "pseudo-ideal")}
+
+
+def grow(ring, members, absorb):
+    """The additive subgroup `members` generate (the zero for none), and with
+    `absorb` the two-sided ideal, by a fixpoint over every pair of members
+    and, with `absorb`, every (member, element) pair."""
+    current = {ring.idx(x) for x in members} or {ring.idx(ring.zero)}
+    add, mul, every = ring.add_table, ring.mul_table, range(len(ring))
+    while True:
+        grown = current | {add[x][y] for x in current for y in current}
+        if absorb:
+            grown |= {z for x in current for y in every for z in (mul[x][y], mul[y][x])}
+        if grown == current:
+            return frozenset(ring.elements[x] for x in current)
+        current = grown
+
+
+@st.composite
+def ring_and_subset(draw):
+    """One of IDEAL_RINGS and a random subset of it: as drawn, the additive
+    subgroup or the ideal it generates, or that ideal with one element added
+    or taken away."""
+    ring = draw(st.sampled_from(IDEAL_RINGS))
+    # the matrices have no indeterminate or "0" label, so no pure one
+    palette = draw(st.sampled_from([ring.elements, pure_labels(ring.elements) or ring.elements]))
+    subset = draw(st.sets(st.sampled_from(palette), max_size=4))
+    mode = draw(st.sampled_from(["raw", "subgroup", "ideal", "ideal+1", "ideal-1"]))
+    if mode != "raw":
+        subset = set(grow(ring, subset, mode != "subgroup"))
+    if mode == "ideal+1":
+        subset.add(draw(st.sampled_from(ring.elements)))
+    if mode == "ideal-1":
+        subset.discard(draw(st.sampled_from(sorted(subset))))
+    return ring, frozenset(subset)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring_and_subset())
+def test_ring_ideals_decided_on_additive_generators_match_every_pair(case):
+    """A ring's ideal verdicts absorb only its additive generating set, and
+    agree with the walk over every (member, element) pair, both sides, on
+    commutative and non-commutative rings and a ring without identity."""
+    ring, subset = case
+    products = {"add": ring.add, "mul": ring.mul, "neg": ring.neg, "absorb": ring.mul}
+    assert _view(ring).gens == ring.add_gens
+    for name, (strict, pure) in IDEAL_ROWS.items():
+        want = expected(name, set(subset), ring.elements, [ring.add, ring.mul], ring.mul,
+                        neutro, lambda x: neutro(x) or x == "0")
+        for v in (is_ring_ideal(ring, subset, strict, pure),
+                  ideal_verdict(ring, subset, strict, pure)):
+            assert v.ok == want, (name, ring.name, sorted(subset))
+            if not v.ok:
+                replay(subset, v.witness, products)
+
+
+@pytest.mark.parametrize("ring", IDEAL_RINGS, ids=lambda r: r.name)
+def test_ring_ideal_listing_matches_the_sums_of_principal_ideals(ring):
+    """Every ideal is the sum of the principal ideals of its members, so the
+    principal ideals closed under sums are every ideal."""
+    ideals = {grow(ring, [x], True) for x in ring.elements}
+    while True:
+        sums = ideals | {grow(ring, a | b, True) for a in ideals for b in ideals}
+        if sums == ideals:
+            break
+        ideals = sums
+    want = sorted(ideals, key=lambda s: (len(s), sorted(map(ring.idx, s))))
+    assert enumerate_subs(ring, "loose-ring-ideal") == want

@@ -2,7 +2,7 @@
 
 import pytest
 
-from neutrolab import subsets
+from neutrolab import scalars, subsets
 from neutrolab.groupring import GroupRing
 from neutrolab.io import load_structure
 from neutrolab.structures import (
@@ -529,6 +529,25 @@ def test_ring_ideals_of_every_neutro_ring_match_the_product_ring_oracle(strategy
     for n in range(2, 13):
         ideals = enumerate_subs(neutro_ring(n), "ring-ideal", strategy)
         assert len(ideals) == _divisor_count(n) ** 2 - 1, n
+
+
+def test_a_ring_derives_its_additive_generators_once(monkeypatch):
+    """Building ring(Z12+I) proves its laws from a greedy additive generating
+    set, {I, 1}; listing its ring ideals and deciding one reuse that set."""
+    calls, generators = [], scalars._generators
+
+    def counted(table):
+        calls.append(len(table))
+        return generators(table)
+
+    monkeypatch.setattr(scalars, "_generators", counted)
+    ring = neutro_ring(12)
+    assert [ring.elements[g] for g in ring.add_gens] == ["I", "1"]
+    ideals = enumerate_subs(ring, "ring-ideal")
+    assert len(ideals) == 35
+    assert ideal_verdict(ring, ideals[0]).ok
+    assert not ideal_verdict(ring, ["0", "6"]).ok
+    assert calls == [144]
 
 
 def test_a_bare_string_is_not_a_label_set():
