@@ -19,9 +19,7 @@ from .engine import (
 from .groupring import GroupRing
 from .io import (
     json_plain,
-    load_soft,
     load_soft_file,
-    load_structure,
     load_structure_file,
     soft_to_dict,
 )
@@ -115,9 +113,7 @@ def _cmd_classify(args):
 
 
 def _cmd_soft_op(args):
-    with open(args.lhs) as fh:
-        lhs_spec = json.load(fh)
-    f = load_soft(lhs_spec)
+    f = load_soft_file(args.lhs)
     k = load_soft_file(args.rhs, universe=f.universe)
     if args.union_all_params and args.op != "restricted-union":
         raise ValueError("--union-all-params only applies to restricted-union")
@@ -125,7 +121,7 @@ def _cmd_soft_op(args):
         res = restricted_union(f, k, literal=args.union_all_params)
     else:
         res = OPS[args.op](f, k)
-    out = soft_to_dict(res, universe_spec=lhs_spec.get("universe"))
+    out = soft_to_dict(res)
     with open(args.output, "w") as fh:
         json.dump(out, fh, indent=2)
         fh.write("\n")
@@ -163,15 +159,11 @@ def _cmd_hunt(args):
     if op_name not in OPS:
         raise ValueError("unknown operation %r; choices: %s"
                          % (op_name, ", ".join(sorted(OPS))))
-    with open(args.universe) as fh:
-        spec = json.load(fh)
-    universe = load_structure(spec)
+    universe = load_structure_file(args.universe)
     population = enumerate_subs(universe, predicate)
     status, witness, trials = run_remark_hunt(
         universe, op_name, result_predicate(predicate),
         population=population, budget=args.budget, exhaustive=True)
-    for side in ("lhs", "rhs") if status == STATUS_COUNTEREXAMPLE else ():
-        witness[side] = {"universe": spec, **witness[side]}
     print(json.dumps({"status": status, "witness": json_plain(witness),
                       "trials": trials}, indent=2))
     if status in (STATUS_COUNTEREXAMPLE, STATUS_HOLDS):

@@ -23,7 +23,6 @@ class GroupRing:
         self.zero = (0,) * len(basis)
         self._width = len(basis)
         self.name = name or "Z%d<%s>" % (r, basis.name)
-        self.meta = {"kind": "group_ring", "r": r, "basis": dict(basis.meta)}
 
     def __len__(self):
         return self.r ** len(self.basis)

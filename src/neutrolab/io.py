@@ -7,9 +7,12 @@ lists for collection universes (see softsets.value_kind).
 
 Loading is memoised: while a carrier loaded from a spec is in use, every
 load of an equal spec, nested specs included, returns that same carrier
-instead of building and validating another.
+instead of building and validating another.  A loaded carrier keeps the
+spec that first loaded it as its `spec`, and a soft set over it dumps with
+that spec as its universe; carriers the builders make have none.
 """
 
+import copy
 import json
 import weakref
 
@@ -18,8 +21,8 @@ from .ncollect import NCollection
 from .softsets import SoftSet, value_kind
 from .structures import (
     FiniteMagma,
-    _cayley,
     _cayley_indices,
+    build_from_table,
     cyclic_neutro_group,
     mult_magma,
     neutro_double,
@@ -29,10 +32,18 @@ from .structures import (
 )
 
 
+def _get(spec, key):
+    """spec[key]; a missing field raises ValueError naming it."""
+    try:
+        return spec[key]
+    except KeyError:
+        raise ValueError("missing field %r" % (key,)) from None
+
+
 def _field(spec, key, cls):
     """spec[key], which must be a `cls`; another value raises ValueError
     naming the field."""
-    value = spec[key]
+    value = _get(spec, key)
     if not isinstance(value, cls):
         raise ValueError("field %r must be a %s, got %.60r" % (key, cls.__name__, value))
     return value
@@ -41,7 +52,7 @@ def _field(spec, key, cls):
 def _int(spec, key):
     """spec[key], which must be an int (not a bool) or a string of decimal
     digits; another value raises ValueError naming the field."""
-    value = spec[key]
+    value = _get(spec, key)
     if isinstance(value, str) and value.isascii() and value.isdigit():
         return int(value)
     if isinstance(value, int) and not isinstance(value, bool):
@@ -54,24 +65,26 @@ def _flag(spec, key, default):
     return _field(spec, key, bool) if key in spec else default
 
 
-# The carriers `load_structure` built that are still in use, under the key
-# `_memo` makes for each.  Carriers are never mutated after construction (the
-# algebra view that subsets attaches depends only on the tables), so one
-# object serves every load of an equal spec.  An entry goes once no caller
-# holds its carrier, and no caller can then tell a fresh build from it.
+# The carriers `load_structure` built that are still in use, under their
+# builder and its checked arguments.  Carriers are never mutated after
+# construction (the algebra view that subsets attaches depends only on the
+# tables), so one object serves every load of an equal spec.  An entry goes
+# once no caller holds its carrier, and no caller can then tell a fresh
+# build from it.
 _LOADED = weakref.WeakValueDictionary()
 
 
-def _memo(build, args, key=None):
+def _memo(spec, build, args):
     """build(*args), or the carrier an earlier load of an equal spec built
-    if it is still in use.  `key` (default `args`) stands for the arguments:
-    the checked and normalised values, free-form fields by their repr and
-    nested carriers, themselves loaded through here, as the objects.  A
-    build that raises stores nothing."""
-    key = (build, args if key is None else key)
-    carrier = _LOADED.get(key)
+    if it is still in use.  `args` are the checked, hashable arguments, with
+    nested carriers, themselves loaded through here, as the objects.  A new
+    carrier keeps a copy of `spec` as its `spec`; a build that raises
+    stores nothing."""
+    carrier = _LOADED.get((build, args))
     if carrier is None:
-        carrier = _LOADED[key] = build(*args)
+        carrier = build(*args)
+        carrier.spec = copy.deepcopy(spec)
+        _LOADED[build, args] = carrier
     return carrier
 
 
@@ -83,40 +96,38 @@ def load_structure(spec):
         raise ValueError("a structure spec is a dict with a 'kind' key")
     kind, name = spec["kind"], _field(spec, "name", str) if "name" in spec else ""
     if kind == "param_groupoid":
-        return _memo(param_groupoid, (_int(spec, "n"), _int(spec, "t"), _int(spec, "u")))
+        return _memo(spec, param_groupoid, (_int(spec, "n"), _int(spec, "t"), _int(spec, "u")))
     if kind == "cyclic_neutro_group":
-        return _memo(cyclic_neutro_group, (_int(spec, "m"), _flag(spec, "semigroup", False)))
+        return _memo(spec, cyclic_neutro_group, (_int(spec, "m"), _flag(spec, "semigroup", False)))
     if kind == "neutro_ring":
-        return _memo(neutro_ring, (_int(spec, "n"),))
+        return _memo(spec, neutro_ring, (_int(spec, "n"),))
     if kind == "mult_magma":
-        return _memo(mult_magma, (_int(spec, "n"), _flag(spec, "neutro", True),
-                                  _flag(spec, "pure_union", False)))
+        return _memo(spec, mult_magma, (_int(spec, "n"), _flag(spec, "neutro", True),
+                                        _flag(spec, "pure_union", False)))
     if kind == "sym_group":
-        return _memo(sym_group, (_int(spec, "k"),))
+        return _memo(spec, sym_group, (_int(spec, "k"),))
     if kind == "cayley":
         elements = _field(spec, "elements", list)
         if not all(isinstance(x, str) for x in elements):
             raise ValueError("field 'elements' must hold string labels, got %.60r" % (elements,))
         rows = _cayley_indices(elements, _field(spec, "table", list))
-        return _memo(_cayley, (elements, rows, name), (tuple(elements), rows, repr(name)))
+        return _memo(spec, build_from_table, (tuple(elements), rows, name))
     if kind == "neutro_double":
-        base = load_structure(spec["base"])
+        base = load_structure(_get(spec, "base"))
         if not isinstance(base, FiniteMagma):
             raise ValueError("field 'base' must describe a magma, got %s" % base.name)
-        return _memo(neutro_double, (base, name), (base, repr(name)))
+        return _memo(spec, neutro_double, (base, name))
     if kind == "group_ring":
-        r, basis = _int(spec, "r"), load_structure(spec["basis"])
-        return _memo(GroupRing, (r, basis, name), (r, basis, repr(name)))
+        return _memo(spec, GroupRing, (_int(spec, "r"), load_structure(_get(spec, "basis")), name))
     if kind == "ncollection":
         parts = []
         for c in _field(spec, "components", list):
             if not isinstance(c, dict):
                 raise ValueError("a component is a dict with 'spec' and 'kind_tag', got %.60r" % (c,))
             tag = _field(c, "kind_tag", dict)
-            parts.append((load_structure(c["spec"]), tag["alg"],
+            parts.append((load_structure(_get(c, "spec")), _field(tag, "alg", str),
                           _field(tag, "neutrosophic", bool)))
-        return _memo(NCollection, (parts, name),
-                     (tuple((s, repr(alg), neutro) for s, alg, neutro in parts), repr(name)))
+        return _memo(spec, NCollection, (tuple(parts), name))
     raise ValueError("unknown structure kind %r" % kind)
 
 
@@ -145,10 +156,12 @@ def load_soft_file(path, universe=None):
         return load_soft(json.load(fh), universe=universe)
 
 
-def soft_to_dict(soft, universe_spec=None):
+def soft_to_dict(soft):
+    """The soft-set dict `load_soft` reads back: the universe's `spec` when
+    it was loaded from one, the parameters and each assignment."""
     out = {}
-    if universe_spec is not None:
-        out["universe"] = universe_spec
+    if getattr(soft.universe, "spec", None) is not None:
+        out["universe"] = soft.universe.spec
     out["params"] = list(soft.params)
     dump = value_kind(soft.universe).dump
     out["assign"] = {p: dump(soft.universe, soft.value(p)) for p in soft.params}

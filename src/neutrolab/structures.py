@@ -27,7 +27,7 @@ class _Labelled:
     """Ordered string labels and their positions, which the operation tables
     of a finite carrier hold."""
 
-    def __init__(self, elements, name, meta):
+    def __init__(self, elements, name):
         if not elements:
             raise ValueError("a carrier needs at least one element")
         bad = next((x for x in elements if not isinstance(x, str)), None)
@@ -37,7 +37,6 @@ class _Labelled:
             raise ValueError("duplicate element labels")
         self.elements = list(elements)
         self.name = name
-        self.meta = dict(meta or {})
         self._index = {lab: i for i, lab in enumerate(self.elements)}
 
     def _table(self, table):
@@ -83,8 +82,8 @@ def _inverse(table, e, x):
 class FiniteMagma(_Labelled):
     """A finite set with one total binary operation, given by an index table."""
 
-    def __init__(self, elements, table, name="", meta=None):
-        super().__init__(elements, name or "magma(%d)" % len(elements), meta)
+    def __init__(self, elements, table, name=""):
+        super().__init__(elements, name or "magma(%d)" % len(elements))
         self.table = self._table(table)
 
     def op(self, x, y):
@@ -97,8 +96,8 @@ class FiniteRing(_Labelled):
     scalars._additive_generators); ValueError names the first violation.
     `add_gens` keeps the additive generating set the proof derives."""
 
-    def __init__(self, elements, add_table, mul_table, name="", meta=None):
-        super().__init__(elements, name or "ring(%d)" % len(elements), meta)
+    def __init__(self, elements, add_table, mul_table, name=""):
+        super().__init__(elements, name or "ring(%d)" % len(elements))
         self.add_table = self._table(add_table)
         self.mul_table = self._table(mul_table)
         zero = _identity(self.add_table)
@@ -153,7 +152,6 @@ def param_groupoid(n, t, u):
         [[(t * a + u * c) % n * n + (t * b + u * d) % n for c in r for d in r]
          for a in r for b in r],
         name="groupoid(%d;%d,%d)" % (n, t, u),
-        meta={"kind": "param_groupoid", "n": n, "t": t, "u": u},
     )
 
 
@@ -170,7 +168,6 @@ def cyclic_neutro_group(m, semigroup=False):
         ["I" if lab == "1I" else lab for lab in double.elements],
         double.table,
         name="cyclic%s(%d)+I" % ("-semigroup" if semigroup else "", m),
-        meta={"kind": "cyclic_neutro_group", "m": m, "semigroup": bool(semigroup)},
     )
 
 
@@ -187,12 +184,7 @@ def neutro_double(magma, name=""):
                     k = magma.table[i][j]
                     row.append(k + m if (s or st) else k)
             table.append(row)
-    return FiniteMagma(
-        labels,
-        table,
-        name=name or magma.name + "+I",
-        meta={"kind": "neutro_double", "base": magma.meta or magma.name},
-    )
+    return FiniteMagma(labels, table, name=name or magma.name + "+I")
 
 
 def neutro_ring(n):
@@ -204,7 +196,6 @@ def neutro_ring(n):
         [[(a + c) % n * n + (b + d) % n for c in r for d in r] for a in r for b in r],
         _ns_products(n),
         name="ring(Z%d+I)" % n,
-        meta={"kind": "neutro_ring", "n": n},
     )
 
 
@@ -224,9 +215,7 @@ def mult_magma(n, neutro=True, pure_union=False):
         labels = [str(i) for i in range(n)]
         table = [[(i * j) % n for j in range(n)] for i in range(n)]
         name = "mult(Z%d)" % n
-    return FiniteMagma(labels, table, name=name,
-                       meta={"kind": "mult_magma", "n": n, "neutro": bool(neutro),
-                             "pure_union": bool(pure_union)})
+    return FiniteMagma(labels, table, name=name)
 
 
 def _cycles(p):
@@ -257,8 +246,7 @@ def sym_group(k):
         [pos[tuple(p[q[i]] for i in range(k))] for q in perms]
         for p in perms
     ]
-    return FiniteMagma(labels, table, name="S%d" % k,
-                       meta={"kind": "sym_group", "k": k})
+    return FiniteMagma(labels, table, name="S%d" % k)
 
 
 def alternating_labels(k):
@@ -291,15 +279,10 @@ def _cayley_indices(elements, table):
     return tuple(norm)
 
 
-def _cayley(elements, rows, name=""):
-    """The magma of a Cayley table whose rows already hold positions."""
-    return FiniteMagma(elements, rows, name=name or "cayley(%d)" % len(elements),
-                       meta={"kind": "cayley"})
-
-
 def build_from_table(elements, table, name=""):
     """User-supplied Cayley table; entries may be labels or indices."""
-    return _cayley(elements, _cayley_indices(elements, table), name)
+    return FiniteMagma(elements, _cayley_indices(elements, table),
+                       name=name or "cayley(%d)" % len(elements))
 
 
 @dataclass

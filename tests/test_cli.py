@@ -282,6 +282,39 @@ def test_hunt_witness_replays_through_soft_op(tmp_path, capsys):
     assert "'universe'" in capsys.readouterr().err
 
 
+# the Klein four-group doubled by I: {e, aI} and {e, bI} are subgroupoids
+# whose union is not closed
+V4_DOUBLE = {"kind": "neutro_double", "name": "V4+I", "base": {
+    "kind": "cayley", "elements": ["e", "a", "b", "c"],
+    "table": [["e", "a", "b", "c"], ["a", "e", "c", "b"],
+              ["b", "c", "e", "a"], ["c", "b", "a", "e"]]}}
+
+
+def test_hunt_over_a_cayley_double_names_its_file_in_both_operands(tmp_path, capsys):
+    spec = write(tmp_path, "v4.json", V4_DOUBLE)
+    assert main(["hunt", "--template", "extended-union:subgroupoid", "--universe", spec]) == 0
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert witness["lhs"]["universe"] == witness["rhs"]["universe"] == V4_DOUBLE
+    lhs, rhs = (write(tmp_path, side + ".json", witness[side]) for side in ("lhs", "rhs"))
+    out = str(tmp_path / "out.json")
+    assert main(["soft-op", "--op", "extended-union", "--lhs", lhs, "--rhs", rhs, "-o", out]) == 0
+    capsys.readouterr()
+    assert json.loads(Path(out).read_text())["universe"] == V4_DOUBLE
+    assert main(["soft-check", "--file", out, "--predicate", "loose-subgroupoid"]) == 1
+    assert "  %s: %s" % (witness["param"], witness["reason"]) in capsys.readouterr().out
+
+
+def test_soft_op_over_a_collection_writes_the_lhs_universe(tmp_path, capsys):
+    lhs = write(tmp_path, "f.json", {"universe": COLL, "assign": {"a1": [["0", "I"], ["e"]]}})
+    rhs = write(tmp_path, "k.json", {"assign": {"a1": [["0"], ["e", "(12)"]]}})
+    out = tmp_path / "and.json"
+    assert main(["soft-op", "--op", "and", "--lhs", lhs, "--rhs", rhs, "-o", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    assert doc["universe"] == COLL
+    assert doc["assign"] == {"a1&a1": [["0"], ["e"]]}
+
+
 MALFORMED = [
     (["build"], {"kind": "ncollection", "components": 5}, "'components'"),
     (["build"], {"kind": "cayley", "elements": ["a"], "table": 7}, "'table'"),

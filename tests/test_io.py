@@ -6,6 +6,8 @@ import re
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neutrolab import io
 from neutrolab.groupring import GroupRing
@@ -19,7 +21,7 @@ from neutrolab.io import (
 )
 from neutrolab.ncollect import NCollection
 from neutrolab.softsets import OPS, SoftSet
-from neutrolab.structures import FiniteMagma, FiniteRing, param_groupoid
+from neutrolab.structures import FiniteMagma, FiniteRing, neutro_ring, param_groupoid
 
 STRUCTURE_SPECS = [
     {"kind": "param_groupoid", "n": 4, "t": 2, "u": 1},
@@ -76,7 +78,7 @@ def test_soft_roundtrip_magma(tmp_path):
     f = load_soft_file(str(path))
     assert f.params == ("a1", "a2")
     assert f.value("a2") == frozenset({"0", "2I"})
-    dumped = soft_to_dict(f, universe_spec=uspec)
+    dumped = soft_to_dict(f)
     again = load_soft(json.loads(json.dumps(dumped)))
     assert again.params == f.params
     assert all(again.value(p) == f.value(p) for p in f.params)
@@ -88,7 +90,7 @@ def test_soft_roundtrip_collection():
            "assign": {"a1": [["0", "I"], ["e"]]}}
     f = load_soft(doc)
     assert f.value("a1") == (frozenset({"0", "I"}), frozenset({"e"}))
-    dumped = soft_to_dict(f, universe_spec=uspec)
+    dumped = soft_to_dict(f)
     assert dumped["assign"]["a1"] == [["0", "I"], ["e"]]
     again = load_soft(dumped)
     assert again.value("a1") == f.value("a1")
@@ -103,7 +105,7 @@ def test_soft_roundtrip_group_ring():
     f = load_soft(doc)
     gr = f.universe
     assert gr.parse("1+g") in f.value("a1")
-    dumped = soft_to_dict(f, universe_spec=uspec)
+    dumped = soft_to_dict(f)
     assert dumped["assign"]["a1"] == ["0", "1+g", "I"]
     again = load_soft(dumped)
     assert again.value("a1") == f.value("a1")
@@ -156,11 +158,11 @@ def test_a_repeat_load_returns_the_same_carrier():
         assert load_structure(_copy(spec)) is s, spec
     double, gr, coll = (load_structure(spec) for spec in STRUCTURE_SPECS[-3:])
     assert double is load_structure({"kind": "neutro_double",
-                                     "base": load_structure(STRUCTURE_SPECS[7]).meta})
+                                     "base": load_structure(STRUCTURE_SPECS[7]).spec})
     assert gr.basis is load_structure(STRUCTURE_SPECS[-2]["basis"])
     assert [c.structure for c in coll.components] == [
         load_structure(c["spec"]) for c in STRUCTURE_SPECS[-1]["components"]]
-    assert all(c.structure is load_structure(c.structure.meta) for c in coll.components)
+    assert all(c.structure is load_structure(c.structure.spec) for c in coll.components)
 
 
 def test_specs_equal_after_their_checks_share_a_carrier():
@@ -192,7 +194,7 @@ def test_specs_equal_after_their_checks_share_a_carrier():
          dict(STRUCTURE_SPECS[-1]["components"][0], kind_tag={"alg": ["semigroup"],
                                                               "neutrosophic": True}),
          STRUCTURE_SPECS[-1]["components"][1]]),
-     "unknown kind tag ['semigroup']"),
+     "field 'alg' must be a str, got ['semigroup']"),
     ({"kind": "param_groupoid", "n": 4, "t": 2, "u": 1},
      {"kind": "param_groupoid", "n": 4.5, "t": 2, "u": 1.9},
      "field 'n' must be an integer, got 4.5"),
@@ -222,6 +224,20 @@ def test_specs_equal_after_their_checks_share_a_carrier():
      "field 'name' must be a str, got 5"),
     (STRUCTURE_SPECS[-1], dict(STRUCTURE_SPECS[-1], name=None),
      "field 'name' must be a str, got None"),
+    (STRUCTURE_SPECS[9], {"kind": "neutro_double"}, "missing field 'base'"),
+    (STRUCTURE_SPECS[0], {"kind": "param_groupoid", "n": 4, "u": 1}, "missing field 't'"),
+    (STRUCTURE_SPECS[-1],
+     dict(STRUCTURE_SPECS[-1], components=[
+         {"kind_tag": {"alg": "semigroup", "neutrosophic": True}},
+         STRUCTURE_SPECS[-1]["components"][1]]),
+     "missing field 'spec'"),
+    (STRUCTURE_SPECS[-1],
+     dict(STRUCTURE_SPECS[-1], components=[
+         dict(STRUCTURE_SPECS[-1]["components"][0], kind_tag={"neutrosophic": True}),
+         STRUCTURE_SPECS[-1]["components"][1]]),
+     "missing field 'alg'"),
+    (STRUCTURE_SPECS[8], {"kind": "cayley", "elements": ["a", "b"]}, "missing field 'table'"),
+    (STRUCTURE_SPECS[10], {"kind": "group_ring", "r": 2}, "missing field 'basis'"),
 ])
 def test_a_failing_spec_still_fails_after_a_look_alike_loads(good, bad, message):
     load_structure(good)
@@ -267,3 +283,83 @@ def test_soft_files_over_one_universe_spec_combine_under_every_op(uspec, values)
     assert f.universe is k.universe
     for name, op in sorted(OPS.items()):
         assert op(f, k).universe is f.universe, name
+
+
+def _shape(c):
+    """What a rebuild of `c` must give back: the name, labels and tables of
+    `c` and of the carriers it holds."""
+    if isinstance(c, GroupRing):
+        return c.name, c.r, _shape(c.basis)
+    if isinstance(c, NCollection):
+        return c.name, [(_shape(p.structure), p.alg, p.neutro) for p in c.components]
+    if isinstance(c, FiniteRing):
+        return c.name, c.elements, c.add_table, c.mul_table
+    return c.name, c.elements, c.table
+
+
+def _nested(spec):
+    """The specs inside `spec`, at every depth: a double's base, a group
+    ring's basis and a collection's component specs."""
+    inner = [spec[k] for k in ("base", "basis") if k in spec]
+    inner += [c["spec"] for c in spec.get("components", ())]
+    return inner + [s for x in inner for s in _nested(x)]
+
+
+def _wipe(doc):
+    """Empty every dict and list in `doc`, in place."""
+    for v in list(doc.values() if isinstance(doc, dict) else doc):
+        if isinstance(v, (dict, list)):
+            _wipe(v)
+    doc.clear()
+
+
+def _check_spec(spec):
+    """A carrier loaded from `spec` keeps a JSON copy of it as its `spec`,
+    which loads to it while it is in use and rebuilds it once it is not."""
+    gc.collect()
+    given = _copy(spec)
+    c = load_structure(given)
+    shape = _shape(c)
+    _wipe(given)
+    assert c.spec == spec
+    assert json.loads(json.dumps(c.spec)) == c.spec
+    # a double keeps no reference to its base, so hold every nested carrier
+    held = [load_structure(s) for s in _nested(c.spec)]
+    assert load_structure(_copy(c.spec)) is c
+    again, gone = c.spec, weakref.ref(c)
+    del c, held
+    gc.collect()
+    assert gone() is None
+    assert _shape(load_structure(again)) == shape
+
+
+@pytest.mark.parametrize("spec", STRUCTURE_SPECS)
+def test_a_stock_carrier_keeps_the_spec_it_was_loaded_from(spec):
+    _check_spec(spec)
+
+
+@st.composite
+def cayley_specs(draw):
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    return {"kind": "cayley", "elements": ["e%d" % i for i in range(n)],
+            "table": draw(st.lists(row, min_size=n, max_size=n))}
+
+
+@settings(max_examples=25, deadline=None)
+@given(cayley_specs())
+def test_a_cayley_carrier_keeps_its_spec_alone_doubled_as_a_basis_and_as_a_part(base):
+    double = {"kind": "neutro_double", "base": base}
+    for spec in (base, double, {"kind": "group_ring", "r": 2, "basis": base},
+                 {"kind": "ncollection", "components": [
+                     {"spec": base, "kind_tag": {"alg": "groupoid", "neutrosophic": False}},
+                     {"spec": double, "kind_tag": {"alg": "groupoid", "neutrosophic": True}}]}):
+        _check_spec(spec)
+
+
+def test_a_soft_set_names_its_universe_only_when_it_was_loaded():
+    built = SoftSet(neutro_ring(4), {"a1": ["0", "2I"]})
+    assert soft_to_dict(built) == {"params": ["a1"], "assign": {"a1": ["0", "2I"]}}
+    ring = load_structure(STRUCTURE_SPECS[3])
+    assert soft_to_dict(SoftSet(ring, {"a1": ["0", "2I"]})) == {
+        "universe": STRUCTURE_SPECS[3], "params": ["a1"], "assign": {"a1": ["0", "2I"]}}

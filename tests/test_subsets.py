@@ -1,5 +1,7 @@
 """Subset predicates and brute-force enumeration over small finite carriers."""
 
+import math
+
 import pytest
 
 from neutrolab import scalars, subsets
@@ -470,11 +472,11 @@ def test_enumeration_lists_what_the_full_check_accepts(monkeypatch):
 
 
 def _spec(u):
-    """A `load_structure` spec for a deck carrier: its meta, or its own
-    table for a Cayley table and the double of one."""
-    if "cayley" in (u.meta["kind"], u.meta.get("base", {}).get("kind")):
-        return {"kind": "cayley", "elements": u.elements, "table": u.table, "name": u.name}
-    return u.meta
+    """A `load_structure` spec for a deck carrier: a magma's own Cayley
+    table, or the stock spec of a ring(Z_n+I), which has n^2 elements."""
+    if isinstance(u, FiniteRing):
+        return {"kind": "neutro_ring", "n": math.isqrt(len(u))}
+    return {"kind": "cayley", "elements": u.elements, "table": u.table, "name": u.name}
 
 
 def _classified(u):
