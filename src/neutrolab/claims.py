@@ -10,12 +10,15 @@ each run; rows whose recorded statement disagrees with its own arithmetic
 are pre-registered as ExampleContradictsText and carry the recomputed
 witness.
 
-Each row names its carrier once, as a zero-argument builder: the report's
-universe is the carrier's name, and engine.run_claim builds the carrier
-before it starts timing and hands it to the runner.  Carriers and
-populations come from cached builders, and pools used by randomized sweeps
-are built from fixed string seeds, so a row's outcome never depends on
-which other rows ran.
+Each row names its carrier once, as a spec: the report's universe is the
+carrier's name, the key of its spec in CARRIER_SPECS, and engine.run_claim
+loads the carrier before it starts timing and hands it to the runner.  The
+carriers are loaded through io together, once per process, so they keep
+their spec and every witness soft set names its universe; the symbolic
+carriers, which io does not describe, are built in place.  Populations come
+from cached builders, and pools used by randomized sweeps are built from
+fixed string seeds, so a row's outcome never depends on which other rows
+ran.
 """
 
 import random
@@ -39,15 +42,8 @@ from .engine import (
     run_remark_hunt,
 )
 from .groupring import GroupRing
-from .ncollect import (
-    MIXED,
-    MIXED_DUAL,
-    WEAK_MIXED,
-    Component,
-    NCollection,
-    classify_mixed,
-    is_n_sub,
-)
+from .io import load_structure
+from .ncollect import MIXED, MIXED_DUAL, WEAK_MIXED, classify_mixed, is_n_sub
 from .scalars import ns_format
 from .softsets import (
     LAGRANGE,
@@ -63,17 +59,7 @@ from .softsets import (
     soft_sub_of,
     value_kind,
 )
-from .structures import (
-    alternating_labels,
-    build_from_table,
-    cyclic_neutro_group,
-    label_is_neutro,
-    mult_magma,
-    neutro_double,
-    neutro_ring,
-    param_groupoid,
-    sym_group,
-)
+from .structures import alternating_labels, label_is_neutro
 from .subsets import (
     _span_members,
     classify_lagrange,
@@ -84,139 +70,86 @@ from .subsets import (
 )
 
 # ---------------------------------------------------------------------------
-# carriers
+# carriers: the finite carriers the rows name, as structure specs under the
+# name the report prints (see io.load_structure)
+
+
+def _loop_7_4():
+    """Order-8 loop on e, 1..7 (positions 0..7): e is the identity, every
+    element an involution, and i*j = 4j - 3i (mod 7) off the diagonal with
+    representatives 1..7."""
+    def prod(i, j):
+        if not i or not j:
+            return i + j
+        return 0 if i == j else (4 * j - 3 * i) % 7 or 7
+
+    return {"kind": "cayley", "elements": ["e"] + [str(i) for i in range(1, 8)],
+            "table": [[prod(i, j) for j in range(8)] for i in range(8)],
+            "name": "loop7(4)"}
+
+
+def _collection(name, *parts):
+    """An ncollection spec from (spec, alg, indeterminate) parts."""
+    return {"kind": "ncollection", "name": name,
+            "components": [{"spec": s, "kind_tag": {"alg": alg, "neutrosophic": n}}
+                           for s, alg, n in parts]}
+
+
+def _carrier_specs():
+    g1032, g1023, g421, g1284 = ({"kind": "param_groupoid", "n": n, "t": t, "u": u}
+                                 for n, t, u in ((10, 3, 2), (10, 2, 3), (4, 2, 1), (12, 8, 4)))
+    c4, loop = {"kind": "cyclic_neutro_group", "m": 4}, _loop_7_4()
+    mult10 = {"kind": "mult_magma", "n": 10, "neutro": False}
+    return {
+        "groupoid(10;3,2)": g1032,
+        "groupoid(10;2,3)": g1023,
+        "groupoid(4;2,1)": g421,
+        "groupoid(12;8,4)": g1284,
+        "ring(Z6+I)": {"kind": "neutro_ring", "n": 6},
+        "ring(Z10+I)": {"kind": "neutro_ring", "n": 10},
+        "ring(Z12+I)": {"kind": "neutro_ring", "n": 12},
+        "bi(Z10;2,3 | Z4;2,1)+I": _collection(
+            "bi(Z10;2,3 | Z4;2,1)+I", (g1023, "groupoid", True), (g421, "groupoid", True)),
+        "tri(Z10;3,2 | Z4;2,1 | Z12;8,4)+I": _collection(
+            "tri(Z10;3,2 | Z4;2,1 | Z12;8,4)+I", (g1032, "groupoid", True),
+            (g421, "groupoid", True), (g1284, "groupoid", True)),
+        "Z2<cyclic(4)+I>": {"kind": "group_ring", "r": 2, "basis": c4},
+        "Z6<cyclic(4)+I>": {"kind": "group_ring", "r": 6, "basis": c4},
+        "Z2<cyclic-semigroup(3)+I>": {
+            "kind": "group_ring", "r": 2,
+            "basis": {"kind": "cyclic_neutro_group", "m": 3, "semigroup": True}},
+        "cyclic(6)+I": {"kind": "cyclic_neutro_group", "m": 6},
+        # five tagged components, three indeterminate; total order 68
+        "mixed5(order 68)": _collection(
+            "mixed5(order 68)",
+            ({"kind": "mult_magma", "n": 3}, "group", True),
+            ({"kind": "mult_magma", "n": 6}, "semigroup", True),
+            ({"kind": "mult_magma", "n": 4, "pure_union": True}, "groupoid", True),
+            ({"kind": "sym_group", "k": 3}, "group", False),
+            (mult10, "semigroup", False)),
+        "loop7(4)": loop,
+        # five plain-tagged kinds plus one indeterminate loop double
+        "dual5": _collection(
+            "dual5", (loop, "loop", False), ({"kind": "sym_group", "k": 4}, "group", False),
+            (mult10, "semigroup", False),
+            ({"kind": "mult_magma", "n": 4, "neutro": False}, "groupoid", False),
+            ({"kind": "neutro_double", "base": loop}, "loop", True)),
+    }
+
+
+CARRIER_SPECS = _carrier_specs()
 
 
 @lru_cache(maxsize=None)
-def groupoid_10_3_2():
-    return param_groupoid(10, 3, 2)
+def carriers():
+    """Every carrier in CARRIER_SPECS, loaded once per process, by name."""
+    loaded = {name: load_structure(spec) for name, spec in CARRIER_SPECS.items()}
+    _require(loaded["mixed5(order 68)"].order() == 68, "collection order 68")
+    return loaded
 
 
-@lru_cache(maxsize=None)
-def groupoid_10_2_3():
-    return param_groupoid(10, 2, 3)
-
-
-@lru_cache(maxsize=None)
-def groupoid_4_2_1():
-    return param_groupoid(4, 2, 1)
-
-
-@lru_cache(maxsize=None)
-def groupoid_12_8_4():
-    return param_groupoid(12, 8, 4)
-
-
-@lru_cache(maxsize=None)
-def ring_6():
-    return neutro_ring(6)
-
-
-@lru_cache(maxsize=None)
-def ring_10():
-    return neutro_ring(10)
-
-
-@lru_cache(maxsize=None)
-def ring_12():
-    return neutro_ring(12)
-
-
-@lru_cache(maxsize=None)
-def bi_groupoid():
-    return NCollection(
-        [
-            Component(groupoid_10_2_3(), "groupoid", True),
-            Component(groupoid_4_2_1(), "groupoid", True),
-        ],
-        name="bi(Z10;2,3 | Z4;2,1)+I",
-    )
-
-
-@lru_cache(maxsize=None)
-def tri_groupoid():
-    return NCollection(
-        [
-            Component(groupoid_10_3_2(), "groupoid", True),
-            Component(groupoid_4_2_1(), "groupoid", True),
-            Component(groupoid_12_8_4(), "groupoid", True),
-        ],
-        name="tri(Z10;3,2 | Z4;2,1 | Z12;8,4)+I",
-    )
-
-
-@lru_cache(maxsize=None)
-def gr_z2_c4():
-    return GroupRing(2, cyclic_neutro_group(4))
-
-
-@lru_cache(maxsize=None)
-def gr_z6_c4():
-    return GroupRing(6, cyclic_neutro_group(4))
-
-
-@lru_cache(maxsize=None)
-def gr_z2_c3s():
-    return GroupRing(2, cyclic_neutro_group(3, semigroup=True))
-
-
-@lru_cache(maxsize=None)
-def sym_basis6():
-    return cyclic_neutro_group(6)
-
-
-@lru_cache(maxsize=None)
-def mixed_universe():
-    """Five tagged components, three indeterminate; total order 68."""
-    m = NCollection(
-        [
-            Component(mult_magma(3), "group", True),
-            Component(mult_magma(6), "semigroup", True),
-            Component(mult_magma(4, pure_union=True), "groupoid", True),
-            Component(sym_group(3), "group", False),
-            Component(mult_magma(10, neutro=False), "semigroup", False),
-        ],
-        name="mixed5(order 68)",
-    )
-    _require(m.order() == 68, "collection order 68")
-    return m
-
-
-@lru_cache(maxsize=None)
-def loop_7_4():
-    """Order-8 loop: identity e, involutions, i*j = 4j - 3i (mod 7) off
-    the diagonal with representatives 1..7."""
-    elems = ["e"] + [str(i) for i in range(1, 8)]
-
-    def prod(a, b):
-        if a == "e":
-            return b
-        if b == "e":
-            return a
-        i, j = int(a), int(b)
-        if i == j:
-            return "e"
-        r = (4 * j - 3 * i) % 7
-        return str(r or 7)
-
-    table = [[prod(a, b) for b in elems] for a in elems]
-    return build_from_table(elems, table, name="loop7(4)")
-
-
-@lru_cache(maxsize=None)
-def dual_universe():
-    """Five plain-tagged kinds plus one indeterminate loop double."""
-    l7 = loop_7_4()
-    return NCollection(
-        [
-            Component(l7, "loop", False),
-            Component(sym_group(4), "group", False),
-            Component(mult_magma(10, neutro=False), "semigroup", False),
-            Component(mult_magma(4, neutro=False), "groupoid", False),
-            Component(neutro_double(l7), "loop", True),
-        ],
-        name="dual5",
-    )
+def carrier(name):
+    return carriers()[name]
 
 
 # ---------------------------------------------------------------------------
@@ -281,29 +214,29 @@ def _span(gr, basis_labels):
 
 @lru_cache(maxsize=None)
 def subgroupoids_421():
-    return tuple(enumerate_subs(groupoid_4_2_1(), "subgroupoid"))
+    return tuple(enumerate_subs(carrier("groupoid(4;2,1)"), "subgroupoid"))
 
 
 @lru_cache(maxsize=None)
 def subrings_6():
-    return tuple(enumerate_subs(ring_6(), "subring"))
+    return tuple(enumerate_subs(carrier("ring(Z6+I)"), "subring"))
 
 
 @lru_cache(maxsize=None)
 def ring_ideals_6():
-    return tuple(enumerate_subs(ring_6(), "loose-ring-ideal"))
+    return tuple(enumerate_subs(carrier("ring(Z6+I)"), "loose-ring-ideal"))
 
 
 @lru_cache(maxsize=None)
 def span_population(which):
-    gr = {"z2c4": gr_z2_c4, "z2c3s": gr_z2_c3s}[which]()
+    gr = carrier({"z2c4": "Z2<cyclic(4)+I>", "z2c3s": "Z2<cyclic-semigroup(3)+I>"}[which])
     basis_subs = enumerate_subs(gr.basis, "subgroupoid")
     return tuple(_span(gr, s) for s in basis_subs)
 
 
 @lru_cache(maxsize=None)
 def bi_ideal_population():
-    big = bi_groupoid()
+    big = carrier("bi(Z10;2,3 | Z4;2,1)+I")
     return (
         tuple(frozenset(c.structure.elements) for c in big.components),
     )
@@ -313,7 +246,7 @@ def bi_ideal_population():
 def tri_ideal_pool():
     """Ideal triples: both small components are improper-only, the third
     admits exactly the supersets of the 3x3 residue grid."""
-    tri = tri_groupoid()
+    tri = carrier("tri(Z10;3,2 | Z4;2,1 | Z12;8,4)+I")
     g1, g2, g3 = (c.structure for c in tri.components)
     full1, full2 = frozenset(g1.elements), frozenset(g2.elements)
     e4 = e4_grid()
@@ -328,7 +261,7 @@ def tri_ideal_pool():
 @lru_cache(maxsize=None)
 def mixed_sub_pool():
     """Per-component closed parts combined into whole-collection tuples."""
-    m = mixed_universe()
+    m = carrier("mixed5(order 68)")
     m2 = m.components[1].structure
     rng = random.Random("neutrolab:pool:prop-6.1.1")
 
@@ -548,7 +481,7 @@ def _zi(m=1):
 
 
 def _sym6(coeff, subset=None):
-    return sym.SymGroupRing(coeff, sym_basis6(), subset)
+    return sym.SymGroupRing(coeff, carrier("cyclic(6)+I"), subset)
 
 
 def _symbolic_rows(outer, check, *rows):
@@ -701,7 +634,13 @@ def _run_classify_mixed_6_1_3(dual, rng):
 
 
 def _build():
-    g1032, g421 = groupoid_10_3_2, groupoid_4_2_1
+    (g1032, g421, bi_groupoid, tri_groupoid, ring_6, ring_10, ring_12, gr_z2_c4,
+     gr_z6_c4, gr_z2_c3s, mixed_universe, dual_universe) = (
+        partial(carrier, name) for name in (
+            "groupoid(10;3,2)", "groupoid(4;2,1)", "bi(Z10;2,3 | Z4;2,1)+I",
+            "tri(Z10;3,2 | Z4;2,1 | Z12;8,4)+I", "ring(Z6+I)", "ring(Z10+I)",
+            "ring(Z12+I)", "Z2<cyclic(4)+I>", "Z6<cyclic(4)+I>",
+            "Z2<cyclic-semigroup(3)+I>", "mixed5(order 68)", "dual5"))
     c_i = partial(sym.NamedRing, "C", 1, True)
     sym_q, sym_z = partial(_sym6, sym.NamedRing("Q")), partial(_sym6, sym.NamedRing("Z"))
 

@@ -17,7 +17,7 @@ from functools import cache
 from itertools import product
 
 from .io import json_plain, load_soft, soft_to_dict
-from .softsets import N_PREDICATES, OPS, SoftSet, op_items, value_kind
+from .softsets import N_PREDICATES, OPS, SoftSet, op_items, refusals_fail, value_kind
 from .structures import ResourceCap
 from .subsets import PREDICATES, Verdict
 
@@ -118,19 +118,17 @@ def _closure_failure(universe, predicate):
 
 def _remark_violation(universe, predicate):
     """For a hunt, any failure counts — including degenerate collapses,
-    which are flagged so reports show how the witness fails. Returns the
-    failing verdict or None, as a function of the value."""
+    which are flagged so reports show how the witness fails, and values the
+    predicate refuses (as in soft_is). Returns the failing verdict or None,
+    as a function of the value."""
     kind = value_kind(universe)
-    decide = kind.decide(universe, predicate)
+    decide = refusals_fail(kind.decide(universe, predicate))
 
     def violation(value):
         if kind.empty(value):
             return Verdict(False, flags=("empty-assignment",),
                            note="operation produced an empty assignment")
-        try:
-            v = decide(value)
-        except ValueError as exc:
-            return Verdict(False, note=str(exc))
+        v = decide(value)
         return None if v.ok else v
     return violation
 
@@ -225,15 +223,16 @@ def run_closure_prop(universe, population, predicate, rng, ops=INTERSECTION_OPS,
 
 
 def _replay_witness(universe, op_name, predicate, witness):
-    """Round-trip the serialized soft sets and re-run the violated predicate;
-    the same assignment must fail again."""
+    """Round-trip the serialized soft sets and re-run the violated predicate
+    over the universe they name (`universe` when they name none); the same
+    assignment must fail again."""
     f = load_soft(witness["lhs"], universe=universe)
     k = load_soft(witness["rhs"], universe=universe)
     res = OPS[op_name](f, k)
     param = witness["param"]
     if param not in res.params:
         return False
-    return _remark_violation(universe, predicate)(res.value(param)) is not None
+    return _remark_violation(res.universe, predicate)(res.value(param)) is not None
 
 
 def run_remark_hunt(universe, op_name, predicate, rng=None, pinned=None,
@@ -259,8 +258,8 @@ def run_remark_hunt(universe, op_name, predicate, rng=None, pinned=None,
     decides the status by itself — the predicate must genuinely fail.
 
     A misspelled predicate name raises ValueError up front: inside the hunt
-    a ValueError from the predicate counts as a violation (a `lagrange`
-    value that is not a strict subgroupoid)."""
+    a value the predicate refuses counts as a violation (a `lagrange` value
+    that is not a strict subgroupoid)."""
     kind = value_kind(universe)
     fails = cache(_remark_violation(universe, predicate))
     trials = 0

@@ -11,7 +11,7 @@ tag advertises.  Subset checks work part-by-part.
 from dataclasses import dataclass
 
 from .structures import FiniteRing, _identity, label_is_neutro, verify_kind
-from .subsets import Verdict, ideal_verdict, order_verdict, sub_verdict
+from .subsets import Refusal, Verdict, ideal_verdict, order_verdict, sub_verdict
 
 MAGMA_TAGS = ("group", "semigroup", "groupoid", "loop")
 ALL_TAGS = MAGMA_TAGS + ("ring",)
@@ -172,5 +172,5 @@ def lagrange_mixed(ncol, parts, require_neutro=True):
     """Whether a sub-collection's total order divides the collection's."""
     v = is_n_sub(ncol, parts, require_neutro=require_neutro)
     if not v.ok:
-        raise ValueError("not a sub-collection: %s" % (v.note,))
+        raise Refusal("not a sub-collection: %s" % (v.note,))
     return order_verdict(sum(len(frozenset(p)) for p in parts), ncol.order())

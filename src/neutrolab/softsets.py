@@ -29,6 +29,7 @@ from .subsets import (
     LAGRANGE,
     LAGRANGE_FREE,
     WEAKLY_LAGRANGE,
+    Refusal,
     Verdict,
     _predicate_row,
     check_predicate,
@@ -363,9 +364,23 @@ def _report(params, verdict_of):
     return SoftReport(True)
 
 
+def refusals_fail(decide):
+    """decide, with a value the predicate refuses (a `lagrange` value that
+    is not a strict subgroupoid) failing, the refusal's text as its note."""
+    def verdict(value):
+        try:
+            return decide(value)
+        except Refusal as exc:
+            return Verdict(False, note=str(exc))
+    return verdict
+
+
 def soft_is(soft, predicate):
-    """Whether every assignment satisfies the named per-value predicate."""
-    decide = value_kind(soft.universe).decide(soft.universe, predicate)
+    """Whether every assignment satisfies the named per-value predicate; an
+    assignment the predicate refuses fails (see refusals_fail).  An unknown
+    predicate name raises ValueError before any assignment is decided, and
+    a malformed value (an unknown label) raises ValueError too."""
+    decide = refusals_fail(value_kind(soft.universe).decide(soft.universe, predicate))
     return _report(soft.params, lambda p: decide(soft.value(p)))
 
 

@@ -58,6 +58,11 @@ class Verdict:
         return self.ok
 
 
+class Refusal(ValueError):
+    """A predicate refuses a well-formed value it is not defined on: the
+    Lagrange checks take only strict substructures."""
+
+
 # ---------------------------------------------------------------------------
 # the algebra view
 
@@ -511,7 +516,7 @@ def is_lagrange_sub(magma, labels):
     """Whether a strict subgroupoid's order divides the carrier order."""
     v = is_subgroupoid(magma, labels, strict=True)
     if not v.ok:
-        raise ValueError("not a strict subgroupoid: %s" % (v.note,))
+        raise Refusal("not a strict subgroupoid: %s" % (v.note,))
     return order_verdict(len(set(labels)), len(magma), v.flags)
 
 

@@ -200,9 +200,9 @@ def test_criterion_7_classification():
         bad.append("order-4 evidence subset missing from the dividing list")
     if p3 not in lag.non_dividing:
         bad.append("order-3 evidence subset missing from the non-dividing list")
-    from neutrolab.claims import dual_universe
-    if classify_mixed(dual_universe()) != MIXED_DUAL:
-        bad.append("dual 5-structure classed %r" % classify_mixed(dual_universe()))
+    from neutrolab.claims import carrier
+    if classify_mixed(carrier("dual5")) != MIXED_DUAL:
+        bad.append("dual 5-structure classed %r" % classify_mixed(carrier("dual5")))
     _line(7, not bad,
           "WeaklyLagrange with both evidence subsets; dual 5-structure is "
           "MixedDual" if not bad else "; ".join(bad))

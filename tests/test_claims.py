@@ -1,5 +1,6 @@
 """The registered claim suite: every row reports its registered status."""
 
+import hashlib
 import json
 import os
 import random
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from neutrolab import claims
-from neutrolab.claims import _span, groupoid_10_3_2, registry, ring_12
+from neutrolab.claims import _span, carrier, registry
 from neutrolab.engine import (
     KIND_CLASSIFICATION,
     KIND_EXAMPLE,
@@ -28,7 +29,9 @@ from neutrolab.engine import (
     run_suite,
 )
 from neutrolab.groupring import GroupRing
-from neutrolab.structures import cyclic_neutro_group
+from neutrolab.io import load_structure
+from neutrolab.ncollect import NCollection
+from neutrolab.structures import _Labelled, cyclic_neutro_group, param_groupoid
 from neutrolab.subsets import enumerate_subs
 
 GOLDEN = Path(__file__).parent / "data" / "verify_seed0.json"
@@ -69,53 +72,102 @@ def test_registry_rows_match_the_recorded_metadata(reg):
     assert json.dumps(rows, indent=2) + "\n" == REGISTRY_GOLDEN.read_text()
 
 
-def test_a_warmed_suite_builds_no_carrier():
-    """Once every zero-argument cached builder in `claims` and both span
-    populations are filled, as the verify-suite benchmark does in its set-up,
-    a seed-0 suite run misses no builder cache, so no carrier or population
-    build lands in a claim's timed run."""
-    builders = [fn for fn in vars(claims).values()
-                if hasattr(fn, "cache_info") and fn.__module__ == claims.__name__]
-    assert builders
-    for fn in builders:
+def _cached_in_claims():
+    return [fn for fn in vars(claims).values()
+            if hasattr(fn, "cache_info") and fn.__module__ == claims.__name__]
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The names of the carriers constructed while the test runs, in order:
+    every finite magma and ring, group ring and collection, whether a load
+    through `io` or a builder made it.  A load that reuses a carrier builds
+    nothing."""
+    made = []
+    for cls in (_Labelled, GroupRing, NCollection):
+        def init(self, *args, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            made.append(self.name)
+        monkeypatch.setattr(cls, "__init__", init)
+    param_groupoid(3, 1, 1)
+    assert made == ["groupoid(3;1,1)"]
+    made.clear()
+    return made
+
+
+def test_a_warmed_suite_builds_no_carrier(builds):
+    """Once every zero-argument cached function in `claims` (the carrier
+    table among them) and both span populations are filled, as the
+    verify-suite benchmark does in its set-up, a seed-0 suite run misses no
+    cache and constructs no carrier, so no carrier or population build lands
+    in a claim's timed run; witness replays reload their universe without
+    building it."""
+    cached = _cached_in_claims()
+    assert claims.carriers in cached
+    for fn in cached:
         if fn.__wrapped__.__code__.co_argcount == 0:
             fn()
     for which in ("z2c4", "z2c3s"):
         claims.span_population(which)
-    misses = {fn.__name__: fn.cache_info().misses for fn in builders}
+    misses = {fn.__name__: fn.cache_info().misses for fn in cached}
+    builds.clear()
     run_suite(claims.registry(), None, seed=0)
-    assert {fn.__name__: fn.cache_info().misses for fn in builders} == misses
+    assert builds == []
+    assert {fn.__name__: fn.cache_info().misses for fn in cached} == misses
 
 
-def test_no_carrier_is_built_inside_a_claims_timed_section(reg):
-    """Each row, run from empty builder caches, has its carrier built before
-    its runner starts: no builder that a row's carrier runs (the carriers
-    themselves and their parts) misses its cache while a runner runs.
-    Populations may still be built there.  A count, not a timing."""
-    builders = [fn for fn in vars(claims).values()
-                if hasattr(fn, "cache_info") and fn.__module__ == claims.__name__]
-    for fn in builders:
-        fn.cache_clear()
-    for claim in reg:
-        claim.carrier()
-    carriers = {fn for fn in builders if fn.cache_info().misses}
-    assert len(carriers) == 16      # 12 that rows name, and 4 parts of those
-
-    def misses():
-        return {fn.__name__: fn.cache_info().misses for fn in carriers}
-
+def test_no_carrier_is_built_inside_a_claims_timed_section(reg, builds):
+    """Each row, run from empty `claims` caches, has its carrier loaded before
+    its runner starts: no carrier or part of one is constructed while a
+    runner runs, witness replays included.  Populations may still be built
+    there.  A count, not a timing."""
+    cached = _cached_in_claims()
     built = {}
     for claim in reg:
-        for fn in builders:
+        for fn in cached:
             fn.cache_clear()
 
         def runner(u, rng, claim=claim):
-            before = misses()
+            before = len(builds)
             out = claim.runner(u, rng)
-            built[claim.id] = sorted(k for k, v in misses().items() if v > before[k])
+            built[claim.id] = builds[before:]
             return out
         run_claim(replace(claim, runner=runner), seed=0)
     assert built == {claim.id: [] for claim in reg}
+
+
+# the collections in the carrier table and the entries among their parts
+NESTED_PARTS = {
+    "bi(Z10;2,3 | Z4;2,1)+I": ["groupoid(10;2,3)", "groupoid(4;2,1)"],
+    "tri(Z10;3,2 | Z4;2,1 | Z12;8,4)+I": ["groupoid(10;3,2)", "groupoid(4;2,1)",
+                                          "groupoid(12;8,4)"],
+    "mixed5(order 68)": [],
+    "dual5": ["loop7(4)"],
+}
+
+
+def test_each_carrier_spec_loads_to_the_carrier_it_names():
+    """Every entry of the carrier table loads to a carrier named by its key
+    that keeps the entry as its spec; the spec survives a JSON round trip
+    and loads again to that carrier's name and size.  The parts of the
+    collections that have entries of their own (the groupoids in bi and tri,
+    the loop in dual5 and under its double) load from those entries' specs."""
+    loaded = claims.carriers()
+    assert list(loaded) == list(claims.CARRIER_SPECS) and len(loaded) == 16
+    for name, u in loaded.items():
+        assert u.name == name
+        text = json.dumps(u.spec)
+        assert json.loads(text) == u.spec == claims.CARRIER_SPECS[name]
+        again = load_structure(json.loads(text))
+        assert (again.name, len(again)) == (name, len(u))
+    for name, parts in NESTED_PARTS.items():
+        comps = [c.structure for c in loaded[name].components]
+        assert [s.name for s in comps if s.name in loaded] == parts
+        for s in comps:
+            if s.name in loaded:
+                assert s.spec == loaded[s.name].spec
+    double = loaded["dual5"].components[-1].structure
+    assert double.spec["base"] == loaded["loop7(4)"].spec
 
 
 def test_every_claim_reports_its_registered_status(reg, reports):
@@ -141,13 +193,13 @@ def test_remarks_find_counterexamples(reg, reports):
 
 # the remarks on carriers past 64 elements: (carrier, operation, predicate)
 LARGE_CARRIER_REMARKS = {
-    "remark-2.1.1": (groupoid_10_3_2, "extended-union", "loose-subgroupoid"),
-    "remark-2.1.2": (groupoid_10_3_2, "restricted-union", "loose-subgroupoid"),
-    "remark-2.1.3": (groupoid_10_3_2, "or", "loose-subgroupoid"),
-    "remark-3.1.1": (ring_12, "extended-union", "loose-subring"),
-    "remark-3.1.2": (ring_12, "restricted-union", "loose-subring"),
-    "remark-3.1.3": (ring_12, "or", "loose-subring"),
-    "remark-3.1.4": (ring_12, "extended-union", "loose-ring-ideal"),
+    "remark-2.1.1": ("groupoid(10;3,2)", "extended-union", "loose-subgroupoid"),
+    "remark-2.1.2": ("groupoid(10;3,2)", "restricted-union", "loose-subgroupoid"),
+    "remark-2.1.3": ("groupoid(10;3,2)", "or", "loose-subgroupoid"),
+    "remark-3.1.1": ("ring(Z12+I)", "extended-union", "loose-subring"),
+    "remark-3.1.2": ("ring(Z12+I)", "restricted-union", "loose-subring"),
+    "remark-3.1.3": ("ring(Z12+I)", "or", "loose-subring"),
+    "remark-3.1.4": ("ring(Z12+I)", "extended-union", "loose-ring-ideal"),
 }
 
 
@@ -155,8 +207,8 @@ LARGE_CARRIER_REMARKS = {
 def test_large_carrier_remarks_hunt_without_their_pinned_pair(cid):
     """Without the pinned pair, the sweep over ordered pairs of every
     substructure of the carrier finds a witness, and it replays."""
-    build, op, predicate = LARGE_CARRIER_REMARKS[cid]
-    u = build()
+    name, op, predicate = LARGE_CARRIER_REMARKS[cid]
+    u = carrier(name)
     status, witness, trials = run_remark_hunt(
         u, op, predicate, random.Random(0), pinned=None,
         population=enumerate_subs(u, predicate, "generate"), budget=10_000)
@@ -253,6 +305,26 @@ def test_seed0_rows_match_the_recorded_output(reports):
     recorded = GOLDEN.read_text()
     assert json.loads(text) == json.loads(recorded)
     assert text == recorded
+
+
+def test_seed0_rows_differ_from_their_earlier_pin_only_by_witness_universes():
+    """The recorded seed-0 rows, with the `universe` of every witness's
+    `lhs` and `rhs` taken out, hash to the rows pinned before witnesses
+    named their universe; the registry pin is unchanged."""
+    rows = json.loads(GOLDEN.read_text())
+    named = 0
+    for row in rows:
+        witness = row["witness"]
+        for side in ("lhs", "rhs"):
+            if isinstance(witness, dict) and "universe" in witness.get(side, {}):
+                del witness[side]["universe"]
+                named += 1
+    assert named == 40      # both operands of the 20 counterexample rows
+    text = json.dumps(rows, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "91f3bb138ff9dff3b35fa5731a4a89f68170c4f5a66059505679a71bceac93b7")
+    assert hashlib.sha256(REGISTRY_GOLDEN.read_bytes()).hexdigest() == (
+        "b74c0d4084bb6f596359ac7a3231f69344b839f8b499cabc6accacb68274db25")
 
 
 def test_seed0_rows_do_not_depend_on_the_hash_seed():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neutrolab import claims
 from neutrolab.cli import main
 from test_io import STRUCTURE_SPECS
 
@@ -280,6 +281,30 @@ def test_hunt_witness_replays_through_soft_op(tmp_path, capsys):
     assert main(["soft-check", "--file", write(tmp_path, "bare.json", {"assign": {}}),
                  "--predicate", "loose-subring"]) == 2
     assert "'universe'" in capsys.readouterr().err
+
+
+def test_every_verify_counterexample_replays_through_soft_op(tmp_path, capsys):
+    """Each counterexample `verify --seed 0` reports names its universe in
+    both operands, so `soft-op` rebuilds the failing result from the two
+    files and `soft-check` with the row's predicate refuses it at the
+    witness parameter, with the witness's reason; `lagrange` rows included,
+    whose value {0} the predicate refuses outright."""
+    assert main(["verify", "--seed", "0", "--format", "json"]) == 0
+    rows = [r for r in json.loads(capsys.readouterr().out)
+            if r["status"] == "CounterexampleFound"]
+    assert len(rows) == 20
+    for row in rows:
+        witness = row["witness"]
+        predicate = claims.claim_by_id(row["claim_id"]).runner.__self__.predicate
+        lhs, rhs = (write(tmp_path, side + ".json", witness[side]) for side in ("lhs", "rhs"))
+        out = str(tmp_path / "out.json")
+        assert main(["soft-op", "--op", witness["op"], "--lhs", lhs, "--rhs", rhs,
+                     "-o", out]) == 0, row["claim_id"]
+        capsys.readouterr()
+        assert main(["soft-check", "--file", out, "--predicate", predicate]) == 1, row["claim_id"]
+        assert "\n  %s: %s" % (witness["param"], witness["reason"]) in capsys.readouterr().out
+    assert main(["soft-check", "--file", out, "--predicate", "lagrnage"]) == 2
+    assert "lagrnage" in capsys.readouterr().err
 
 
 # the Klein four-group doubled by I: {e, aI} and {e, bI} are subgroupoids

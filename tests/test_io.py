@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neutrolab import io
+from neutrolab import claims, io
 from neutrolab.groupring import GroupRing
 from neutrolab.io import (
     json_plain,
@@ -315,7 +315,10 @@ def _wipe(doc):
 
 def _check_spec(spec):
     """A carrier loaded from `spec` keeps a JSON copy of it as its `spec`,
-    which loads to it while it is in use and rebuilds it once it is not."""
+    which loads to it while it is in use and rebuilds it once it is not.
+    The claim carriers, which the `claims` cache holds for the process and
+    some of which equal these specs' carriers, are let go first."""
+    claims.carriers.cache_clear()
     gc.collect()
     given = _copy(spec)
     c = load_structure(given)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from neutrolab.claims import dual_universe, loop_7_4, mixed_universe
+from neutrolab.claims import carrier
 from neutrolab.ncollect import (
     MIXED_DUAL,
     WEAK_MIXED,
@@ -28,8 +28,8 @@ def bi():
 
 
 def test_mixed_universe_order():
-    assert mixed_universe().order() == 68
-    assert len(mixed_universe()) == 5
+    assert carrier("mixed5(order 68)").order() == 68
+    assert len(carrier("mixed5(order 68)")) == 5
 
 
 def test_component_name_and_tuple_coercion():
@@ -40,8 +40,8 @@ def test_component_name_and_tuple_coercion():
 
 
 def test_classify_mixed_family():
-    assert classify_mixed(mixed_universe()) == WEAK_MIXED
-    assert classify_mixed(dual_universe()) == MIXED_DUAL
+    assert classify_mixed(carrier("mixed5(order 68)")) == WEAK_MIXED
+    assert classify_mixed(carrier("dual5")) == MIXED_DUAL
     wmd = NCollection([
         Component(sym_group(3), "group", False),
         Component(mult_magma(10, neutro=False), "semigroup", False),
@@ -113,7 +113,7 @@ def test_lagrange_mixed(bi):
 
 
 def test_loop_parts_need_an_inner_identity():
-    dual = dual_universe()
+    dual = carrier("dual5")
     parts = ({"e", "3"}, {"e"}, {"0", "1"}, {"0"}, {"eI", "3I"})
     assert is_n_sub(dual, parts).ok
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neutrolab import symbolic as sym
-from neutrolab.claims import bi_groupoid
+from neutrolab.claims import carrier
 from neutrolab.groupring import GroupRing
 from neutrolab.ncollect import Component, NCollection
 from neutrolab.softsets import (
@@ -144,6 +144,17 @@ def test_soft_is_reports_failures(g421):
     assert "empty-assignment" in empty.failures[0][1].flags
 
 
+def test_soft_is_fails_the_assignments_a_predicate_refuses(g421):
+    """`lagrange` refuses {0}, which has no indeterminate member: that
+    assignment fails with the refusal as its note, as in a hunt, while a
+    misspelled predicate still raises before any assignment is decided."""
+    rep = soft_is(SoftSet(g421, {"a1": P4, "a2": {"0"}}), "lagrange")
+    assert [(p, v.ok, v.note) for p, v in rep.failures] == [
+        ("a2", False, "not a strict subgroupoid: closed but has no indeterminate member")]
+    with pytest.raises(ValueError, match="lagrnage"):
+        soft_is(SoftSet(g421, {"a1": {"0"}}), "lagrnage")
+
+
 def test_soft_lagrange_classes(g421):
     assert soft_lagrange_class(SoftSet(g421, {"a1": P4, "a2": P2})) == "Lagrange"
     assert soft_lagrange_class(SoftSet(g421, {"a1": P4, "a2": P3})) == "WeaklyLagrange"
@@ -236,7 +247,7 @@ def test_collection_values_with_unknown_labels_or_part_counts_raise():
 
 
 def test_a_label_set_over_a_collection_raises():
-    big = bi_groupoid()
+    big = carrier("bi(Z10;2,3 | Z4;2,1)+I")
     # not read one character at a time as the parts "0" and "5I"
     with pytest.raises(ValueError, match="tuple of label sets"):
         SoftSet(big, {"a": {"0", "5I"}})
@@ -259,7 +270,8 @@ def test_mixed_value_shapes_raise(g421):
     with pytest.raises(ValueError, match="set of str members"):
         SoftSet(g421, {"a": P4, "b": (P2, P3)})
     with pytest.raises(ValueError, match="tuple of label sets"):
-        SoftSet(bi_groupoid(), {"a": (frozenset({"0"}), frozenset({"0"})), "b": P2})
+        SoftSet(carrier("bi(Z10;2,3 | Z4;2,1)+I"),
+                {"a": (frozenset({"0"}), frozenset({"0"})), "b": P2})
 
 
 def test_formal_sum_values_with_indeterminate_support():
