@@ -12,9 +12,9 @@ witness.
 
 Each row names its carrier once, as a spec: the report's universe is the
 carrier's name, the key of its spec in CARRIER_SPECS, and engine.run_claim
-loads the carrier before it starts timing and hands it to the runner.  The
-carriers are loaded through io together, once per process, so they keep
-their spec and every witness soft set names its universe; the symbolic
+loads the carrier before it starts timing and hands it to the runner.  Each
+carrier is loaded through io on its first use, once per process, so it keeps
+its spec and every witness soft set names its universe; the symbolic
 carriers, which io does not describe, are built in place.  Populations come
 from cached builders, and pools used by randomized sweeps are built from
 fixed string seeds, so a row's outcome never depends on which other rows
@@ -141,15 +141,19 @@ CARRIER_SPECS = _carrier_specs()
 
 
 @lru_cache(maxsize=None)
-def carriers():
-    """Every carrier in CARRIER_SPECS, loaded once per process, by name."""
-    loaded = {name: load_structure(spec) for name, spec in CARRIER_SPECS.items()}
-    _require(loaded["mixed5(order 68)"].order() == 68, "collection order 68")
+def carrier(name):
+    """The carrier CARRIER_SPECS names, loaded once per process: a row loads
+    only its own."""
+    loaded = load_structure(CARRIER_SPECS[name])
+    if name == "mixed5(order 68)":
+        _require(loaded.order() == 68, "collection order 68")
     return loaded
 
 
-def carrier(name):
-    return carriers()[name]
+@lru_cache(maxsize=None)
+def carriers():
+    """Every carrier in CARRIER_SPECS, by name."""
+    return {name: carrier(name) for name in CARRIER_SPECS}
 
 
 # ---------------------------------------------------------------------------

@@ -8,25 +8,15 @@ import argparse
 import json
 import sys
 
-from .engine import (
-    STATUS_COUNTEREXAMPLE,
-    STATUS_HOLDS,
-    emit,
-    result_predicate,
-    run_remark_hunt,
-    run_suite,
-)
-from .groupring import GroupRing
-from .io import (
-    json_plain,
-    load_soft_file,
-    load_structure_file,
-    soft_to_dict,
-)
-from .ncollect import NCollection, classify_mixed
-from .softsets import OPS, restricted_union, soft_is, value_kind
-from .structures import FiniteMagma, FiniteRing, ResourceCap, verify_kind
-from .subsets import classify_lagrange, enumerate_subs
+from .io import json_plain, load_soft_file, load_structure_file, soft_to_dict
+from .structures import ResourceCap
+
+# Each command imports the modules it runs, so a cold `enumerate` loads no
+# soft sets, collections, symbolic carriers or claim engine.  The choices of
+# `soft-op --op` are the names of softsets.OPS, written out so that building
+# the parser imports no soft sets; a test keeps the two equal.
+OP_NAMES = ("and", "extended-intersection", "extended-union", "or",
+            "restricted-intersection", "restricted-union")
 
 
 def _parse_subset(text):
@@ -45,6 +35,9 @@ def _format_subset(plain):
 
 
 def _cmd_build(args):
+    from .groupring import GroupRing
+    from .structures import FiniteMagma, FiniteRing, verify_kind
+
     s = load_structure_file(args.spec)
     if isinstance(s, FiniteMagma):
         rep = verify_kind(s)
@@ -57,19 +50,20 @@ def _cmd_build(args):
     elif isinstance(s, GroupRing):
         print("%s: formal sums over %d basis elements, %d in total"
               % (s.name, len(s.basis), len(s)))
-    elif isinstance(s, NCollection):
+    else:  # a collection, the one other kind io loads
         print("%s: collection of %d components, total order %d"
               % (s.name, len(s), s.order()))
         for c in s.components:
             print("  %s: %s%s, %d elements"
                   % (c.name, c.alg, " (indeterminate)" if c.neutro else "",
                      len(c.structure)))
-    else:
-        print(s)
     return 0
 
 
 def _cmd_check_sub(args):
+    from .engine import result_predicate
+    from .softsets import value_kind
+
     universe = load_structure_file(args.structure)
     kind = value_kind(universe)
     value = kind.load(universe, _parse_subset(args.subset))
@@ -85,6 +79,8 @@ def _cmd_check_sub(args):
 
 
 def _cmd_enumerate(args):
+    from .subsets import enumerate_subs
+
     universe = load_structure_file(args.structure)
     subs = enumerate_subs(universe, args.predicate)
     for s in subs:
@@ -94,6 +90,10 @@ def _cmd_enumerate(args):
 
 
 def _cmd_classify(args):
+    from .ncollect import NCollection, classify_mixed
+    from .structures import FiniteMagma, FiniteRing, verify_kind
+    from .subsets import classify_lagrange
+
     universe = load_structure_file(args.structure)
     if isinstance(universe, NCollection):
         print("mixed profile: %s (order %d)"
@@ -113,6 +113,8 @@ def _cmd_classify(args):
 
 
 def _cmd_soft_op(args):
+    from .softsets import OPS, restricted_union
+
     f = load_soft_file(args.lhs)
     k = load_soft_file(args.rhs, universe=f.universe)
     if args.union_all_params and args.op != "restricted-union":
@@ -130,6 +132,8 @@ def _cmd_soft_op(args):
 
 
 def _cmd_soft_check(args):
+    from .softsets import soft_is
+
     rep = soft_is(load_soft_file(args.file), args.predicate)
     if rep.ok:
         print("holds: every assignment satisfies %s" % args.predicate)
@@ -144,7 +148,8 @@ def _cmd_soft_check(args):
 
 
 def _cmd_verify(args):
-    from .claims import registry        # only `verify` reads the registry
+    from .claims import registry
+    from .engine import emit, run_suite
 
     reg = registry()
     reports, ok = run_suite(reg, filter_pat=args.filter, seed=args.seed)
@@ -153,12 +158,14 @@ def _cmd_verify(args):
 
 
 def _cmd_hunt(args):
+    from .engine import STATUS_COUNTEREXAMPLE, STATUS_HOLDS, result_predicate, run_remark_hunt
+    from .subsets import enumerate_subs
+
     if ":" not in args.template:
         raise ValueError("template must look like <operation>:<predicate>")
     op_name, predicate = args.template.split(":", 1)
-    if op_name not in OPS:
-        raise ValueError("unknown operation %r; choices: %s"
-                         % (op_name, ", ".join(sorted(OPS))))
+    if op_name not in OP_NAMES:
+        raise ValueError("unknown operation %r; choices: %s" % (op_name, ", ".join(OP_NAMES)))
     universe = load_structure_file(args.universe)
     population = enumerate_subs(universe, predicate)
     status, witness, trials = run_remark_hunt(
@@ -202,7 +209,7 @@ def _build_parser():
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("soft-op", help="combine two soft-set files")
-    p.add_argument("--op", required=True, choices=sorted(OPS))
+    p.add_argument("--op", required=True, choices=OP_NAMES)
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
     p.add_argument("-o", "--output", required=True)

@@ -10,6 +10,10 @@ load of an equal spec, nested specs included, returns that same carrier
 instead of building and validating another.  A loaded carrier keeps the
 spec that first loaded it as its `spec`, and a soft set over it dumps with
 that spec as its universe; carriers the builders make have none.
+
+The soft sets and the collections are imported where a soft set or an
+"ncollection" spec is loaded or dumped, so loading a magma, a ring or a
+group ring loads neither.
 """
 
 import copy
@@ -17,8 +21,6 @@ import json
 import weakref
 
 from .groupring import GroupRing
-from .ncollect import NCollection
-from .softsets import SoftSet, value_kind
 from .structures import (
     FiniteMagma,
     _cayley_indices,
@@ -120,6 +122,8 @@ def load_structure(spec):
     if kind == "group_ring":
         return _memo(spec, GroupRing, (_int(spec, "r"), load_structure(_get(spec, "basis")), name))
     if kind == "ncollection":
+        from .ncollect import NCollection
+
         parts = []
         for c in _field(spec, "components", list):
             if not isinstance(c, dict):
@@ -140,6 +144,8 @@ def load_soft(spec, universe=None):
     """The soft set `spec` describes, over the carrier its "universe" spec
     loads to (shared as in `load_structure`), or over `universe` when the
     spec names none."""
+    from .softsets import SoftSet, value_kind
+
     if not isinstance(spec, dict):
         raise ValueError("a soft-set spec is a dict with 'universe' and 'assign' keys")
     if "universe" in spec:
@@ -159,6 +165,8 @@ def load_soft_file(path, universe=None):
 def soft_to_dict(soft):
     """The soft-set dict `load_soft` reads back: the universe's `spec` when
     it was loaded from one, the parameters and each assignment."""
+    from .softsets import value_kind
+
     out = {}
     if getattr(soft.universe, "spec", None) is not None:
         out["universe"] = soft.universe.spec

@@ -37,7 +37,11 @@ from .subsets import (
     is_lagrange_sub,
     lagrange_class,
 )
-from . import symbolic as sym
+
+# the symbolic carriers' module, which value_kind imports for the first
+# universe of no finite kind (and with it `fractions` and `decimal`); the
+# symbolic value functions below are reached only through that kind
+sym = None
 
 
 @dataclass
@@ -89,12 +93,15 @@ ValueKind = namedtuple("ValueKind", "freeze empty neutro size decide whole load 
 
 def value_kind(universe):
     """The value functions of the universe's kind."""
+    global sym
     if isinstance(universe, (FiniteMagma, FiniteRing)):
         return _LABELS
     if isinstance(universe, GroupRing):
         return _SUMS
     if isinstance(universe, NCollection):
         return _PARTS
+    if sym is None:
+        from . import symbolic as sym
     if isinstance(universe, (sym.NamedRing, sym.SymGroupRing)):
         return _SYMBOLIC
     raise ValueError("no soft-set values over a %s" % type(universe).__name__)
@@ -435,14 +442,14 @@ def soft_sub_of(h, f, predicate="loose-subgroupoid"):
 def soft_ideal_of(h, f):
     """(H, B) an ideal of (F, A): nested parameters and assignments, each
     H(b) absorbing products with members of F(b)."""
-    contains = value_kind(h.universe).contains
+    kind = value_kind(h.universe)
 
     def verdict(hv, fv):
-        if isinstance(hv, sym.SymGroupRing):
+        if kind is _SYMBOLIC and isinstance(hv, sym.SymGroupRing):
             return sym.sym_gr_ideal_of(hv, fv)
-        if isinstance(hv, sym.NamedRing):
+        if kind is _SYMBOLIC and isinstance(hv, sym.NamedRing):
             return sym.sym_ideal_of(hv, fv)
-        if not contains(hv, fv):
+        if not kind.contains(hv, fv):
             return Verdict(False, note="assignment not inside parent")
         return ideal_in_parent(h.universe, hv, fv)
 

@@ -6,7 +6,6 @@ tables, so predicates and enumeration can work positionally.  An element is
 """
 
 import itertools
-from dataclasses import dataclass, field
 
 from .scalars import _additive_generators, _generators, _ring_law_violations, ns_elements, ns_format
 
@@ -285,14 +284,39 @@ def build_from_table(elements, table, name=""):
                        name=name or "cayley(%d)" % len(elements))
 
 
-@dataclass
-class KindReport:
-    groupoid: bool = True
-    semigroup: bool = False
-    group: bool = False
-    loop: bool = False
-    identity: str | None = None
-    witnesses: dict = field(default_factory=dict)
+class _Record:
+    """A plain record of the fields its `__slots__` name: equal to a record
+    of its own class with equal fields, shown as its constructor call and,
+    like a dataclass that defines equality, unhashable.  Importing
+    `dataclasses` would cost a cold command more than the algebra it runs."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self):
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__,
+                           ", ".join("%s=%r" % (f, getattr(self, f)) for f in self.__slots__))
+
+
+class KindReport(_Record):
+    __slots__ = ("groupoid", "semigroup", "group", "loop", "identity", "witnesses")
+
+    def __init__(self, groupoid=True, semigroup=False, group=False, loop=False, identity=None,
+                 witnesses=None):
+        self.groupoid = groupoid
+        self.semigroup = semigroup
+        self.group = group
+        self.loop = loop
+        self.identity = identity
+        self.witnesses = {} if witnesses is None else witnesses
 
     def best(self):
         if self.group:

@@ -27,13 +27,13 @@ tests closure leaves open.
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from .groupring import GroupRing
 from .structures import (
     FiniteMagma,
     FiniteRing,
     ResourceCap,
+    _Record,
     label_is_neutro,
     label_is_zero,
 )
@@ -47,12 +47,14 @@ GENERATE_COUNT_LIMIT = 4096
 IDEAL_CAP = 4096
 
 
-@dataclass
-class Verdict:
-    ok: bool
-    witness: tuple = None
-    flags: tuple = ()
-    note: str = ""
+class Verdict(_Record):
+    __slots__ = ("ok", "witness", "flags", "note")
+
+    def __init__(self, ok, witness=None, flags=(), note=""):
+        self.ok = ok
+        self.witness = witness
+        self.flags = flags
+        self.note = note
 
     def __bool__(self):
         return self.ok
@@ -111,9 +113,9 @@ class _View:
             self.neutro, self.label, self.zero, self.ring = u.has_neutro_support, u.format, u.zero, u
             self.impure = lambda a: not all(map(label_is_neutro, u.support_labels(a)))
             self.key = _terms
-            # each member is validated before equal ones merge
-            self.members = lambda subset: sorted(
-                {_vector(u, x) for x in _not_text(subset)}, key=_terms)
+            # each member is validated before equal ones merge; the set is
+            # sorted by `key` only where a walk reports a witness
+            self.members = lambda subset: {_vector(u, x) for x in _not_text(subset)}
             self.notes = ("closed but has no indeterminate-supported member",
                           "nonzero member has a plain basis term")
             return
@@ -365,22 +367,24 @@ def _additive_basis(view, pool):
     return span[0]
 
 
-def _absorbing_gap(view, order, pool, ys, rows):
-    """The first absorption gap walking `order`, or None without the walk
-    when the basis `rows` of additive subgroup `pool` absorb every `ys`."""
+def _absorbing_gap(view, pool, ys, rows):
+    """The first absorption gap walking `pool` in sorted order, or None
+    without the walk when the basis `rows` of additive subgroup `pool`
+    absorb every `ys`."""
     if rows is not None and _absorb_gap(view, rows, pool, ys) is None:
         return None
-    return _absorb_gap(view, order, pool, ys)
+    return _absorb_gap(view, sorted(pool, key=view.key), pool, ys)
 
 
-def _additive_ideal_verdict(view, order, pool, gens, where=""):
+def _additive_ideal_verdict(view, pool, gens, where=""):
     """`pool` closed under the view's first operation (+ of a ring, - of
-    formal sums) and absorbing every member of `gens` from both sides."""
+    formal sums) and absorbing every member of `gens` from both sides; a
+    walk runs over `pool` in sorted order."""
     rows = _additive_basis(view, pool)
-    gap = _closed_gap(order, pool, view.binary[:1]) if rows is None else None
+    gap = _closed_gap(sorted(pool, key=view.key), pool, view.binary[:1]) if rows is None else None
     if gap is not None:
         return Verdict(False, witness=_labelled(view, gap), note="not additively closed")
-    return _absorb_verdict(view, _absorbing_gap(view, order, pool, gens, rows), where=where)
+    return _absorb_verdict(view, _absorbing_gap(view, pool, gens, rows), where=where)
 
 
 def generated_ideal(gr, gens):
@@ -395,7 +399,7 @@ def generated_ideal(gr, gens):
         raise ResourceCap("generated ideal has %d members, over subsets.IDEAL_CAP = %d"
                           % (size, IDEAL_CAP))
     pool, view = _span_members(gr, rows), _view(gr)
-    v = _additive_ideal_verdict(view, sorted(pool, key=view.key), pool, view.gens)
+    v = _additive_ideal_verdict(view, pool, view.gens)
     if not v.ok:
         raise RuntimeError("generated ideal failed its recheck: %s at %r" % (v.note, v.witness))
     return pool
@@ -411,10 +415,9 @@ def sub_verdict(universe, labels, strict=False, pure=False):
 def _substructure(view, labels, strict, pure):
     """The members of `labels` as a set, their additive basis rows (see
     _additive_basis) and sub_verdict's verdict on them."""
-    order = view.members(labels)
-    pool = order if isinstance(order, set) else set(order)
+    pool = view.members(labels)
     rows = _additive_basis(view, pool)
-    return pool, rows, _sub_check(view, order, pool, rows, strict, pure)
+    return pool, rows, _sub_check(view, pool, rows, strict, pure)
 
 
 def _whole(view, pool):
@@ -423,16 +426,18 @@ def _whole(view, pool):
     return view.ring is None and len(pool) == view.size
 
 
-def _sub_check(view, order, pool, rows, strict, pure):
-    """sub_verdict's verdict on the members `order`, the set `pool` of them,
-    with additive basis `rows`."""
-    if not order:
+def _sub_check(view, pool, rows, strict, pure):
+    """sub_verdict's verdict on the set of members `pool`, with additive
+    basis `rows`.  The gap walk runs over a finite carrier's index set as it
+    iterates, and over formal sums sorted by `view.key`."""
+    if not pool:
         return Verdict(False, flags=("empty",), note="empty subset")
     # a finite carrier's every member has no gap; an additive subgroup is
     # closed under x when its basis rows' products are
     if _whole(view, pool) or rows is not None and _closed_gap(rows, pool, view.binary[1:]) is None:
         gap = None
     else:
+        order = pool if view.key is None else sorted(pool, key=view.key)
         gap = _closed_gap(order, pool, view.binary, view.unary)
     if gap is not None:
         return Verdict(False, witness=_labelled(view, gap),
@@ -440,11 +445,12 @@ def _sub_check(view, order, pool, rows, strict, pure):
     flags = ("improper",) if len(pool) == view.size else ()
     if len(pool) == 1 and view.zero in pool:
         flags += ("trivial",)
-    if (strict or pure) and not any(map(view.neutro, order)):
+    if (strict or pure) and not any(map(view.neutro, pool)):
         return Verdict(False, flags=flags + ("no-indeterminate",), note=view.notes[0])
-    for x in sorted(pool, key=view.key) if pure else ():
-        if view.impure(x):
-            return Verdict(False, witness=(view.label(x),), flags=flags, note=view.notes[1])
+    # the witness is the first impure member in sorted order
+    impure = min(filter(view.impure, pool), key=view.key, default=None) if pure else None
+    if impure is not None:
+        return Verdict(False, witness=(view.label(impure),), flags=flags, note=view.notes[1])
     return Verdict(True, flags=flags)
 
 
@@ -455,8 +461,7 @@ def ideal_verdict(universe, labels, strict=False, pure=False):
     if not base.ok:
         return Verdict(False, witness=base.witness,
                        flags=base.flags + ("not-substructure",), note=base.note)
-    gap = None if _whole(view, pool) else _absorbing_gap(view, sorted(pool, key=view.key), pool,
-                                                         view.gens, rows)
+    gap = None if _whole(view, pool) else _absorbing_gap(view, pool, view.gens, rows)
     return _absorb_verdict(view, gap, base.flags)
 
 
@@ -471,7 +476,7 @@ def ideal_in_parent(universe, part, parent):
         return Verdict(False, flags=("empty",), note="empty subset")
     pool, parent_order = set(order), sorted(view.members(parent))
     if isinstance(universe, FiniteRing):
-        return _additive_ideal_verdict(view, order, pool, parent_order, " in parent")
+        return _additive_ideal_verdict(view, pool, parent_order, " in parent")
     v = sub_verdict(universe, part)
     if not v.ok:
         return v
@@ -770,11 +775,13 @@ def enumerate_subs(universe, predicate="subgroupoid", strategy="auto"):
     return [frozenset(map(view.label, s)) for s in kept]
 
 
-@dataclass
-class LagrangeReport:
-    verdict: str
-    dividing: list = field(default_factory=list)
-    non_dividing: list = field(default_factory=list)
+class LagrangeReport(_Record):
+    __slots__ = ("verdict", "dividing", "non_dividing")
+
+    def __init__(self, verdict, dividing=None, non_dividing=None):
+        self.verdict = verdict
+        self.dividing = [] if dividing is None else dividing
+        self.non_dividing = [] if non_dividing is None else non_dividing
 
 
 def classify_lagrange(magma):

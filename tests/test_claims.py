@@ -342,19 +342,85 @@ def test_seed0_rows_do_not_depend_on_the_hash_seed():
     assert json.dumps(rows, indent=2) + "\n" == GOLDEN.read_text()
 
 
-def test_package_loads_the_claim_engine_on_first_use():
-    """`import neutrolab` leaves the engine and the registry unloaded, and
-    `import neutrolab.cli` the registry; every name the package exports from
-    them still resolves, and listing the registry fills no cached builder."""
+def _run_fresh(code):
+    """Run `code` in a fresh interpreter that imports neutrolab from this
+    checkout; an assertion there fails the call."""
     src = str(Path(__file__).parent.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    code = ("import sys, neutrolab\n"
-            "assert not {'neutrolab.engine', 'neutrolab.claims'} & set(sys.modules)\n"
-            "import neutrolab.cli; assert 'neutrolab.claims' not in sys.modules\n"
-            "from neutrolab import *\n"
-            "assert len(registry()) == 65 and run_suite is neutrolab.engine.run_suite\n"
-            "assert neutrolab.claims.registry is registry\n"
-            "assert not any(f.cache_info().currsize for f in\n"
-            "               vars(neutrolab.claims).values() if hasattr(f, 'cache_info'))\n")
     subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                    check=True)
+
+
+def test_package_loads_the_claim_engine_on_first_use():
+    """`import neutrolab` loads none of its modules, and `import
+    neutrolab.cli` not the registry; every name the package exports still
+    resolves, and listing the registry fills no cached builder."""
+    _run_fresh("import sys, neutrolab\n"
+               "assert [m for m in sys.modules if m.startswith('neutrolab.')] == []\n"
+               "import neutrolab.cli; assert 'neutrolab.claims' not in sys.modules\n"
+               "from neutrolab import *\n"
+               "assert len(registry()) == 65 and run_suite is neutrolab.engine.run_suite\n"
+               "assert neutrolab.claims.registry is registry\n"
+               "assert not any(f.cache_info().currsize for f in\n"
+               "               vars(neutrolab.claims).values() if hasattr(f, 'cache_info'))\n")
+
+
+def test_each_export_is_the_object_its_home_module_defines():
+    """Every name in `__all__` resolves, through the one lazy map, to the
+    object of that name in its home module, which defines it there when it
+    names a module at all; `dir` lists every export."""
+    import importlib
+
+    import neutrolab
+
+    for name in neutrolab.__all__:
+        home = importlib.import_module("neutrolab." + neutrolab._HOME[name])
+        value = getattr(neutrolab, name)
+        assert value is getattr(home, name), name
+        assert getattr(value, "__module__", home.__name__) == home.__name__, name
+    assert set(neutrolab.__all__) <= set(dir(neutrolab))
+    assert len(set(neutrolab.__all__)) == len(neutrolab.__all__)
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    """A cold `enumerate` over a groupoid file loads neither `dataclasses`
+    nor the soft sets, collections, symbolic carriers, engine or claims; a
+    `soft-check` over a formal-sum file loads no symbolic carrier or engine."""
+    structure = tmp_path / "g.json"
+    structure.write_text(json.dumps({"kind": "param_groupoid", "n": 7, "t": 3, "u": 2}))
+    soft = tmp_path / "s.json"
+    soft.write_text(json.dumps({
+        "universe": {"kind": "group_ring", "r": 2,
+                     "basis": {"kind": "cyclic_neutro_group", "m": 4}},
+        "assign": {"a1": ["0", "1+g^2"], "a2": ["0"]}}))
+    _run_fresh("import sys\n"
+               "from neutrolab.cli import main\n"
+               "assert main(['enumerate', '--structure', %r, '--predicate', 'subgroupoid']) == 0\n"
+               "loaded = {'dataclasses', 'neutrolab.softsets', 'neutrolab.symbolic',\n"
+               "          'neutrolab.ncollect', 'neutrolab.engine', 'neutrolab.claims'}\n"
+               "assert not loaded & set(sys.modules), loaded & set(sys.modules)\n"
+               % str(structure))
+    _run_fresh("import sys\n"
+               "from neutrolab.cli import main\n"
+               "assert main(['soft-check', '--file', %r, '--predicate', 'loose-gr-subring']) == 0\n"
+               "loaded = {'neutrolab.symbolic', 'neutrolab.engine', 'fractions', 'decimal'}\n"
+               "assert not loaded & set(sys.modules), loaded & set(sys.modules)\n"
+               % str(soft))
+
+
+def test_a_row_loads_only_its_own_carrier():
+    """In a fresh process, the carrier of one row (example-1.1.3) is the only
+    carrier constructed: the claims load each carrier on its first use."""
+    _run_fresh("from neutrolab import claims\n"
+               "from neutrolab.groupring import GroupRing\n"
+               "from neutrolab.ncollect import NCollection\n"
+               "from neutrolab.structures import _Labelled\n"
+               "made = []\n"
+               "for cls in (_Labelled, GroupRing, NCollection):\n"
+               "    def init(self, *args, _init=cls.__init__, **kwargs):\n"
+               "        _init(self, *args, **kwargs)\n"
+               "        made.append(self.name)\n"
+               "    cls.__init__ = init\n"
+               "u = claims.claim_by_id('example-1.1.3').carrier()\n"
+               "assert made == ['groupoid(10;3,2)'] == [u.name], made\n"
+               "assert claims.carrier.cache_info().currsize == 1\n")

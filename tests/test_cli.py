@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neutrolab import claims
-from neutrolab.cli import main
+from neutrolab.cli import OP_NAMES, main
+from neutrolab.softsets import OPS
 from test_io import STRUCTURE_SPECS
 
 G421 = {"kind": "param_groupoid", "n": 4, "t": 2, "u": 1}
@@ -194,6 +195,14 @@ def test_soft_op_flag_misuse_and_missing_share(tmp_path, capsys):
     assert main(["soft-op", "--op", "nonsense",
                  "--lhs", lhs, "--rhs", rhs, "-o", out]) == 2
     capsys.readouterr()
+
+
+def test_soft_op_offers_exactly_the_soft_set_operations(capsys):
+    """The parser names the operations without importing the soft sets; its
+    choices stay those of softsets.OPS, in order."""
+    assert OP_NAMES == tuple(sorted(OPS))
+    assert main(["soft-op", "--help"]) == 0
+    assert "{%s}" % ",".join(sorted(OPS)) in capsys.readouterr().out
 
 
 def test_soft_check(tmp_path, capsys):

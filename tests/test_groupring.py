@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neutrolab import subsets
 from neutrolab.groupring import GroupRing, group_ring
 from neutrolab.structures import (
     FiniteMagma,
@@ -23,7 +24,7 @@ from neutrolab.structures import (
     param_groupoid,
     sym_group,
 )
-from neutrolab.subsets import _howell, _span_members, _view, gr_is_ideal, gr_is_subring
+from neutrolab.subsets import _howell, _span_members, _terms, _view, gr_is_ideal, gr_is_subring
 
 
 def gr256():
@@ -309,8 +310,29 @@ def test_sorted_sums_follow_their_terms():
     terms, which the recorded witnesses depend on; the plain tuple order
     would put g+g^3 before 1+g."""
     gr = gr256()
-    members = map(gr.parse, ["g+g^3", "1+g^3", "0", "1+g", "1+g"])
-    assert [gr.format(x) for x in _view(gr).members(members)] == ["0", "1+g", "1+g^3", "g+g^3"]
+    view = _view(gr)
+    members = view.members(map(gr.parse, ["g+g^3", "1+g^3", "0", "1+g", "1+g"]))
+    assert [gr.format(x) for x in sorted(members, key=view.key)] == ["0", "1+g", "1+g^3", "g+g^3"]
+
+
+def test_a_span_the_basis_rows_accept_is_never_sorted(monkeypatch):
+    """The witness order is read only by a walk that reports a gap: an ideal
+    that its Howell rows accept is decided without sorting its members,
+    and a set that is not closed still reports its first gap in term order."""
+    gr = gr256()
+    view = _view(gr)
+    ideal = _span_members(gr, _howell(gr, [gr.parse("1+g")], ideal=True)[0])
+    sorts = []
+    def key(x):
+        sorts.append(x)
+        return _terms(x)
+
+    monkeypatch.setattr(subsets, "_terms", key)
+    monkeypatch.setattr(view, "key", key)
+    assert gr_is_subring(gr, ideal).ok and gr_is_ideal(gr, ideal).ok
+    assert sorts == []
+    v = gr_is_subring(gr, [gr.zero, gr.parse("1+g")])
+    assert not v.ok and v.witness == ("1+g", "1+g", "mul", "1+g^2") and sorts
 
 
 class SparseReference:

@@ -319,6 +319,7 @@ def _check_spec(spec):
     The claim carriers, which the `claims` cache holds for the process and
     some of which equal these specs' carriers, are let go first."""
     claims.carriers.cache_clear()
+    claims.carrier.cache_clear()
     gc.collect()
     given = _copy(spec)
     c = load_structure(given)
