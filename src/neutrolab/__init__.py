@@ -26,7 +26,7 @@ _HOMES = {
                    "build_from_table", "cyclic_neutro_group", "label_is_neutro",
                    "label_is_zero", "mult_magma", "neutro_double", "neutro_ring",
                    "param_groupoid", "sym_group", "verify_kind"),
-    "groupring": ("GroupRing", "group_ring"),
+    "groupring": ("GroupRing",),
     "subsets": ("LagrangeReport", "Verdict", "check_predicate", "classify_lagrange",
                 "closure", "enumerate_subs", "gr_is_ideal", "gr_is_pseudo_subring",
                 "gr_is_subneutro", "gr_is_subring", "is_ideal", "is_lagrange_sub",

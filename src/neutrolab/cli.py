@@ -113,16 +113,11 @@ def _cmd_classify(args):
 
 
 def _cmd_soft_op(args):
-    from .softsets import OPS, restricted_union
+    from .softsets import OPS
 
     f = load_soft_file(args.lhs)
     k = load_soft_file(args.rhs, universe=f.universe)
-    if args.union_all_params and args.op != "restricted-union":
-        raise ValueError("--union-all-params only applies to restricted-union")
-    if args.op == "restricted-union":
-        res = restricted_union(f, k, literal=args.union_all_params)
-    else:
-        res = OPS[args.op](f, k)
+    res = OPS[args.op](f, k)
     out = soft_to_dict(res)
     with open(args.output, "w") as fh:
         json.dump(out, fh, indent=2)
@@ -161,6 +156,8 @@ def _cmd_hunt(args):
     from .engine import STATUS_COUNTEREXAMPLE, STATUS_HOLDS, result_predicate, run_remark_hunt
     from .subsets import enumerate_subs
 
+    if args.budget < 1:
+        raise ValueError("--budget must be at least 1, got %d" % args.budget)
     if ":" not in args.template:
         raise ValueError("template must look like <operation>:<predicate>")
     op_name, predicate = args.template.split(":", 1)
@@ -213,9 +210,6 @@ def _build_parser():
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--union-all-params", action="store_true",
-                   help="restricted-union keeps every parameter instead of "
-                        "merging only the shared ones")
     p.set_defaults(fn=_cmd_soft_op)
 
     p = sub.add_parser("soft-check", help="test a predicate on a soft-set file")

@@ -17,9 +17,9 @@ from functools import cache
 from itertools import product
 
 from .io import json_plain, load_soft, soft_to_dict
-from .softsets import N_PREDICATES, OPS, SoftSet, op_items, refusals_fail, value_kind
+from .softsets import N_PREDICATES, OPS, SoftSet, op_items, value_kind
 from .structures import ResourceCap
-from .subsets import PREDICATES, Verdict
+from .subsets import PREDICATES
 
 STATUS_HOLDS = "Holds"
 STATUS_COUNTEREXAMPLE = "CounterexampleFound"
@@ -100,37 +100,26 @@ def run_claim(claim, seed=0):
 # assignment-level evaluation shared by closure and non-closure rows
 
 
-def _closure_failure(universe, predicate):
-    """The verdict of a value that fails `predicate`, or None, as a function
-    of the value. An empty value (an empty assignment, or an empty part of a
-    collection assignment) has no members to witness anything, so it is
-    vacuous rather than failing."""
-    kind = value_kind(universe)
-    decide = kind.decide(universe, predicate)
-
-    def failure(value):
-        if kind.empty(value):
-            return None
-        v = decide(value)
-        return None if v.ok else v
-    return failure
-
-
 def _remark_violation(universe, predicate):
-    """For a hunt, any failure counts — including degenerate collapses,
-    which are flagged so reports show how the witness fails, and values the
-    predicate refuses (as in soft_is). Returns the failing verdict or None,
-    as a function of the value."""
-    kind = value_kind(universe)
-    decide = refusals_fail(kind.decide(universe, predicate))
+    """For a hunt, any failure counts: the failing verdict of a value, or
+    None, as a function of the value.  The kind decides it, so an empty
+    value fails flagged (`empty-assignment`, `empty-part`) and a value the
+    predicate refuses fails with the refusal as its note (as in soft_is)."""
+    decide = value_kind(universe).decide(universe, predicate)
 
     def violation(value):
-        if kind.empty(value):
-            return Verdict(False, flags=("empty-assignment",),
-                           note="operation produced an empty assignment")
         v = decide(value)
         return None if v.ok else v
     return violation
+
+
+def _closure_failure(universe, predicate):
+    """_remark_violation, with an empty value (an empty assignment, or an
+    empty part of a collection assignment) vacuous rather than failing: it
+    has no members to witness anything."""
+    empty = value_kind(universe).empty
+    violation = _remark_violation(universe, predicate)
+    return lambda value: None if empty(value) else violation(value)
 
 
 def _op_trial(op_name, f, k, fails, kind):

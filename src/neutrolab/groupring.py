@@ -126,7 +126,3 @@ class GroupRing:
         """Two-sided ideal generated by `gens` (see subsets.generated_ideal)."""
         from .subsets import generated_ideal
         return generated_ideal(self, gens)
-
-
-def group_ring(r, basis, name=""):
-    return GroupRing(r, basis, name=name)

@@ -8,8 +8,11 @@ A value of another shape raises ValueError when the soft set is built.  The
 kind also meets, joins and compares two values: each operation merges the
 values of two assignment maps with its kind's meet or join (`op_items`).  The
 restricted union follows the worked usage (merge only on the shared
-parameters); the literal flag switches to the written-down version, which
-coincides with the extended union.
+parameters); the union over every parameter is the extended union.  The
+kind decides a value the same way for every caller: an empty value fails
+flagged `empty-assignment` or `empty-part`, and a value the predicate
+refuses (a `lagrange` value that is not a strict subgroupoid) fails with
+the refusal's text as its note.
 
 Values are frozen once, when a soft set is built, and the operations share
 them: a result holds its operands' frozensets, and a part intersected with
@@ -80,7 +83,8 @@ class SoftSet:
 # size(v): the number of members, which orders a hunt's population
 # decide(u, predicate): the Verdict of a value as a function of the value; a
 #     predicate is a name or a callable (u, value) -> Verdict, and a name the
-#     kind does not decide raises ValueError here
+#     kind does not decide raises ValueError here; an empty value and one the
+#     predicate refuses get a failing Verdict
 # whole(u, v): v is the whole carrier
 # load(u, raw), dump(u, v): the value read from and written as JSON
 # meet(a, b), join(a, b): the intersection and the union of two values; a
@@ -160,9 +164,15 @@ def _sym_contains(small, big):
 
 
 def _deciding(test, nonempty, flag):
-    """test(v), or a Verdict flagged `flag` when `nonempty(v)` is false."""
+    """test(v); a Verdict flagged `flag` when `nonempty(v)` is false, and a
+    failing one with the refusal's text as its note when `test` refuses v."""
     def decide(v):
-        return test(v) if nonempty(v) else Verdict(False, flags=(flag,), note=flag.replace("-", " "))
+        if not nonempty(v):
+            return Verdict(False, flags=(flag,), note=flag.replace("-", " "))
+        try:
+            return test(v)
+        except Refusal as exc:
+            return Verdict(False, note=str(exc))
     return decide
 
 
@@ -310,10 +320,9 @@ def extended_union(f, k):
     return _op("extended-union", f, k)
 
 
-def restricted_union(f, k, literal=False):
-    """Merge on the shared parameters (the usage in the worked cases); with
-    literal=True keep every parameter, which makes it the extended union."""
-    return _op("extended-union" if literal else "restricted-union", f, k)
+def restricted_union(f, k):
+    """Merge on the shared parameters (the usage in the worked cases)."""
+    return _op("restricted-union", f, k)
 
 
 def and_op(f, k):
@@ -371,23 +380,12 @@ def _report(params, verdict_of):
     return SoftReport(True)
 
 
-def refusals_fail(decide):
-    """decide, with a value the predicate refuses (a `lagrange` value that
-    is not a strict subgroupoid) failing, the refusal's text as its note."""
-    def verdict(value):
-        try:
-            return decide(value)
-        except Refusal as exc:
-            return Verdict(False, note=str(exc))
-    return verdict
-
-
 def soft_is(soft, predicate):
     """Whether every assignment satisfies the named per-value predicate; an
-    assignment the predicate refuses fails (see refusals_fail).  An unknown
-    predicate name raises ValueError before any assignment is decided, and
-    a malformed value (an unknown label) raises ValueError too."""
-    decide = refusals_fail(value_kind(soft.universe).decide(soft.universe, predicate))
+    empty assignment and one the predicate refuses fail (see _deciding).  An
+    unknown predicate name raises ValueError before any assignment is
+    decided, and a malformed value (an unknown label) raises ValueError too."""
+    decide = value_kind(soft.universe).decide(soft.universe, predicate)
     return _report(soft.params, lambda p: decide(soft.value(p)))
 
 
@@ -406,7 +404,7 @@ def soft_lagrange_class(soft):
             raise ValueError("Lagrange classes need finite label assignments")
         try:
             v = is_lagrange_sub(soft.universe, value)
-        except ValueError:
+        except Refusal:
             raise ValueError("assignment %r is not a strict subgroupoid" % (p,))
         divides.append(v.ok)
     return lagrange_class(divides)

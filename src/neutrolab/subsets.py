@@ -216,14 +216,14 @@ def _absorb_verdict(view, gap, flags=(), where=""):
                    note="not %s-absorbing%s" % (gap[2], where))
 
 
-def _close(view, seed, cap, base=(), floor=None):
+def _close(view, seed, base=(), floor=None):
     """Smallest superset of `seed` and of the closed set `base` closed under
-    the view's tables; more than `cap` members raises ResourceCap.  A
-    worklist: `order` lists the members, those of `base` first, and each
-    member after them is multiplied, under every table of `spread`, by every
-    member listed up to it, itself included.  So each pair meets once, on
-    the turn of the one listed later, and no product inside `base` is formed.
-    The walk stops once the set holds the whole carrier.  With a `floor`, the
+    the view's tables.  A worklist: `order` lists the members, those of
+    `base` first, and each member after them is multiplied, under every
+    table of `spread`, by every member listed up to it, itself included.  So
+    each pair meets once, on the turn of the one listed later, and no
+    product inside `base` is formed.  The walk stops once the set holds the
+    whole carrier, so a closure needs no member cap.  With a `floor`, the
     walk gives up as soon as it adds a member below `floor` and returns that
     member instead of a set."""
     current, order = set(base), list(base)
@@ -244,9 +244,6 @@ def _close(view, seed, cap, base=(), floor=None):
                         return z
                     current.add(z)
                     order.append(z)
-                    if len(current) > cap:
-                        raise ResourceCap("closure reached %d members, over cap = %d"
-                                          % (len(current), cap))
                     if len(current) == view.size:
                         return current
     return current
@@ -525,13 +522,13 @@ def is_lagrange_sub(magma, labels):
     return order_verdict(len(set(labels)), len(magma), v.flags)
 
 
-def closure(magma, labels, cap=None):
+def closure(magma, labels):
     """Smallest closed superset, as a frozenset of labels: closed under the
     operation of a magma, under addition and multiplication of a ring."""
     view = _view(magma)
     if view.spread is None:
         raise ValueError("closure needs a finite magma or ring")
-    current = _close(view, view.members(labels), len(magma) if cap is None else cap)
+    current = _close(view, view.members(labels))
     return frozenset(map(view.label, current))
 
 
@@ -721,7 +718,7 @@ def _generate_closed_sets(view, n, name):
         for x in range(y + 1, n):
             if x in s or x in failed and failed[x] not in s:
                 continue
-            c = _close(view, (x,), n, base=s, floor=x)
+            c = _close(view, (x,), base=s, floor=x)
             if isinstance(c, int):
                 failed[x] = c
                 continue

@@ -1,6 +1,8 @@
 """Command-line surface: every subcommand, every exit code."""
 
+import argparse
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neutrolab import claims
-from neutrolab.cli import OP_NAMES, main
+from neutrolab.cli import OP_NAMES, _build_parser, main
 from neutrolab.softsets import OPS
 from test_io import STRUCTURE_SPECS
 
@@ -70,6 +72,19 @@ def test_check_sub_loose_strict_and_unknown(tmp_path, capsys):
     assert main(["check-sub", "--structure", spec, "--subset", "0",
                  "--predicate", "mystery"]) == 2
     capsys.readouterr()
+
+
+def test_check_sub_fails_a_value_the_predicate_refuses_as_soft_check_does(tmp_path, capsys):
+    """`lagrange` refuses {0}, which has no indeterminate member: both
+    commands report that value as a failure with the refusal (exit 1)."""
+    spec = write(tmp_path, "g.json", G421)
+    refusal = "not a strict subgroupoid: closed but has no indeterminate member"
+    assert main(["check-sub", "--structure", spec, "--subset", "0",
+                 "--predicate", "lagrange"]) == 1
+    assert capsys.readouterr().out == "fails: %s\n" % refusal
+    soft = write(tmp_path, "f.json", {"universe": G421, "assign": {"a1": ["0"]}})
+    assert main(["soft-check", "--file", soft, "--predicate", "lagrange"]) == 1
+    assert "  a1: %s\n" % refusal in capsys.readouterr().out
 
 
 def test_check_sub_collection_parts(tmp_path, capsys):
@@ -135,10 +150,6 @@ def test_soft_op_writes_result(tmp_path, capsys):
     doc = json.loads((tmp_path / "u.json").read_text())
     assert doc["params"] == ["a1"]
     assert doc["assign"]["a1"] == ["0", "2+2I", "2I"]
-    assert main(["soft-op", "--op", "restricted-union", "--union-all-params",
-                 "--lhs", lhs, "--rhs", rhs, "-o", out]) == 0
-    doc = json.loads((tmp_path / "u.json").read_text())
-    assert doc["params"] == ["a1", "a2", "a3"]
     capsys.readouterr()
 
 
@@ -188,9 +199,10 @@ def test_soft_op_flag_misuse_and_missing_share(tmp_path, capsys):
     lhs = write(tmp_path, "f.json", {"universe": G421, "assign": {"a1": ["0"]}})
     rhs = write(tmp_path, "k.json", {"universe": G421, "assign": {"a2": ["0"]}})
     out = str(tmp_path / "u.json")
-    assert main(["soft-op", "--op", "and", "--union-all-params",
-                 "--lhs", lhs, "--rhs", rhs, "-o", out]) == 2
     assert main(["soft-op", "--op", "restricted-union",
+                 "--lhs", lhs, "--rhs", rhs, "-o", out]) == 2
+    # the union over every parameter is `--op extended-union`, under one name
+    assert main(["soft-op", "--op", "restricted-union", "--union-all-params",
                  "--lhs", lhs, "--rhs", rhs, "-o", out]) == 2
     assert main(["soft-op", "--op", "nonsense",
                  "--lhs", lhs, "--rhs", rhs, "-o", out]) == 2
@@ -203,6 +215,20 @@ def test_soft_op_offers_exactly_the_soft_set_operations(capsys):
     assert OP_NAMES == tuple(sorted(OPS))
     assert main(["soft-op", "--help"]) == 0
     assert "{%s}" % ",".join(sorted(OPS)) in capsys.readouterr().out
+
+
+def test_readme_command_line_names_exactly_the_parsers_commands_and_options():
+    """A subcommand or `--option` the parser drops cannot stay documented,
+    and one it gains must be."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    parser = _build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    options = {s for p in commands.values() for a in p._actions
+               for s in a.option_strings if s.startswith("--")} - {"--help"}
+    assert set(re.findall(r"^neutrolab ([a-z-]+)", section, re.M)) == set(commands)
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section)) == options
 
 
 def test_soft_check(tmp_path, capsys):
@@ -256,6 +282,15 @@ def test_hunt_budget_starvation(tmp_path, capsys):
                  "--universe", spec, "--budget", "1"]) == 3
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "Skipped(budget)"
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_hunt_budget_below_one_is_a_usage_error(tmp_path, capsys, budget):
+    spec = write(tmp_path, "g.json", G421)
+    assert main(["hunt", "--template", "extended-union:subgroupoid",
+                 "--universe", spec, "--budget", budget]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--budget must be at least 1, got %s" % budget in err
 
 
 def test_hunt_resource_cap(tmp_path, capsys):

@@ -252,6 +252,20 @@ def test_hunt_pinned_pair_and_pin_check():
     assert trials == 1
 
 
+def test_hunt_reports_the_kinds_empty_part_verdict():
+    """A result value with an empty part fails as the collection kind decides
+    it (flagged `empty-part`, as soft_is reports it), and replays so."""
+    pair = NCollection([Component(mult_magma(3), "semigroup", True),
+                        Component(mult_magma(4), "semigroup", True)])
+    pinned = ({"p1": (frozenset({"0"}), frozenset({"1"}))},
+              {"p1": (frozenset({"0"}), frozenset({"2"}))})
+    status, witness, trials = run_remark_hunt(pair, "restricted-intersection",
+                                              "loose-n-sub", pinned=pinned)
+    assert (status, trials) == (STATUS_COUNTEREXAMPLE, 1)
+    assert (witness["flags"], witness["reason"]) == (["empty-part"], "empty part")
+    assert witness["result"] == [["0"], []]
+
+
 def test_hunt_unreplayable_witness_is_an_error():
     g = param_groupoid(4, 2, 1)
     flaky = {"calls": 0}

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neutrolab import subsets
-from neutrolab.groupring import GroupRing, group_ring
+from neutrolab.groupring import GroupRing
 from neutrolab.structures import (
     FiniteMagma,
     ResourceCap,
@@ -472,7 +472,7 @@ def test_constructor_validation():
         GroupRing(1, cyclic_neutro_group(2))
     with pytest.raises(ValueError):
         GroupRing(2, "not a magma")
-    named = group_ring(2, cyclic_neutro_group(4))
+    named = GroupRing(2, cyclic_neutro_group(4))
     assert named.name == "Z2<cyclic-group(4)+I>" or "Z2<" in named.name
 
 
