@@ -17,7 +17,7 @@ from functools import cache
 from itertools import product
 
 from .io import json_plain, load_soft, soft_to_dict
-from .softsets import N_PREDICATES, OPS, SoftSet, op_items, value_kind
+from .softsets import N_PREDICATES, OPS, SoftSet, Uncombinable, op_items, value_kind
 from .structures import ResourceCap
 from .subsets import PREDICATES
 
@@ -248,7 +248,10 @@ def run_remark_hunt(universe, op_name, predicate, rng=None, pinned=None,
 
     A misspelled predicate name raises ValueError up front: inside the hunt
     a value the predicate refuses counts as a violation (a `lagrange` value
-    that is not a strict subgroupoid)."""
+    that is not a strict subgroupoid).  A pair the operation cannot combine
+    (softsets.Uncombinable: no shared parameter, a crossed-name clash)
+    makes no trial; any other ValueError, such as a value naming no member,
+    propagates as it does from run_closure_prop."""
     kind = value_kind(universe)
     fails = cache(_remark_violation(universe, predicate))
     trials = 0
@@ -258,7 +261,7 @@ def run_remark_hunt(universe, op_name, predicate, rng=None, pinned=None,
         nonlocal trials
         try:
             n, failure = _op_trial(op_name, f, k, fails, kind)
-        except ValueError:
+        except Uncombinable:
             return None
         trials += n
         if failure is None:

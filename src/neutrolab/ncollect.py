@@ -8,9 +8,7 @@ mention I, because several stock carriers fail the stronger axioms their
 tag advertises.  Subset checks work part-by-part.
 """
 
-from dataclasses import dataclass
-
-from .structures import FiniteRing, _identity, label_is_neutro, verify_kind
+from .structures import FiniteRing, _Record, _identity, label_is_neutro, verify_kind
 from .subsets import Refusal, Verdict, ideal_verdict, order_verdict, sub_verdict
 
 MAGMA_TAGS = ("group", "semigroup", "groupoid", "loop")
@@ -22,11 +20,13 @@ WEAK_MIXED = "WeakMixed"
 WEAK_MIXED_DUAL = "WeakMixedDual"
 
 
-@dataclass
-class Component:
-    structure: object
-    alg: str
-    neutro: bool
+class Component(_Record):
+    __slots__ = ("structure", "alg", "neutro")
+
+    def __init__(self, structure, alg, neutro):
+        self.structure = structure
+        self.alg = alg
+        self.neutro = neutro
 
     @property
     def name(self):

@@ -20,14 +20,13 @@ itself is that same object.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 from operator import is_, le, not_, or_
 
 from .groupring import GroupRing
 from .ncollect import NCollection, is_n_ideal, is_n_sub
-from .structures import FiniteMagma, FiniteRing, label_is_neutro
+from .structures import FiniteMagma, FiniteRing, _Record, label_is_neutro
 from .subsets import (
     LAGRANGE,
     LAGRANGE_FREE,
@@ -47,16 +46,15 @@ from .subsets import (
 sym = None
 
 
-@dataclass
-class SoftSet:
-    universe: object
-    assign: dict
+class SoftSet(_Record):
+    __slots__ = ("universe", "assign")
 
-    def __post_init__(self):
-        if not self.assign:
+    def __init__(self, universe, assign):
+        if not assign:
             raise ValueError("a soft set needs at least one parameter")
-        freeze = value_kind(self.universe).freeze
-        self.assign = {p: freeze(self.universe, v) for p, v in sorted(self.assign.items())}
+        freeze = value_kind(universe).freeze
+        self.universe = universe
+        self.assign = {p: freeze(universe, v) for p, v in sorted(assign.items())}
 
     @classmethod
     def _of_frozen(cls, universe, assign):
@@ -253,6 +251,12 @@ _SYMBOLIC = ValueKind(
 # the kind's meet or join as the merge of two values
 
 
+class Uncombinable(ValueError):
+    """An operation refuses two assignment maps it cannot combine: a
+    restricted operation on two with no shared parameter, or a crossed one
+    whose pairs would share a name."""
+
+
 def _check_same_universe(f, k):
     if f.universe is not k.universe:
         raise ValueError("soft sets live over different universes")
@@ -261,7 +265,7 @@ def _check_same_universe(f, k):
 def _restricted(f, k, merge):
     shared = sorted(f.keys() & k.keys())
     if not shared:
-        raise ValueError("restricted operations need a shared parameter")
+        raise Uncombinable("restricted operations need a shared parameter")
     return [(p, merge(f[p], k[p])) for p in shared]
 
 
@@ -274,13 +278,13 @@ def _extended(f, k, merge):
 
 def _crossed(f, k, merge, sep):
     """One parameter `a<sep>b` per pair; two pairs that would share a name
-    (say x&y with z, and x with y&z) raise ValueError naming it."""
+    (say x&y with z, and x with y&z) raise Uncombinable naming it."""
     out = {"%s%s%s" % (a, sep, b): merge(fa, kb)
            for a, fa in f.items() for b, kb in k.items()}
     if len(out) < len(f) * len(k):
         names = ["%s%s%s" % (a, sep, b) for a in f for b in k]
-        raise ValueError("crossed parameter %r names two pairs"
-                         % next(p for p in names if names.count(p) > 1))
+        raise Uncombinable("crossed parameter %r names two pairs"
+                           % next(p for p in names if names.count(p) > 1))
     return sorted(out.items())
 
 
@@ -361,12 +365,14 @@ OPS = {
 # per-assignment checks
 
 
-@dataclass
-class SoftReport:
-    ok: bool
-    failures: tuple = ()
-    flags: tuple = ()
-    note: str = ""
+class SoftReport(_Record):
+    __slots__ = ("ok", "failures", "flags", "note")
+
+    def __init__(self, ok, failures=(), flags=(), note=""):
+        self.ok = ok
+        self.failures = failures
+        self.flags = flags
+        self.note = note
 
     def __bool__(self):
         return self.ok

@@ -18,7 +18,9 @@ span's basis rows stand in for its members in the product and absorption
 checks.  Whenever that check does not accept, the walk over every pair of
 members runs and its first gap is the witness.  A generated ideal is the
 span of its generators saturated under basis monomials, so its size is
-known before any member is listed.
+known before any member is listed.  A set as large as its carrier is the
+carrier (`_whole`), closed and absorbing, and no product is formed for it;
+the elimination likewise stops once the span is all of (Z_r)^|B|.
 Enumeration lists the closed sets by two independent strategies (a pruned
 depth-first scan of member masks, and Close-by-One over the closure loop) so
 results can be cross-checked, then decides each on its indices with only the
@@ -291,10 +293,13 @@ def _howell(gr, sums, ideal=False, most=None):
     member for each choice.  With `ideal` the span also absorbs every basis
     monomial from both sides: it is the two-sided ideal `sums` generate.
     With `most`, gives up and returns None as soon as the span has more than
-    `most` members.  Every member of `sums` must be a canonical element."""
+    `most` members.  Once the span has r^n members it is all of (Z_r)^n,
+    whose Howell form is the identity, so the elimination stops there and
+    returns the identity rows: nothing left to eliminate could change them.
+    Every member of `sums` must be a canonical element."""
     r, table = gr.r, gr.basis.table
     n = len(table)
-    rows, todo, size = [None] * n, list(sums), 1
+    rows, todo, size, whole = [None] * n, list(sums), 1, r ** n
     while todo:
         v = todo.pop()
         for col in range(n):
@@ -316,6 +321,8 @@ def _howell(gr, sums, ideal=False, most=None):
             size = size // (r // a) * (r // g)
             if most is not None and size > most:
                 return None
+            if size == whole:
+                return [tuple([int(i == j) for j in range(n)]) for i in range(n)], size
             new = rows[col] = [(s * y + t * x) % r for x, y in zip(v, row)]
             todo.append([(b // g * y - a // g * x) % r for x, y in zip(v, row)])
             todo.append([r // g * x % r for x in new])
@@ -376,7 +383,10 @@ def _absorbing_gap(view, pool, ys, rows):
 def _additive_ideal_verdict(view, pool, gens, where=""):
     """`pool` closed under the view's first operation (+ of a ring, - of
     formal sums) and absorbing every member of `gens` from both sides; a
-    walk runs over `pool` in sorted order."""
+    walk runs over `pool` in sorted order.  The whole carrier passes on its
+    count."""
+    if _whole(view, pool):
+        return Verdict(True)
     rows = _additive_basis(view, pool)
     gap = _closed_gap(sorted(pool, key=view.key), pool, view.binary[:1]) if rows is None else None
     if gap is not None:
@@ -389,8 +399,8 @@ def generated_ideal(gr, gens):
     form of their span, saturated under basis monomials on both sides, gives
     the ideal's size before any member is listed; over subsets.IDEAL_CAP
     members raises ResourceCap naming the size.  The listing is rechecked by
-    the gap searches.  ValueError names a generator that is not a canonical
-    element."""
+    the gap searches, unless it is as large as the ring, which it then is.
+    ValueError names a generator that is not a canonical element."""
     rows, size = _howell(gr, [_vector(gr, x) for x in gens], ideal=True)
     if size > IDEAL_CAP:
         raise ResourceCap("generated ideal has %d members, over subsets.IDEAL_CAP = %d"
@@ -411,16 +421,20 @@ def sub_verdict(universe, labels, strict=False, pure=False):
 
 def _substructure(view, labels, strict, pure):
     """The members of `labels` as a set, their additive basis rows (see
-    _additive_basis) and sub_verdict's verdict on them."""
+    _additive_basis; None for the whole carrier, which needs none) and
+    sub_verdict's verdict on them."""
     pool = view.members(labels)
-    rows = _additive_basis(view, pool)
+    rows = None if _whole(view, pool) else _additive_basis(view, pool)
     return pool, rows, _sub_check(view, pool, rows, strict, pure)
 
 
 def _whole(view, pool):
-    """Whether the member indices `pool` are a finite carrier's every
-    member; its tables name only members, so no product leaves the pool."""
-    return view.ring is None and len(pool) == view.size
+    """Whether `pool` is the carrier's every member: it holds as many as the
+    carrier has, and they are distinct member indices of a finite carrier or
+    distinct canonical formal sums.  The whole carrier is closed and absorbs
+    every element, so the count is the whole check and no product is
+    formed."""
+    return len(pool) == view.size
 
 
 def _sub_check(view, pool, rows, strict, pure):
@@ -429,8 +443,8 @@ def _sub_check(view, pool, rows, strict, pure):
     iterates, and over formal sums sorted by `view.key`."""
     if not pool:
         return Verdict(False, flags=("empty",), note="empty subset")
-    # a finite carrier's every member has no gap; an additive subgroup is
-    # closed under x when its basis rows' products are
+    # the whole carrier has no gap; an additive subgroup is closed under x
+    # when its basis rows' products are
     if _whole(view, pool) or rows is not None and _closed_gap(rows, pool, view.binary[1:]) is None:
         gap = None
     else:

@@ -385,7 +385,8 @@ def test_each_export_is_the_object_its_home_module_defines():
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     """A cold `enumerate` over a groupoid file loads neither `dataclasses`
     nor the soft sets, collections, symbolic carriers, engine or claims; a
-    `soft-check` over a formal-sum file loads no symbolic carrier or engine."""
+    `soft-check` over a formal-sum file loads no symbolic carrier or engine,
+    nor `dataclasses` and the `inspect` it imports."""
     structure = tmp_path / "g.json"
     structure.write_text(json.dumps({"kind": "param_groupoid", "n": 7, "t": 3, "u": 2}))
     soft = tmp_path / "s.json"
@@ -403,7 +404,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     _run_fresh("import sys\n"
                "from neutrolab.cli import main\n"
                "assert main(['soft-check', '--file', %r, '--predicate', 'loose-gr-subring']) == 0\n"
-               "loaded = {'neutrolab.symbolic', 'neutrolab.engine', 'fractions', 'decimal'}\n"
+               "loaded = {'neutrolab.symbolic', 'neutrolab.engine', 'fractions', 'decimal',\n"
+               "          'dataclasses', 'inspect'}\n"
                "assert not loaded & set(sys.modules), loaded & set(sys.modules)\n"
                % str(soft))
 

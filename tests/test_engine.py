@@ -149,17 +149,17 @@ def test_spot_sweep_witness_loads_and_fails_again():
 def built(monkeypatch):
     """Counts the soft sets built, through either constructor."""
     count = {"softsets": 0}
-    init, of_frozen = softsets.SoftSet.__post_init__, softsets.SoftSet._of_frozen.__func__
+    init, of_frozen = softsets.SoftSet.__init__, softsets.SoftSet._of_frozen.__func__
 
-    def counted_init(self):
+    def counted_init(self, universe, assign):
         count["softsets"] += 1
-        init(self)
+        init(self, universe, assign)
 
     def counted_of_frozen(cls, universe, assign):
         count["softsets"] += 1
         return of_frozen(cls, universe, assign)
 
-    monkeypatch.setattr(softsets.SoftSet, "__post_init__", counted_init)
+    monkeypatch.setattr(softsets.SoftSet, "__init__", counted_init)
     monkeypatch.setattr(softsets.SoftSet, "_of_frozen", classmethod(counted_of_frozen))
     return count
 
@@ -211,6 +211,25 @@ def test_hunt_rejects_an_unknown_predicate():
     with pytest.raises(ValueError, match="unknown collection predicate 'loose-strong-n-sub'"):
         run_remark_hunt(pair, "extended-union", "loose-strong-n-sub", random.Random(0),
                         population=[(frozenset({"0"}), frozenset({"0"}))], budget=100)
+
+
+def test_hunt_raises_on_a_value_naming_no_member():
+    """Only a pair the operation cannot combine is passed over; a value that
+    names no member of the carrier raises, pinned or in the population, as
+    it does in run_closure_prop."""
+    g = param_groupoid(4, 2, 1)
+    bad = {"0", "zz"}
+    with pytest.raises(ValueError, match="unknown element 'zz'"):
+        run_remark_hunt(g, "extended-union", "loose-subgroupoid",
+                        pinned=({"p1": bad}, {"p1": {"0"}}), population=[], budget=10)
+    with pytest.raises(ValueError, match="unknown element 'zz'"):
+        run_remark_hunt(g, "extended-union", "loose-subgroupoid", population=[bad], budget=10)
+    # a restricted operation on a pinned pair with no shared parameter makes
+    # no trial, and the sweep goes on
+    out = run_remark_hunt(g, "restricted-intersection", "loose-subgroupoid",
+                          pinned=({"a": {"0"}}, {"b": {"0"}}), population=[{"0"}],
+                          exhaustive=True)
+    assert out == (STATUS_HOLDS, None, 1)
 
 
 def test_hunt_exhaustive_holds():

@@ -11,7 +11,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neutrolab import subsets
@@ -125,12 +125,26 @@ def brute_ideal(gr, everything, gens):
         ideal = grown
 
 
+def identity_rows(n):
+    """The Howell form of the whole module (Z_r)^n."""
+    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, len(IDEAL_RINGS) - 1), st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=2))
+# ideals that fill their ring: the unit monomial 1 of Z2<C2+I> (member 8 is
+# (1, 0, 0, 0)), the unit 1+2g of Z4<C2> (member 6), and e of Z2<S3> with a
+# second generator after it
+@example(0, [8])
+@example(4, [6])
+@example(3, [32, 5])
 def test_generated_ideal_matches_brute_force(which, picks):
     gr, everything = IDEAL_RINGS[which], IDEAL_ELEMENTS[which]
     gens = [everything[k % len(everything)] for k in picks]
-    assert gr.generated_ideal(gens) == brute_ideal(gr, everything, gens)
+    ideal = gr.generated_ideal(gens)
+    assert ideal == brute_ideal(gr, everything, gens)
+    if len(ideal) == len(gr):
+        assert _howell(gr, gens, ideal=True) == (identity_rows(len(gr.basis)), len(gr))
 
 
 def test_generated_ideal_over_the_cap_names_it():
@@ -153,7 +167,8 @@ def test_generated_ideal_cap_names_its_setting():
 
 
 class CountingGroupRing(GroupRing):
-    """Counts additions and products made through the ring's methods."""
+    """Counts additions, subtractions and products made through the ring's
+    methods."""
 
     def __init__(self, r, basis):
         super().__init__(r, basis)
@@ -162,6 +177,10 @@ class CountingGroupRing(GroupRing):
     def add(self, x, y):
         self.calls += 1
         return super().add(x, y)
+
+    def sub(self, x, y):
+        self.calls += 1
+        return super().sub(x, y)
 
     def mul(self, x, y):
         self.calls += 1
@@ -176,6 +195,17 @@ def test_generated_ideal_over_the_cap_raises_before_listing():
         with pytest.raises(ResourceCap):
             counted.generated_ideal([counted.monomial(label)])
         assert counted.calls <= 200
+
+
+def test_a_whole_ring_ideal_is_rechecked_by_its_count():
+    """An ideal with as many members as its ring is the ring, so its recheck
+    forms no product; an ideal short of the ring is still rechecked by the
+    absorption walk."""
+    gr = CountingGroupRing(2, sym_group(3))
+    assert len(gr.generated_ideal([gr.monomial("e")])) == len(gr)
+    assert gr.calls == 0
+    assert len(gr.generated_ideal([gr.parse("e+(12)")])) < len(gr)
+    assert gr.calls > 0
 
 
 # over the C2 basis Z4+I has 256 members, Z8 64 and Z12 144
@@ -208,15 +238,28 @@ def additive_closure(r, vectors, n):
     return reached
 
 
+@st.composite
+def span_cases(draw):
+    """(r, n, up to four vectors in (Z_r)^n)."""
+    r, n = draw(st.sampled_from([2, 4, 6, 8, 9, 12])), draw(st.integers(1, 3))
+    return r, n, draw(st.lists(st.tuples(*[st.integers(0, r - 1)] * n), max_size=4))
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from([2, 4, 6, 8, 9, 12]), st.integers(1, 3), st.data())
-def test_howell_span_matches_additive_closure(r, n, data):
+@given(span_cases())
+# spans of the whole module: unit vectors, with one more sum after them; and
+# two sums whose determinant 2*2 - 3*3 is a unit mod 6 but neither of which
+# has a unit entry
+@example((12, 3, [(0, 0, 1), (0, 1, 0), (1, 0, 0), (5, 7, 11)]))
+@example((6, 2, [(2, 3), (3, 2)]))
+def test_howell_span_matches_additive_closure(case):
     """The span listed from the Howell form is the additive closure of the
     sums, its size is predicted, its pivots divide r, and the form is the
-    same from every generating set of the span."""
+    same from every generating set of the span; a span of every vector is
+    read as the identity rows."""
+    r, n, vectors = case
     # a span does not read the basis table
     gr = GroupRing(r, FiniteMagma([str(i) for i in range(n)], [[i] * n for i in range(n)]))
-    vectors = data.draw(st.lists(st.tuples(*[st.integers(0, r - 1)] * n), max_size=4))
     rows, size = _howell(gr, vectors)
     closed = additive_closure(r, vectors, n)
     members = _span_members(gr, rows)
@@ -224,6 +267,7 @@ def test_howell_span_matches_additive_closure(r, n, data):
     assert size == len(closed)
     assert all(r % next(c for c in row if c) == 0 for row in rows)
     assert _howell(gr, members) == (rows, size)
+    assert (rows == identity_rows(n)) == (size == r ** n)
 
 
 Z2C2 = GroupRing(2, cyclic_neutro_group(2))

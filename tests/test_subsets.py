@@ -26,6 +26,9 @@ from neutrolab.subsets import (
     classify_lagrange,
     closure,
     enumerate_subs,
+    gr_is_ideal,
+    gr_is_subneutro,
+    gr_is_subring,
     ideal_verdict,
     is_ideal,
     is_lagrange_sub,
@@ -34,6 +37,7 @@ from neutrolab.subsets import (
     is_subring,
     sub_verdict,
 )
+from test_groupring import C2, LEFT_ZERO, CountingGroupRing
 from test_scalars import _upper_triangular_z2
 
 P4 = frozenset({"0", "2", "2I", "2+2I"})
@@ -348,9 +352,11 @@ DECK_CARRIERS = _deck_carriers()
 
 
 def test_whole_carrier_verdicts_match_the_gap_walk_with_no_table_read(monkeypatch):
-    """A finite carrier's tables name only its members, so the whole carrier
-    is closed and absorbing: its verdicts, flags included, are the gap
-    walk's, read from no table."""
+    """A finite carrier's tables name only its members, and a formal-sum
+    ring's every member is all of (Z_r)^n, so the whole carrier is closed
+    and absorbing: its verdicts, flags included, and a generated ideal that
+    fills a formal-sum ring, are the gap walk's, read from no table and
+    formed by no difference or product."""
     reads = [0]
 
     class CountingRow(list):
@@ -380,6 +386,26 @@ def test_whole_carrier_verdicts_match_the_gap_walk_with_no_table_read(monkeypatc
             reads[0] = 0
             assert checks(u) == walked, u.name
             assert reads[0] == 0, u.name
+        assert walked[0].ok and "improper" in walked[0].flags
+
+    def gr_checks(gr):
+        everything = list(gr.elements())
+        ideal = gr.generated_ideal([gr.monomial(gr.basis.elements[0])])
+        assert len(ideal) == len(gr), gr.name
+        return ([check(gr, everything, strict) for strict in (False, True)
+                 for check in (gr_is_subring, gr_is_ideal, gr_is_subneutro)] + [ideal])
+
+    # bases: commutative with and without I, a left-zero band, and S3
+    for r, basis in ((2, C2), (3, C2), (4, LEFT_ZERO), (2, cyclic_neutro_group(2)),
+                     (2, sym_group(3))):
+        gr = CountingGroupRing(r, basis)
+        with monkeypatch.context() as walk:
+            walk.setattr(subsets, "_whole", lambda view, pool: False)
+            walked = gr_checks(gr)
+        assert gr.calls > 0, gr.name
+        gr.calls = 0
+        assert gr_checks(gr) == walked, gr.name
+        assert gr.calls == 0, gr.name
         assert walked[0].ok and "improper" in walked[0].flags
 
 
