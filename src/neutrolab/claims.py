@@ -1,11 +1,12 @@
 """The registered claim rows: closure propositions, non-closure remark
 hunts, worked-example checks, and classification pins, at desk scale.
 
-Every row records the status it is expected to report.  Propositions,
-remarks and soft-set examples are rows of data (carrier and population
-builders, predicate, operation, pinned pair and gap, assignments and check)
-read by one runner per row shape when the claim runs; rows whose logic
-differs keep a runner of their own.  Runners recompute statuses from scratch
+Every row is an engine.Claim that records the status it is expected to
+report.  Propositions, remarks and soft-set examples are rows of data
+(carrier and population builders, predicate, operation, pinned pair and gap,
+assignments and check): `_prop`, `_remark` and `_soft_example` bind them as
+keywords to one runner per row shape, which reads them when the claim runs;
+rows whose logic differs keep a runner of their own.  Runners recompute statuses from scratch
 each run; rows whose recorded statement disagrees with its own arithmetic
 are pre-registered as ExampleContradictsText and carry the recomputed
 witness.
@@ -22,7 +23,6 @@ ran.
 """
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from . import symbolic as sym
@@ -354,53 +354,64 @@ def _negative(failed, witness, trials):
 
 
 # ---------------------------------------------------------------------------
-# row shapes: each row is data, read by its shape's runner when the claim runs
+# row shapes: each row's data are the keywords of its shape's runner, which
+# reads them when the claim runs
 
 
-@dataclass(frozen=True)
-class _Prop:
+def _run_prop(u, rng, population, predicate, ops, spot):
+    return run_closure_prop(u, population(), predicate, rng, ops, spot)
+
+
+def _prop(cid, carrier, population, predicate, ops=INTERSECTION_OPS, spot=SPOT_PAIRS,
+          generator="exhaustive-pairs", note=""):
     """A closure proposition: `predicate` holds on every member of the
     population, on their pairwise intersections, and on the soft operations
     `ops` over `spot` seeded pairs (engine.run_closure_prop)."""
-    id: str
-    carrier: object
-    population: object
-    predicate: str
-    ops: tuple = INTERSECTION_OPS
-    spot: int = SPOT_PAIRS
-    generator: str = "exhaustive-pairs"
-    note: str = ""
-    kind, expected = KIND_PROP, STATUS_HOLDS
-
-    def run(self, u, rng):
-        return run_closure_prop(u, self.population(), self.predicate, rng,
-                                self.ops, self.spot)
+    return Claim(cid, KIND_PROP, carrier, generator, STATUS_HOLDS,
+                 partial(_run_prop, population=population, predicate=predicate, ops=ops,
+                         spot=spot), note)
 
 
-@dataclass(frozen=True)
-class _Remark:
+def _run_remark(u, rng, op, predicate, pin, gap):
+    f, k = ({"a1": _value(u, v)} for v in pin)
+    check = None if gap is None else partial(_pin_gap, gap)
+    return run_remark_hunt(u, op, predicate, rng, pinned=(f, k), pin_check=check)
+
+
+def _remark(cid, carrier, op, predicate, pin, gap=None, note=""):
     """A non-closure remark: `op` breaks `predicate` on the pinned pair of
     soft sets whose parameter a1 holds the two `pin` values
     (engine.run_remark_hunt); a `gap` (see _pin_gap) names the escaping
     pair in the witness."""
-    id: str
-    carrier: object
-    op: str
-    predicate: str
-    pin: tuple
-    gap: tuple = None
-    note: str = ""
-    kind, generator, expected = KIND_REMARK, "pinned-hunt", STATUS_COUNTEREXAMPLE
-
-    def run(self, u, rng):
-        f, k = ({"a1": _value(u, v)} for v in self.pin)
-        check = None if self.gap is None else partial(_pin_gap, self.gap)
-        return run_remark_hunt(u, self.op, self.predicate, rng, pinned=(f, k),
-                               pin_check=check)
+    return Claim(cid, KIND_REMARK, carrier, "pinned-hunt", STATUS_COUNTEREXAMPLE,
+                 partial(_run_remark, op=op, predicate=predicate, pin=pin, gap=gap), note)
 
 
-@dataclass(frozen=True)
-class _SoftExample:
+def _run_soft_example(u, rng, check, softs):
+    f, *parent = [SoftSet(u, {p: _value(u, v) for p, v in a.items()}) for a in softs]
+    test, arg = check
+    trials = len(f.params)
+    if test == "lagrange":
+        cls = soft_lagrange_class(f)
+        return _positive(cls == arg, {"class": cls}, trials)
+    if test == "ideal-of":
+        rep = soft_ideal_of(f, *parent)
+    elif test == "sub-of":
+        rep = soft_sub_of(f, *parent, arg)
+    else:
+        rep = soft_is(f, "n-sub" if test == "profile" else arg)
+    witness = None if rep.ok else _report_failures(rep)
+    if test == "is-not":
+        return _negative(not rep.ok, witness, trials)
+    if test == "profile":
+        cls = classify_mixed(u)
+        return _positive(rep.ok and cls == arg,
+                         {"classification": cls, **(witness or {})}, trials)
+    return _positive(rep.ok and (test != "is-neutro" or soft_neutro_params(f)),
+                     witness, trials)
+
+
+def _soft_example(cid, carrier, check, softs, expected=STATUS_VERIFIED, note=""):
     """A worked example on the soft set F built from the first assignment in
     `softs` (a second assignment is F's parent), tested as
     check = (test, argument):
@@ -416,37 +427,8 @@ class _SoftExample:
     The witness is the failures (None when there are none), the class for
     "lagrange", and the classification with any failures for "profile";
     trials counts F's parameters."""
-    id: str
-    carrier: object
-    check: tuple
-    softs: tuple
-    expected: str = STATUS_VERIFIED
-    note: str = ""
-    kind, generator = KIND_EXAMPLE, "recorded-sets"
-
-    def run(self, u, rng):
-        f, *parent = [SoftSet(u, {p: _value(u, v) for p, v in a.items()})
-                      for a in self.softs]
-        test, arg = self.check
-        trials = len(f.params)
-        if test == "lagrange":
-            cls = soft_lagrange_class(f)
-            return _positive(cls == arg, {"class": cls}, trials)
-        if test == "ideal-of":
-            rep = soft_ideal_of(f, *parent)
-        elif test == "sub-of":
-            rep = soft_sub_of(f, *parent, arg)
-        else:
-            rep = soft_is(f, "n-sub" if test == "profile" else arg)
-        witness = None if rep.ok else _report_failures(rep)
-        if test == "is-not":
-            return _negative(not rep.ok, witness, trials)
-        if test == "profile":
-            cls = classify_mixed(u)
-            return _positive(rep.ok and cls == arg,
-                             {"classification": cls, **(witness or {})}, trials)
-        return _positive(rep.ok and (test != "is-neutro" or soft_neutro_params(f)),
-                         witness, trials)
+    return Claim(cid, KIND_EXAMPLE, carrier, "recorded-sets", expected,
+                 partial(_run_soft_example, check=check, softs=softs), note)
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +619,10 @@ def _run_classify_mixed_6_1_3(dual, rng):
 # the registry
 
 
-def _build():
+@lru_cache(maxsize=None)
+def registry():
+    """The claim rows in order, built once per process; building them loads
+    no carrier."""
     (g1032, g421, bi_groupoid, tri_groupoid, ring_6, ring_10, ring_12, gr_z2_c4,
      gr_z6_c4, gr_z2_c3s, mixed_universe, dual_universe) = (
         partial(carrier, name) for name in (
@@ -655,52 +640,52 @@ def _build():
     lagrange_ops = ("extended-intersection", "restricted-intersection",
                     "and", "extended-union", "restricted-union", "or")
 
-    rows = (
+    return (
         Claim("example-1.1.3", KIND_EXAMPLE, g1032, "recorded-sets", STATUS_VERIFIED,
               _run_example_1_1_3,
               note="one indeterminate and one purely real subgroupoid"),
 
-        _Prop("prop-2.1.1", g421, subgroupoids_421, "loose-subgroupoid",
+        _prop("prop-2.1.1", g421, subgroupoids_421, "loose-subgroupoid",
               ("extended-intersection",),
               note="extended intersections stay closed"),
-        _Prop("prop-2.1.2", g421, subgroupoids_421, "loose-subgroupoid",
+        _prop("prop-2.1.2", g421, subgroupoids_421, "loose-subgroupoid",
               ("restricted-intersection",),
               note="restricted intersections stay closed"),
-        _Prop("prop-2.1.3", g421, subgroupoids_421, "loose-subgroupoid",
+        _prop("prop-2.1.3", g421, subgroupoids_421, "loose-subgroupoid",
               ("and",), note="AND combinations stay closed"),
 
-        _Remark("remark-2.1.1", g1032, "extended-union", "loose-subgroupoid",
+        _remark("remark-2.1.1", g1032, "extended-union", "loose-subgroupoid",
                 pin_1032, ("op", "5I", "3"),
                 note="3*(5I)+2*3 escapes the union"),
-        _Remark("remark-2.1.2", g1032, "restricted-union", "loose-subgroupoid",
+        _remark("remark-2.1.2", g1032, "restricted-union", "loose-subgroupoid",
                 pin_1032, ("op", "5I", "3"),
                 note="same escape under the shared-parameter union"),
-        _Remark("remark-2.1.3", g1032, "or", "loose-subgroupoid",
+        _remark("remark-2.1.3", g1032, "or", "loose-subgroupoid",
                 pin_1032, ("op", "5I", "3"), note="same escape under OR"),
 
-        _SoftExample("example-2.1.1", g1032, ("is-neutro", "loose-subgroupoid"),
-                     ({"a1": P_1032, "a2": _reals(10)},),
-                     note="second assignment is purely real; the soft structure "
-                          "is read as closed rows with at least one carrying I"),
-        _SoftExample("example-2.1.2", g421, ("is", "subgroupoid"),
-                     ({"a1": P_421, "a2": S_421_3, "a3": S_421_2},)),
-        _SoftExample("example-2.1.3", g421, ("sub-of", "subgroupoid"),
-                     ({"a1": S_421_2, "a2": S_421_2},
-                      {"a1": P_421, "a2": S_421_3, "a3": S_421_2})),
-        _SoftExample("example-2.1.4", g421, ("lagrange", LAGRANGE),
-                     ({"a1": P_421, "a2": S_421_2},)),
-        _SoftExample("example-2.1.5", g421, ("lagrange", WEAKLY_LAGRANGE),
-                     ({"a1": P_421, "a2": S_421_3, "a3": S_421_2},)),
-        _SoftExample("example-2.1.6", g421, ("lagrange", LAGRANGE_FREE),
-                     ({"a1": S_421_3I, "a2": S_421_3},),
-                     note="three parameter labels declared, two assignments "
-                          "recorded"),
-        _SoftExample("example-2.1.7", g421, ("is", "strong"),
-                     ({"a1": S_421_3I, "a2": S_421_2},),
-                     note="three parameter labels declared, two assignments "
-                          "recorded"),
+        _soft_example("example-2.1.1", g1032, ("is-neutro", "loose-subgroupoid"),
+                      ({"a1": P_1032, "a2": _reals(10)},),
+                      note="second assignment is purely real; the soft structure "
+                           "is read as closed rows with at least one carrying I"),
+        _soft_example("example-2.1.2", g421, ("is", "subgroupoid"),
+                      ({"a1": P_421, "a2": S_421_3, "a3": S_421_2},)),
+        _soft_example("example-2.1.3", g421, ("sub-of", "subgroupoid"),
+                      ({"a1": S_421_2, "a2": S_421_2},
+                       {"a1": P_421, "a2": S_421_3, "a3": S_421_2})),
+        _soft_example("example-2.1.4", g421, ("lagrange", LAGRANGE),
+                      ({"a1": P_421, "a2": S_421_2},)),
+        _soft_example("example-2.1.5", g421, ("lagrange", WEAKLY_LAGRANGE),
+                      ({"a1": P_421, "a2": S_421_3, "a3": S_421_2},)),
+        _soft_example("example-2.1.6", g421, ("lagrange", LAGRANGE_FREE),
+                      ({"a1": S_421_3I, "a2": S_421_3},),
+                      note="three parameter labels declared, two assignments "
+                           "recorded"),
+        _soft_example("example-2.1.7", g421, ("is", "strong"),
+                      ({"a1": S_421_3I, "a2": S_421_2},),
+                      note="three parameter labels declared, two assignments "
+                           "recorded"),
 
-        *(_Remark("remark-2.1.4-i%d" % i, g421, op, "lagrange",
+        *(_remark("remark-2.1.4-i%d" % i, g421, op, "lagrange",
                   ({"0", "2I"}, S_421_2),
                   note="order-2 pieces meet in a bare zero or join into an "
                        "order-3 subgroupoid of a 16-element carrier")
@@ -711,62 +696,62 @@ def _build():
               note="both dividing and non-dividing proper subgroupoids "
                    "exist"),
 
-        _Remark("remark-2.1.8", g421, "extended-union", "strong",
+        _remark("remark-2.1.8", g421, "extended-union", "strong",
                 ({"0", "I", "2I", "3I"}, S_421_2), ("op", "I", "2+2I"),
                 note="the recorded items assert closure for the strong "
                      "unions; the computed counterexample supports the "
                      "negated reading used by the sibling union remarks"),
 
-        _SoftExample("example-2.2.1", bi_groupoid, ("is", "n-sub"),
-                     ({"a1": (P_1032, P_421), "a2": (_reals(10), S_421_2)},)),
-        _Prop("prop-2.2.2", bi_groupoid, bi_ideal_population, "loose-n-ideal",
+        _soft_example("example-2.2.1", bi_groupoid, ("is", "n-sub"),
+                      ({"a1": (P_1032, P_421), "a2": (_reals(10), S_421_2)},)),
+        _prop("prop-2.2.2", bi_groupoid, bi_ideal_population, "loose-n-ideal",
               generator="exhaustive-pairs(improper-only)",
               note="both components admit only the improper ideal"),
-        _SoftExample("example-2.2.3", bi_groupoid, ("is", "strong-n-sub"),
-                     ({"a1": ({"0", "5+5I"}, S_421_2),
-                       "a2": ({"0", "5I"}, S_421_2)},)),
-        _Remark("remark-2.2.6", bi_groupoid, "extended-union", "strong-n-sub",
+        _soft_example("example-2.2.3", bi_groupoid, ("is", "strong-n-sub"),
+                      ({"a1": ({"0", "5+5I"}, S_421_2),
+                        "a2": ({"0", "5I"}, S_421_2)},)),
+        _remark("remark-2.2.6", bi_groupoid, "extended-union", "strong-n-sub",
                 (({"0", "2I", "4I", "6I", "8I"}, {"0", "2I"}), ({"0", "5I"}, S_421_2)),
                 ("op", "2I", "5I", 0),
                 note="2*(2I)+3*(5I) = 9I escapes the first part"),
 
-        _SoftExample("example-2.3.1", tri_groupoid, ("is", "n-sub"),
-                     ({"a1": (P_1032, P_421, {"0", "2"}),
-                       "a2": (_reals(10), S_421_2, {"0", "2I"})},),
-                     expected=STATUS_CONTRADICTS,
-                     note="third parts are not closed: 0*2 = 8 and 0*(2I) = 8I "
-                          "under 8a+4b (mod 12)"),
-        _Prop("prop-2.3.2", tri_groupoid, tri_ideal_pool, "loose-n-ideal",
+        _soft_example("example-2.3.1", tri_groupoid, ("is", "n-sub"),
+                      ({"a1": (P_1032, P_421, {"0", "2"}),
+                        "a2": (_reals(10), S_421_2, {"0", "2I"})},),
+                      expected=STATUS_CONTRADICTS,
+                      note="third parts are not closed: 0*2 = 8 and 0*(2I) = 8I "
+                           "under 8a+4b (mod 12)"),
+        _prop("prop-2.3.2", tri_groupoid, tri_ideal_pool, "loose-n-ideal",
               spot=6200, generator="pooled-supersets+randomized-spot",
               note="third-component ideals are exactly the supersets of the "
                    "3x3 residue grid"),
-        _SoftExample("example-2.3.3", tri_groupoid, ("is", "strong-n-sub"),
-                     ({"a1": ({"0", "5I"}, {"0", "2I"}, {"0", "2I"}),
-                       "a2": ({"0", "5+5I"}, S_421_2, S_421_2)},),
-                     expected=STATUS_CONTRADICTS,
-                     note="third parts are not closed: 0*(2I) = 8I and "
-                          "0*(2+2I) = 8+8I under 8a+4b (mod 12)"),
+        _soft_example("example-2.3.3", tri_groupoid, ("is", "strong-n-sub"),
+                      ({"a1": ({"0", "5I"}, {"0", "2I"}, {"0", "2I"}),
+                        "a2": ({"0", "5+5I"}, S_421_2, S_421_2)},),
+                      expected=STATUS_CONTRADICTS,
+                      note="third parts are not closed: 0*(2I) = 8I and "
+                           "0*(2+2I) = 8+8I under 8a+4b (mod 12)"),
 
-        _Prop("prop-3.1.1", ring_6, subrings_6, "loose-subring",
+        _prop("prop-3.1.1", ring_6, subrings_6, "loose-subring",
               ("extended-intersection",)),
-        _Prop("prop-3.1.2", ring_6, subrings_6, "loose-subring",
+        _prop("prop-3.1.2", ring_6, subrings_6, "loose-subring",
               ("restricted-intersection",)),
-        _Prop("prop-3.1.3", ring_6, subrings_6, "loose-subring", ("and",)),
+        _prop("prop-3.1.3", ring_6, subrings_6, "loose-subring", ("and",)),
         Claim("theorem-3.1.3", KIND_PROP, ring_6, "exhaustive-ideals",
               STATUS_HOLDS, _run_theorem_3_1_3,
               note="every two-sided ideal is in particular a subring"),
-        _Prop("prop-3.1.4", ring_6, ring_ideals_6, "loose-ring-ideal"),
+        _prop("prop-3.1.4", ring_6, ring_ideals_6, "loose-ring-ideal"),
 
-        _Remark("remark-3.1.1", ring_12, "extended-union", "loose-subring",
+        _remark("remark-3.1.1", ring_12, "extended-union", "loose-subring",
                 pin_ring12, ("add", "2", "3"),
                 note="2 + 3 = 5 escapes the union of the even and the "
                      "multiples-of-three grids"),
-        _Remark("remark-3.1.2", ring_12, "restricted-union", "loose-subring",
+        _remark("remark-3.1.2", ring_12, "restricted-union", "loose-subring",
                 pin_ring12, ("add", "2", "3"),
                 note="same escape under the shared-parameter union"),
-        _Remark("remark-3.1.3", ring_12, "or", "loose-subring",
+        _remark("remark-3.1.3", ring_12, "or", "loose-subring",
                 pin_ring12, ("add", "2", "3"), note="same escape under OR"),
-        _Remark("remark-3.1.4", ring_12, "extended-union", "loose-ring-ideal",
+        _remark("remark-3.1.4", ring_12, "extended-union", "loose-ring-ideal",
                 (_grid(12, (0, 6), (0, 6)), _grid(12, (0, 4, 8), (0, 4, 8))),
                 ("add", "6", "4"),
                 note="6 + 4 = 10 escapes the union of the <6> and <4> "
@@ -780,35 +765,35 @@ def _build():
               STATUS_VERIFIED, _run_example_3_1_3,
               note="the recorded union rows fail exactly where stated: "
                    "a cross sum such as 2 + 5 = 7 lands outside"),
-        _SoftExample("example-3.1.4", ring_12, ("is", "ring-ideal"),
-                     ({"a1": _IDEAL_12, "a2": _grid(12, (0, 6), (0, 6))},)),
-        _SoftExample("example-3.1.5", ring_10, ("is-not", "ring-ideal"),
-                     ({"a1": {"0", "2", "4", "6", "8", "2I", "4I", "6I", "8I"},
-                       "a2": {"0", "2I", "4I", "6I", "8I"}},),
-                     note="the negative ideal statement verifies; the first "
-                          "assignment is not even additively closed, so the "
-                          "positive framing already fails"),
-        _SoftExample("example-3.1.6", c_i, ("sub-of", "loose-subring"),
-                     ({"a2": _zi(), "a3": sym.NamedRing("Q", 1, True)},
-                      {"a1": _zi(), "a2": sym.NamedRing("Q", 1, True),
-                       "a3": sym.NamedRing("R", 1, True)})),
+        _soft_example("example-3.1.4", ring_12, ("is", "ring-ideal"),
+                      ({"a1": _IDEAL_12, "a2": _grid(12, (0, 6), (0, 6))},)),
+        _soft_example("example-3.1.5", ring_10, ("is-not", "ring-ideal"),
+                      ({"a1": {"0", "2", "4", "6", "8", "2I", "4I", "6I", "8I"},
+                        "a2": {"0", "2I", "4I", "6I", "8I"}},),
+                      note="the negative ideal statement verifies; the first "
+                           "assignment is not even additively closed, so the "
+                           "positive framing already fails"),
+        _soft_example("example-3.1.6", c_i, ("sub-of", "loose-subring"),
+                      ({"a2": _zi(), "a3": sym.NamedRing("Q", 1, True)},
+                       {"a1": _zi(), "a2": sym.NamedRing("Q", 1, True),
+                        "a3": sym.NamedRing("R", 1, True)})),
         Claim("example-3.1.7", KIND_EXAMPLE, ring_12, "recorded-sets",
               STATUS_CONTRADICTS, _run_example_3_1_7,
               note="8+2 = 10 escapes two assignments and 6+(6+6I) = 6I "
                    "escapes the inner row, against the recorded ideal "
                    "statement"),
 
-        _Prop("prop-4.1.1", gr_z2_c4, partial(span_population, "z2c4"),
+        _prop("prop-4.1.1", gr_z2_c4, partial(span_population, "z2c4"),
               "loose-gr-subneutro", generator="exhaustive-basis-spans",
               note="spans of closed basis subsets intersect in the span of "
                    "the intersected basis"),
-        _Remark("remark-4.1.1-i1", gr_z2_c4, "restricted-union",
+        _remark("remark-4.1.1-i1", gr_z2_c4, "restricted-union",
                 "loose-gr-subneutro", pin_gr_c4, ("add", "1", "g^2I"),
                 note="1 + g^2I escapes the union of two basis spans"),
-        _Remark("remark-4.1.1-i2", gr_z2_c4, "extended-union",
+        _remark("remark-4.1.1-i2", gr_z2_c4, "extended-union",
                 "loose-gr-subneutro", pin_gr_c4, ("add", "1", "g^2I"),
                 note="same escape under the extended union"),
-        _Remark("remark-4.1.1-i3", gr_z2_c4, "or", "loose-gr-subneutro",
+        _remark("remark-4.1.1-i3", gr_z2_c4, "or", "loose-gr-subneutro",
                 pin_gr_c4, ("add", "1", "g^2I"), note="same escape under OR"),
 
         Claim("example-4.1.1", KIND_EXAMPLE, sym_q, "recorded-sets",
@@ -819,12 +804,12 @@ def _build():
               STATUS_VERIFIED, _run_example_4_1_2,
               note="the union row fails as recorded: g^3 + g^2 has "
                    "support in neither span"),
-        _SoftExample("example-4.1.6", gr_z6_c4, ("is", "gr-pseudo"),
-                     ({"a1": {"0", "3I"}, "a2": {"0", "2I", "4I"}},)),
-        _SoftExample("example-4.1.8", gr_z2_c4, ("is", "loose-gr-subring"),
-                     ({"a1": {"0", "1+g^2"}, "a2": {"0", "1+g", "g+g^3", "1+g^3"}},),
-                     expected=STATUS_CONTRADICTS,
-                     note="(1+g)*(1+g) = 1+g^2 escapes the second assignment"),
+        _soft_example("example-4.1.6", gr_z6_c4, ("is", "gr-pseudo"),
+                      ({"a1": {"0", "3I"}, "a2": {"0", "2I", "4I"}},)),
+        _soft_example("example-4.1.8", gr_z2_c4, ("is", "loose-gr-subring"),
+                      ({"a1": {"0", "1+g^2"}, "a2": {"0", "1+g", "g+g^3", "1+g^3"}},),
+                      expected=STATUS_CONTRADICTS,
+                      note="(1+g)*(1+g) = 1+g^2 escapes the second assignment"),
         Claim("example-4.1.10", KIND_EXAMPLE, sym_z, "recorded-sets",
               STATUS_VERIFIED, _run_example_4_1_10),
         Claim("example-4.1.11", KIND_EXAMPLE, gr_z2_c4, "recorded-sets",
@@ -832,34 +817,34 @@ def _build():
               note="the ideals of v and v+w contain members with real "
                    "support, so the pseudo reading fails; generated "
                    "ideals are recomputed by brute force"),
-        _SoftExample("example-4.1.12", sym_z, ("ideal-of", None),
-                     ({"a1": sym.NamedRing("Z", 8), "a2": sym.NamedRing("Z", 12)},
-                      {"a1": sym.NamedRing("Z", 2), "a2": sym.NamedRing("Z", 4),
-                       "a3": sym.NamedRing("Z", 6)})),
+        _soft_example("example-4.1.12", sym_z, ("ideal-of", None),
+                      ({"a1": sym.NamedRing("Z", 8), "a2": sym.NamedRing("Z", 12)},
+                       {"a1": sym.NamedRing("Z", 2), "a2": sym.NamedRing("Z", 4),
+                        "a3": sym.NamedRing("Z", 6)})),
 
-        _Prop("prop-5.1.1", gr_z2_c3s, partial(span_population, "z2c3s"),
+        _prop("prop-5.1.1", gr_z2_c3s, partial(span_population, "z2c3s"),
               "loose-gr-subneutro", generator="exhaustive-basis-spans"),
-        _Remark("remark-5.1.1", gr_z2_c3s, "restricted-union", "loose-gr-subneutro",
+        _remark("remark-5.1.1", gr_z2_c3s, "restricted-union", "loose-gr-subneutro",
                 ({"0", "1", "I", "1+I"},
                  {"0", "I", "gI", "g^2I", "I+gI", "I+g^2I", "gI+g^2I", "I+gI+g^2I"}),
                 ("add", "1", "gI"),
                 note="1 + gI escapes the union of two basis spans"),
 
-        _Prop("prop-6.1.1", mixed_universe, mixed_sub_pool, "loose-n-sub",
+        _prop("prop-6.1.1", mixed_universe, mixed_sub_pool, "loose-n-sub",
               spot=6200, generator="pooled-parts+randomized-spot"),
-        _Remark("remark-6.1.1", mixed_universe, "restricted-union", "loose-n-sub",
+        _remark("remark-6.1.1", mixed_universe, "restricted-union", "loose-n-sub",
                 (_mixed_row_a1(), _mixed_row_k2()), ("op", "2", "I", 0),
                 note="2*I = 2I escapes the first part of the union row"),
 
-        _SoftExample("example-6.1.1", mixed_universe, ("profile", MIXED),
-                     ({"a1": _mixed_row_a1(),
-                       "a2": ({"2", "I"}, {"0", "2", "4", "2I", "4I"},
-                              {"0", "2", "2I"}, A3, {"0", "5"}),
-                       "a3": ({"1", "2"}, {"0", "3"}, {"0", "2"}, A3, EVENS_10)},),
-                     expected=STATUS_CONTRADICTS,
-                     note="the computed profile is WeakMixed, one assignment "
-                          "has a non-closed first part (2*2 = 1), and another "
-                          "carries no indeterminate member"),
+        _soft_example("example-6.1.1", mixed_universe, ("profile", MIXED),
+                      ({"a1": _mixed_row_a1(),
+                        "a2": ({"2", "I"}, {"0", "2", "4", "2I", "4I"},
+                               {"0", "2", "2I"}, A3, {"0", "5"}),
+                        "a3": ({"1", "2"}, {"0", "3"}, {"0", "2"}, A3, EVENS_10)},),
+                      expected=STATUS_CONTRADICTS,
+                      note="the computed profile is WeakMixed, one assignment "
+                           "has a non-closed first part (2*2 = 1), and another "
+                           "carries no indeterminate member"),
         Claim("example-6.1.2", KIND_EXAMPLE, mixed_universe, "recorded-sets",
               STATUS_VERIFIED, _run_example_6_1_2,
               note="the recorded union row fails closure in its first "
@@ -868,11 +853,11 @@ def _build():
                    "multiplicatively closed despite the recorded aside, "
                    "and the second parameter set is recorded "
                    "inconsistently"),
-        _SoftExample("example-6.1.3", dual_universe, ("profile", MIXED_DUAL),
-                     ({"a1": ({"e", "2"}, frozenset(alternating_labels(4)), EVENS_10,
-                              {"0", "2"}, {"e", "eI", "2", "2I"}),
-                       "a2": ({"e", "3"}, S3_IN_S4, {"0", "5"}, {"0", "2"},
-                              {"e", "eI", "3", "3I"})},)),
+        _soft_example("example-6.1.3", dual_universe, ("profile", MIXED_DUAL),
+                      ({"a1": ({"e", "2"}, frozenset(alternating_labels(4)), EVENS_10,
+                               {"0", "2"}, {"e", "eI", "2", "2I"}),
+                        "a2": ({"e", "3"}, S3_IN_S4, {"0", "5"}, {"0", "2"},
+                               {"e", "eI", "3", "3I"})},)),
 
         Claim("classify-mixed-6.1.1", KIND_CLASSIFICATION, mixed_universe,
               "declared-tags", STATUS_HOLDS, _run_classify_mixed_6_1_1,
@@ -883,19 +868,6 @@ def _build():
               note="all four kinds appear plainly beside one indeterminate "
                    "loop"),
     )
-    return tuple(row if isinstance(row, Claim) else Claim(
-        row.id, row.kind, row.carrier, row.generator, row.expected, row.run, row.note)
-        for row in rows)
-
-
-_REGISTRY = None
-
-
-def registry():
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = _build()
-    return _REGISTRY
 
 
 def claim_by_id(cid):

@@ -12,13 +12,12 @@ import json
 import random
 import re
 import time
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
 from .io import json_plain, load_soft, soft_to_dict
 from .softsets import N_PREDICATES, OPS, SoftSet, Uncombinable, op_items, value_kind
-from .structures import ResourceCap
+from .structures import ResourceCap, _Record
 from .subsets import PREDICATES
 
 STATUS_HOLDS = "Holds"
@@ -47,39 +46,39 @@ def result_predicate(name):
     return loose if loose in PREDICATES or loose in N_PREDICATES else name
 
 
-@dataclass
-class Claim:
-    id: str
-    kind: str
-    carrier: object  # () -> the structure the claim is about
-    generator: str
-    expected: str
-    runner: object  # (carrier, rng) -> (status, witness, trials)
-    note: str = ""
+class Claim(_Record):
+    """A registered claim: `carrier()` builds the structure it is about, and
+    `runner(carrier, rng)` returns (status, witness, trials)."""
+    __slots__ = ("id", "kind", "carrier", "generator", "expected", "runner", "note")
+
+    def __init__(self, id, kind, carrier, generator, expected, runner, note=""):
+        self.id = id
+        self.kind = kind
+        self.carrier = carrier
+        self.generator = generator
+        self.expected = expected
+        self.runner = runner
+        self.note = note
 
     @property
     def universe(self):
         return self.carrier().name
 
 
-@dataclass
-class Report:
-    claim_id: str
-    status: str
-    witness: object
-    universe: str
-    trials: int
-    elapsed_ms: int
+class Report(_Record):
+    __slots__ = ("claim_id", "status", "witness", "universe", "trials", "elapsed_ms")
+
+    def __init__(self, claim_id, status, witness, universe, trials, elapsed_ms):
+        self.claim_id = claim_id
+        self.status = status
+        self.witness = witness
+        self.universe = universe
+        self.trials = trials
+        self.elapsed_ms = elapsed_ms
 
     def to_dict(self):
-        return {
-            "claim_id": self.claim_id,
-            "status": self.status,
-            "witness": json_plain(self.witness),
-            "universe": self.universe,
-            "trials": self.trials,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        """The fields by name, in order; run_claim stores a plain witness."""
+        return {f: getattr(self, f) for f in self.__slots__}
 
 
 def run_claim(claim, seed=0):

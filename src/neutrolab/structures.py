@@ -22,6 +22,20 @@ def label_is_zero(label):
     return label == "0"
 
 
+class _Positions(dict):
+    """Each label's position in the carrier `name`; looking up a label it
+    does not have raises ValueError."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, labels, name):
+        super().__init__((lab, i) for i, lab in enumerate(labels))
+        self.name = name
+
+    def __missing__(self, label):
+        raise ValueError("unknown element %r in %s" % (label, self.name))
+
+
 class _Labelled:
     """Ordered string labels and their positions, which the operation tables
     of a finite carrier hold."""
@@ -36,7 +50,7 @@ class _Labelled:
             raise ValueError("duplicate element labels")
         self.elements = list(elements)
         self.name = name
-        self._index = {lab: i for i, lab in enumerate(self.elements)}
+        self._index = _Positions(self.elements, name)
 
     def _table(self, table):
         """A copy of `table`, which must be a square table of positions."""
@@ -56,10 +70,7 @@ class _Labelled:
         return iter(self.elements)
 
     def idx(self, label):
-        try:
-            return self._index[label]
-        except KeyError:
-            raise ValueError("unknown element %r in %s" % (label, self.name))
+        return self._index[label]
 
     def _apply(self, table, x, y):
         return self.elements[table[self.idx(x)][self.idx(y)]]
@@ -286,9 +297,9 @@ def build_from_table(elements, table, name=""):
 
 class _Record:
     """A plain record of the fields its `__slots__` name: equal to a record
-    of its own class with equal fields, shown as its constructor call and,
-    like a dataclass that defines equality, unhashable.  Importing
-    `dataclasses` would cost a cold command more than the algebra it runs."""
+    of its own class with equal fields, shown as its constructor call, and
+    unhashable, as its fields may change.  Unlike a generated record
+    class, it costs a cold command no import beyond this module."""
 
     __slots__ = ()
     __hash__ = None
@@ -386,21 +397,3 @@ def verify_kind(magma):
         rep.witnesses["not-latin"] = latin_witness
     return rep
 
-
-__all__ = [
-    "FiniteMagma",
-    "FiniteRing",
-    "KindReport",
-    "ResourceCap",
-    "alternating_labels",
-    "build_from_table",
-    "cyclic_neutro_group",
-    "label_is_neutro",
-    "label_is_zero",
-    "mult_magma",
-    "neutro_double",
-    "neutro_ring",
-    "param_groupoid",
-    "sym_group",
-    "verify_kind",
-]

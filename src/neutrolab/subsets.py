@@ -135,8 +135,10 @@ class _View:
         self.zero, self.ring, self.key = None, None, None
         self.neutro, self.impure, self.label = neutro.__getitem__, impure.__getitem__, u.elements.__getitem__
         # the gap search walks a set built from the sorted indices; its order
-        # decides which witness is reported
-        self.members = lambda labels: set(sorted({u.idx(x) for x in _not_text(labels)}))
+        # decides which witness is reported.  It reads the carrier's
+        # positions, not the carrier, so the view stored on it makes no cycle
+        position = u._index.__getitem__
+        self.members = lambda labels: set(sorted({position(x) for x in _not_text(labels)}))
         self.notes = ("closed but has no indeterminate member",
                       "member is neither indeterminate nor zero")
 

@@ -6,7 +6,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,6 +13,7 @@ import pytest
 from neutrolab import claims
 from neutrolab.claims import _span, carrier, registry
 from neutrolab.engine import (
+    Claim,
     KIND_CLASSIFICATION,
     KIND_EXAMPLE,
     KIND_PROP,
@@ -132,7 +132,8 @@ def test_no_carrier_is_built_inside_a_claims_timed_section(reg, builds):
             out = claim.runner(u, rng)
             built[claim.id] = builds[before:]
             return out
-        run_claim(replace(claim, runner=runner), seed=0)
+        run_claim(Claim(claim.id, claim.kind, claim.carrier, claim.generator,
+                        claim.expected, runner, claim.note), seed=0)
     assert built == {claim.id: [] for claim in reg}
 
 
@@ -354,15 +355,15 @@ def _run_fresh(code):
 def test_package_loads_the_claim_engine_on_first_use():
     """`import neutrolab` loads none of its modules, and `import
     neutrolab.cli` not the registry; every name the package exports still
-    resolves, and listing the registry fills no cached builder."""
+    resolves, and listing the registry fills no cached builder but its own."""
     _run_fresh("import sys, neutrolab\n"
                "assert [m for m in sys.modules if m.startswith('neutrolab.')] == []\n"
                "import neutrolab.cli; assert 'neutrolab.claims' not in sys.modules\n"
                "from neutrolab import *\n"
                "assert len(registry()) == 65 and run_suite is neutrolab.engine.run_suite\n"
                "assert neutrolab.claims.registry is registry\n"
-               "assert not any(f.cache_info().currsize for f in\n"
-               "               vars(neutrolab.claims).values() if hasattr(f, 'cache_info'))\n")
+               "assert not any(f.cache_info().currsize for f in vars(neutrolab.claims).values()\n"
+               "               if hasattr(f, 'cache_info') and f is not registry)\n")
 
 
 def test_each_export_is_the_object_its_home_module_defines():
@@ -386,7 +387,9 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     """A cold `enumerate` over a groupoid file loads neither `dataclasses`
     nor the soft sets, collections, symbolic carriers, engine or claims; a
     `soft-check` over a formal-sum file loads no symbolic carrier or engine,
-    nor `dataclasses` and the `inspect` it imports."""
+    nor `dataclasses` and the `inspect` it imports; a `check-sub` and a
+    `hunt` over the groupoid file, which run the engine, load neither
+    `dataclasses` nor `inspect`, nor the claims and symbolic carriers."""
     structure = tmp_path / "g.json"
     structure.write_text(json.dumps({"kind": "param_groupoid", "n": 7, "t": 3, "u": 2}))
     soft = tmp_path / "s.json"
@@ -408,6 +411,17 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
                "          'dataclasses', 'inspect'}\n"
                "assert not loaded & set(sys.modules), loaded & set(sys.modules)\n"
                % str(soft))
+    for argv in (["check-sub", "--structure", str(structure), "--subset", "0,I",
+                  "--predicate", "subgroupoid"],
+                 ["hunt", "--template", "extended-union:subgroupoid",
+                  "--universe", str(structure), "--budget", "50"]):
+        _run_fresh("import sys\n"
+                   "from neutrolab.cli import main\n"
+                   "assert main(%r) != 2\n"
+                   "assert 'neutrolab.engine' in sys.modules\n"
+                   "loaded = {'dataclasses', 'inspect', 'neutrolab.claims', 'neutrolab.symbolic'}\n"
+                   "assert not loaded & set(sys.modules), loaded & set(sys.modules)\n"
+                   % argv)
 
 
 def test_a_row_loads_only_its_own_carrier():

@@ -339,7 +339,7 @@ def test_every_verify_counterexample_replays_through_soft_op(tmp_path, capsys):
     assert len(rows) == 20
     for row in rows:
         witness = row["witness"]
-        predicate = claims.claim_by_id(row["claim_id"]).runner.__self__.predicate
+        predicate = claims.claim_by_id(row["claim_id"]).runner.keywords["predicate"]
         lhs, rhs = (write(tmp_path, side + ".json", witness[side]) for side in ("lhs", "rhs"))
         out = str(tmp_path / "out.json")
         assert main(["soft-op", "--op", witness["op"], "--lhs", lhs, "--rhs", rhs,

@@ -1,12 +1,15 @@
 """Subset predicates and brute-force enumeration over small finite carriers."""
 
+import gc
 import math
+import weakref
 
 import pytest
 
 from neutrolab import scalars, subsets
 from neutrolab.groupring import GroupRing
 from neutrolab.io import load_structure
+from neutrolab.softsets import SoftSet, soft_is
 from neutrolab.structures import (
     FiniteMagma,
     FiniteRing,
@@ -527,6 +530,45 @@ def test_a_carrier_served_again_answers_as_a_fresh_build():
                     == _listing(fresh, predicate, strategy)), (fresh.name, strategy)
         if isinstance(u, FiniteMagma):
             assert _classified(served) == _classified(fresh), fresh.name
+
+
+def _freed(spec, query):
+    """For the carrier loaded from `spec` and each of its components, whether
+    it is gone once `query(carrier)` has run and the carrier is let go."""
+    u = load_structure(spec)
+    query(u)
+    parts = [c.structure for c in getattr(u, "components", ())]
+    refs = [weakref.ref(x) for x in (u, *parts)]
+    del u, parts
+    return [r() is None for r in refs]
+
+
+def test_a_finite_carrier_is_freed_when_its_last_holder_lets_go():
+    """The algebra view a query stores on a finite carrier reads its tables
+    and positions, not the carrier, so no reference cycle keeps a queried
+    magma, ring or collection component alive: each is freed on its last
+    release without the cyclic collector."""
+    def query(u):
+        predicate = "subring" if isinstance(u, FiniteRing) else "subgroupoid"
+        closure(u, [u.elements[-1]])
+        enumerate_subs(u, predicate)
+        check_predicate(u, u.elements[:2], predicate)
+        with pytest.raises(ValueError, match="unknown element 'zz' in "):
+            check_predicate(u, ["zz"], predicate)
+
+    magma = {"kind": "param_groupoid", "n": 4, "t": 3, "u": 2}
+    collection = {"kind": "ncollection", "name": "pair", "components": [
+        {"spec": magma, "kind_tag": {"alg": "groupoid", "neutrosophic": True}},
+        {"spec": {"kind": "param_groupoid", "n": 3, "t": 2, "u": 2},
+         "kind_tag": {"alg": "groupoid", "neutrosophic": True}}]}
+    soft = {"a1": (["0", "I"], ["1"]), "a2": (["0"], ["I"])}
+    gc.disable()
+    try:
+        assert _freed(magma, query) == [True]
+        assert _freed({"kind": "neutro_ring", "n": 4}, query) == [True]
+        assert _freed(collection, lambda u: soft_is(SoftSet(u, soft), "loose-n-sub")) == [True] * 3
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("params", [(6, 2, 3), (8, 3, 2)])
