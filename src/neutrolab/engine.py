@@ -14,6 +14,7 @@ import re
 import time
 from functools import cache
 from itertools import product
+from types import SimpleNamespace
 
 from .io import json_plain, load_soft, soft_to_dict
 from .softsets import N_PREDICATES, OPS, SoftSet, Uncombinable, op_items, value_kind
@@ -121,21 +122,59 @@ def _closure_failure(universe, predicate):
     return lambda value: None if empty(value) else violation(value)
 
 
-def _op_trial(op_name, f, k, fails, kind):
-    """Run the operation on two assignment maps of frozen values of `kind`
-    and decide each result value as one trial. Returns the trial count and
-    the first failure, (param, value, verdict), or None."""
-    items = op_items(op_name, f, k, kind)
-    for n, (p, value) in enumerate(items, 1):
-        v = fails(value)
+# a stand-in kind for op_items whose meet and join form no value: they
+# record which merge takes which two operand slots
+_SLOTS = SimpleNamespace(meet=lambda a, b: ("meet", a, b), join=lambda a, b: ("join", a, b))
+
+
+@cache
+def _op_plan(op_name, f_keys, k_keys):
+    """The plan of op(f, k) for operands with these keys, in this order: one
+    (param, merge, i, j) per value the operation forms, in parameter order.
+    The value is the kind's `merge` ("meet" or "join") of operand slots i
+    and j, or slot i itself where `merge` is None (and j is i); the slots
+    number f's values, then k's.  op_items forms the plan on the slots, so
+    it has the operation's parameters and raises its Uncombinable on a key
+    clash; an unknown operation name raises ValueError."""
+    if op_name not in OPS:
+        raise ValueError("unknown operation %r; choices: %s" % (op_name, ", ".join(OPS)))
+    n = len(f_keys)
+    f, k = dict(zip(f_keys, range(n))), dict(zip(k_keys, range(n, n + len(k_keys))))
+    return tuple((p, *s) if type(s) is tuple else (p, None, s, s)
+                 for p, s in op_items(op_name, f, k, _SLOTS))
+
+
+def _formed(kind, merge, i, j, pool):
+    """The value a plan step forms from pool members i and j."""
+    return pool[i] if merge is None else getattr(kind, merge)(pool[i], pool[j])
+
+
+_UNDECIDED = object()
+
+
+def _op_trial(plan, slots, pool, kind, fails, verdicts):
+    """Decide, as one trial each and in plan order, the values an operation
+    forms from the operand values pool[s] for s in `slots` (see _op_plan).
+    `verdicts` holds the `fails` result of each value formed so far, by
+    (merge, i, j) over pool indices, so it serves one pool.  Returns the
+    trial count, which is the 1-based position of the first failure, and
+    that failure, (param, value, verdict), or None."""
+    for n, (p, merge, a, b) in enumerate(plan, 1):
+        key = merge, slots[a], slots[b]
+        v = verdicts.get(key, _UNDECIDED)
+        if v is _UNDECIDED:
+            v = verdicts[key] = fails(_formed(kind, *key, pool))
         if v is not None:
-            return n, (p, value, v)
-    return len(items), None
+            return n, (p, _formed(kind, *key, pool), v)
+    return len(plan), None
 
 
-def _soft_dump(universe, assign):
-    """An operand of a trial, as a soft-set file's dict."""
-    return soft_to_dict(SoftSet._of_frozen(universe, assign))
+def _soft_dumps(universe, keys, values):
+    """The operands f and k of a trial, as soft-set files' dicts: `keys` are
+    their keys, in order, and `values` f's values, then k's."""
+    f_keys, k_keys = keys
+    return (soft_to_dict(SoftSet._of_frozen(universe, zip(f_keys, values))),
+            soft_to_dict(SoftSet._of_frozen(universe, zip(k_keys, values[len(f_keys):]))))
 
 
 def _fail_witness(witness_kind, v, **extra):
@@ -153,6 +192,13 @@ def _fail_witness(witness_kind, v, **extra):
 # closure propositions
 
 
+# the operand keys of a spot trial: f has p1 and, on a coin, p2; k has p1
+# and, on a coin, p3
+_SPOT_SHAPES = tuple((fk, kk) for fk in (("p1",), ("p1", "p2"))
+                     for kk in (("p1",), ("p1", "p3")))
+_PAIR = ("p1",), ("p1",)
+
+
 def run_closure_prop(universe, population, predicate, rng, ops=INTERSECTION_OPS,
                      spot=SPOT_PAIRS):
     """Exhaustive pairwise sweep over a population of assignment values,
@@ -160,9 +206,20 @@ def run_closure_prop(universe, population, predicate, rng, ops=INTERSECTION_OPS,
     values through the real soft-set operations `ops`, in turn. Returns
     (status, witness, trials).
 
-    The spot sweep memoises the kind's meet and join, which is sound because
-    values are frozen and both are pure: a pair of members shares one
-    result object, which `fails` finds in its cache by identity."""
+    Every trial runs an operation plan (_op_plan) over population indices,
+    and the verdict of each value formed is kept per (merge, i, j): the
+    pair sweep's meets fill the table the spot sweep reads.  A spot pair
+    draws its members as `rng.choice(population)` would, index by index
+    (`rng` is a random.Random, or a subclass that draws through
+    getrandbits), so status, witness and trials are those of the
+    operations on the drawn soft sets.  An unknown operation name, a
+    negative `spot` and an empty `ops` with a positive `spot` raise
+    ValueError before any trial."""
+    if spot < 0:
+        raise ValueError("spot must be at least 0, got %d" % spot)
+    if spot and not ops:
+        raise ValueError("a spot sweep needs at least one operation")
+    plans = {op: [_op_plan(op, *shape) for shape in _SPOT_SHAPES] for op in ops}
     kind = value_kind(universe)
     population = [kind.freeze(universe, v) for v in population]
     fails = cache(_closure_failure(universe, predicate))
@@ -172,36 +229,54 @@ def run_closure_prop(universe, population, predicate, rng, ops=INTERSECTION_OPS,
             raise RuntimeError(
                 "population member fails its own predicate (%s): %s"
                 % (predicate, v.note))
-    trials = len(population)
-    for a in population:
-        for b in population:
+    verdicts = {}
+    meet = _op_plan("restricted-intersection", *_PAIR)
+    size = len(population)
+    trials = size
+    for i in range(size):
+        for j in range(size):
             trials += 1
-            v = fails(kind.meet(a, b))
-            if v is not None:
+            _, failure = _op_trial(meet, (i, j), population, kind, fails, verdicts)
+            if failure is not None:
                 return (STATUS_COUNTEREXAMPLE,
-                        _fail_witness("pair-intersection", v,
-                                      lhs=kind.dump(universe, a),
-                                      rhs=kind.dump(universe, b)),
+                        _fail_witness("pair-intersection", failure[2],
+                                      lhs=kind.dump(universe, population[i]),
+                                      rhs=kind.dump(universe, population[j])),
                         trials)
-    memo = kind._replace(meet=cache(kind.meet), join=cache(kind.join))
-    choice, coin = rng.choice, rng.random
+    bits = size.bit_length()
+    getrandbits, coin = rng.getrandbits, rng.random
     checked = 0
     for _ in range(spot if population else 0):
-        f = {"p1": choice(population)}
+        # each member is drawn as rng.choice(population) draws it
+        i = getrandbits(bits)
+        while i >= size:
+            i = getrandbits(bits)
+        slots = [i]
+        shape = 0
         if coin() < 0.5:
-            f["p2"] = choice(population)
-        k = {"p1": choice(population)}
+            i = getrandbits(bits)
+            while i >= size:
+                i = getrandbits(bits)
+            slots.append(i)
+            shape = 2
+        i = getrandbits(bits)
+        while i >= size:
+            i = getrandbits(bits)
+        slots.append(i)
         if coin() < 0.5:
-            k["p3"] = choice(population)
-        op_name = ops[checked % len(ops)] if ops else "restricted-intersection"
-        n, failure = _op_trial(op_name, f, k, fails, memo)
+            i = getrandbits(bits)
+            while i >= size:
+                i = getrandbits(bits)
+            slots.append(i)
+            shape += 1
+        op_name = ops[checked % len(ops)]
+        n, failure = _op_trial(plans[op_name][shape], slots, population, kind, fails, verdicts)
         checked += n
         if failure is not None:
             p, _, v = failure
+            lhs, rhs = _soft_dumps(universe, _SPOT_SHAPES[shape], [population[s] for s in slots])
             return (STATUS_COUNTEREXAMPLE,
-                    _fail_witness("soft-op", v, op=op_name, param=p,
-                                  lhs=_soft_dump(universe, f),
-                                  rhs=_soft_dump(universe, k)),
+                    _fail_witness("soft-op", v, op=op_name, param=p, lhs=lhs, rhs=rhs),
                     trials + checked)
     return STATUS_HOLDS, None, trials + checked
 
@@ -228,8 +303,9 @@ def run_remark_hunt(universe, op_name, predicate, rng=None, pinned=None,
                     pin_check=None):
     """Two-phase hunt: the pinned pair of assignment maps, then every
     ordered pair of population members, smallest first, until `budget`
-    trials are spent. A trial decides one value of op(f, k). A found
-    witness is replayed from its serialization before being reported.
+    trials are spent. A trial decides one value of op(f, k), through the
+    operation's plan for the operands' keys, as in run_closure_prop. A
+    found witness is replayed from its serialization before being reported.
     A spent budget is an honest skip; a complete sweep reports Holds only
     when `exhaustive` says the population is every candidate.
 
@@ -245,31 +321,30 @@ def run_remark_hunt(universe, op_name, predicate, rng=None, pinned=None,
     an independently recomputed gap (a specific escaping element); it never
     decides the status by itself — the predicate must genuinely fail.
 
-    A misspelled predicate name raises ValueError up front: inside the hunt
-    a value the predicate refuses counts as a violation (a `lagrange` value
-    that is not a strict subgroupoid).  A pair the operation cannot combine
+    An unknown operation name and a misspelled predicate name raise
+    ValueError up front: inside the hunt a value the predicate refuses
+    counts as a violation (a `lagrange` value that is not a strict
+    subgroupoid).  A pinned pair the operation cannot combine
     (softsets.Uncombinable: no shared parameter, a crossed-name clash)
     makes no trial; any other ValueError, such as a value naming no member,
     propagates as it does from run_closure_prop."""
+    pair_plan = _op_plan(op_name, *_PAIR)
     kind = value_kind(universe)
     fails = cache(_remark_violation(universe, predicate))
     trials = 0
 
-    def hunt(f, k, check=None):
-        """Trial op(f, k): its replayed witness, or None."""
+    def hunt(keys, plan, pool, slots, verdicts, check=None):
+        """Trial op(f, k) on operands with these keys and the values
+        pool[s] for s in `slots`: its replayed witness, or None."""
         nonlocal trials
-        try:
-            n, failure = _op_trial(op_name, f, k, fails, kind)
-        except Uncombinable:
-            return None
+        n, failure = _op_trial(plan, slots, pool, kind, fails, verdicts)
         trials += n
         if failure is None:
             return None
         p, value, v = failure
-        witness = _fail_witness("union-violation", v, op=op_name, param=p,
-                                lhs=_soft_dump(universe, f),
-                                rhs=_soft_dump(universe, k),
-                                result=kind.dump(universe, value))
+        lhs, rhs = _soft_dumps(universe, keys, [pool[s] for s in slots])
+        witness = _fail_witness("union-violation", v, op=op_name, param=p, lhs=lhs,
+                                rhs=rhs, result=kind.dump(universe, value))
         gap = check(universe, value) if check is not None else None
         if gap:
             witness.update(json_plain(gap))
@@ -278,17 +353,24 @@ def run_remark_hunt(universe, op_name, predicate, rng=None, pinned=None,
         return witness
 
     if pinned is not None:
-        witness = hunt(SoftSet(universe, pinned[0]).assign,
-                       SoftSet(universe, pinned[1]).assign, pin_check)
+        f, k = (SoftSet(universe, assign).assign for assign in pinned)
+        keys = tuple(f), tuple(k)
+        try:
+            plan = _op_plan(op_name, *keys)
+        except Uncombinable:
+            plan = ()
+        pool = [*f.values(), *k.values()]
+        witness = hunt(keys, plan, pool, range(len(pool)), {}, pin_check)
         if witness is not None:
             return STATUS_COUNTEREXAMPLE, witness, trials
 
     ordered = sorted((kind.freeze(universe, v) for v in population or ()),
                      key=lambda v: (kind.size(v), repr(kind.dump(universe, v))))
-    for a, b in product(ordered, repeat=2):
+    verdicts = {}
+    for pair in product(range(len(ordered)), repeat=2):
         if trials >= budget:
             return STATUS_SKIPPED_BUDGET, {"budget": budget}, trials
-        witness = hunt({"p1": a}, {"p1": b})
+        witness = hunt(_PAIR, pair_plan, ordered, pair, verdicts)
         if witness is not None:
             return STATUS_COUNTEREXAMPLE, witness, trials
     if exhaustive and ordered:
