@@ -153,12 +153,12 @@ _UNDECIDED = object()
 
 
 def _op_trial(plan, slots, pool, kind, fails, verdicts):
-    """Decide, as one trial each and in plan order, the values an operation
-    forms from the operand values pool[s] for s in `slots` (see _op_plan).
-    `verdicts` holds the `fails` result of each value formed so far, by
-    (merge, i, j) over pool indices, so it serves one pool.  Returns the
-    trial count, which is the 1-based position of the first failure, and
-    that failure, (param, value, verdict), or None."""
+    """A hunt trial: decide, as one trial each and in plan order, the values
+    an operation forms from the operand values pool[s] for s in `slots` (see
+    _op_plan).  `verdicts` holds the `fails` result of each value formed so
+    far, by (merge, i, j) over pool indices, so it serves one pool.  Returns
+    the trial count, which is the 1-based position of the first failure,
+    and that failure, (param, value, verdict), or None."""
     for n, (p, merge, a, b) in enumerate(plan, 1):
         key = merge, slots[a], slots[b]
         v = verdicts.get(key, _UNDECIDED)
@@ -206,11 +206,13 @@ def run_closure_prop(universe, population, predicate, rng, ops=INTERSECTION_OPS,
     values through the real soft-set operations `ops`, in turn. Returns
     (status, witness, trials).
 
-    Every trial runs an operation plan (_op_plan) over population indices,
-    and the verdict of each value formed is kept per (merge, i, j): the
-    pair sweep's meets fill the table the spot sweep reads.  A spot pair
-    draws its members as `rng.choice(population)` would, index by index
-    (`rng` is a random.Random, or a subclass that draws through
+    The pair sweep decides every member and the meet of every ordered pair
+    of members.  Every value a soft operation forms is a member or the meet
+    or join of two (_op_plan), so after it a spot trial decides only its
+    plan's joins, in plan order and once per pair of population indices (a
+    symbolic meet that refuses its pair raises in the pair sweep).  A spot
+    pair draws its members as `rng.choice(population)` would, index by
+    index (`rng` is a random.Random, or a subclass that draws through
     getrandbits), so status, witness and trials are those of the
     operations on the drawn soft sets.  An unknown operation name, a
     negative `spot` and an empty `ops` with a positive `spot` raise
@@ -219,7 +221,11 @@ def run_closure_prop(universe, population, predicate, rng, ops=INTERSECTION_OPS,
         raise ValueError("spot must be at least 0, got %d" % spot)
     if spot and not ops:
         raise ValueError("a spot sweep needs at least one operation")
-    plans = {op: [_op_plan(op, *shape) for shape in _SPOT_SHAPES] for op in ops}
+    # per op and operand shape: the plan's length, and its joins with their
+    # 1-based places in it
+    plans = {op: [(len(plan), [(n, p, a, b) for n, (p, m, a, b) in enumerate(plan, 1)
+                               if m == "join"])
+                  for plan in (_op_plan(op, *shape) for shape in _SPOT_SHAPES)] for op in ops}
     kind = value_kind(universe)
     population = [kind.freeze(universe, v) for v in population]
     fails = cache(_closure_failure(universe, predicate))
@@ -229,20 +235,17 @@ def run_closure_prop(universe, population, predicate, rng, ops=INTERSECTION_OPS,
             raise RuntimeError(
                 "population member fails its own predicate (%s): %s"
                 % (predicate, v.note))
-    verdicts = {}
-    meet = _op_plan("restricted-intersection", *_PAIR)
     size = len(population)
-    trials = size
-    for i in range(size):
-        for j in range(size):
-            trials += 1
-            _, failure = _op_trial(meet, (i, j), population, kind, fails, verdicts)
-            if failure is not None:
+    for i, a in enumerate(population):
+        for j, b in enumerate(population):
+            v = fails(kind.meet(a, b))
+            if v is not None:
                 return (STATUS_COUNTEREXAMPLE,
-                        _fail_witness("pair-intersection", failure[2],
-                                      lhs=kind.dump(universe, population[i]),
-                                      rhs=kind.dump(universe, population[j])),
-                        trials)
+                        _fail_witness("pair-intersection", v, lhs=kind.dump(universe, a),
+                                      rhs=kind.dump(universe, b)),
+                        size + i * size + j + 1)
+    trials = size + size * size
+    joins = {}
     bits = size.bit_length()
     getrandbits, coin = rng.getrandbits, rng.random
     checked = 0
@@ -270,14 +273,19 @@ def run_closure_prop(universe, population, predicate, rng, ops=INTERSECTION_OPS,
             slots.append(i)
             shape += 1
         op_name = ops[checked % len(ops)]
-        n, failure = _op_trial(plans[op_name][shape], slots, population, kind, fails, verdicts)
-        checked += n
-        if failure is not None:
-            p, _, v = failure
-            lhs, rhs = _soft_dumps(universe, _SPOT_SHAPES[shape], [population[s] for s in slots])
-            return (STATUS_COUNTEREXAMPLE,
-                    _fail_witness("soft-op", v, op=op_name, param=p, lhs=lhs, rhs=rhs),
-                    trials + checked)
+        length, steps = plans[op_name][shape]
+        for n, p, a, b in steps:
+            key = slots[a], slots[b]
+            v = joins.get(key, _UNDECIDED)
+            if v is _UNDECIDED:
+                v = joins[key] = fails(kind.join(population[slots[a]], population[slots[b]]))
+            if v is not None:
+                lhs, rhs = _soft_dumps(universe, _SPOT_SHAPES[shape],
+                                       [population[s] for s in slots])
+                return (STATUS_COUNTEREXAMPLE,
+                        _fail_witness("soft-op", v, op=op_name, param=p, lhs=lhs, rhs=rhs),
+                        trials + checked + n)
+        checked += length
     return STATUS_HOLDS, None, trials + checked
 
 

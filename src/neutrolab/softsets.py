@@ -150,7 +150,15 @@ def _freeze_symbolic(u, raw):
 def _sym_meet(a, b):
     if isinstance(a, sym.NamedRing) and isinstance(b, sym.NamedRing):
         return sym.sym_intersect(a, b)
+    if a == b:
+        return a
     raise ValueError("no intersection for these symbolic values")
+
+
+def _sym_join(a, b):
+    """The union of two values; a union of one member is that member."""
+    members = tuple(dict.fromkeys((*_members(a), *_members(b))))
+    return members[0] if len(members) == 1 else sym.SymUnion(members)
 
 
 def _sym_contains(small, big):
@@ -241,8 +249,7 @@ _SYMBOLIC = ValueKind(
     neutro=lambda u, v: any(m.neutro if isinstance(m, sym.NamedRing)
                             else any(map(label_is_neutro, m.subset)) for m in _members(v)),
     size=lambda v: 1, decide=_decide_symbolic, whole=_not_finite,
-    load=_freeze_symbolic, dump=lambda u, v: str(v), meet=_sym_meet,
-    join=lambda a, b: sym.SymUnion(tuple(dict.fromkeys((*_members(a), *_members(b))))),
+    load=_freeze_symbolic, dump=lambda u, v: str(v), meet=_sym_meet, join=_sym_join,
     contains=_sym_contains)
 
 

@@ -23,7 +23,7 @@ from neutrolab.engine import (
 )
 from neutrolab.io import load_soft
 from neutrolab.ncollect import Component, NCollection
-from neutrolab import claims, softsets, subsets
+from neutrolab import claims, engine, softsets, subsets
 from neutrolab.structures import ResourceCap, mult_magma, neutro_ring, param_groupoid
 
 SUBS = [frozenset({"0"}), frozenset({"0", "2I"}), frozenset({"0", "2+2I"}),
@@ -97,7 +97,7 @@ def test_run_closure_prop_holds_and_trial_count():
     status, witness, trials = run_closure_prop(g, SUBS, "loose-subgroupoid",
                                                rng, spot=40)
     assert status == STATUS_HOLDS and witness is None
-    assert trials >= len(SUBS) + len(SUBS) ** 2 + 40
+    assert trials == 89     # 4 members, 16 pair meets, then 69 spot values
 
 
 def test_run_closure_prop_rejects_bad_population():
@@ -143,6 +143,55 @@ def test_spot_sweep_witness_loads_and_fails_again():
     k = load_soft(witness["rhs"], universe=ring)
     value = softsets.OPS[witness["op"]](f, k).value(witness["param"])
     assert not subsets.check_predicate(ring, value, "loose-subring").ok
+
+
+@pytest.fixture
+def formed(monkeypatch):
+    """Records the meets and joins the engine's value kinds form, as
+    operand pairs in the order they are formed."""
+    merges = {"meet": [], "join": []}
+    value_kind = engine.value_kind
+
+    def counting(universe):
+        kind = value_kind(universe)
+
+        def counted(name):
+            def merge(a, b):
+                merges[name].append((a, b))
+                return getattr(kind, name)(a, b)
+            return merge
+        return kind._replace(meet=counted("meet"), join=counted("join"))
+
+    monkeypatch.setattr(engine, "value_kind", counting)
+    return merges
+
+
+def test_an_intersection_spot_sweep_forms_no_value(formed):
+    """An intersection forms only members and pair meets, so a Holds run
+    forms each ordered pair's meet once, in the pair sweep, and no value
+    after it."""
+    g = param_groupoid(4, 2, 1)
+    population = claims.subgroupoids_421()
+    size = len(population)
+    status, _, trials = run_closure_prop(g, population, "loose-subgroupoid",
+                                         random.Random(0), spot=400)
+    assert status == STATUS_HOLDS and trials > size + size * size + 400
+    assert formed["meet"] == [(a, b) for a in population for b in population]
+    assert formed["join"] == []
+
+
+def test_a_union_spot_sweep_forms_each_join_once(formed):
+    """A union's spot trials decide the join of each ordered pair of
+    population members at most once."""
+    g = param_groupoid(4, 2, 1)
+    index = {v: i for i, v in enumerate(SUBS)}
+    status, _, _ = run_closure_prop(g, SUBS, lambda u, v: subsets.Verdict(True),
+                                    random.Random(0),
+                                    ("extended-union", "restricted-union", "or"), spot=400)
+    assert status == STATUS_HOLDS
+    assert formed["meet"] == [(a, b) for a in SUBS for b in SUBS]
+    joins = [(index[a], index[b]) for a, b in formed["join"]]
+    assert joins and len(joins) == len(set(joins))
 
 
 @pytest.fixture

@@ -471,8 +471,22 @@ def test_value_intersect_with_itself():
     met = pairs.meet(parts, (P4, P3))
     assert met[0] is P4 and met[1] == P2 & P3
     whole = sym.SymGroupRing(sym.NamedRing("Z", 1, True), cyclic_neutro_group(3))
+    assert value_kind(whole).meet(whole, whole) is whole
+
+
+def test_a_symbolic_span_with_itself_is_that_span():
+    """The union and the intersection of a symbolic span with itself are
+    the span, not a refusal or a one-member union."""
+    span = sym.SymGroupRing(sym.NamedRing("Z"), carrier("cyclic(6)+I"))
+    f = SoftSet(span, {"a": span})
+    assert extended_union(f, f).assign == {"a": span}
+    assert restricted_intersection(f, f).assign == {"a": span}
+    kind = value_kind(span)
+    assert kind.join(span, sym.SymUnion((span,))) is span
+    two = sym.SymGroupRing(sym.NamedRing("Z", 2), span.basis)
+    assert kind.join(span, two) == sym.SymUnion((span, two))
     with pytest.raises(ValueError, match="no intersection"):
-        value_kind(whole).meet(whole, whole)
+        kind.meet(span, two)
 
 
 def test_named_ring_values_meet_through_sym_intersect(monkeypatch):
