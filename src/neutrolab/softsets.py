@@ -19,6 +19,7 @@ them: a result holds its operands' frozensets, and a part intersected with
 itself is that same object.
 """
 
+import re
 from collections import namedtuple
 from functools import partial
 from itertools import repeat
@@ -147,6 +148,39 @@ def _freeze_symbolic(u, raw):
     return raw
 
 
+# a symbolic value as `dump` writes it: members joined by " u " outside the
+# angle brackets; a member is a named ring (Z, Q, R, C, nZ or <nZ u I>) and,
+# over a symbolic group ring, its span: <basis name> or <{label,...}>
+_SYM_UNION = re.compile(r" u (?![^<>]*>)")
+_SYM_MEMBER = re.compile(r"(<)?(\d*)([ZQRC])(?(1) u I>)(?:<([^<>]*)>)?")
+
+
+def _load_symbolic(u, raw):
+    """A value as `_freeze_symbolic` takes it, or the text `dump` writes
+    for one."""
+    if isinstance(raw, str):
+        members = tuple(_symbolic_member(u, text) for text in _SYM_UNION.split(raw))
+        raw = members[0] if len(members) == 1 else sym.SymUnion(members)
+    return _freeze_symbolic(u, raw)
+
+
+def _symbolic_member(u, text):
+    m = _SYM_MEMBER.fullmatch(text)
+    if m is None:
+        raise ValueError("not a symbolic value: %.60r" % text)
+    ring = sym.NamedRing(m[3], int(m[2] or 1), m[1] is not None)
+    span = m[4]
+    if span is None:
+        return ring
+    if not isinstance(u, sym.SymGroupRing):
+        raise ValueError("expected a %s value, got %.60r" % (type(u).__name__, text))
+    if span == u.basis.name:
+        return sym.SymGroupRing(ring, u.basis)
+    if span[:1] != "{" or span[-1:] != "}":
+        raise ValueError("a span is %s or a set of its labels, got %.60r" % (u.basis.name, span))
+    return sym.SymGroupRing(ring, u.basis, span[1:-1].split(","))
+
+
 def _sym_meet(a, b):
     if isinstance(a, sym.NamedRing) and isinstance(b, sym.NamedRing):
         return sym.sym_intersect(a, b)
@@ -249,7 +283,7 @@ _SYMBOLIC = ValueKind(
     neutro=lambda u, v: any(m.neutro if isinstance(m, sym.NamedRing)
                             else any(map(label_is_neutro, m.subset)) for m in _members(v)),
     size=lambda v: 1, decide=_decide_symbolic, whole=_not_finite,
-    load=_freeze_symbolic, dump=lambda u, v: str(v), meet=_sym_meet, join=_sym_join,
+    load=_load_symbolic, dump=lambda u, v: str(v), meet=_sym_meet, join=_sym_join,
     contains=_sym_contains)
 
 

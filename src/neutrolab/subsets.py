@@ -221,15 +221,16 @@ def _absorb_verdict(view, gap, flags=(), where=""):
 
 
 def _close(view, seed, base=(), floor=None):
-    """Smallest superset of `seed` and of the closed set `base` closed under
-    the view's tables.  A worklist: `order` lists the members, those of
-    `base` first, and each member after them is multiplied, under every
-    table of `spread`, by every member listed up to it, itself included.  So
-    each pair meets once, on the turn of the one listed later, and no
-    product inside `base` is formed.  The walk stops once the set holds the
-    whole carrier, so a closure needs no member cap.  With a `floor`, the
-    walk gives up as soon as it adds a member below `floor` and returns that
-    member instead of a set."""
+    """Smallest superset of `seed` and of `base` closed under the view's
+    tables, where every product of two members of `base` lies in `base` or
+    `seed` (a closed `base` is the common case).  A worklist: `order` lists
+    the members, those of `base` first, and each member after them is
+    multiplied, under every table of `spread`, by every member listed up to
+    it, itself included.  So each pair meets once, on the turn of the one
+    listed later, and no product of two members of `base` is formed.  The
+    walk stops once the set holds the whole carrier, so a closure needs no
+    member cap.  With a `floor`, the walk gives up as soon as it adds a
+    member below `floor` and returns that member instead of a set."""
     current, order = set(base), list(base)
     i = len(order)
     for x in seed:
@@ -713,13 +714,43 @@ def _scan_closed_sets(spread, n, name):
     return closed
 
 
+def _fresh_products(spread, s, x):
+    """The products of x with the closed set `s` that lie outside `s | {x}`,
+    formed in the order `_close` forms them (table by table, the members of
+    `s`, then x) and read against `s` itself; the first one below x instead
+    of the list, where `_close(view, (x,), base=s, floor=x)` stops too."""
+    new = []
+    for table in spread:
+        row = table[x]
+        for y in s:
+            z = row[y]
+            if z not in s and z != x:
+                if z < x:
+                    return z
+                new.append(z)
+        z = row[x]
+        if z not in s and z != x:
+            if z < x:
+                return z
+            new.append(z)
+    return new
+
+
 def _generate_closed_sets(view, n, name):
     """Every nonempty closed set, once each, by Close-by-One (Kuznetsov
     1999): a closed set `s` reached by adding `y` is extended by each x > y
-    outside it and closed from itself as the base.  The closure is kept only
-    when it adds no member below x (the canonicity test of FCbO, Krajca,
-    Outrata and Vychodil 2010), and `_close` stops at the first such member
-    z, so every closed set has one parent and is closed out once.
+    outside it.  The extension is kept only when its closure adds no member
+    below x (the canonicity test of FCbO, Krajca, Outrata and Vychodil
+    2010), so every closed set has one parent and is closed out once.
+
+    Each x is first decided from its products with `s` alone, in the order
+    `_close` forms them (table by table, the members of `s`, then x), read
+    against `s` itself: the first one outside `s` and below x fails the test
+    at once, as `_close` would, and with none outside `s | {x}` that set is
+    the closure.  Only otherwise does `_close` run, from the base `s | {x}`
+    with those products as the seed, so none is formed twice; it stops at
+    the first member below x.  Testing canonicity on a partial closure is
+    the idea of In-Close2 (Andrews 2011).
 
     As in FCbO, a failed test is inherited: `s` records x -> z, and each
     closed set B grown from `s` skips x while z is not in B, since the
@@ -727,14 +758,16 @@ def _generate_closed_sets(view, n, name):
     the same way.  A child is popped only after its parent's loop ends, so it
     reads the parent's whole map; it writes to its own copy, so a failure
     found under one sibling never reaches another."""
-    closed, stack = [], [(frozenset(), -1, {})]
+    closed, stack, spread = [], [(frozenset(), -1, {})], view.spread
     while stack:
         s, y, inherited = stack.pop()
         failed = dict(inherited)
         for x in range(y + 1, n):
             if x in s or x in failed and failed[x] not in s:
                 continue
-            c = _close(view, (x,), base=s, floor=x)
+            c = _fresh_products(spread, s, x)
+            if not isinstance(c, int):
+                c = _close(view, c, base=s | {x}, floor=x) if c else s | {x}
             if isinstance(c, int):
                 failed[x] = c
                 continue

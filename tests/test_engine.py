@@ -24,6 +24,7 @@ from neutrolab.engine import (
 from neutrolab.io import load_soft
 from neutrolab.ncollect import Component, NCollection
 from neutrolab import claims, engine, softsets, subsets
+from neutrolab import symbolic as sym
 from neutrolab.structures import ResourceCap, mult_magma, neutro_ring, param_groupoid
 
 SUBS = [frozenset({"0"}), frozenset({"0", "2I"}), frozenset({"0", "2+2I"}),
@@ -243,6 +244,20 @@ def test_hunt_finds_replayable_counterexample():
     assert witness["op"] == "extended-union"
     assert "lhs" in witness and "rhs" in witness
     assert trials >= 1
+
+
+def test_a_symbolic_hunt_reports_a_counterexample_that_replays():
+    """A symbolic universe's witness is written as text and read back from
+    it: 2Z u 3Z is no subring of <Z u I>, and the replay says so again."""
+    zi, z2, z3 = sym.NamedRing("Z", 1, True), sym.NamedRing("Z", 2), sym.NamedRing("Z", 3)
+    status, witness, trials = run_remark_hunt(zi, "extended-union", "loose-subring",
+                                              population=[z2, z3], budget=20)
+    assert status == STATUS_COUNTEREXAMPLE and trials == 2
+    assert (witness["lhs"]["assign"], witness["rhs"]["assign"]) == ({"p1": "2Z"}, {"p1": "3Z"})
+    assert witness["result"] == "2Z u 3Z"
+    f, k = (load_soft(witness[side], universe=zi) for side in ("lhs", "rhs"))
+    assert f.value("p1") == z2 and k.value("p1") == z3
+    assert engine._replay_witness(zi, "extended-union", "loose-subring", witness)
 
 
 def test_hunt_rejects_an_unknown_predicate():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neutrolab import claims, io
+from neutrolab import symbolic as sym
 from neutrolab.groupring import GroupRing
 from neutrolab.io import (
     json_plain,
@@ -109,6 +110,50 @@ def test_soft_roundtrip_group_ring():
     assert dumped["assign"]["a1"] == ["0", "1+g", "I"]
     again = load_soft(dumped)
     assert again.value("a1") == f.value("a1")
+
+
+SPAN_BASIS = claims.carrier("cyclic(6)+I")
+
+
+@st.composite
+def named_rings(draw):
+    base = draw(st.sampled_from("ZQRC"))
+    mult = draw(st.integers(1, 12)) if base == "Z" else 1
+    return sym.NamedRing(base, mult, draw(st.booleans()))
+
+
+@st.composite
+def spans(draw):
+    """A span over SPAN_BASIS: of the whole basis or of a set of its labels."""
+    subset = draw(st.one_of(st.none(), st.sets(st.sampled_from(SPAN_BASIS.elements),
+                                               min_size=1)))
+    return sym.SymGroupRing(draw(named_rings()), SPAN_BASIS, subset)
+
+
+@st.composite
+def symbolic_soft_sets(draw):
+    """A soft set over a named ring or a symbolic group ring whose values are
+    members of the universe's type or unions of them; over a group ring, a
+    lone coefficient ring stands for its span."""
+    if draw(st.booleans()):
+        universe, members, lone = draw(named_rings()), named_rings(), named_rings()
+    else:
+        universe, members = sym.SymGroupRing(draw(named_rings()), SPAN_BASIS), spans()
+        lone = st.one_of(spans(), named_rings())
+    union = st.lists(members, min_size=2, max_size=3).map(lambda ms: sym.SymUnion(tuple(ms)))
+    assign = draw(st.dictionaries(st.sampled_from(["a1", "a2", "a3"]), st.one_of(lone, union),
+                                  min_size=1))
+    return SoftSet(universe, assign)
+
+
+@settings(max_examples=150, deadline=None)
+@given(symbolic_soft_sets())
+def test_a_symbolic_soft_set_reads_back_what_it_writes(f):
+    """Symbolic values are written as their names ("<2Z u I>",
+    "Q<{1,g^3}>", "2Z u R"), and read back to the same values."""
+    dumped = soft_to_dict(f)
+    assert all(isinstance(v, str) for v in dumped["assign"].values())
+    assert load_soft(json.loads(json.dumps(dumped)), universe=f.universe) == f
 
 
 def test_load_soft_with_shared_universe():

@@ -4,11 +4,12 @@ formal-sum predicates on additive spans, generated subrings, right ideals and
 ideals of five formal-sum rings; every failing verdict's witness must
 replay.  Both enumeration strategies against a brute-force listing of the
 subsets each predicate accepts, the pruned scan against every mask closed
-under random tables, and the closure loop grown from a closed base
-against the closure from scratch.  Ring ideals, which are decided on an
-additive generating set, against every (member, element) pair and against
-the sums of principal ideals, on rings that are not commutative or have no
-identity too."""
+under random tables, the closure loop grown from a base (closed, or with
+its products seeded) against the closure from scratch, and Close-by-One's
+walk of a candidate's products with a closed set against its closure.
+Ring ideals, which are decided on an additive generating set, against
+every (member, element) pair and against the sums of principal ideals, on
+rings that are not commutative or have no identity too."""
 
 import functools
 import itertools
@@ -32,6 +33,7 @@ from neutrolab.subsets import (
     PREDICATES,
     _close,
     _closed_gap,
+    _fresh_products,
     _generate_closed_sets,
     _grid,
     _scan_closed_sets,
@@ -483,6 +485,72 @@ def test_closing_to_the_whole_carrier_stops_there(universe, base, seed):
     grown = _close(view, indices(view, seed), base=closed)
     assert grown == set(range(len(universe)))
     assert closure(universe, base | seed) == frozenset(universe.elements)
+
+
+# a ring, a groupoid whose product has a transpose in its spread, and a
+# multiplicative magma
+WALKED = [neutro_ring(4), neutro_ring(6), param_groupoid(4, 2, 1), mult_magma(4)]
+
+
+def operations(universe):
+    return [universe.add, universe.mul] if isinstance(universe, FiniteRing) else [universe.op]
+
+
+@st.composite
+def closed_set_and_candidate(draw):
+    """A carrier of WALKED, a closed set (the closure of a random subset,
+    possibly empty) as indices, and an index outside it."""
+    universe = draw(st.sampled_from(WALKED))
+    view = _view(universe)
+    picks = draw(st.sets(st.sampled_from(universe.elements), max_size=3))
+    s = indices(view, fixpoint(picks, operations(universe)))
+    outside = [x for x in range(len(universe)) if x not in s]
+    if not outside:
+        s = frozenset()
+        outside = range(len(universe))
+    return universe, s, draw(st.sampled_from(outside))
+
+
+@settings(max_examples=200, deadline=None)
+@given(closed_set_and_candidate())
+def test_the_walk_over_a_closed_set_decides_what_its_closure_decides(case):
+    """Close-by-One's walk of x's products with a closed `s` fails with the
+    member the closure from `s` stops at, finds nothing new exactly when
+    s | {x} is closed, and otherwise seeds a closure from s | {x} that ends
+    in the same set, or fails below x too."""
+    universe, s, x = case
+    view = _view(universe)
+    closed = _close(view, (x,), base=s, floor=x)
+    walked = _fresh_products(view.spread, s, x)
+    if isinstance(walked, int):
+        assert walked == closed
+    elif not walked:
+        assert closed == s | {x}
+    else:
+        grown = _close(view, walked, base=s | {x}, floor=x)
+        if isinstance(closed, int):
+            fresh = indices(view, fixpoint({universe.elements[i] for i in s | {x}},
+                                           operations(universe)))
+            assert isinstance(grown, int) and grown < x and grown in fresh - s
+        else:
+            assert grown == closed != s | {x}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(WALKED), st.data())
+def test_closing_from_a_base_whose_products_are_seeded_matches_closing_from_scratch(
+        universe, data):
+    """A base need not be closed: seeded with every product of two of its
+    members that falls outside it, and any other members, `_close` ends
+    where the closure from scratch does."""
+    view = _view(universe)
+    members = st.sampled_from(universe.elements)
+    base = data.draw(st.sets(members, max_size=4))
+    seed = {f(a, b) for f in operations(universe) for a in base for b in base} - base
+    seed |= data.draw(st.sets(members, max_size=2))
+    grown = _close(view, indices(view, seed), base=indices(view, base))
+    assert grown == _close(view, indices(view, base | seed))
+    assert {universe.elements[i] for i in grown} == fixpoint(base | seed, operations(universe))
 
 
 # the upper-triangular 2x2 matrices over Z2, [[a, b], [0, c]] labelled "abc":
