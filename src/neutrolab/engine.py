@@ -144,31 +144,6 @@ def _op_plan(op_name, f_keys, k_keys):
                  for p, s in op_items(op_name, f, k, _SLOTS))
 
 
-def _formed(kind, merge, i, j, pool):
-    """The value a plan step forms from pool members i and j."""
-    return pool[i] if merge is None else getattr(kind, merge)(pool[i], pool[j])
-
-
-_UNDECIDED = object()
-
-
-def _op_trial(plan, slots, pool, kind, fails, verdicts):
-    """A hunt trial: decide, as one trial each and in plan order, the values
-    an operation forms from the operand values pool[s] for s in `slots` (see
-    _op_plan).  `verdicts` holds the `fails` result of each value formed so
-    far, by (merge, i, j) over pool indices, so it serves one pool.  Returns
-    the trial count, which is the 1-based position of the first failure,
-    and that failure, (param, value, verdict), or None."""
-    for n, (p, merge, a, b) in enumerate(plan, 1):
-        key = merge, slots[a], slots[b]
-        v = verdicts.get(key, _UNDECIDED)
-        if v is _UNDECIDED:
-            v = verdicts[key] = fails(_formed(kind, *key, pool))
-        if v is not None:
-            return n, (p, _formed(kind, *key, pool), v)
-    return len(plan), None
-
-
 def _soft_dumps(universe, keys, values):
     """The operands f and k of a trial, as soft-set files' dicts: `keys` are
     their keys, in order, and `values` f's values, then k's."""
@@ -197,6 +172,7 @@ def _fail_witness(witness_kind, v, **extra):
 _SPOT_SHAPES = tuple((fk, kk) for fk in (("p1",), ("p1", "p2"))
                      for kk in (("p1",), ("p1", "p3")))
 _PAIR = ("p1",), ("p1",)
+_UNDECIDED = object()
 
 
 def run_closure_prop(universe, population, predicate, rng, ops=INTERSECTION_OPS,
@@ -311,9 +287,10 @@ def run_remark_hunt(universe, op_name, predicate, rng=None, pinned=None,
                     pin_check=None):
     """Two-phase hunt: the pinned pair of assignment maps, then every
     ordered pair of population members, smallest first, until `budget`
-    trials are spent. A trial decides one value of op(f, k), through the
-    operation's plan for the operands' keys, as in run_closure_prop. A
-    found witness is replayed from its serialization before being reported.
+    trials are spent. A trial decides one value of op(f, k): each value
+    the operation forms from the pinned maps, in parameter order, then the
+    one value it forms from each pair of one-parameter soft sets. A found
+    witness is replayed from its serialization before being reported.
     A spent budget is an honest skip; a complete sweep reports Holds only
     when `exhaustive` says the population is every candidate.
 
@@ -336,21 +313,17 @@ def run_remark_hunt(universe, op_name, predicate, rng=None, pinned=None,
     (softsets.Uncombinable: no shared parameter, a crossed-name clash)
     makes no trial; any other ValueError, such as a value naming no member,
     propagates as it does from run_closure_prop."""
-    pair_plan = _op_plan(op_name, *_PAIR)
+    # on two one-parameter soft sets every operation forms one value, the
+    # meet or join of the two
+    (pair_param, merge_name, _, _), = _op_plan(op_name, *_PAIR)
     kind = value_kind(universe)
+    merge = getattr(kind, merge_name)
     fails = cache(_remark_violation(universe, predicate))
-    trials = 0
 
-    def hunt(keys, plan, pool, slots, verdicts, check=None):
-        """Trial op(f, k) on operands with these keys and the values
-        pool[s] for s in `slots`: its replayed witness, or None."""
-        nonlocal trials
-        n, failure = _op_trial(plan, slots, pool, kind, fails, verdicts)
-        trials += n
-        if failure is None:
-            return None
-        p, value, v = failure
-        lhs, rhs = _soft_dumps(universe, keys, [pool[s] for s in slots])
+    def found(keys, values, p, value, v, check=None):
+        """The replayed witness that op(f, k), on operands with these keys
+        and values, forms `value` at `p`, and that it fails as `v`."""
+        lhs, rhs = _soft_dumps(universe, keys, values)
         witness = _fail_witness("union-violation", v, op=op_name, param=p, lhs=lhs,
                                 rhs=rhs, result=kind.dump(universe, value))
         gap = check(universe, value) if check is not None else None
@@ -360,27 +333,32 @@ def run_remark_hunt(universe, op_name, predicate, rng=None, pinned=None,
             raise RuntimeError("hunt witness failed to replay")
         return witness
 
+    trials = 0
     if pinned is not None:
         f, k = (SoftSet(universe, assign).assign for assign in pinned)
-        keys = tuple(f), tuple(k)
         try:
-            plan = _op_plan(op_name, *keys)
+            items = op_items(op_name, f, k, kind)
         except Uncombinable:
-            plan = ()
-        pool = [*f.values(), *k.values()]
-        witness = hunt(keys, plan, pool, range(len(pool)), {}, pin_check)
-        if witness is not None:
-            return STATUS_COUNTEREXAMPLE, witness, trials
+            items = ()
+        for p, value in items:
+            trials += 1
+            v = fails(value)
+            if v is not None:
+                return (STATUS_COUNTEREXAMPLE,
+                        found((tuple(f), tuple(k)), [*f.values(), *k.values()], p, value, v,
+                              pin_check),
+                        trials)
 
     ordered = sorted((kind.freeze(universe, v) for v in population or ()),
                      key=lambda v: (kind.size(v), repr(kind.dump(universe, v))))
-    verdicts = {}
-    for pair in product(range(len(ordered)), repeat=2):
+    for a, b in product(ordered, repeat=2):
         if trials >= budget:
             return STATUS_SKIPPED_BUDGET, {"budget": budget}, trials
-        witness = hunt(_PAIR, pair_plan, ordered, pair, verdicts)
-        if witness is not None:
-            return STATUS_COUNTEREXAMPLE, witness, trials
+        trials += 1
+        value = merge(a, b)
+        v = fails(value)
+        if v is not None:
+            return STATUS_COUNTEREXAMPLE, found(_PAIR, [a, b], pair_param, value, v), trials
     if exhaustive and ordered:
         return STATUS_HOLDS, None, trials
     return STATUS_SKIPPED_BUDGET, {"budget": budget}, trials

@@ -140,9 +140,13 @@ def _members(v):
 
 def _freeze_symbolic(u, raw):
     """A carrier of the universe's own type, or a union of them; over a
-    symbolic group ring, a coefficient ring stands for its span."""
-    if isinstance(u, sym.SymGroupRing) and isinstance(raw, sym.NamedRing):
-        raw = sym.SymGroupRing(raw, u.basis)
+    symbolic group ring, a coefficient ring, alone or as a union's member,
+    stands for its span."""
+    if isinstance(u, sym.SymGroupRing) and any(isinstance(m, sym.NamedRing)
+                                               for m in _members(raw)):
+        spans = tuple(sym.SymGroupRing(m, u.basis) if isinstance(m, sym.NamedRing) else m
+                      for m in _members(raw))
+        raw = sym.SymUnion(spans) if isinstance(raw, sym.SymUnion) else spans[0]
     if not all(isinstance(m, type(u)) for m in _members(raw)):
         raise ValueError("expected a %s value, got %.60r" % (type(u).__name__, raw))
     return raw
@@ -319,14 +323,13 @@ def _extended(f, k, merge):
 
 def _crossed(f, k, merge, sep):
     """One parameter `a<sep>b` per pair; two pairs that would share a name
-    (say x&y with z, and x with y&z) raise Uncombinable naming it."""
-    out = {"%s%s%s" % (a, sep, b): merge(fa, kb)
-           for a, fa in f.items() for b, kb in k.items()}
-    if len(out) < len(f) * len(k):
-        names = ["%s%s%s" % (a, sep, b) for a in f for b in k]
+    (say x&y with z, and x with y&z) raise Uncombinable naming it before
+    any value is formed."""
+    names = ["%s%s%s" % (a, sep, b) for a in f for b in k]
+    if len(set(names)) < len(names):
         raise Uncombinable("crossed parameter %r names two pairs"
                            % next(p for p in names if names.count(p) > 1))
-    return sorted(out.items())
+    return sorted(zip(names, (merge(fa, kb) for fa in f.values() for kb in k.values())))
 
 
 _OP_SHAPES = {

@@ -195,6 +195,27 @@ def test_a_union_spot_sweep_forms_each_join_once(formed):
     assert joins and len(joins) == len(set(joins))
 
 
+def test_a_population_hunt_forms_each_value_once(formed):
+    """A hunt forms one join per ordered pair of members and decides it
+    there: a Holds hunt forms every pair's join once and no meet, and a
+    found witness's value is not formed again."""
+    universe = mult_magma(4)
+    population = subsets.enumerate_subs(universe, "ideal")
+    index = {v: i for i, v in enumerate(population)}
+    out = run_remark_hunt(universe, "extended-union", result_predicate("ideal"),
+                          population=population, exhaustive=True)
+    assert out == (STATUS_HOLDS, None, 18 * 18)
+    assert sorted((index[a], index[b]) for a, b in formed["join"]) == \
+        [(i, j) for i in range(18) for j in range(18)]
+    assert formed["meet"] == []
+    formed["join"].clear()
+    status, _, trials = run_remark_hunt(
+        universe, "extended-union", result_predicate("subgroupoid"),
+        population=subsets.enumerate_subs(universe, "subgroupoid"), exhaustive=True)
+    assert (status, trials) == (STATUS_COUNTEREXAMPLE, 2)
+    assert len(formed["join"]) == 2 and formed["meet"] == []
+
+
 @pytest.fixture
 def built(monkeypatch):
     """Counts the soft sets built, through either constructor."""
@@ -293,6 +314,16 @@ def test_hunt_raises_on_a_value_naming_no_member():
     out = run_remark_hunt(g, "restricted-intersection", "loose-subgroupoid",
                           pinned=({"a": {"0"}}, {"b": {"0"}}), population=[{"0"}],
                           exhaustive=True)
+    assert out == (STATUS_HOLDS, None, 1)
+    # so does a crossed pair whose names clash, before it forms a value that
+    # cannot be formed: x&y with z, and x with y&z, both name x&y&z, and
+    # 2Z u 3Z meets 2Z in no value
+    z1, z2, z3 = sym.NamedRing("Z", 1, True), sym.NamedRing("Z", 2), sym.NamedRing("Z", 3)
+    with pytest.raises(ValueError, match="no intersection"):
+        softsets.value_kind(z1).meet(sym.SymUnion((z2, z3)), z2)
+    out = run_remark_hunt(z1, "and", "loose-subring",
+                          pinned=({"x&y": sym.SymUnion((z2, z3)), "x": z2}, {"z": z2, "y&z": z3}),
+                          population=[z2], exhaustive=True)
     assert out == (STATUS_HOLDS, None, 1)
 
 

@@ -134,14 +134,14 @@ def spans(draw):
 def symbolic_soft_sets(draw):
     """A soft set over a named ring or a symbolic group ring whose values are
     members of the universe's type or unions of them; over a group ring, a
-    lone coefficient ring stands for its span."""
+    coefficient ring, alone or in a union, stands for its span."""
     if draw(st.booleans()):
-        universe, members, lone = draw(named_rings()), named_rings(), named_rings()
+        universe, members = draw(named_rings()), named_rings()
     else:
-        universe, members = sym.SymGroupRing(draw(named_rings()), SPAN_BASIS), spans()
-        lone = st.one_of(spans(), named_rings())
+        universe = sym.SymGroupRing(draw(named_rings()), SPAN_BASIS)
+        members = st.one_of(spans(), named_rings())
     union = st.lists(members, min_size=2, max_size=3).map(lambda ms: sym.SymUnion(tuple(ms)))
-    assign = draw(st.dictionaries(st.sampled_from(["a1", "a2", "a3"]), st.one_of(lone, union),
+    assign = draw(st.dictionaries(st.sampled_from(["a1", "a2", "a3"]), st.one_of(members, union),
                                   min_size=1))
     return SoftSet(universe, assign)
 

@@ -489,6 +489,21 @@ def test_a_symbolic_span_with_itself_is_that_span():
         kind.meet(span, two)
 
 
+def test_a_coefficient_ring_stands_for_its_span_inside_a_union_too():
+    """Over a symbolic group ring a named ring is read as its span whether
+    it stands alone or as a member of a union, and so is its text."""
+    u = sym.SymGroupRing(sym.NamedRing("Q"), carrier("cyclic(6)+I"))
+    z2, z3 = sym.NamedRing("Z", 2), sym.NamedRing("Z", 3)
+    span2, span3 = sym.SymGroupRing(z2, u.basis), sym.SymGroupRing(z3, u.basis)
+    assert SoftSet(u, {"a": z2}).assign == {"a": span2}
+    assert SoftSet(u, {"a": sym.SymUnion((u, z2))}).assign == {"a": sym.SymUnion((u, span2))}
+    kind = value_kind(u)
+    assert kind.load(u, "2Z u 3Z") == sym.SymUnion((span2, span3))
+    assert kind.load(u, kind.dump(u, sym.SymUnion((span2, span3)))) == sym.SymUnion((span2, span3))
+    union = sym.SymUnion((u, span2))
+    assert kind.freeze(u, union) is union
+
+
 def test_named_ring_values_meet_through_sym_intersect(monkeypatch):
     calls = []
 

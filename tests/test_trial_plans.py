@@ -19,7 +19,6 @@ from neutrolab.engine import (
     STATUS_SKIPPED_BUDGET,
     _closure_failure,
     _fail_witness,
-    _formed,
     _op_plan,
     _remark_violation,
     _replay_witness,
@@ -287,7 +286,8 @@ def test_a_plan_replayed_on_values_is_op_items(pair, op_name):
         return
     # a symbolic meet that refuses its pair raises when the plan is replayed
     pool = [*f.values(), *k.values()]
-    assert outcome(lambda: [(p, _formed(kind, merge, i, j, pool))
+    assert outcome(lambda: [(p, pool[i] if merge is None
+                             else getattr(kind, merge)(pool[i], pool[j]))
                             for p, merge, i, j in got[1]]) == want
 
 
