@@ -197,11 +197,11 @@ def run_closure_prop(universe, population, predicate, rng, ops=INTERSECTION_OPS,
         raise ValueError("spot must be at least 0, got %d" % spot)
     if spot and not ops:
         raise ValueError("a spot sweep needs at least one operation")
-    # per op and operand shape: the plan's length, and its joins with their
-    # 1-based places in it
-    plans = {op: [(len(plan), [(n, p, a, b) for n, (p, m, a, b) in enumerate(plan, 1)
-                               if m == "join"])
-                  for plan in (_op_plan(op, *shape) for shape in _SPOT_SHAPES)] for op in ops}
+    # per op, by its place in `ops`, and operand shape: the plan's length, and
+    # its joins with their 1-based places in it
+    plans = [[(len(plan), [(n, p, a, b) for n, (p, m, a, b) in enumerate(plan, 1)
+                           if m == "join"])
+              for plan in (_op_plan(op, *shape) for shape in _SPOT_SHAPES)] for op in ops]
     kind = value_kind(universe)
     population = [kind.freeze(universe, v) for v in population]
     fails = cache(_closure_failure(universe, predicate))
@@ -224,43 +224,47 @@ def run_closure_prop(universe, population, predicate, rng, ops=INTERSECTION_OPS,
     joins = {}
     bits = size.bit_length()
     getrandbits, coin = rng.getrandbits, rng.random
-    checked = 0
+    checked, nops = 0, len(ops)
     for _ in range(spot if population else 0):
-        # each member is drawn as rng.choice(population) draws it
-        i = getrandbits(bits)
-        while i >= size:
-            i = getrandbits(bits)
-        slots = [i]
+        # each member is drawn as rng.choice(population) draws it: f's p1,
+        # on a coin f's p2, k's p1, on a coin k's p3
+        f1 = getrandbits(bits)
+        while f1 >= size:
+            f1 = getrandbits(bits)
         shape = 0
         if coin() < 0.5:
-            i = getrandbits(bits)
-            while i >= size:
-                i = getrandbits(bits)
-            slots.append(i)
+            f2 = getrandbits(bits)
+            while f2 >= size:
+                f2 = getrandbits(bits)
             shape = 2
-        i = getrandbits(bits)
-        while i >= size:
-            i = getrandbits(bits)
-        slots.append(i)
+        k1 = getrandbits(bits)
+        while k1 >= size:
+            k1 = getrandbits(bits)
         if coin() < 0.5:
-            i = getrandbits(bits)
-            while i >= size:
-                i = getrandbits(bits)
-            slots.append(i)
+            k3 = getrandbits(bits)
+            while k3 >= size:
+                k3 = getrandbits(bits)
             shape += 1
-        op_name = ops[checked % len(ops)]
-        length, steps = plans[op_name][shape]
-        for n, p, a, b in steps:
-            key = slots[a], slots[b]
-            v = joins.get(key, _UNDECIDED)
-            if v is _UNDECIDED:
-                v = joins[key] = fails(kind.join(population[slots[a]], population[slots[b]]))
-            if v is not None:
-                lhs, rhs = _soft_dumps(universe, _SPOT_SHAPES[shape],
-                                       [population[s] for s in slots])
-                return (STATUS_COUNTEREXAMPLE,
-                        _fail_witness("soft-op", v, op=op_name, param=p, lhs=lhs, rhs=rhs),
-                        trials + checked + n)
+        op = checked % nops
+        length, steps = plans[op][shape]
+        if steps:
+            # the operand slots, f's values then k's, only for a plan that
+            # forms a join
+            slots = (f1, f2, k1) if shape & 2 else (f1, k1)
+            if shape & 1:
+                slots += (k3,)
+            for n, p, a, b in steps:
+                key = slots[a], slots[b]
+                v = joins.get(key, _UNDECIDED)
+                if v is _UNDECIDED:
+                    v = joins[key] = fails(kind.join(population[key[0]], population[key[1]]))
+                if v is not None:
+                    lhs, rhs = _soft_dumps(universe, _SPOT_SHAPES[shape],
+                                           [population[s] for s in slots])
+                    return (STATUS_COUNTEREXAMPLE,
+                            _fail_witness("soft-op", v, op=ops[op], param=p, lhs=lhs,
+                                          rhs=rhs),
+                            trials + checked + n)
         checked += length
     return STATUS_HOLDS, None, trials + checked
 

@@ -107,12 +107,13 @@ def _nonempty_parts(ncol, parts):
 
 
 def _partwise(ncol, parts, check, require_neutro, flags=()):
-    """Run `check(component, part)` on every nonempty part; the first failing
-    part decides, and require_neutro asks for an indeterminate member."""
+    """Run `check(i, component, part)` on every nonempty part, in component
+    order; the first failing part decides, and require_neutro asks for an
+    indeterminate member."""
     for i, (comp, labels) in enumerate(zip(ncol.components, parts)):
         if not labels:
             continue
-        v = check(comp, labels)
+        v = check(i, comp, labels)
         if not v.ok:
             return Verdict(False, witness=(i, comp.name) + tuple(v.witness or ()),
                            flags=v.flags, note="part %d: %s" % (i, v.note))
@@ -123,19 +124,39 @@ def _partwise(ncol, parts, check, require_neutro, flags=()):
     return Verdict(True, flags=flags)
 
 
+def n_decider(ncol, ideal=False, strong=False, require_neutro=True):
+    """The part-by-part check of a collection value, as a function of its
+    parts: each part a substructure of its component (strong: a strong one,
+    whose members are all indeterminate or zero; ideal: a two-sided ideal),
+    and with require_neutro (which strong does without) some part carrying
+    an indeterminate member.  The function decides each distinct
+    (component, part) once, in a memo of its own, so nothing outlives it."""
+    if ideal:
+        part = lambda comp, labels: ideal_verdict(comp.structure, labels)
+    else:
+        part = lambda comp, labels: _part_verdict(comp, labels, strong)
+    memos = [{} for _ in ncol.components]
+
+    def check(i, comp, labels):
+        memo = memos[i]
+        v = memo.get(labels)
+        if v is None:
+            v = memo[labels] = part(comp, labels)
+        return v
+
+    neutro = require_neutro and not strong
+    return lambda parts: _partwise(ncol, _nonempty_parts(ncol, parts), check, neutro)
+
+
 def is_n_sub(ncol, parts, strong=False, require_neutro=True):
     """Part-by-part substructure check; strong demands purely indeterminate
     parts, plain only that some part carries I (unless require_neutro=False)."""
-    return _partwise(ncol, _nonempty_parts(ncol, parts),
-                     lambda comp, labels: _part_verdict(comp, labels, strong),
-                     require_neutro and not strong)
+    return n_decider(ncol, strong=strong, require_neutro=require_neutro)(parts)
 
 
 def is_n_ideal(ncol, parts, require_neutro=True):
     """Every part a two-sided ideal of its component."""
-    return _partwise(ncol, _nonempty_parts(ncol, parts),
-                     lambda comp, labels: ideal_verdict(comp.structure, labels),
-                     require_neutro)
+    return n_decider(ncol, ideal=True, require_neutro=require_neutro)(parts)
 
 
 def is_deficit_sub(ncol, parts, require_neutro=True):
@@ -146,7 +167,7 @@ def is_deficit_sub(ncol, parts, require_neutro=True):
         return Verdict(False, witness=(t, len(parts)),
                        note="needs strictly between 1 and N nonempty parts")
     return _partwise(ncol, parts,
-                     lambda comp, labels: _part_verdict(comp, labels, False),
+                     lambda i, comp, labels: _part_verdict(comp, labels, False),
                      require_neutro, ("deficit-%d-of-%d" % (t, len(parts)),))
 
 

@@ -19,6 +19,7 @@ them: a result holds its operands' frozensets, and a part intersected with
 itself is that same object.
 """
 
+import json
 import re
 from collections import namedtuple
 from functools import partial
@@ -26,7 +27,7 @@ from itertools import repeat
 from operator import is_, le, not_, or_
 
 from .groupring import GroupRing
-from .ncollect import NCollection, is_n_ideal, is_n_sub
+from .ncollect import NCollection, n_decider
 from .structures import FiniteMagma, FiniteRing, _Record, label_is_neutro
 from .subsets import (
     LAGRANGE,
@@ -154,7 +155,8 @@ def _freeze_symbolic(u, raw):
 
 # a symbolic value as `dump` writes it: members joined by " u " outside the
 # angle brackets; a member is a named ring (Z, Q, R, C, nZ or <nZ u I>) and,
-# over a symbolic group ring, its span: <basis name> or <{label,...}>
+# over a symbolic group ring, its span: <basis name> or <{label,...}>, whose
+# labels are JSON strings when the first is (symbolic._span_labels)
 _SYM_UNION = re.compile(r" u (?![^<>]*>)")
 _SYM_MEMBER = re.compile(r"(<)?(\d*)([ZQRC])(?(1) u I>)(?:<([^<>]*)>)?")
 
@@ -182,7 +184,17 @@ def _symbolic_member(u, text):
         return sym.SymGroupRing(ring, u.basis)
     if span[:1] != "{" or span[-1:] != "}":
         raise ValueError("a span is %s or a set of its labels, got %.60r" % (u.basis.name, span))
-    return sym.SymGroupRing(ring, u.basis, span[1:-1].split(","))
+    text = span[1:-1]
+    if text[:1] != '"':
+        labels = text.split(",")
+    else:
+        try:
+            labels = json.loads("[%s]" % text)
+        except ValueError:
+            labels = None
+        if labels is None or not all(isinstance(x, str) for x in labels):
+            raise ValueError("quoted span labels are JSON strings, got %.60r" % span)
+    return sym.SymGroupRing(ring, u.basis, labels)
 
 
 def _sym_meet(a, b):
@@ -227,24 +239,25 @@ def _decide_set(u, predicate):
     return _deciding(lambda v: check_predicate(u, v, predicate), bool, "empty-assignment")
 
 
-# collection predicate name -> (part check, whether some part must carry I);
-# strong-n-sub, whose every part holds an indeterminate member, has no loose form
+# collection predicate name -> the n_decider options it names; strong-n-sub,
+# whose every part holds an indeterminate member, has no loose form
 N_PREDICATES = {
-    "n-sub": (is_n_sub, True),
-    "loose-n-sub": (is_n_sub, False),
-    "strong-n-sub": (partial(is_n_sub, strong=True), True),
-    "n-ideal": (is_n_ideal, True),
-    "loose-n-ideal": (is_n_ideal, False),
+    "n-sub": {},
+    "loose-n-sub": {"require_neutro": False},
+    "strong-n-sub": {"strong": True},
+    "n-ideal": {"ideal": True},
+    "loose-n-ideal": {"ideal": True, "require_neutro": False},
 }
 
 
 def _decide_parts(u, predicate):
+    """The value's verdict, each distinct (component, part) decided once by
+    the returned function (ncollect.n_decider)."""
     if callable(predicate):
         return _deciding(partial(predicate, u), all, "empty-part")
     if predicate not in N_PREDICATES:
         raise ValueError("unknown collection predicate %r" % predicate)
-    check, neutro = N_PREDICATES[predicate]
-    return _deciding(lambda v: check(u, v, require_neutro=neutro), all, "empty-part")
+    return _deciding(n_decider(u, **N_PREDICATES[predicate]), all, "empty-part")
 
 
 def _decide_symbolic(u, predicate):

@@ -8,6 +8,7 @@ otherwise a cross-sum escape witness is produced (for additive groups A and
 B, any a in A\\B plus b in B\\A lands outside both).
 """
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -151,11 +152,22 @@ class SymGroupRing:
         if self.subset == frozenset(self.basis.elements):
             span = self.basis.name
         else:
-            span = "{%s}" % ",".join(sorted(self.subset, key=self.basis.idx))
+            span = "{%s}" % _span_labels(sorted(self.subset, key=self.basis.idx))
         return "%s<%s>" % (self.coeff.name, span)
 
     def __str__(self):
         return self.name
+
+
+def _span_labels(labels):
+    """A span's basis labels as its name writes them: joined by ",", each as
+    it is unless one holds a character that would end a label or the span
+    early; then each as a JSON string with its angle brackets escaped, which
+    softsets reads back by the leading quote."""
+    if all(map(frozenset(',<>"').isdisjoint, labels)):
+        return ",".join(labels)
+    return ",".join(json.dumps(x).replace("<", "\\u003c").replace(">", "\\u003e")
+                    for x in labels)
 
 
 def _coeff_monomial(coeff, label):

@@ -156,6 +156,24 @@ def test_a_symbolic_soft_set_reads_back_what_it_writes(f):
     assert load_soft(json.loads(json.dumps(dumped)), universe=f.universe) == f
 
 
+def test_a_span_over_labels_that_hold_its_separators_reads_back():
+    """A basis label holding ",", "<", ">" or a quote is written as a JSON
+    string, every label of that span with it; plain labels stay plain."""
+    basis = FiniteMagma(["a,b", "c", "<x>", '"q'], [[i] * 4 for i in range(4)], name="M")
+    u = sym.SymGroupRing(sym.NamedRing("Z"), basis)
+    two, three = sym.NamedRing("Z", 2), sym.NamedRing("Z", 3)
+    for labels in ({"a,b"}, {"a,b", "c"}, {"<x>"}, {'"q', "c"}, {"c"}):
+        span = sym.SymGroupRing(two, basis, labels)
+        f = SoftSet(u, {"a1": span, "a2": sym.SymUnion((span, three))})
+        dumped = soft_to_dict(f)
+        assert load_soft(json.loads(json.dumps(dumped)), universe=u) == f
+    assert str(sym.SymGroupRing(two, basis, {"c"})) == "2Z<{c}>"
+    assert str(sym.SymGroupRing(two, basis, {"a,b", "c"})) == '2Z<{"a,b","c"}>'
+    for text in ('2Z<{"a}>', '2Z<{"a,b",1}>'):
+        with pytest.raises(ValueError, match="JSON strings"):
+            load_soft({"assign": {"a1": text}}, universe=u)
+
+
 def test_load_soft_with_shared_universe():
     g = load_structure({"kind": "param_groupoid", "n": 4, "t": 2, "u": 1})
     f = load_soft({"assign": {"a1": ["0", "2I"]}}, universe=g)

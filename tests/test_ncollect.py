@@ -1,7 +1,13 @@
 """Multi-component carriers: validation, part-wise subs, mixed classification."""
 
-import pytest
+import random
+from collections import Counter
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from neutrolab import claims, engine, ncollect
 from neutrolab.claims import carrier
 from neutrolab.ncollect import (
     MIXED_DUAL,
@@ -15,7 +21,9 @@ from neutrolab.ncollect import (
     is_n_sub,
     lagrange_mixed,
 )
+from neutrolab.softsets import N_PREDICATES, value_kind
 from neutrolab.structures import mult_magma, neutro_ring, param_groupoid, sym_group
+from neutrolab.subsets import Verdict, enumerate_subs
 
 
 @pytest.fixture(scope="module")
@@ -164,3 +172,69 @@ def test_a_bare_string_is_not_a_part(bi):
         with pytest.raises(ValueError, match="sequence of label sets"):
             is_n_sub(bi, parts)
     assert is_n_sub(bi, ({"0", "I"}, {"0", "1"})).ok
+
+
+def test_a_pair_sweep_decides_each_distinct_part_once(monkeypatch):
+    """The sampled N-collection row's pair sweep meets every ordered pair of
+    its pool, and each distinct (component, part) of the values it forms is
+    decided once."""
+    decided = Counter()
+    part_verdict = ncollect._part_verdict
+
+    def counted(comp, labels, strong):
+        decided[id(comp), labels] += 1
+        return part_verdict(comp, labels, strong)
+
+    monkeypatch.setattr(ncollect, "_part_verdict", counted)
+    pool = claims.mixed_sub_pool()
+    status, _, trials = engine.run_closure_prop(carrier("mixed5(order 68)"), pool,
+                                                "loose-n-sub", random.Random(0), spot=0)
+    assert (status, trials) == (engine.STATUS_HOLDS, len(pool) + len(pool) ** 2)
+    assert decided and set(decided.values()) == {1}
+    # the values share parts: without the memo they would be decided again
+    assert len(decided) < sum(map(len, pool))
+
+
+MEMO_COLLECTION = NCollection([Component(mult_magma(3), "semigroup", True),
+                               Component(mult_magma(4), "loop", True),
+                               Component(neutro_ring(2), "ring", True),
+                               Component(sym_group(3), "group", False)])
+
+
+def _palette(comp):
+    """A few parts of a component: its closed ones, which the check passes
+    or fails on its extra tests, and some sets that are not closed."""
+    s = comp.structure
+    closed = enumerate_subs(s, "loose-subring" if comp.alg == "ring" else "loose-subgroupoid")
+    rng = random.Random(s.name)
+    loose = [frozenset(rng.sample(s.elements, k)) for k in (2, 3, 3, 4)]
+    return closed[:6] + closed[-3:] + loose + [frozenset()]
+
+
+MEMO_PALETTES = [_palette(c) for c in MEMO_COLLECTION.components]
+
+
+def _reference(name, parts):
+    """A fresh ncollect check of `parts`, as softsets' deciders read them."""
+    if not all(parts):
+        return Verdict(False, flags=("empty-part",), note="empty part")
+    options = N_PREDICATES[name]
+    if options.get("ideal"):
+        return is_n_ideal(MEMO_COLLECTION, parts, options.get("require_neutro", True))
+    return is_n_sub(MEMO_COLLECTION, parts, strong=options.get("strong", False),
+                    require_neutro=options.get("require_neutro", True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(*(st.sampled_from(p) for p in MEMO_PALETTES)), min_size=1,
+                max_size=12))
+def test_the_memoised_decider_matches_a_fresh_check(values):
+    """One decider per predicate decides the values in turn, with parts
+    shared between them, and each verdict (status, witness, flags, note) is
+    what a fresh is_n_sub / is_n_ideal call returns; an empty part fails
+    flagged."""
+    decide = value_kind(MEMO_COLLECTION).decide
+    for name in N_PREDICATES:
+        decider = decide(MEMO_COLLECTION, name)
+        for parts in values + values[::-1]:
+            assert decider(parts) == _reference(name, parts), (name, parts)

@@ -7,7 +7,8 @@ subsets each predicate accepts, the pruned scan against every mask closed
 under random tables, the closure loop grown from a base (closed, or with
 its products seeded) against the closure from scratch, and Close-by-One's
 walk of a candidate's products with a closed set against its closure.
-Ring ideals, which are decided on an additive generating set, against
+The closed-gap and absorption-gap kernels, which accept by row containment,
+against the plain walks they replace on a rejected pool.  Ring ideals, which are decided on an additive generating set, against
 every (member, element) pair and against the sums of principal ideals, on
 rings that are not commutative or have no identity too."""
 
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neutrolab import subsets
 from neutrolab.groupring import GroupRing
 from neutrolab.structures import (
     FiniteMagma,
@@ -31,6 +33,7 @@ from neutrolab.structures import (
 )
 from neutrolab.subsets import (
     PREDICATES,
+    _absorb_gap,
     _close,
     _closed_gap,
     _fresh_products,
@@ -630,3 +633,76 @@ def test_ring_ideal_listing_matches_the_sums_of_principal_ideals(ring):
         ideals = sums
     want = sorted(ideals, key=lambda s: (len(s), sorted(map(ring.idx, s))))
     assert enumerate_subs(ring, "loose-ring-ideal") == want
+
+
+# ---------------------------------------------------------------------------
+# the gap kernels against the plain walks: row containment only accepts, and
+# a pool it rejects is walked for the same first gap
+
+
+def walked_closed_gap(order, pool, binary, unary=()):
+    """The closed-gap walk alone, as the kernel ran it before containment
+    tests: x, then its unary images, then y under each operation in turn."""
+    for x in order:
+        for name, table in unary:
+            z = table[x]
+            if z not in pool:
+                return x, None, name, z
+        gap, span = None, order
+        for name, table in binary:
+            row = table[x]
+            for y in span:
+                z = row[y]
+                if z not in pool:
+                    gap = (x, y, z) if name is None else (x, y, name, z)
+                    span = list(span)
+                    span = span[:span.index(y)]
+                    break
+        if gap is not None:
+            return gap
+    return None
+
+
+def walked_absorb_gap(view, xs, pool, ys):
+    """The absorption walk alone: x, then y, right product before left."""
+    right, left = view.absorb
+    for x in xs:
+        row, col = right[x], left[x]
+        for y in ys:
+            z = row[y]
+            if z not in pool:
+                return x, y, "right", z
+            z = col[y]
+            if z not in pool:
+                return x, y, "left", z
+    return None
+
+
+@st.composite
+def finite_pool(draw):
+    """A random magma table biased to absorb, or a ring of IDEAL_RINGS, with
+    a subset's index pool walked as the set iterates or sorted, and columns
+    to absorb: every element, the view's generators, or a parent list."""
+    universe, labels = draw(st.one_of(magma_and_subset(), ring_and_subset()))
+    view, n = _view(universe), len(universe)
+    pool = {universe.idx(x) for x in labels}
+    order = draw(st.sampled_from([pool, sorted(pool)]))
+    parent = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    return view, order, pool, draw(st.sampled_from([view.gens, range(n), parent]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite_pool(), st.sampled_from([2, subsets._ROW_TEST_MEMBERS]))
+def test_gap_kernels_return_what_the_plain_walks_return(case, row_test_members):
+    """`_closed_gap` under every nonempty run of the view's operations, with
+    and without its unary maps, and `_absorb_gap` against whole rows,
+    generators and parent lists: None, or the walk's first gap.  The small
+    pools drawn here take the row containment test when its floor is 2."""
+    view, order, pool, ys = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(subsets, "_ROW_TEST_MEMBERS", row_test_members)
+        for ops in filter(None, (view.binary, view.binary[:1], view.binary[1:])):
+            for unary in ((), view.unary):
+                assert (_closed_gap(order, pool, ops, unary)
+                        == walked_closed_gap(order, pool, ops, unary)), (ops, unary)
+        assert _absorb_gap(view, order, pool, ys) == walked_absorb_gap(view, order, pool, ys)
